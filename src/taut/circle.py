@@ -19,7 +19,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import PLMap, _coerce_ring, _piece_index, is_ftau, power
+from .plmap import PLMap, _piece_index, is_ftau, power
 from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_qtau, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
@@ -48,8 +48,7 @@ class CircleMap:
     def rotation(cls, alpha: ZTau | int) -> CircleMap:
         if isinstance(alpha, int):
             alpha = ZTau(alpha)
-        v = alpha - alpha.floor()
-        return cls(PLMap((ZERO, ONE), (v, v + 1), (0,)))
+        return cls(PLMap((ZERO, ONE), (alpha, alpha + 1), (0,)))
 
     @classmethod
     def from_interval_map(cls, g: PLMap) -> CircleMap:
@@ -80,24 +79,15 @@ class CircleMap:
         return cls(PLMap(pb, ys, ks))
 
     @classmethod
-    def from_raw(cls, xs, ys, ks=None, v=None) -> CircleMap:
-        table = PLMap.from_raw(xs, ys, ks)
-        if v is not None:
-            v = _coerce_ring(v)
-            if table.ys[0] != v - v.floor() and table.ys[0] != v:
-                raise SchemaError("stated base value disagrees with the table")
-        return cls(table)
+    def from_raw(cls, xs, ys, ks=None) -> CircleMap:
+        return cls(PLMap.from_raw(xs, ys, ks))
 
     @classmethod
     def from_json(cls, obj: object) -> CircleMap:
         if not isinstance(obj, dict):
             raise SchemaError("circle map payload must be an object")
-        table = PLMap.from_json({k: obj[k] for k in ("xs", "ys", "ks")
-                                 if k in obj})
-        g = cls(table)
+        g = cls(PLMap.from_json({k: v for k, v in obj.items() if k != "base"}))
         stated = obj.get("base")
-        if stated is None and isinstance(obj.get("v"), dict):
-            stated = obj["v"]
         if stated is not None:
             sv = ZTau.from_json(stated)
             if g.v != sv - sv.floor():
@@ -164,18 +154,12 @@ class CircleMap:
         """Canonical table of x -> other(self(x)) plus the integer carry
         between the true composed lift and the canonical one."""
         g = self.table
-        w = _window(other.table, g.ys[0], g.ys[-1])
-        comp = g * w
-        m = comp.ys[0].floor()
-        table = PLMap(comp.xs, tuple(y - m for y in comp.ys), comp.ks)
-        return CircleMap(table), m
+        table = g * _window(other.table, g.ys[0], g.ys[-1])
+        return CircleMap(table), table.ys[0].floor()
 
     def inverse_with_carry(self) -> tuple[CircleMap, int]:
-        inv = self.table.inverse()
-        t = _window(inv, ZERO, ONE)
-        m = t.ys[0].floor()
-        table = PLMap(t.xs, tuple(y - m for y in t.ys), t.ks)
-        return CircleMap(table), m
+        table = _window(self.table.inverse(), ZERO, ONE)
+        return CircleMap(table), table.ys[0].floor()
 
     def __mul__(self, other: CircleMap) -> CircleMap:
         if not isinstance(other, CircleMap):

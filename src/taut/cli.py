@@ -7,27 +7,16 @@ exhausted before an answer was certified, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
+from functools import cache
 
 from . import construct, expr
-from .circle import CircleMap
+from .circle import DEFAULT_PIECE_CAP, CircleMap
 from .errors import BudgetError, TautError
-from .lift import LiftMap, rot, scl, verify_rot, verify_scl
+from .lift import DEFAULT_MAX_DEN, DEFAULT_MAX_ITER, LiftMap, rot, scl
 from .plmap import PLMap
 from .ring import parse_ztau, ztau_str
-
-
-@dataclass
-class CliConfig:
-    max_iter: int = 10_000
-    max_den: int = 1_000
-    search_depth: int = 12
-    piece_cap: int = 100_000
-    seed: int = 0
-    as_json: bool = False
 
 
 class _UsageError(Exception):
@@ -39,15 +28,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="machine readable output")
-    common.add_argument("--max-iter", type=int, default=10_000)
-    common.add_argument("--max-den", type=int, default=1_000)
-    common.add_argument("--depth", type=int, default=12,
+    common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    common.add_argument("--max-den", type=int, default=DEFAULT_MAX_DEN)
+    common.add_argument("--depth", type=int, default=construct.DEFAULT_DEPTH,
                         help="search depth for constructive operations")
-    common.add_argument("--piece-cap", type=int, default=100_000)
+    common.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP)
     common.add_argument("--seed", type=int, default=0)
 
     p = _Parser(prog="taut", description=__doc__)
@@ -73,8 +63,6 @@ def _build_parser() -> _Parser:
                         help="element carrying one ring tuple to another")
     sp.add_argument("sources", help="comma separated ring points")
     sp.add_argument("targets")
-    sp.add_argument("--tuple", action="store_true", dest="as_tuple",
-                    help="force tuple parsing (implied by commas)")
     sp.add_argument("--derived", action="store_true",
                     help="return a single-commutator certificate")
 
@@ -84,7 +72,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("defect", parents=[common],
                         help="defect witnesses for the rotation quasimorphism")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--search", action="store_true")
     sp.add_argument("--samples", type=int, default=50)
 
@@ -105,21 +93,18 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    cfg = CliConfig(max_iter=args.max_iter, max_den=args.max_den,
-                    search_depth=args.depth, piece_cap=args.piece_cap,
-                    seed=args.seed, as_json=args.as_json)
     try:
-        return _dispatch(args, cfg)
+        return _dispatch(args)
     except BudgetError as exc:
-        _emit_error(cfg, exc, kind="budget")
+        _emit_error(args, exc, kind="budget")
         return 2
     except (TautError, ValueError, ZeroDivisionError) as exc:
-        _emit_error(cfg, exc, kind="domain")
+        _emit_error(args, exc, kind="domain")
         return 1
 
 
-def _emit_error(cfg: CliConfig, exc: Exception, kind: str) -> None:
-    if cfg.as_json:
+def _emit_error(args, exc: Exception, kind: str) -> None:
+    if args.as_json:
         payload = {"error": {"kind": kind, "type": type(exc).__name__,
                              "message": str(exc)}}
         print(expr.canonical_json(payload))
@@ -127,9 +112,9 @@ def _emit_error(cfg: CliConfig, exc: Exception, kind: str) -> None:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
 
 
-def _budget_kwargs(cfg: CliConfig) -> dict:
-    return {"max_den": cfg.max_den, "max_iter": cfg.max_iter,
-            "piece_cap": cfg.piece_cap}
+def _budget_kwargs(args) -> dict:
+    return {"max_den": args.max_den, "max_iter": args.max_iter,
+            "piece_cap": args.piece_cap}
 
 
 def _as_lift(element) -> LiftMap:
@@ -156,41 +141,30 @@ def _describe(element) -> str:
     return str(element)
 
 
-def _dispatch(args, cfg: CliConfig) -> int:
+def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "eval":
         element = expr.evaluate_str(args.expression)
-        print(expr.serialize(element) if cfg.as_json else _describe(element))
+        print(expr.serialize(element) if args.as_json else _describe(element))
         return 0
 
-    if cmd == "rot":
+    if cmd in ("rot", "scl"):
         f = _as_lift(expr.evaluate_str(args.expression))
-        res = rot(f, **_budget_kwargs(cfg))
-        if cfg.as_json:
+        res = (rot if cmd == "rot" else scl)(f, **_budget_kwargs(args))
+        if args.as_json:
             print(expr.canonical_json(res.to_json(f)))
-        elif res.kind == "rational":
-            print(f"{res.value} (exact, certified)")
+        elif res.kind == "enclosure":
+            print(f"[{res.lo}, {res.hi}] (enclosure, {res.iterations} iterations)")
         elif res.kind == "ztau":
             print(f"{ztau_str(res.value)} (exact, translation)")
-        else:
-            print(f"[{res.lo}, {res.hi}] (enclosure, {res.iterations} iterations)")
-        return 0
-
-    if cmd == "scl":
-        f = _as_lift(expr.evaluate_str(args.expression))
-        res = scl(f, **_budget_kwargs(cfg))
-        if cfg.as_json:
-            print(expr.canonical_json(res.to_json(f)))
-        elif res.kind == "rational":
-            print(f"{res.value} (exact)")
         elif res.kind == "ztau-half":
             print(f"({ztau_str(res.numerator)})/2 = {res.approx():.10f} (exact)")
         else:
-            print(f"[{res.lo}, {res.hi}] (enclosure, {res.iterations} iterations)")
+            print(f"{res.value} (exact{', certified' if cmd == 'rot' else ''})")
         return 0
 
     if cmd == "check":
-        return _run_check(args.target, cfg)
+        return _run_check(args)
 
     if cmd == "connect":
         sources = tuple(parse_ztau(s) for s in args.sources.split(","))
@@ -198,7 +172,7 @@ def _dispatch(args, cfg: CliConfig) -> int:
         maker = (construct.connect_tuple_derived if args.derived
                  else construct.connect_tuple)
         cert = maker(sources, targets)
-        if cfg.as_json:
+        if args.as_json:
             print(expr.serialize(cert))
         else:
             kind = "commutator " if args.derived else ""
@@ -207,13 +181,9 @@ def _dispatch(args, cfg: CliConfig) -> int:
         return 0
 
     if cmd == "factor":
-        element = expr.evaluate_str(args.expression)
-        if isinstance(element, LiftMap):
-            element = element.project()
-        if isinstance(element, PLMap):
-            element = CircleMap.from_interval_map(element)
-        cert = construct.factor_local(element, max_depth=cfg.search_depth)
-        if cfg.as_json:
+        element = _as_lift(expr.evaluate_str(args.expression)).project()
+        cert = construct.factor_local(element, max_depth=args.depth)
+        if args.as_json:
             print(expr.serialize(cert))
         else:
             print(f"verified factorization at x = {ztau_str(cert.x)}, "
@@ -224,13 +194,12 @@ def _dispatch(args, cfg: CliConfig) -> int:
     if cmd == "defect":
         if args.search:
             wit = construct.defect_witness_search(
-                args.samples, cfg.seed, max_den=cfg.max_den,
-                max_iter=cfg.max_iter)
+                args.samples, args.seed, max_den=args.max_den,
+                max_iter=args.max_iter)
         else:
-            n = 1 if args.n is None else args.n
-            wit = construct.defect_witness(n, max_den=cfg.max_den,
-                                           max_iter=cfg.max_iter)
-        if cfg.as_json:
+            wit = construct.defect_witness(args.n, max_den=args.max_den,
+                                           max_iter=args.max_iter)
+        if args.as_json:
             print(expr.serialize(wit))
         else:
             print(f"defect witness: delta = {wit.delta} ~ "
@@ -238,49 +207,18 @@ def _dispatch(args, cfg: CliConfig) -> int:
         return 0
 
     if cmd == "random":
-        element = construct.random_element(cfg.seed, args.size, args.flavor)
-        print(expr.serialize(element) if cfg.as_json else _describe(element))
+        element = construct.random_element(args.seed, args.size, args.flavor)
+        print(expr.serialize(element) if args.as_json else _describe(element))
         return 0
 
-    raise _UsageError(f"unknown command {cmd!r}")
 
-
-def _run_check(target: str, cfg: CliConfig) -> int:
-    if os.path.exists(target):
-        with open(target, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        obj = expr.deserialize(text)
-        if hasattr(obj, "verify"):
-            if isinstance(obj, construct.DefectWitness):
-                obj.verify(max_den=cfg.max_den, max_iter=cfg.max_iter)
-            else:
-                obj.verify()
-            label = obj.to_json()["kind"]
-            msg = {"checked": label, "ok": True}
-        elif hasattr(obj, "kind") and hasattr(obj, "to_json"):
-            # a rotation/scl result: re-check against the embedded element
-            payload = json.loads(text)
-            cert = payload.get("certificate", {})
-            is_scl = "rot" in cert or payload.get("kind") == "ztau-half"
-            label = "scl-result" if is_scl else "rot-result"
-            embedded = (cert.get("rot", {}).get("certificate", {})
-                        if is_scl else cert)
-            if "element" in embedded:
-                f = LiftMap.from_json(embedded["element"])
-                ok = (verify_scl(f, obj, cfg.piece_cap) if is_scl
-                      else verify_rot(f, obj, cfg.piece_cap))
-                if not ok:
-                    raise TautError(f"stored {label} fails re-checking")
-                msg = {"checked": label, "ok": True}
-            else:
-                msg = {"checked": label, "ok": True,
-                       "note": "no embedded element; structure validated"}
-        else:
-            msg = {"checked": type(obj).__name__.lower(), "ok": True}
+def _run_check(args) -> int:
+    if os.path.exists(args.target):
+        with open(args.target, "r", encoding="utf-8") as fh:
+            msg = expr.check_payload(fh.read(), _budget_kwargs(args))
     else:
-        element = expr.evaluate_str(target)
-        msg = {"checked": type(element).__name__.lower(), "ok": True}
-    print(expr.canonical_json(msg) if cfg.as_json
+        msg = expr.check_expression(args.target)
+    print(expr.canonical_json(msg) if args.as_json
           else f"ok: {msg['checked']} validated")
     return 0
 

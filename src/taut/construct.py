@@ -62,7 +62,10 @@ class SplitMix64:
 
 # -- deterministic point choices ---------------------------------------------
 
-def preference_points(max_depth: int = 12):
+DEFAULT_DEPTH = 12  # subdivision depth of the point searches
+
+
+def preference_points(max_depth: int = DEFAULT_DEPTH):
     """Interior subdivision points of [0, 1], by depth then by value.
 
     Depth d refines the depth-(d-1) partition with one wide-first split
@@ -81,7 +84,7 @@ def preference_points(max_depth: int = 12):
         pts = merged
 
 
-def circle_points(max_depth: int = 12):
+def circle_points(max_depth: int = DEFAULT_DEPTH):
     yield ZERO
     yield from preference_points(max_depth)
 
@@ -130,10 +133,6 @@ def _chart(center: ZTau, w: ZTau) -> ZTau:
     if not d:
         raise ValueError("point is the chart center")
     return d
-
-
-def _unchart(center: ZTau, t: ZTau) -> ZTau:
-    return _reduce(center + t)
 
 
 def _embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
@@ -342,7 +341,7 @@ def proximal_shrink(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau]) -> PLMap:
 
 
 def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau],
-                           max_depth: int = 12) -> CircleMap:
+                           max_depth: int = DEFAULT_DEPTH) -> CircleMap:
     """T_tau element carrying the closed arc j into the open arc i.
 
     Works in the chart at a ring point away from both arcs; such a point
@@ -454,7 +453,8 @@ def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
     return PLMap(xs, ys, w.ks)
 
 
-def factor_local(g: CircleMap, max_depth: int = 12) -> FactorCertificate:
+def factor_local(g: CircleMap,
+                 max_depth: int = DEFAULT_DEPTH) -> FactorCertificate:
     """Split g != id as u * v with u in the neighbourhood-stabilizer of a
     point x and v a product of commutator material fixing a point y.
 
@@ -572,7 +572,7 @@ class CommutatorCertificate:
 
 
 def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
-                     max_depth: int = 12) -> CommutatorCertificate:
+                     max_depth: int = DEFAULT_DEPTH) -> CommutatorCertificate:
     """k = [g, h] fixing a neighbourhood of x, h supported in an arc I with
     I*g disjoint from I and x outside I and I*g."""
     if g.is_identity():

@@ -23,16 +23,49 @@ already a lift offsets its integer part by n.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .circle import CircleMap, SubdivisionTree
-from .errors import ExprSyntaxError, ExprTypeError, SchemaError
-from .lift import LiftMap
+from . import construct
+from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
+from .errors import ExprSyntaxError, ExprTypeError, SchemaError, TautError
+from .lift import (
+    LiftMap,
+    SclResult,
+    rot_result_from_json,
+    scl_result_from_json,
+    verify_rot,
+    verify_scl,
+)
 from .plmap import PLMap, commutator, conjugate, is_ftau, power
-from .ring import ZTau, ztau_str
+from .ring import RingLiteralError, ZTau, read_ztau, ztau_str
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
              "treepair", "t"}
+
+# Deepest nesting of parentheses in an expression, and of brackets and
+# braces in a JSON payload, that is read; deeper input is rejected
+# before the recursive parsers could exhaust the interpreter's stack.
+MAX_NESTING = 100
+
+_INT = re.compile(r"([+-]?)(\d*)")
+_NAME = re.compile(r"\w+")
+_BRACKET = re.compile(r"[][{}]")
+
+
+def _check_json_nesting(text: str) -> None:
+    """Raise SchemaError if brackets and braces in text, outside strings,
+    nest deeper than MAX_NESTING."""
+    if text.count("[") + text.count("{") <= MAX_NESTING:
+        return
+    # with escaped backslashes and quotes dropped, every other piece
+    # between quotes is the inside of a string
+    pieces = text.replace("\\\\", "").replace('\\"', "").split('"')
+    brackets = _BRACKET.findall("".join(pieces[::2]))
+    steps = (1 if ch in "[{" else -1 for ch in brackets)
+    if max(accumulate(steps), default=0) > MAX_NESTING:
+        raise SchemaError(f"JSON nests deeper than {MAX_NESTING} levels")
 
 
 # -- AST ---------------------------------------------------------------------
@@ -111,6 +144,7 @@ class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ExprSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -147,70 +181,45 @@ class _Scanner:
 
     def read_int(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
+        m = _INT.match(self.text, self.pos)
+        self.pos = m.end()
+        if not m.group(2):
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        return int(m.group())
 
     def read_name(self) -> str:
         self.skip_ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-            self.pos += 1
-        if self.pos == start:
+        m = _NAME.match(self.text, self.pos)
+        if not m:
             raise self.error("expected a name")
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m.group()
 
     def read_json(self) -> object:
         self.skip_ws()
         try:
+            _check_json_nesting(self.text[self.pos:])
             obj, end = json.JSONDecoder().raw_decode(self.text, self.pos)
+        except SchemaError as exc:
+            raise self.error(str(exc)) from exc
         except json.JSONDecodeError as exc:
             raise self.error(f"bad inline JSON: {exc.msg}") from exc
         self.pos = end
         return obj
 
     def read_ztau(self) -> ZTau:
-        # sign-separated linear combination of 1 and t
-        self.skip_ws()
-        a = b = 0
-        first = True
-        while True:
-            self.skip_ws()
-            sign = 1
-            if self.peek() in "+-":
-                sign = -1 if self.peek() == "-" else 1
-                self.pos += 1
-            elif not first:
-                break
-            first = False
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                start = self.pos
-                while (self.pos < len(self.text)
-                       and self.text[self.pos].isdigit()):
-                    self.pos += 1
-                coeff = int(self.text[start:self.pos])
-                self.skip_ws()
-                if self.peek() == "*":
-                    self.pos += 1
-                    if not self.take_word("t"):
-                        raise self.error("expected 't' after '*'")
-                    b += sign * coeff
-                elif self.take_word("t"):
-                    b += sign * coeff
-                else:
-                    a += sign * coeff
-            elif self.take_word("t"):
-                b += sign
-            else:
-                raise self.error("expected a ring literal")
-        return ZTau(a, b)
+        if self.peek():
+            try:
+                z, self.pos = read_ztau(self.text, self.pos)
+            except RingLiteralError as exc:
+                self.pos = exc.pos
+                raise self.error(str(exc)) from None
+            if self.pos < len(self.text):
+                return z
+        # a literal cut off by the end of the text is reported one column
+        # past the end: --json error output carries that position
+        self.pos = len(self.text) + 1
+        raise self.error("expected a ring literal")
 
 
 def parse(text: str) -> Program:
@@ -232,10 +241,14 @@ def parse(text: str) -> Program:
 
 
 def _parse_expr(sc: _Scanner) -> object:
+    sc.depth += 1
+    if sc.depth > MAX_NESTING:
+        raise sc.error(f"expression nests deeper than {MAX_NESTING} levels")
     node = _parse_term(sc)
     while sc.peek() in ("*", "@"):
         sc.pos += 1
         node = Compose(node, _parse_term(sc))
+    sc.depth -= 1
     return node
 
 
@@ -249,30 +262,20 @@ def _parse_term(sc: _Scanner) -> object:
 
 
 def _parse_atom(sc: _Scanner) -> object:
-    if sc.take_word("rot"):
-        sc.take("(")
-        angle = sc.read_ztau()
-        sc.take(")")
-        return Rotation(angle)
-    if sc.take_word("trans"):
-        sc.take("(")
-        angle = sc.read_ztau()
-        sc.take(")")
-        return Translation(angle)
-    if sc.take_word("comm"):
-        sc.take("(")
-        a = _parse_expr(sc)
-        sc.take(",")
-        b = _parse_expr(sc)
-        sc.take(")")
-        return Comm(a, b)
-    if sc.take_word("conj"):
-        sc.take("(")
-        a = _parse_expr(sc)
-        sc.take(",")
-        b = _parse_expr(sc)
-        sc.take(")")
-        return Conj(a, b)
+    for word, make in (("rot", Rotation), ("trans", Translation)):
+        if sc.take_word(word):
+            sc.take("(")
+            angle = sc.read_ztau()
+            sc.take(")")
+            return make(angle)
+    for word, make in (("comm", Comm), ("conj", Conj)):
+        if sc.take_word(word):
+            sc.take("(")
+            a = _parse_expr(sc)
+            sc.take(",")
+            b = _parse_expr(sc)
+            sc.take(")")
+            return make(a, b)
     if sc.take_word("lift"):
         sc.take("(")
         inner = _parse_expr(sc)
@@ -283,8 +286,7 @@ def _parse_atom(sc: _Scanner) -> object:
     if sc.take_word("map"):
         obj = sc.read_json()
         is_circle = isinstance(obj, dict) and (
-            "base" in obj or isinstance(obj.get("v"), dict)
-            or obj.get("kind") == "circle")
+            "base" in obj or obj.get("kind") == "circle")
         try:
             value = (CircleMap.from_json(obj) if is_circle
                      else PLMap.from_json(obj))
@@ -388,12 +390,18 @@ def evaluate(node: object, env: dict[str, Element] | None = None) -> Element:
     if isinstance(node, TreePairLit):
         return CircleMap.from_tree_pair(node.p, node.q, node.shift)
     if isinstance(node, Compose):
-        a, b = _promote_pair(evaluate(node.left, env),
-                             evaluate(node.right, env))
-        return a * b
+        # a * b * c nests to the left: fold the chain in a loop, so that a
+        # long product does not recurse once per factor
+        rights = []
+        while isinstance(node, Compose):
+            rights.append(node.right)
+            node = node.left
+        out = evaluate(node, env)
+        for right in reversed(rights):
+            a, b = _promote_pair(out, evaluate(right, env))
+            out = a * b
+        return out
     if isinstance(node, Power):
-        from .circle import DEFAULT_PIECE_CAP
-
         return power(evaluate(node.inner, env), node.k, DEFAULT_PIECE_CAP)
     if isinstance(node, Inverse):
         return evaluate(node.inner, env).inverse()
@@ -423,9 +431,7 @@ def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
 
 def to_expression(element: Element) -> str:
     """Expression text that evaluates back to the given element."""
-    if isinstance(element, PLMap):
-        return f"map {canonical_json(element.to_json())}"
-    if isinstance(element, CircleMap):
+    if isinstance(element, (PLMap, CircleMap)):
         return f"map {canonical_json(element.to_json())}"
     if isinstance(element, LiftMap):
         return (f"lift(map {canonical_json(element.base.to_json())}, "
@@ -437,6 +443,8 @@ def to_expression(element: Element) -> str:
 
 SCHEMA_VERSION = 1
 
+_ELEMENT_KINDS = {PLMap: "plmap", CircleMap: "circle", LiftMap: "lift"}
+
 
 def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -445,23 +453,75 @@ def canonical_json(obj: object) -> str:
 def serialize(obj) -> str:
     """Canonical JSON for elements, results and certificates."""
     payload = obj.to_json()
-    kind = payload.get("kind")
-    if kind is None:
-        if isinstance(obj, PLMap):
-            kind = "plmap"
-        elif isinstance(obj, CircleMap):
-            kind = "circle"
-        elif isinstance(obj, LiftMap):
-            kind = "lift"
-        else:
+    if "kind" not in payload:
+        if type(obj) not in _ELEMENT_KINDS:
             raise SchemaError(f"cannot serialize {type(obj).__name__}")
-        payload["kind"] = kind
+        payload["kind"] = _ELEMENT_KINDS[type(obj)]
     payload["schema"] = SCHEMA_VERSION
     return canonical_json(payload)
 
 
-def deserialize(text: str):
-    """Inverse of serialize; every group element is re-validated."""
+# -- the payload kinds: loading and re-checking ----------------------------------
+#
+# A checker re-validates a loaded payload, given the payload and the work
+# budgets, and returns the message that `taut check` prints.
+
+def _check_element(element, obj: dict, budgets: dict) -> dict:
+    return {"checked": type(element).__name__.lower(), "ok": True}
+
+
+def _check_certificate(cert, obj: dict, budgets: dict) -> dict:
+    cert.verify()
+    return {"checked": obj["kind"], "ok": True}
+
+
+def _check_witness(wit, obj: dict, budgets: dict) -> dict:
+    wit.verify(max_den=budgets["max_den"], max_iter=budgets["max_iter"])
+    return {"checked": obj["kind"], "ok": True}
+
+
+def _load_result(obj: dict):
+    """A rot result, or an scl result: one that wraps its rot result."""
+    if obj["kind"] == "ztau-half" or "rot" in obj.get("certificate", {}):
+        return scl_result_from_json(obj)
+    return rot_result_from_json(obj)
+
+
+def _check_result(res, obj: dict, budgets: dict) -> dict:
+    """Re-check a rot or scl result against the element embedded in it."""
+    is_scl = isinstance(res, SclResult)
+    label = "scl-result" if is_scl else "rot-result"
+    cert = obj.get("certificate", {})
+    embedded = cert["rot"].get("certificate", {}) if is_scl else cert
+    if "element" not in embedded:
+        return {"checked": label, "ok": True,
+                "note": "no embedded element; structure validated"}
+    f = LiftMap.from_json(embedded["element"])
+    verify = verify_scl if is_scl else verify_rot
+    if not verify(f, res, budgets["piece_cap"]):
+        raise TautError(f"stored {label} fails re-checking")
+    return {"checked": label, "ok": True}
+
+
+# payload kind -> (loader, checker)
+_KINDS = {
+    "plmap": (PLMap.from_json, _check_element),
+    "circle": (CircleMap.from_json, _check_element),
+    "lift": (LiftMap.from_json, _check_element),
+    **dict.fromkeys(("rational", "ztau", "ztau-half", "enclosure"),
+                    (_load_result, _check_result)),
+    "connect-cert": (construct.TransitivityCertificate.from_json,
+                     _check_certificate),
+    "factor-cert": (construct.FactorCertificate.from_json, _check_certificate),
+    "commutator-cert": (construct.CommutatorCertificate.from_json,
+                        _check_certificate),
+    "defect-witness": (construct.DefectWitness.from_json, _check_witness),
+}
+
+
+def _load(text: str):
+    """Parse a payload; returns it, its loaded value and its checker."""
+    _check_json_nesting(text)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -469,30 +529,28 @@ def deserialize(text: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("payload must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "plmap":
-        return PLMap.from_json(obj)
-    if kind == "circle":
-        return CircleMap.from_json(obj)
-    if kind == "lift":
-        return LiftMap.from_json(obj)
-    if kind == "ztau-half" or (
-            kind in ("rational", "enclosure")
-            and "rot" in obj.get("certificate", {})):
-        from .lift import scl_result_from_json
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f"unknown payload kind {kind!r}")
+    load, check = _KINDS[kind]
+    try:
+        value = load(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"bad {kind} payload: {exc!r}") from exc
+    return obj, value, check
 
-        return scl_result_from_json(obj)
-    if kind in ("rational", "ztau", "enclosure"):
-        from .lift import rot_result_from_json
 
-        return rot_result_from_json(obj)
-    from . import construct
+def deserialize(text: str):
+    """Inverse of serialize; every group element is re-validated."""
+    return _load(text)[1]
 
-    table = {
-        "connect-cert": construct.TransitivityCertificate,
-        "factor-cert": construct.FactorCertificate,
-        "commutator-cert": construct.CommutatorCertificate,
-        "defect-witness": construct.DefectWitness,
-    }
-    if kind in table:
-        return table[kind].from_json(obj)
-    raise SchemaError(f"unknown payload kind {kind!r}")
+
+def check_payload(text: str, budgets: dict) -> dict:
+    """Load and re-check a serialized payload within the work budgets
+    (max_den, max_iter, piece_cap); returns the `taut check` message."""
+    obj, value, check = _load(text)
+    return check(value, obj, budgets)
+
+
+def check_expression(text: str) -> dict:
+    """Evaluate an element expression; returns the `taut check` message."""
+    return _check_element(evaluate_str(text), {}, {})

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .circle import DEFAULT_PIECE_CAP, CircleMap
 from .errors import PowerBudgetExceeded, SchemaError
-from .plmap import ABOVE, BELOW, power
+from .plmap import ABOVE, BELOW, _capped_mul, power
 from .ring import (
     QTau,
     ZTau,
@@ -245,7 +245,7 @@ def _rot_base(f0: LiftMap, max_den: int, max_iter: int,
     if max_den >= 2:
         while q_lo + q_hi <= max_den:
             try:
-                f_med = _mul_capped(f_lo, f_hi, piece_cap)
+                f_med = _capped_mul(f_lo, f_hi, piece_cap)
             except PowerBudgetExceeded:
                 break
             p_med = p_lo + p_hi
@@ -260,14 +260,6 @@ def _rot_base(f0: LiftMap, max_den: int, max_iter: int,
     return rot_enclosure(f0, max_iter, piece_cap=piece_cap)
 
 
-def _mul_capped(a: LiftMap, b: LiftMap, piece_cap: int) -> LiftMap:
-    out = a * b
-    if out.num_pieces > piece_cap:
-        raise PowerBudgetExceeded(
-            f"{out.num_pieces} pieces exceed the configured cap {piece_cap}")
-    return out
-
-
 def rot_enclosure(f: LiftMap, iterations: int,
                   piece_cap: int = DEFAULT_PIECE_CAP) -> RotEnclosure:
     """Sound enclosure of rot(f) from the exact power f**M, M <= iterations.
@@ -280,7 +272,6 @@ def rot_enclosure(f: LiftMap, iterations: int,
     if iterations < 1:
         raise ValueError("iterations must be positive")
     m_used = iterations
-    big = None
     while True:
         try:
             big = f.power(m_used, piece_cap)
@@ -417,12 +408,13 @@ def scl(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
     return SclEnclosure(lo / 2, hi / 2, r.iterations, r)
 
 
-def _abs_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def _abs_interval(lo, hi):
+    """Range of |x| over lo <= x <= hi, for Fraction or QTau endpoints."""
     if lo >= 0:
         return lo, hi
     if hi <= 0:
         return -hi, -lo
-    return Fraction(0), max(-lo, hi)
+    return lo * 0, max(-lo, hi)
 
 
 # -- the defect of rot -------------------------------------------------------
@@ -439,11 +431,6 @@ class DefectDelta:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
-
-    def exact_fraction(self) -> Fraction:
-        if self.exact is None or self.exact.num.b != 0:
-            raise ValueError("delta is not an exact rational")
-        return Fraction(self.exact.num.a, self.exact.den)
 
     def to_json(self) -> dict:
         if self.exact is not None:
@@ -473,7 +460,6 @@ def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         d = abs(exact_parts[0][0] + exact_parts[1][0] - exact_parts[2][0])
         fr = _to_fraction_bounds(d)
         return DefectDelta(d, fr[0], fr[1], (rf, rg, rfg))
-    lo = hi = None
     ivs = []
     for r, p in zip((rf, rg, rfg), exact_parts):
         if p is not None:
@@ -482,17 +468,9 @@ def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
             ivs.append((_as_qtau(r.lo), _as_qtau(r.hi)))
     lo = ivs[0][0] + ivs[1][0] - ivs[2][1]
     hi = ivs[0][1] + ivs[1][1] - ivs[2][0]
-    alo, ahi = _abs_qtau_interval(lo, hi)
+    alo, ahi = _abs_interval(lo, hi)
     return DefectDelta(None, _to_fraction_bounds(alo)[0],
                        _to_fraction_bounds(ahi)[1], (rf, rg, rfg))
-
-
-def _abs_qtau_interval(lo: QTau, hi: QTau) -> tuple[QTau, QTau]:
-    if lo.sign() >= 0:
-        return lo, hi
-    if hi.sign() <= 0:
-        return -hi, -lo
-    return QTau(0), max(-lo, hi)
 
 
 def _to_fraction_bounds(x: QTau, scale: int = 1 << 32) -> tuple[Fraction, Fraction]:

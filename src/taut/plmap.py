@@ -17,6 +17,7 @@ from .errors import (
     NotIncreasing,
     NotTauPower,
     OutOfDomain,
+    PowerBudgetExceeded,
     SchemaError,
     SlopeMismatch,
 )
@@ -95,6 +96,9 @@ class PLMap:
     def from_json(cls, obj: object) -> PLMap:
         if not isinstance(obj, dict):
             raise SchemaError("piecewise map payload must be an object")
+        unknown = set(obj) - {"xs", "ys", "ks", "kind", "schema"}
+        if unknown:
+            raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
         try:
             xs = [QTau(ZTau.from_json(v)) if "a" in v else QTau.from_json(v)
                   for v in obj["xs"]]
@@ -120,9 +124,6 @@ class PLMap:
 
     def domain(self) -> tuple[ZTau, ZTau]:
         return self.xs[0], self.xs[-1]
-
-    def codomain(self) -> tuple[ZTau, ZTau]:
-        return self.ys[0], self.ys[-1]
 
     def is_identity(self) -> bool:
         return self.ks == (0,) and self.xs == self.ys
@@ -269,10 +270,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, x: ZTau) -> bool:
-        return any((x - lo).sign() >= 0 and (hi - x).sign() >= 0
-                   for lo, hi in self.intervals)
-
     def inside(self, lo: ZTau, hi: ZTau, strict: bool = False) -> bool:
         cmp = 1 if strict else 0
         return all((a - lo).sign() >= cmp and (hi - b).sign() >= cmp
@@ -327,13 +324,9 @@ def power(el, k: int, piece_cap: int | None = None):
 
 def _capped_mul(a, b, piece_cap):
     out = a * b
-    if piece_cap is not None:
-        n = getattr(out, "num_pieces", None)
-        if n is not None and n > piece_cap:
-            from .errors import PowerBudgetExceeded
-
-            raise PowerBudgetExceeded(
-                f"{n} pieces exceed the configured cap {piece_cap}")
+    if piece_cap is not None and out.num_pieces > piece_cap:
+        raise PowerBudgetExceeded(
+            f"{out.num_pieces} pieces exceed the configured cap {piece_cap}")
     return out
 
 

@@ -9,19 +9,16 @@ never decide anything.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt
 
 from .errors import NonPositive, NotInRing, SchemaError
 
-# Internally every formula is written for the metallic family
-# x**2 + n*x - 1; only n = 1, the golden case, is exposed or tested.
-# n**2 + 4 is never a perfect square for n >= 1, which keeps the exact
-# sign and floor comparisons below strict.
-_METALLIC_N = 1
-_DISC = _METALLIC_N * _METALLIC_N + 4
-TAU_FLOAT = (_DISC ** 0.5 - _METALLIC_N) / 2
+# 2*tau = sqrt(5) - 1, and 5 is not a perfect square, which keeps the
+# exact sign and floor comparisons below strict.
+TAU_FLOAT = (5 ** 0.5 - 1) / 2
 
 
 def _isign(n: int) -> int:
@@ -90,11 +87,10 @@ class ZTau:
         if isinstance(other, int):
             return ZTau(self.a * other, self.b * other)
         if isinstance(other, ZTau):
-            # tau**2 = 1 - n*tau
+            # tau**2 = 1 - tau
             bb = self.b * other.b
             return ZTau(self.a * other.a + bb,
-                        self.a * other.b + self.b * other.a
-                        - _METALLIC_N * bb)
+                        self.a * other.b + self.b * other.a - bb)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -118,16 +114,16 @@ class ZTau:
         return _as_qtau(other) / QTau(self)
 
     def conj(self) -> ZTau:
-        """Galois conjugate: tau -> -n - tau, so a + b*tau -> (a-n*b) - b*tau."""
-        return ZTau(self.a - _METALLIC_N * self.b, -self.b)
+        """Galois conjugate: tau -> -1 - tau, so a + b*tau -> (a-b) - b*tau."""
+        return ZTau(self.a - self.b, -self.b)
 
     def norm(self) -> int:
-        """Field norm a**2 - n*a*b - b**2; multiplicative, +-1 exactly on units."""
-        return self.a * self.a - _METALLIC_N * self.a * self.b - self.b * self.b
+        """Field norm a**2 - a*b - b**2; multiplicative, +-1 exactly on units."""
+        return self.a * self.a - self.a * self.b - self.b * self.b
 
     def sign(self) -> int:
-        # 2*(a + b*tau) = (2a - n*b) + b*sqrt(n**2+4); compare by squaring
-        u = 2 * self.a - _METALLIC_N * self.b
+        # 2*(a + b*tau) = (2a - b) + b*sqrt(5); compare by squaring
+        u = 2 * self.a - self.b
         v = self.b
         if v == 0:
             return _isign(u)
@@ -136,15 +132,15 @@ class ZTau:
         if (u > 0) == (v > 0):
             return _isign(u)
         if u > 0:
-            return 1 if u * u > _DISC * v * v else -1
-        return -1 if u * u > _DISC * v * v else 1
+            return 1 if u * u > 5 * v * v else -1
+        return -1 if u * u > 5 * v * v else 1
 
     def floor(self) -> int:
         v = self.b
         if v == 0:
             return self.a
-        m = isqrt(_DISC * v * v) if v > 0 else -isqrt(_DISC * v * v) - 1
-        return self.a + (m - _METALLIC_N * v) // 2
+        m = isqrt(5 * v * v) if v > 0 else -isqrt(5 * v * v) - 1
+        return self.a + (m - v) // 2
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -171,19 +167,19 @@ class ZTau:
 ZERO = ZTau(0)
 ONE = ZTau(1)
 TAU = ZTau(0, 1)
-INV_TAU = ZTau(_METALLIC_N, 1)
+INV_TAU = ZTau(1, 1)
 
 
 @lru_cache(maxsize=None)
 def tau_pow(k: int) -> ZTau:
-    """Exact tau**k for any integer k (negative powers via 1/tau = n + tau)."""
+    """Exact tau**k for any integer k (negative powers via 1/tau = 1 + tau)."""
     a, b = 1, 0
     if k >= 0:
         for _ in range(k):
-            a, b = b, a - _METALLIC_N * b
+            a, b = b, a - b
     else:
         for _ in range(-k):
-            a, b = a * _METALLIC_N + b, a
+            a, b = a + b, a
     return ZTau(a, b)
 
 
@@ -285,10 +281,10 @@ class QTau:
 
     def floor(self) -> int:
         a, b, d = self.num.a, self.num.b, self.den
-        u, v, big_d = 2 * a - _METALLIC_N * b, b, 2 * d
+        u, v, big_d = 2 * a - b, b, 2 * d
         if v == 0:
             return u // big_d
-        m = isqrt(_DISC * v * v) if v > 0 else -isqrt(_DISC * v * v) - 1
+        m = isqrt(5 * v * v) if v > 0 else -isqrt(5 * v * v) - 1
         return (u + m) // big_d
 
     def ceil(self) -> int:
@@ -399,45 +395,57 @@ def qtau_literal(q: QTau) -> str:
     return f"({ztau_literal(q.num)})/{q.den}"
 
 
-def parse_ztau(text: str) -> ZTau:
-    """Parse 'a+b*t' with optional signs and omitted zero terms."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty ring literal")
+class RingLiteralError(ValueError):
+    """A malformed ring literal; pos is where reading stopped in the text."""
+
+    def __init__(self, message: str, pos: int) -> None:
+        super().__init__(message)
+        self.pos = pos
+
+
+# one term: sign, coefficient, '*', 't', each optional, blanks between
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(\*?)\s*(t(?!\w))?\s*")
+
+
+def read_ztau(text: str, pos: int = 0) -> tuple[ZTau, int]:
+    """Read the ring literal that starts at text[pos].
+
+    A literal is a sum of terms INT, INT*t, INT t and t separated by
+    signs, with an optional leading sign; blanks may separate tokens but
+    not the digits of a number.  Returns the value and the position after
+    it and the blanks that follow.  Raises RingLiteralError at the first
+    position where no term can be read.
+    """
     a = b = 0
-    i = 0
     first = True
-    while i < len(s):
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ValueError(f"expected '+' or '-' in {text!r}")
-        first = False
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j > i:
-            coeff = int(s[i:j])
-            i = j
-            if i < len(s) and s[i] == "*":
-                i += 1
-                if i >= len(s) or s[i] != "t":
-                    raise ValueError(f"expected 't' after '*' in {text!r}")
-                b += sign * coeff
-                i += 1
-            elif i < len(s) and s[i] == "t":
-                b += sign * coeff
-                i += 1
-            else:
-                a += sign * coeff
-        elif i < len(s) and s[i] == "t":
-            b += sign
-            i += 1
+    while True:
+        m = _TERM.match(text, pos)
+        sign, digits, star, t = m.groups()
+        if not (sign or first):
+            return ZTau(a, b), m.start(2)
+        if not (digits or t) or (star and not digits):
+            raise RingLiteralError("expected a ring literal", m.start(2))
+        if star and not t:
+            raise RingLiteralError("expected 't' after '*'", m.end())
+        coeff = (-1 if sign == "-" else 1) * int(digits or 1)
+        if t:
+            b += coeff
         else:
-            raise ValueError(f"bad ring literal {text!r}")
-    return ZTau(a, b)
+            a += coeff
+        first = False
+        pos = m.end()
+
+
+def parse_ztau(text: str) -> ZTau:
+    """Parse a text that is one ring literal 'a+b*t' (see read_ztau)."""
+    try:
+        z, end = read_ztau(text)
+        if end < len(text):
+            raise RingLiteralError("expected '+' or '-'", end)
+    except RingLiteralError as exc:
+        raise ValueError(f"bad ring literal {text!r}: {exc} "
+                         f"at column {exc.pos + 1}") from None
+    return z
 
 
 def parse_qtau(text: str) -> QTau:
