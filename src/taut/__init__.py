@@ -29,9 +29,7 @@ from .lift import (
     RotEnclosure,
     RotRational,
     RotTranslation,
-    SclEnclosure,
-    SclRational,
-    SclZTauHalf,
+    SclResult,
     defect_delta,
     rot,
     rot_enclosure,

@@ -158,7 +158,7 @@ def _dispatch(args) -> int:
         elif res.kind == "ztau":
             print(f"{ztau_str(res.value)} (exact, translation)")
         elif res.kind == "ztau-half":
-            print(f"({ztau_str(res.numerator)})/2 = {res.approx():.10f} (exact)")
+            print(f"({ztau_str(abs(res.rot.value))})/2 = {res.approx():.10f} (exact)")
         else:
             print(f"{res.value} (exact{', certified' if cmd == 'rot' else ''})")
         return 0

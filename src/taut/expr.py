@@ -36,7 +36,6 @@ from .lift import (
     rot_result_from_json,
     scl_result_from_json,
     verify_rot,
-    verify_scl,
 )
 from .plmap import PLMap, commutator, conjugate, is_ftau, power
 from .ring import RingLiteralError, ZTau, read_ztau, ztau_str
@@ -488,17 +487,16 @@ def _load_result(obj: dict):
 
 
 def _check_result(res, obj: dict, budgets: dict) -> dict:
-    """Re-check a rot or scl result against the element embedded in it."""
+    """Re-check a rot or scl result against the element embedded in it;
+    an scl result is re-checked through the rot result it derives from."""
     is_scl = isinstance(res, SclResult)
     label = "scl-result" if is_scl else "rot-result"
-    cert = obj.get("certificate", {})
-    embedded = cert["rot"].get("certificate", {}) if is_scl else cert
-    if "element" not in embedded:
-        return {"checked": label, "ok": True,
-                "note": "no embedded element; structure validated"}
+    rot_obj = obj["certificate"]["rot"] if is_scl else obj
+    embedded = rot_obj.get("certificate", {})
+    if not isinstance(embedded, dict) or "element" not in embedded:
+        raise SchemaError(f"{label} has no embedded element to re-check")
     f = LiftMap.from_json(embedded["element"])
-    verify = verify_scl if is_scl else verify_rot
-    if not verify(f, res, budgets["piece_cap"]):
+    if not verify_rot(f, res.rot if is_scl else res, budgets["piece_cap"]):
         raise TautError(f"stored {label} fails re-checking")
     return {"checked": label, "ok": True}
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import DEFAULT_PIECE_CAP, CircleMap
-from .errors import PowerBudgetExceeded, SchemaError
+from .errors import CertificateError, PowerBudgetExceeded, SchemaError
 from .plmap import ABOVE, BELOW, _capped_mul, power
 from .ring import (
     QTau,
@@ -300,112 +300,82 @@ def verify_rot(f: LiftMap, res: RotResult,
             return False
         # independent route: the shifted q-th power must exhibit a root
         return fq.base.table.shift_roots(ZTau(res.p - fq.n)).has_fixed_point()
-    if isinstance(res, RotEnclosure):
-        again = rot_enclosure(f, res.iterations, piece_cap)
-        return again == res
-    return False
+    return rot_enclosure(f, res.iterations, piece_cap) == res
 
 
 # -- stable commutator length ------------------------------------------------
 
 @dataclass(frozen=True)
-class SclRational:
-    value: Fraction
+class SclResult:
+    """scl = |rot|/2, derived from the rotation result that certifies it.
+
+    A translation by alpha gives the exact value |alpha|/2 (kind
+    "ztau-half"), an exact rational rot gives |rot|/2, and an enclosure of
+    rot gives the enclosure lo <= scl <= hi of |rot|/2.
+    """
+
     rot: RotResult
 
-    kind = "rational"
+    @property
+    def kind(self) -> str:
+        return "ztau-half" if isinstance(self.rot, RotTranslation) else self.rot.kind
+
+    @property
+    def value(self) -> QTau | Fraction:
+        if isinstance(self.rot, RotTranslation):
+            return QTau(abs(self.rot.value), 2)
+        return abs(self.rot.value) / 2
+
+    @property
+    def lo(self) -> Fraction:
+        return _abs_interval(self.rot.lo, self.rot.hi)[0] / 2
+
+    @property
+    def hi(self) -> Fraction:
+        return _abs_interval(self.rot.lo, self.rot.hi)[1] / 2
+
+    @property
+    def iterations(self) -> int:
+        return self.rot.iterations
 
     def approx(self) -> float:
+        if self.kind == "enclosure":
+            return float(self.lo + self.hi) / 2
         return float(self.value)
 
     def to_json(self, element: LiftMap | None = None) -> dict:
-        return {"kind": self.kind, "value": str(self.value),
+        if self.kind == "enclosure":
+            out = {"lo": str(self.lo), "hi": str(self.hi),
+                   "iterations": self.iterations}
+        elif self.kind == "ztau-half":
+            # |alpha| itself, not the reduced quotient, over 2
+            out = {"value": f"({ztau_literal(abs(self.rot.value))})/2"}
+        else:
+            out = {"value": str(self.value)}
+        return {"kind": self.kind, **out,
                 "certificate": {"rot": self.rot.to_json(element)}}
-
-
-@dataclass(frozen=True)
-class SclZTauHalf:
-    """Exact value numerator/2 with numerator in Z[tau]."""
-
-    numerator: ZTau
-    rot: RotResult
-
-    kind = "ztau-half"
-
-    def approx(self) -> float:
-        return float(self.numerator) / 2
-
-    def to_json(self, element: LiftMap | None = None) -> dict:
-        return {"kind": self.kind,
-                "value": f"({ztau_literal(self.numerator)})/2",
-                "certificate": {"rot": self.rot.to_json(element)}}
-
-
-@dataclass(frozen=True)
-class SclEnclosure:
-    lo: Fraction
-    hi: Fraction
-    iterations: int
-    rot: RotResult
-
-    kind = "enclosure"
-
-    def approx(self) -> float:
-        return float(self.lo + self.hi) / 2
-
-    def to_json(self, element: LiftMap | None = None) -> dict:
-        return {"kind": self.kind, "lo": str(self.lo), "hi": str(self.hi),
-                "iterations": self.iterations,
-                "certificate": {"rot": self.rot.to_json(element)}}
-
-
-SclResult = SclRational | SclZTauHalf | SclEnclosure
 
 
 def scl_result_from_json(obj: object) -> SclResult:
+    """The scl result derived from the payload's rot certificate; the
+    payload's own stated fields must be the ones derived from it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("scl payload must carry a kind")
-    kind = obj["kind"]
-    inner = rot_result_from_json(obj.get("certificate", {}).get("rot", {}))
-    if kind == "ztau-half":
-        value = obj["value"]
-        if not (value.startswith("(") and value.endswith(")/2")):
-            raise SchemaError(f"bad half-ring value {value!r}")
-        return SclZTauHalf(parse_ztau(value[1:-3]), inner)
-    if kind == "rational":
-        return SclRational(Fraction(obj["value"]), inner)
-    if kind == "enclosure":
-        return SclEnclosure(Fraction(obj["lo"]), Fraction(obj["hi"]),
-                            int(obj["iterations"]), inner)
-    raise SchemaError(f"unknown scl result kind {kind!r}")
-
-
-def verify_scl(f: LiftMap, res: SclResult,
-               piece_cap: int = DEFAULT_PIECE_CAP) -> bool:
-    if not verify_rot(f, res.rot, piece_cap):
-        return False
-    if isinstance(res, SclZTauHalf):
-        return (isinstance(res.rot, RotTranslation)
-                and abs(res.rot.value) == res.numerator)
-    if isinstance(res, SclRational):
-        return (isinstance(res.rot, RotRational)
-                and abs(res.rot.value) / 2 == res.value)
-    if isinstance(res, SclEnclosure):
-        lo, hi = _abs_interval(res.rot.lo, res.rot.hi)
-        return (lo / 2, hi / 2) == (res.lo, res.hi)
-    return False
+    res = SclResult(rot_result_from_json(obj.get("certificate", {}).get("rot", {})))
+    stated = {k: v for k, v in obj.items() if k not in ("certificate", "schema")}
+    derived = res.to_json()
+    del derived["certificate"]
+    if stated != derived:
+        raise CertificateError("stored scl-result fails re-checking: its "
+                               "stated fields are not |rot|/2 of its certificate")
+    return res
 
 
 def scl(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         max_iter: int = DEFAULT_MAX_ITER,
         piece_cap: int = DEFAULT_PIECE_CAP) -> SclResult:
-    r = rot(f, max_den=max_den, max_iter=max_iter, piece_cap=piece_cap)
-    if isinstance(r, RotTranslation):
-        return SclZTauHalf(abs(r.value), r)
-    if isinstance(r, RotRational):
-        return SclRational(abs(r.value) / 2, r)
-    lo, hi = _abs_interval(r.lo, r.hi)
-    return SclEnclosure(lo / 2, hi / 2, r.iterations, r)
+    return SclResult(rot(f, max_den=max_den, max_iter=max_iter,
+                         piece_cap=piece_cap))
 
 
 def _abs_interval(lo, hi):
@@ -438,39 +408,24 @@ class DefectDelta:
         return {"kind": "enclosure", "lo": str(self.lo), "hi": str(self.hi)}
 
 
-def _rot_interval(r: RotResult) -> tuple[QTau, QTau] | None:
-    if isinstance(r, RotTranslation):
-        v = QTau(r.value)
-        return v, v
-    if isinstance(r, RotRational):
-        v = _as_qtau(r.value)
-        return v, v
-    return None
+def _rot_interval(r: RotResult) -> tuple[QTau, QTau]:
+    """rot as an interval in Q(tau), a single point when it is exact."""
+    if r.kind == "enclosure":
+        return _as_qtau(r.lo), _as_qtau(r.hi)
+    v = _as_qtau(r.value)
+    return v, v
 
 
 def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
                  max_iter: int = DEFAULT_MAX_ITER,
                  piece_cap: int = DEFAULT_PIECE_CAP) -> DefectDelta:
     opts = {"max_den": max_den, "max_iter": max_iter, "piece_cap": piece_cap}
-    rf = rot(f, **opts)
-    rg = rot(g, **opts)
-    rfg = rot(f * g, **opts)
-    exact_parts = [_rot_interval(r) for r in (rf, rg, rfg)]
-    if all(p is not None for p in exact_parts):
-        d = abs(exact_parts[0][0] + exact_parts[1][0] - exact_parts[2][0])
-        fr = _to_fraction_bounds(d)
-        return DefectDelta(d, fr[0], fr[1], (rf, rg, rfg))
-    ivs = []
-    for r, p in zip((rf, rg, rfg), exact_parts):
-        if p is not None:
-            ivs.append(p)
-        else:
-            ivs.append((_as_qtau(r.lo), _as_qtau(r.hi)))
-    lo = ivs[0][0] + ivs[1][0] - ivs[2][1]
-    hi = ivs[0][1] + ivs[1][1] - ivs[2][0]
-    alo, ahi = _abs_interval(lo, hi)
-    return DefectDelta(None, _to_fraction_bounds(alo)[0],
-                       _to_fraction_bounds(ahi)[1], (rf, rg, rfg))
+    rots = (rot(f, **opts), rot(g, **opts), rot(f * g, **opts))
+    (flo, fhi), (glo, ghi), (fglo, fghi) = map(_rot_interval, rots)
+    lo, hi = _abs_interval(flo + glo - fghi, fhi + ghi - fglo)
+    exact = lo if all(r.kind != "enclosure" for r in rots) else None
+    return DefectDelta(exact, _to_fraction_bounds(lo)[0],
+                       _to_fraction_bounds(hi)[1], rots)
 
 
 def _to_fraction_bounds(x: QTau, scale: int = 1 << 32) -> tuple[Fraction, Fraction]:

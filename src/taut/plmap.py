@@ -90,7 +90,16 @@ class PLMap:
                 if k is None:
                     raise NotTauPower(f"slope of piece {i} is no power of tau")
                 ks.append(k)
-        return cls(xs, ys, [int(k) for k in ks])
+        ks = [int(k) for k in ks]
+        # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
+        # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
+        # tau**k = dy/dx has phi**|k| <= H(dx)*H(dy).  A larger exponent
+        # cannot match, and is rejected before tau_pow spends |k| steps on it.
+        for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
+            h = _height(x1 - x0) * _height(y1 - y0)
+            if h and abs(k) > 3 * h.bit_length() // 2 + 1:
+                raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
+        return cls(xs, ys, ks)
 
     @classmethod
     def from_json(cls, obj: object) -> PLMap:
@@ -286,6 +295,10 @@ def _coerce_ring(v) -> ZTau:
             raise NotInRing(f"{v} is not in Z[tau]")
         return v.num
     raise NotInRing(f"{v!r} is not in Z[tau]")
+
+
+def _height(z: ZTau) -> int:
+    return abs(z.a) + 2 * abs(z.b)
 
 
 def concat(parts: list[PLMap]) -> PLMap:

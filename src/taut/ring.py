@@ -436,11 +436,11 @@ def read_ztau(text: str, pos: int = 0) -> tuple[ZTau, int]:
         pos = m.end()
 
 
-def parse_ztau(text: str) -> ZTau:
-    """Parse a text that is one ring literal 'a+b*t' (see read_ztau)."""
+def _read_exactly(text: str, start: int, stop: int) -> ZTau:
+    """The ring literal that is text[start:stop] (see read_ztau)."""
     try:
-        z, end = read_ztau(text)
-        if end < len(text):
+        z, end = read_ztau(text, start)
+        if end < stop:
             raise RingLiteralError("expected '+' or '-'", end)
     except RingLiteralError as exc:
         raise ValueError(f"bad ring literal {text!r}: {exc} "
@@ -448,14 +448,20 @@ def parse_ztau(text: str) -> ZTau:
     return z
 
 
+def parse_ztau(text: str) -> ZTau:
+    """Parse a text that is one ring literal 'a+b*t' (see read_ztau)."""
+    return _read_exactly(text, 0, len(text))
+
+
+# '(' numerator ')/' denominator, or a numerator with an optional '/' denominator
+_QUOTIENT = re.compile(r"\s*\((.*)\)\s*/\s*([+-]?\d+)\s*"
+                       r"|(.*?)(?:/\s*([+-]?\d+)\s*)?", re.DOTALL)
+
+
 def parse_qtau(text: str) -> QTau:
-    """Parse '(a+b*t)/d', 'a+b*t' or a plain rational 'p/q'."""
-    s = text.replace(" ", "")
-    if "/" in s:
-        left, _, right = s.rpartition("/")
-        if left.startswith("(") and left.endswith(")"):
-            left = left[1:-1]
-        if not right.lstrip("+-").isdigit():
-            raise ValueError(f"bad denominator in {text!r}")
-        return QTau(parse_ztau(left), int(right))
-    return QTau(parse_ztau(s))
+    """Parse '(a+b*t)/d', 'a+b*t/d', 'a+b*t' or a plain rational 'p/q',
+    with blanks between tokens as in read_ztau."""
+    m = _QUOTIENT.fullmatch(text)
+    num = 1 if m[1] is not None else 3
+    return QTau(_read_exactly(text, m.start(num), m.end(num)),
+                int(m[num + 1] or 1))

@@ -1,10 +1,17 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 from taut.cli import main
 from taut.expr import deserialize
 
 TORSION_LIFT = ('lift(treepair {"p": ["s+", ["s+", "leaf", "leaf"], "leaf"],'
                 ' "q": ["s+", ["s+", "leaf", "leaf"], "leaf"], "shift": 1}, 0)')
+# a lift with irrational rot: answered by an enclosure
+ENCLOSED_LIFT = ('lift(conj(rot(t), treepair {"p": ["s+", ["s-", "leaf", "leaf"],'
+                 ' "leaf"], "q": ["s+", "leaf", ["s+", "leaf", "leaf"]],'
+                 ' "shift": 0}), 0)')
 
 
 def run(capsys, *argv):
@@ -148,3 +155,53 @@ def test_check_tampered_rot_result(tmp_path, capsys):
     bad.write_text(json.dumps(tampered))
     rc2, _, err2 = run(capsys, "check", str(bad))
     assert rc2 == 1 and "fails re-checking" in err2
+
+
+def _set(field, value):
+    def tamper(payload):
+        payload[field] = value
+    return tamper
+
+
+def _move_enclosure(payload):
+    # scl and its rot certificate moved together: caught by re-checking rot
+    rot_payload = payload["certificate"]["rot"]
+    rot_payload["lo"] = str(Fraction(rot_payload["lo"]) - 1)
+    payload["lo"] = "0"
+
+
+# the ztau-half kind is tampered in test_check_scl_result_file
+@pytest.mark.parametrize("argv, tamper", [
+    ([TORSION_LIFT], _set("value", "1/3")),
+    ([ENCLOSED_LIFT, "--max-iter", "64"], _set("lo", "0")),
+    ([ENCLOSED_LIFT, "--max-iter", "64"], _set("iterations", 32)),
+    ([ENCLOSED_LIFT, "--max-iter", "64"], _move_enclosure),
+], ids=["rational-value", "enclosure-lo", "enclosure-iterations",
+        "enclosure-with-rot"])
+def test_check_tampered_scl_result_of_every_kind(tmp_path, capsys, argv,
+                                                  tamper):
+    rc, out, _ = run(capsys, "scl", *argv, "--json")
+    assert rc == 0
+    path = tmp_path / "scl.json"
+    path.write_text(out.strip())
+    assert run(capsys, "check", str(path))[0] == 0
+
+    tampered = json.loads(out)
+    tamper(tampered)
+    path.write_text(json.dumps(tampered))
+    rc2, _, err2 = run(capsys, "check", str(path))
+    assert rc2 == 1 and "fails re-checking" in err2
+
+
+@pytest.mark.parametrize("command", ["rot", "scl"])
+def test_check_result_without_element_is_rejected(tmp_path, capsys, command):
+    rc, out, _ = run(capsys, command, TORSION_LIFT, "--json")
+    assert rc == 0
+    payload = json.loads(out)
+    rot_payload = payload["certificate"]["rot"] if command == "scl" else payload
+    del rot_payload["certificate"]["element"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(payload))
+    rc2, _, err2 = run(capsys, "check", str(path))
+    assert rc2 == 1
+    assert "SchemaError" in err2 and "no embedded element" in err2

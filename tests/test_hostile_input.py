@@ -1,6 +1,7 @@
 """Hostile input ends in a documented exit code, never in a traceback."""
 
 import json
+import time
 
 from taut.cli import main
 from taut.expr import MAX_NESTING
@@ -81,3 +82,20 @@ def test_v_keyed_map_literal_is_rejected(capsys):
 def test_removed_tuple_flag_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "connect", "1-t", "t", "--tuple")
     assert rc == 3 and "--tuple" in err
+
+
+def test_huge_slope_exponent_is_rejected_at_once(capsys):
+    table = ('"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"a": "0"}, {"a": "1"}],'
+             ' "ks": [1000000000]')
+    start = time.perf_counter()
+    err = assert_one_line_error(capsys, "eval", f"map {{{table}}}")
+    assert time.perf_counter() - start < 0.1
+    assert "SlopeMismatch" in err
+
+
+def test_certificate_that_is_not_an_object_is_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "ztau", "value": "1+0*t",
+                                "certificate": "element"}))
+    err = assert_one_line_error(capsys, "check", str(path))
+    assert "SchemaError" in err

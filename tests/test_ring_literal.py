@@ -7,16 +7,27 @@ from hypothesis import strategies as st
 from taut.circle import CircleMap
 from taut.cli import main
 from taut.expr import evaluate_str
-from taut.ring import ZTau, parse_ztau, ztau_literal, ztau_str
+from taut.ring import (
+    QTau,
+    ZTau,
+    parse_qtau,
+    parse_ztau,
+    qtau_literal,
+    ztau_literal,
+    ztau_str,
+)
 
 coefficients = st.integers(min_value=-2**200, max_value=2**200)
+denominators = st.integers(min_value=1, max_value=2**200)
 
 
 @settings(max_examples=300, deadline=None)
-@given(coefficients, coefficients)
-def test_text_forms_round_trip(a, b):
+@given(coefficients, coefficients, denominators)
+def test_text_forms_round_trip(a, b, d):
     z = ZTau(a, b)
     assert parse_ztau(ztau_str(z)) == parse_ztau(ztau_literal(z)) == z
+    q = QTau(z, d)
+    assert parse_qtau(qtau_literal(q)) == q
 
 
 @settings(max_examples=100, deadline=None)
@@ -26,8 +37,11 @@ def test_expression_reads_the_same_literal(a, b):
     assert evaluate_str(f"rot({ztau_str(z)})") == CircleMap.rotation(z)
 
 
-@pytest.mark.parametrize("bad", ["1 2", "2*", "", "tt", "1++t", "t t"])
+@pytest.mark.parametrize("bad", ["1 2", "2*", "", "tt", "1++t", "t t",
+                                 "(1 2)/3", "1 2/3"])
 def test_malformed_literals_exit_1(bad, capsys):
+    with pytest.raises(ValueError, match="bad ring literal"):
+        parse_qtau(bad)
     assert main(["eval", f"rot({bad})"]) == 1
     assert main(["connect", "--", bad, "t"]) == 1
     assert main(["connect", "--", "t", bad]) == 1
