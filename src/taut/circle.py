@@ -154,11 +154,11 @@ class CircleMap:
         """Canonical table of x -> other(self(x)) plus the integer carry
         between the true composed lift and the canonical one."""
         g = self.table
-        table = g * _window(other.table, g.ys[0], g.ys[-1])
+        table = g * _unroll(other.table, g.ys[0])
         return CircleMap(table), table.ys[0].floor()
 
     def inverse_with_carry(self) -> tuple[CircleMap, int]:
-        table = _window(self.table.inverse(), ZERO, ONE)
+        table = _unroll(self.table.inverse(), ZERO)
         return CircleMap(table), table.ys[0].floor()
 
     def __mul__(self, other: CircleMap) -> CircleMap:
@@ -205,29 +205,27 @@ class CircleMap:
         return False
 
 
-def _window(pl: PLMap, lo: ZTau, hi: ZTau) -> PLMap:
-    """Table of the periodic extension of a one-period lift on [lo, hi].
+def _unroll(pl: PLMap, a: ZTau) -> PLMap:
+    """Table of the periodic extension of a one-period lift on [a, a + 1].
 
     pl must satisfy pl(x + 1) = pl(x) + 1 across its period, i.e. domain
-    and image both have length one.
+    and image both have length one.  With n the integer that puts r = a - n
+    in pl's domain, the table is pl cut at r with its part left of r moved
+    on by one period, the whole moved by n.
     """
-    t0 = pl.xs[0]
-    pts = {lo, hi}
-    for x in pl.xs[:-1]:
-        nmin = (lo - x).ceil()
-        nmax = (hi - x).floor()
-        for n in range(nmin, nmax + 1):
-            pts.add(x + n)
-    xs = sorted(pts)
-    ys = []
-    for x in xs:
-        n = (x - t0).floor()
-        ys.append(pl.eval_zt(x - n) + n)
-    ks = []
-    for i in range(len(xs) - 1):
-        n = (xs[i] - t0).floor()
-        ks.append(pl.ks[_piece_index(pl.xs, xs[i] - n)])
-    return PLMap(xs, ys, ks)
+    xs, ys, ks = pl.xs, pl.ys, pl.ks
+    n = (a - xs[0]).floor()
+    r = a - n
+    j = _piece_index(xs, r)
+    if r != xs[j]:
+        # split piece j at r, so that the cut falls on a breakpoint
+        xs = xs[:j + 1] + (r,) + xs[j + 1:]
+        ys = ys[:j + 1] + (ys[j] + tau_pow(ks[j]) * (r - xs[j]),) + ys[j + 1:]
+        ks = ks[:j + 1] + ks[j:]
+        j += 1
+    return PLMap([x + n for x in xs[j:]] + [x + n + 1 for x in xs[1:j + 1]],
+                 [y + n for y in ys[j:]] + [y + n + 1 for y in ys[1:j + 1]],
+                 ks[j:] + ks[:j])
 
 
 # -- tau-subdivision trees -------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circle import CircleMap, SubdivisionTree
+from .circle import CircleMap, SubdivisionTree, _unroll
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -30,7 +30,7 @@ from .lift import (
     rot_result_from_json,
 )
 from .plmap import PLMap, concat, conjugate, commutator, is_ftau, is_ftau_compact
-from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, tau_pow
+from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_int, tau_pow
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
 
@@ -218,6 +218,7 @@ class TransitivityCertificate:
     pieces: dict[str, PLMap] = field(default_factory=dict)
 
     def verify(self) -> None:
+        _check_tuples(self.sources, self.targets)
         if not is_ftau(self.element):
             raise CertificateError("element does not fix 0 and 1 on [0, 1]")
         for s, t in zip(self.sources, self.targets):
@@ -250,12 +251,19 @@ class TransitivityCertificate:
                 sources=tuple(parse_ztau(s) for s in obj["sources"]),
                 targets=tuple(parse_ztau(t) for t in obj["targets"]),
                 compact=bool(obj.get("compact", False)),
-                expr=obj.get("expr"),
+                expr=_text(obj.get("expr"), "expr", optional=True),
                 pieces={k: PLMap.from_json(v)
                         for k, v in obj.get("pieces", {}).items()},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad transitivity certificate: {exc}") from exc
+
+
+def _text(value: object, what: str, optional: bool = False) -> str | None:
+    """A certificate's expression field: a string, or null where optional."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise SchemaError(f"{what} must be a string, not {type(value).__name__}")
 
 
 def _check_tuples(xs, ys) -> tuple[tuple[ZTau, ...], tuple[ZTau, ...]]:
@@ -427,8 +435,8 @@ class FactorCertificate:
                 v=CircleMap.from_json(obj["v"]),
                 pieces={k: CircleMap.from_json(v)
                         for k, v in obj["pieces"].items()},
-                u_expr=obj["u_expr"],
-                v_expr=obj["v_expr"],
+                u_expr=_text(obj["u_expr"], "u_expr"),
+                v_expr=_text(obj["v_expr"], "v_expr"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad factor certificate: {exc}") from exc
@@ -438,11 +446,9 @@ def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
                                  center: ZTau) -> PLMap:
     """Chart table of u on the closed arc [lo, hi] that u maps onto itself
     fixing its endpoints; the arc and its image must avoid the center."""
-    from .circle import _window
-
     span = _reduce(hi - lo)
     a = _reduce(lo)
-    w = _window(u.table, a, a + span)
+    w = _unroll(u.table, a).restrict(a, a + span)
     m = w.ys[0] - a
     if m.b != 0:
         raise CertificateError("arc endpoint is not fixed")
@@ -565,7 +571,7 @@ class CommutatorCertificate:
                 h=CircleMap.from_json(obj["h"]),
                 x=parse_ztau(obj["x"]),
                 arc=(parse_ztau(obj["arc"][0]), parse_ztau(obj["arc"][1])),
-                expr=obj["expr"],
+                expr=_text(obj["expr"], "expr"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad commutator certificate: {exc}") from exc
@@ -663,7 +669,7 @@ class DefectWitness:
                 h=LiftMap.from_json(obj["h"]),
                 delta=parse_qtau(obj["delta"]),
                 rots=tuple(rot_result_from_json(r) for r in obj["rots"]),
-                n=obj.get("n"),
+                n=None if obj.get("n") is None else json_int(obj["n"], "defect n"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad defect witness: {exc}") from exc

@@ -38,7 +38,7 @@ from .lift import (
     verify_rot,
 )
 from .plmap import PLMap, commutator, conjugate, is_ftau, power
-from .ring import RingLiteralError, ZTau, read_ztau, ztau_str
+from .ring import RingLiteralError, ZTau, json_int, read_ztau, ztau_str
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
              "treepair", "t"}
@@ -298,7 +298,7 @@ def _parse_atom(sc: _Scanner) -> object:
             raise sc.error("treepair payload needs 'p' and 'q'")
         return TreePairLit(SubdivisionTree.from_json(obj["p"]),
                            SubdivisionTree.from_json(obj["q"]),
-                           int(obj.get("shift", 0)))
+                           json_int(obj.get("shift", 0), "treepair shift"))
     if sc.peek() == "(":
         sc.take("(")
         node = _parse_expr(sc)

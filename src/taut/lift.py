@@ -31,6 +31,7 @@ from .ring import (
     QTau,
     ZTau,
     _as_qtau,
+    json_int,
     qtau_literal,
     ztau_literal,
     parse_qtau,
@@ -106,7 +107,8 @@ class LiftMap:
     def from_json(cls, obj: object) -> LiftMap:
         if not isinstance(obj, dict) or "base" not in obj:
             raise SchemaError("lift payload must carry a base table")
-        return cls(CircleMap.from_json(obj["base"]), int(obj.get("n", 0)))
+        return cls(CircleMap.from_json(obj["base"]),
+                   json_int(obj.get("n", 0), "lift n"))
 
 
 # -- rotation number results ------------------------------------------------
@@ -198,7 +200,7 @@ def rot_result_from_json(obj: object) -> RotResult:
         return RotTranslation(parse_ztau(obj["value"]))
     if kind == "enclosure":
         return RotEnclosure(Fraction(obj["lo"]), Fraction(obj["hi"]),
-                            int(obj["iterations"]))
+                            json_int(obj["iterations"], "iterations"))
     raise SchemaError(f"unknown rotation result kind {kind!r}")
 
 

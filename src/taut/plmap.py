@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import ONE, QTau, ZERO, ZTau, _as_qtau, is_tau_power, tau_pow
+from .ring import ONE, QTau, ZERO, ZTau, _as_qtau, is_tau_power, json_int, tau_pow
 
 
 def _piece_index(xs, x) -> int:
@@ -90,7 +90,7 @@ class PLMap:
                 if k is None:
                     raise NotTauPower(f"slope of piece {i} is no power of tau")
                 ks.append(k)
-        ks = [int(k) for k in ks]
+        ks = [json_int(k, "slope exponent") for k in ks]
         # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
         # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
         # tau**k = dy/dx has phi**|k| <= H(dx)*H(dy).  A larger exponent
@@ -116,6 +116,8 @@ class PLMap:
             ks = obj.get("ks")
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad piecewise map payload: {exc}") from exc
+        if ks is not None and not isinstance(ks, list):
+            raise SchemaError("slope exponents 'ks' must be a list")
         return cls.from_raw(xs, ys, ks)
 
     def to_json(self) -> dict:
@@ -164,30 +166,31 @@ class PLMap:
         j = _piece_index(self.xs, x)
         return self.ys[j] + tau_pow(self.ks[j]) * (x - self.xs[j])
 
-    def preimage_zt(self, y: ZTau) -> ZTau:
-        j = _piece_index(self.ys, y)
-        return self.xs[j] + tau_pow(-self.ks[j]) * (y - self.ys[j])
-
     # -- group structure ----------------------------------------------
 
     def __mul__(self, other: PLMap) -> PLMap:
-        """Composition in action order: x -> other(self(x))."""
+        """Composition in action order: x -> other(self(x)), in one sweep."""
         if not isinstance(other, PLMap):
             return NotImplemented
         if self.ys[0] != other.xs[0] or self.ys[-1] != other.xs[-1]:
             raise DomainMismatch(
                 f"range [{self.ys[0]}, {self.ys[-1]}] does not match "
                 f"domain [{other.xs[0]}, {other.xs[-1]}]")
-        pts = set(self.xs)
-        for u in other.xs[1:-1]:
-            pts.add(self.preimage_zt(u))
-        xs = sorted(pts)
-        ys = [other.eval_zt(self.eval_zt(x)) for x in xs]
-        ks = []
-        for i in range(len(xs) - 1):
-            j1 = _piece_index(self.xs, xs[i])
-            j2 = _piece_index(other.xs, self.eval_zt(xs[i]))
-            ks.append(self.ks[j1] + other.ks[j2])
+        fx, fy, fk = self.xs, self.ys, self.ks
+        gx, gy, gk = other.xs, other.ys, other.ks
+        xs, ys, ks = [fx[0]], [gy[0]], []
+        i = j = 0
+        while i < len(fk):
+            ks.append(fk[i] + gk[j])
+            # the nearer of self's next image and other's next breakpoint
+            # ends the piece; a tie (c == 0) ends both
+            c = (fy[i + 1] - gx[j + 1]).sign()
+            if c <= 0:
+                i += 1
+            if c >= 0:
+                j += 1
+            xs.append(fx[i] if c <= 0 else fx[i] + tau_pow(-fk[i]) * (gx[j] - fy[i]))
+            ys.append(gy[j] if c >= 0 else gy[j] + tau_pow(gk[j]) * (fy[i] - gx[j]))
         return PLMap(xs, ys, ks)
 
     def inverse(self) -> PLMap:

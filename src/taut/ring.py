@@ -465,3 +465,10 @@ def parse_qtau(text: str) -> QTau:
     num = 1 if m[1] is not None else 3
     return QTau(_read_exactly(text, m.start(num), m.end(num)),
                 int(m[num + 1] or 1))
+
+
+def json_int(value: object, what: str) -> int:
+    """An integer field of a JSON payload; bool, float and str are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SchemaError(f"{what} must be a JSON integer, not {type(value).__name__}")

@@ -205,3 +205,16 @@ def test_check_result_without_element_is_rejected(tmp_path, capsys, command):
     rc2, _, err2 = run(capsys, "check", str(path))
     assert rc2 == 1
     assert "SchemaError" in err2 and "no embedded element" in err2
+
+
+@pytest.mark.parametrize("field", ["sources", "targets"])
+def test_check_connect_cert_with_an_extra_point_is_rejected(tmp_path, capsys,
+                                                            field):
+    rc, out, _ = run(capsys, "connect", "--json", "--", "1-t", "t")
+    assert rc == 0
+    tampered = json.loads(out)
+    tampered[field].append("0+1*t")
+    path = tmp_path / "extra-point.json"
+    path.write_text(json.dumps(tampered))
+    rc2, _, err2 = run(capsys, "check", str(path))
+    assert rc2 == 1 and "BadTuple" in err2 and "equal length" in err2

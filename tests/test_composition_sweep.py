@@ -1,0 +1,138 @@
+"""The one-sweep table composition against the set-sort-bisect composition
+it replaced.
+
+The reference product collects self's breakpoints and the preimages of
+other's, sorts them and evaluates both maps at each; the reference window
+unrolls a periodic table onto [lo, hi] one integer shift at a time.  Both
+are kept here only as oracles.  Every comparison is of whole tables
+(breakpoints, images and slope exponents), and of the integer carry.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taut.circle import CircleMap, _unroll
+from taut.construct import random_element
+from taut.lift import LiftMap
+from taut.plmap import PLMap, _piece_index
+from taut.ring import ONE, ZERO, ZTau, tau_pow
+
+
+def reference_mul(f: PLMap, g: PLMap) -> PLMap:
+    pts = set(f.xs)
+    for u in g.xs[1:-1]:
+        j = _piece_index(f.ys, u)
+        pts.add(f.xs[j] + tau_pow(-f.ks[j]) * (u - f.ys[j]))
+    xs = sorted(pts)
+    ys = [g.eval_zt(f.eval_zt(x)) for x in xs]
+    ks = [f.ks[_piece_index(f.xs, x)] + g.ks[_piece_index(g.xs, f.eval_zt(x))]
+          for x in xs[:-1]]
+    return PLMap(xs, ys, ks)
+
+
+def reference_window(pl: PLMap, lo: ZTau, hi: ZTau) -> PLMap:
+    t0 = pl.xs[0]
+    pts = {lo, hi}
+    for x in pl.xs[:-1]:
+        for n in range((lo - x).ceil(), (hi - x).floor() + 1):
+            pts.add(x + n)
+    xs = sorted(pts)
+    ys = [pl.eval_zt(x - (x - t0).floor()) + (x - t0).floor() for x in xs]
+    ks = [pl.ks[_piece_index(pl.xs, x - (x - t0).floor())] for x in xs[:-1]]
+    return PLMap(xs, ys, ks)
+
+
+def reference_compose_with_carry(a: CircleMap, b: CircleMap):
+    g = a.table
+    table = reference_mul(g, reference_window(b.table, g.ys[0], g.ys[-1]))
+    return CircleMap(table), table.ys[0].floor()
+
+
+def reference_inverse_with_carry(a: CircleMap):
+    table = reference_window(a.table.inverse(), ZERO, ONE)
+    return CircleMap(table), table.ys[0].floor()
+
+
+def table(m) -> tuple:
+    t = m.table if isinstance(m, CircleMap) else m
+    return t.xs, t.ys, t.ks
+
+
+seeds = st.integers(min_value=0, max_value=2**32)
+sizes = st.integers(min_value=1, max_value=7)
+small = st.integers(min_value=-40, max_value=40)
+ring_points = st.builds(ZTau, small, small)
+
+
+def interval_maps():
+    return st.builds(lambda s, n: random_element(s, n, "F_tau"), seeds, sizes)
+
+
+def circle_maps():
+    rotations = st.builds(CircleMap.rotation, ring_points)
+    return st.one_of(st.builds(lambda s, n: random_element(s, n, "T_tau"), seeds, sizes),
+                     rotations,
+                     interval_maps().map(CircleMap.from_interval_map))
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_maps(), interval_maps())
+def test_interval_products_match_the_reference(f, g):
+    for a, b in ((f, g), (g, f), (f, f.inverse()), (f.inverse(), f), (f, f),
+                 (f * g, g.inverse()), (f, PLMap.identity())):
+        assert table(a * b) == table(reference_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circle_maps(), circle_maps())
+def test_circle_products_and_inverses_match_the_reference(f, g):
+    for a, b in ((f, g), (g, f), (f, f.inverse()), (f, f)):
+        prod, carry = a.compose_with_carry(b)
+        ref, ref_carry = reference_compose_with_carry(a, b)
+        assert (table(prod), carry) == (table(ref), ref_carry)
+    for a in (f, g, f * g):
+        inv, carry = a.inverse_with_carry()
+        ref, ref_carry = reference_inverse_with_carry(a)
+        assert (table(inv), carry) == (table(ref), ref_carry)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, sizes, seeds, sizes)
+def test_lift_products_match_the_reference(s1, n1, s2, n2):
+    f = random_element(s1, n1, "Lift")
+    g = random_element(s2, n2, "Lift")
+    for a, b in ((f, g), (g, f), (f, f.inverse()), (f * g, g.inverse())):
+        ref, carry = reference_compose_with_carry(a.base, b.base)
+        assert a * b == LiftMap(ref, a.n + b.n + carry)
+    ref, carry = reference_inverse_with_carry(f.base)
+    assert f.inverse() == LiftMap(ref, carry - f.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circle_maps(), st.data())
+def test_unroll_matches_the_reference_window(g, data):
+    pl = g.table
+    shift = data.draw(st.integers(min_value=-3, max_value=3))
+    bp = data.draw(st.sampled_from(pl.xs))
+    for a in (bp + shift, data.draw(ring_points), ZERO, pl.ys[0], ONE):
+        assert table(_unroll(pl, a)) == table(reference_window(pl, a, a + 1))
+        assert table(_unroll(pl.inverse(), a)) \
+            == table(reference_window(pl.inverse(), a, a + 1))
+    # the restriction the factor construction takes of an unrolled table
+    a = bp + shift
+    span = data.draw(st.sampled_from(pl.xs[1:]))
+    assert table(_unroll(pl, a).restrict(a, a + span)) \
+        == table(reference_window(pl, a, a + span))
+
+
+def test_windows_on_breakpoints_and_base_zero():
+    g = random_element(7, 5, "T_tau")
+    f = CircleMap.from_interval_map(random_element(8, 4, "F_tau"))
+    assert f.v == ZERO
+    for pl in (g.table, g.table.inverse(), f.table):
+        for x in pl.xs:
+            for a in (x, x - 1, x + 2):
+                assert table(_unroll(pl, a)) == table(reference_window(pl, a, a + 1))
+    for a, b in ((f, f), (f, f.inverse()), (f, g), (g, f), (g, g.inverse())):
+        assert a.compose_with_carry(b) == reference_compose_with_carry(a, b)
+    assert f.inverse_with_carry() == reference_inverse_with_carry(f)

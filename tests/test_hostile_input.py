@@ -4,7 +4,9 @@ import json
 import time
 
 from taut.cli import main
+from taut.construct import commutator_trick, random_element
 from taut.expr import MAX_NESTING
+from taut.ring import ZERO
 
 
 def run(capsys, *argv):
@@ -99,3 +101,70 @@ def test_certificate_that_is_not_an_object_is_rejected(tmp_path, capsys):
                                 "certificate": "element"}))
     err = assert_one_line_error(capsys, "check", str(path))
     assert "SchemaError" in err
+
+
+def _answer(capsys, command, *args):
+    rc, out, _ = run(capsys, command, "--json", *args)
+    assert rc == 0
+    return json.loads(out)
+
+
+def _check_file(tmp_path, capsys, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    return assert_one_line_error(capsys, "check", str(path))
+
+
+def test_expression_fields_must_be_strings(tmp_path, capsys):
+    connect = _answer(capsys, "connect", "--", "1-t", "t")
+    factor = _answer(capsys, "factor", "rot(t)")
+    for payload, field, value in ((connect, "expr", 7), (connect, "expr", ["f"]),
+                                  (factor, "u_expr", 5), (factor, "v_expr", None)):
+        err = _check_file(tmp_path, capsys, dict(payload, **{field: value}))
+        assert "SchemaError" in err and f"{field} must be a string" in err
+    # a connect certificate without an expression stays valid
+    path = tmp_path / "no-expr.json"
+    path.write_text(json.dumps(dict(connect, expr=None)))
+    assert run(capsys, "check", str(path))[0] == 0
+
+
+def test_commutator_expression_must_be_a_string(tmp_path, capsys):
+    cert = commutator_trick(random_element(3, 3, "T_tau"), ZERO).to_json()
+    path = tmp_path / "comm.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "check", str(path))[0] == 0
+    err = _check_file(tmp_path, capsys, dict(cert, expr={"g": 1}))
+    assert "SchemaError" in err and "expr must be a string" in err
+
+
+TABLE = '"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"a": "0"}, {"a": "1"}]'
+
+
+def test_integer_fields_must_be_json_integers(tmp_path, capsys):
+    for shift in ("1e400", "1.0", '"3"', "true"):
+        err = assert_one_line_error(
+            capsys, "eval", f'treepair {{"p": "leaf", "q": "leaf", "shift": {shift}}}')
+        assert "treepair shift must be a JSON integer" in err
+    for ks in ("[0.5]", '["3"]', "[true]", "0"):
+        err = assert_one_line_error(capsys, "eval", f'map {{{TABLE}, "ks": {ks}}}')
+        assert "slope exponent" in err
+    assert run(capsys, "eval", f'map {{{TABLE}, "ks": [0]}}')[0] == 0
+
+    lift = _answer(capsys, "eval", "lift(rot(t), 2)")
+    for n in (1.5, True, "2"):
+        err = _check_file(tmp_path, capsys, dict(lift, n=n))
+        assert "lift n must be a JSON integer" in err
+
+    enclosure = _answer(capsys, "rot", "--max-iter", "64", "--",
+                        'lift(conj(rot(t), treepair {"p": ["s+", ["s-", "leaf", '
+                        '"leaf"], "leaf"], "q": ["s+", "leaf", ["s+", "leaf", '
+                        '"leaf"]], "shift": 0}), 0)')
+    assert enclosure["kind"] == "enclosure"
+    for iterations in ("64", 64.0, True):
+        err = _check_file(tmp_path, capsys, dict(enclosure, iterations=iterations))
+        assert "iterations must be a JSON integer" in err
+
+    witness = _answer(capsys, "defect", "--n", "1")
+    for n in (1.5, "1"):
+        err = _check_file(tmp_path, capsys, dict(witness, n=n))
+        assert "defect n must be a JSON integer" in err
