@@ -81,6 +81,11 @@ COMMANDS = [
     # random and check of an expression
     *_both("random", "--flavor", "F_tau", "--seed", "4"),
     *_both("check", "comm(rot(t), rot(1-t))"),
+    # lifts with negative and nested translation parts, products, inverses
+    *_both("rot", f"lift({ENCLOSED}, -2)", "--max-iter", "64"),
+    ["eval", f"lift(lift({TORSION}, 1), -3)", "--json"],
+    ["eval", f"lift({THREE_LEAF}, 2) * lift({TORSION}, -1)", "--json"],
+    ["eval", f"lift({THREE_LEAF}, 2)^-1", "--json"],
 ]
 
 
