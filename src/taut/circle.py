@@ -19,7 +19,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import PLMap, _piece_index, is_ftau, power
+from .plmap import PLMap, _piece_index, is_ftau
 from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_qtau, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
@@ -29,10 +29,7 @@ class CircleMap:
     __slots__ = ("table",)
 
     def __init__(self, table: PLMap) -> None:
-        if table.xs[0] != ZERO or table.xs[-1] != ONE:
-            raise ValidationError("lift table must live on [0, 1]")
-        if table.ys[-1] - table.ys[0] != ONE:
-            raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
+        _check_lift_table(table)
         j = table.ys[0].floor()
         if j:
             table = PLMap(table.xs, tuple(y - j for y in table.ys), table.ks)
@@ -128,49 +125,20 @@ class CircleMap:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval(self, x) -> QTau:
-        x = _as_qtau(x)
-        r = x - x.floor()
-        y = self.table.eval(r)
+    def eval(self, x: ZTau | QTau) -> ZTau | QTau:
+        """self(x) on R/Z, in [0, 1): a ZTau at a ZTau, else a QTau."""
+        y = _eval_lift(self.table, x)
         return y - y.floor()
-
-    def eval_zt(self, x: ZTau) -> ZTau:
-        r = x - x.floor()
-        y = self.table.eval_zt(r)
-        return y - y.floor()
-
-    def lift_eval(self, x) -> QTau:
-        x = _as_qtau(x)
-        n = x.floor()
-        return self.table.eval(x - n) + n
-
-    def lift_eval_zt(self, x: ZTau) -> ZTau:
-        n = x.floor()
-        return self.table.eval_zt(x - n) + n
 
     # -- group operations -------------------------------------------------
-
-    def compose_with_carry(self, other: CircleMap) -> tuple[CircleMap, int]:
-        """Canonical table of x -> other(self(x)) plus the integer carry
-        between the true composed lift and the canonical one."""
-        g = self.table
-        table = g * _unroll(other.table, g.ys[0])
-        return CircleMap(table), table.ys[0].floor()
-
-    def inverse_with_carry(self) -> tuple[CircleMap, int]:
-        table = _unroll(self.table.inverse(), ZERO)
-        return CircleMap(table), table.ys[0].floor()
 
     def __mul__(self, other: CircleMap) -> CircleMap:
         if not isinstance(other, CircleMap):
             return NotImplemented
-        return self.compose_with_carry(other)[0]
+        return CircleMap(self.table * _unroll(other.table, self.table.ys[0]))
 
     def inverse(self) -> CircleMap:
-        return self.inverse_with_carry()[0]
-
-    def __pow__(self, k: int) -> CircleMap:
-        return power(self, k, DEFAULT_PIECE_CAP)
+        return CircleMap(_unroll(self.table.inverse(), ZERO))
 
     # -- fixed sets ---------------------------------------------------------
 
@@ -203,6 +171,23 @@ class CircleMap:
             right = any(lo == ZERO and hi.sign() > 0 for lo, hi in segs)
             return left and right
         return False
+
+
+def _check_lift_table(table: PLMap) -> None:
+    """A lift's table lives on [0, 1] and has degree one."""
+    if table.xs[0] != ZERO or table.xs[-1] != ONE:
+        raise ValidationError("lift table must live on [0, 1]")
+    if table.ys[-1] - table.ys[0] != ONE:
+        raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
+
+
+def _eval_lift(table: PLMap, x: ZTau | QTau) -> ZTau | QTau:
+    """The lift with this table on [0, 1] at any x of the line: a ZTau at
+    a ZTau, else a QTau (x is read as one)."""
+    if not isinstance(x, ZTau):
+        x = _as_qtau(x)
+    n = x.floor()
+    return table.eval(x - n) + n
 
 
 def _unroll(pl: PLMap, a: ZTau) -> PLMap:

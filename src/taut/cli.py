@@ -121,7 +121,7 @@ def _as_lift(element) -> LiftMap:
     if isinstance(element, PLMap):
         element = CircleMap.from_interval_map(element)
     if isinstance(element, CircleMap):
-        element = LiftMap(element, 0)
+        element = LiftMap(element.table)
     return element
 
 
@@ -181,7 +181,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "factor":
-        element = _as_lift(expr.evaluate_str(args.expression)).project()
+        element = _as_lift(expr.evaluate_str(args.expression)).base
         cert = construct.factor_local(element, max_depth=args.depth)
         if args.as_json:
             print(expr.serialize(cert))

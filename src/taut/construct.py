@@ -222,7 +222,7 @@ class TransitivityCertificate:
         if not is_ftau(self.element):
             raise CertificateError("element does not fix 0 and 1 on [0, 1]")
         for s, t in zip(self.sources, self.targets):
-            if self.element.eval_zt(s) != t:
+            if self.element.eval(s) != t:
                 raise CertificateError(f"element does not map {s} to {t}")
         if self.compact and not is_ftau_compact(self.element):
             raise CertificateError("support closure is not inside (0, 1)")
@@ -342,7 +342,7 @@ def proximal_shrink(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau]) -> PLMap:
     else:
         f = connect_tuple((j_lo, j_hi), (t1, t2)).element
     for s in (j_lo, j_hi):
-        img = f.eval_zt(s)
+        img = f.eval(s)
         if (img - i_lo).sign() <= 0 or (i_hi - img).sign() <= 0:
             raise CertificateError("shrink target check failed")
     return f
@@ -368,7 +368,7 @@ def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau],
     f = proximal_shrink(jc, ic)
     out = _embed_in_chart(f, z)
     for s in j:
-        img = out.eval_zt(s)
+        img = out.eval(s)
         if not arc_contains(*i, img):
             raise CertificateError("arc shrink target check failed")
     return out
@@ -473,12 +473,12 @@ def factor_local(g: CircleMap,
         raise IdentityInput("cannot factor the identity")
     x = None
     for cand in circle_points(max_depth):
-        if g.eval_zt(cand) != cand:
+        if g.eval(cand) != cand:
             x = cand
             break
     if x is None:
         raise SearchBudgetExceeded("no moved ring point found")
-    xg = g.eval_zt(x)
+    xg = g.eval(x)
     y = None
     for cand in circle_points(max_depth):
         if cand != x and cand != xg:
@@ -490,7 +490,7 @@ def factor_local(g: CircleMap,
         r = tau_pow(m)
         lo = _reduce(x - r)
         hi = _reduce(x + r)
-        ig = (g.eval_zt(lo), g.eval_zt(hi))
+        ig = (g.eval(lo), g.eval(hi))
         if (not arc_contains(lo, hi, y)
                 and not arc_contains(*ig, x)
                 and not arc_contains(*ig, y)):
@@ -502,10 +502,10 @@ def factor_local(g: CircleMap,
     a1 = _chart(y, lo)
     b1 = _chart(y, hi)
     f_chart = connect_tuple_derived(
-        (a1, b1), (_chart(y, g.eval_zt(lo)), _chart(y, g.eval_zt(hi))))
+        (a1, b1), (_chart(y, g.eval(lo)), _chart(y, g.eval(hi))))
     f = _embed_in_chart(f_chart.element, y)
     w = g * f.inverse()
-    if w.eval_zt(lo) != lo or w.eval_zt(hi) != hi:
+    if w.eval(lo) != lo or w.eval(hi) != hi:
         raise CertificateError("transport does not fix the arc endpoints")
     inner = _chart_restriction_fixed_arc(w, lo, hi, y)
     h1_chart = concat([PLMap.identity(ZERO, a1), inner,
@@ -586,7 +586,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
     x = _reduce(x)
     w = None
     for cand in circle_points(max_depth):
-        img = g.eval_zt(cand)
+        img = g.eval(cand)
         if img != cand and cand != x and img != x:
             w = cand
             break
@@ -597,7 +597,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
         r = tau_pow(m)
         lo = _reduce(w - r)
         hi = _reduce(w + r)
-        ig = (g.eval_zt(lo), g.eval_zt(hi))
+        ig = (g.eval(lo), g.eval(hi))
         if (arcs_disjoint((lo, hi), ig)
                 and not arc_contains(lo, hi, x)
                 and not arc_contains(*ig, x)):
@@ -682,8 +682,8 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN,
     as n grows, so delta = |rot(g*h)| approaches the defect bound 1."""
     if n < 1:
         raise BadTuple("need n >= 1")
-    g = LiftMap(standard_push_map(), 0).power(-n)
-    rho = LiftMap(CircleMap.rotation(tau_pow(2)), 0)
+    g = LiftMap(standard_push_map().table).power(-n)
+    rho = LiftMap(CircleMap.rotation(tau_pow(2)).table)
     h = conjugate(g, rho)
     d = defect_delta(g, h, max_den=max_den, max_iter=max_iter)
     if not d.is_exact:
@@ -744,5 +744,5 @@ def random_element(seed: int, size: int, flavor: str = "T_tau"):
     if flavor == "T_tau":
         return out
     if flavor == "Lift":
-        return LiftMap(out, rng.below(5) - 2)
+        return LiftMap(out.table).translate(rng.below(5) - 2)
     raise ValueError(f"unknown flavor {flavor!r}")

@@ -412,11 +412,9 @@ def evaluate(node: object, env: dict[str, Element] | None = None) -> Element:
         return conjugate(a, b)
     if isinstance(node, Lift):
         inner = evaluate(node.inner, env)
-        if isinstance(inner, LiftMap):
-            return inner.translate(node.n)
         if isinstance(inner, PLMap):
             inner = _to_circle(inner)
-        return LiftMap(inner, node.n)
+        return LiftMap(inner.table).translate(node.n)
     if isinstance(node, Name):
         if node.ident not in env:
             raise ExprTypeError(f"unbound name {node.ident!r}")

@@ -1,8 +1,11 @@
 """Lifts of circle maps to the line, rotation numbers and stable commutator length.
 
-A LiftMap is a canonical circle lift plus an integer translation part, so
-the central integer translations are exactly the lifts with identity base.
-Rotation numbers are certified:
+A LiftMap is a homeomorphism of the line commuting with x -> x + 1, fixed
+by its table on [0, 1]: table(1) = table(0) + 1, and table(0) may be any
+element of Z[tau].  Products and inverses compose tables directly.  The
+circle map it lifts and its integer translation part n = floor(table(0))
+are read off the table, so the central integer translations are exactly
+the lifts whose table is x -> x + n.  Rotation numbers are certified:
 
 * lifts of ring rotations are translations, with exact value in Z[tau];
 * rational values p/q are proved by an exact fixed point of the q-th
@@ -24,11 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import DEFAULT_PIECE_CAP, CircleMap
+from .circle import (
+    DEFAULT_PIECE_CAP,
+    CircleMap,
+    _check_lift_table,
+    _eval_lift,
+    _unroll,
+)
 from .errors import CertificateError, PowerBudgetExceeded, SchemaError
-from .plmap import ABOVE, BELOW, _capped_mul, power
+from .plmap import ABOVE, BELOW, PLMap, _capped_mul, power
 from .ring import (
+    ONE,
     QTau,
+    ZERO,
     ZTau,
     _as_qtau,
     json_int,
@@ -44,58 +55,64 @@ DEFAULT_MAX_DEN = 1_000
 
 @dataclass(frozen=True)
 class LiftMap:
-    base: CircleMap
-    n: int = 0
+    """The lift fixed by its table on [0, 1]: table(1) = table(0) + 1, and
+    table(0) may be any ring element."""
+
+    table: PLMap
+
+    def __post_init__(self) -> None:
+        _check_lift_table(self.table)
 
     @classmethod
     def identity(cls) -> LiftMap:
-        return cls(CircleMap.identity(), 0)
+        return cls(PLMap.identity())
 
     @classmethod
     def translation(cls, alpha: ZTau | int) -> LiftMap:
         if isinstance(alpha, int):
             alpha = ZTau(alpha)
-        return cls(CircleMap.rotation(alpha), alpha.floor())
+        return cls(PLMap((ZERO, ONE), (alpha, alpha + 1), (0,)))
 
-    def project(self) -> CircleMap:
-        return self.base
+    @property
+    def base(self) -> CircleMap:
+        """The circle map this lifts."""
+        return CircleMap(self.table)
+
+    @property
+    def n(self) -> int:
+        """The translation part: the integer part of table(0)."""
+        return self.table.ys[0].floor()
 
     def translate(self, j: int) -> LiftMap:
-        return LiftMap(self.base, self.n + j)
+        t = self.table
+        return LiftMap(PLMap(t.xs, [y + j for y in t.ys], t.ks))
 
     def is_translation(self) -> bool:
-        return self.base.is_rotation()
+        return self.table.ks == (0,)
 
     def translation_amount(self) -> ZTau:
         if not self.is_translation():
             raise ValueError("not a translation")
-        return self.base.v + self.n
-
-    def is_identity(self) -> bool:
-        return self.base.is_identity() and self.n == 0
+        return self.table.ys[0]
 
     @property
     def num_pieces(self) -> int:
-        return self.base.num_pieces
+        return self.table.num_pieces
 
     def __mul__(self, other: LiftMap) -> LiftMap:
         if not isinstance(other, LiftMap):
             return NotImplemented
-        b, m = self.base.compose_with_carry(other.base)
-        return LiftMap(b, self.n + other.n + m)
+        return LiftMap(self.table * _unroll(other.table, self.table.ys[0]))
 
     def inverse(self) -> LiftMap:
-        b, m = self.base.inverse_with_carry()
-        return LiftMap(b, m - self.n)
+        return LiftMap(_unroll(self.table.inverse(), ZERO))
 
     def power(self, k: int, piece_cap: int = DEFAULT_PIECE_CAP) -> LiftMap:
         return power(self, k, piece_cap)
 
-    def eval(self, x) -> QTau:
-        return self.base.lift_eval(x) + self.n
-
-    def eval_zt(self, x: ZTau) -> ZTau:
-        return self.base.lift_eval_zt(x) + self.n
+    def eval(self, x: ZTau | QTau) -> ZTau | QTau:
+        """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""
+        return _eval_lift(self.table, x)
 
     def __repr__(self) -> str:
         return f"LiftMap({self.base!r}, n={self.n})"
@@ -107,8 +124,8 @@ class LiftMap:
     def from_json(cls, obj: object) -> LiftMap:
         if not isinstance(obj, dict) or "base" not in obj:
             raise SchemaError("lift payload must carry a base table")
-        return cls(CircleMap.from_json(obj["base"]),
-                   json_int(obj.get("n", 0), "lift n"))
+        base = CircleMap.from_json(obj["base"])
+        return cls(base.table).translate(json_int(obj.get("n", 0), "lift n"))
 
 
 # -- rotation number results ------------------------------------------------
@@ -208,7 +225,7 @@ def rot_result_from_json(obj: object) -> RotResult:
 
 def _classify(f_q: LiftMap, p: int):
     """Trichotomy of rot against p/q, given the exact q-th power f_q."""
-    return f_q.base.table.shift_roots(ZTau(p - f_q.n))
+    return f_q.table.shift_roots(ZTau(p))
 
 
 def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
@@ -216,34 +233,20 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         piece_cap: int = DEFAULT_PIECE_CAP) -> RotResult:
     if f.is_translation():
         return RotTranslation(f.translation_amount())
-    # Work with the canonical base; the integer part shifts rot exactly,
-    # so rot(f) = rot(base lift) + n holds by construction in all cases.
-    f0 = LiftMap(f.base, 0)
-    res = _rot_base(f0, max_den, max_iter, piece_cap)
+    # integer window first: rot lies in (v - 1, v + 1) with v = f(0),
+    # so in (n - 1, n + 2)
     n = f.n
-    if n == 0:
-        return res
-    if isinstance(res, RotRational):
-        return RotRational(res.value + n, res.root)
-    return RotEnclosure(res.lo + n, res.hi + n, res.iterations)
-
-
-def _rot_base(f0: LiftMap, max_den: int, max_iter: int,
-              piece_cap: int) -> RotResult:
-    # integer window first: rot lies in (v - 1, v + 1) with 0 <= v < 1
-    window = None
-    for m in (0, 1):
-        verdict = _classify(f0, m)
+    window = n + 1
+    for m in (n, n + 1):
+        verdict = _classify(f, m)
         if verdict.has_fixed_point():
             return RotRational(Fraction(m), verdict.witness())
         if verdict.verdict == BELOW:
             window = m - 1
             break
-    if window is None:
-        window = 1  # rot > 1; it is < 2 because v < 1
     # Stern-Brocot descent inside (window, window + 1)
-    p_lo, q_lo, f_lo = window, 1, f0
-    p_hi, q_hi, f_hi = window + 1, 1, f0
+    p_lo, q_lo, f_lo = window, 1, f
+    p_hi, q_hi, f_hi = window + 1, 1, f
     if max_den >= 2:
         while q_lo + q_hi <= max_den:
             try:
@@ -259,7 +262,7 @@ def _rot_base(f0: LiftMap, max_den: int, max_iter: int,
                 p_lo, q_lo, f_lo = p_med, q_med, f_med
             else:
                 p_hi, q_hi, f_hi = p_med, q_med, f_med
-    return rot_enclosure(f0, max_iter, piece_cap=piece_cap)
+    return rot_enclosure(f, max_iter, piece_cap=piece_cap)
 
 
 def rot_enclosure(f: LiftMap, iterations: int,
@@ -282,8 +285,8 @@ def rot_enclosure(f: LiftMap, iterations: int,
             if m_used == 1:
                 raise
             m_used //= 2
-    tb = big.base.table
-    disps = [tb.ys[i] - tb.xs[i] + big.n for i in range(len(tb.xs) - 1)]
+    tb = big.table
+    disps = [tb.ys[i] - tb.xs[i] for i in range(len(tb.xs) - 1)]
     dmin = min(disps)
     dmax = max(disps)
     lo = Fraction((dmin * 2).floor(), 2 * m_used)
@@ -301,7 +304,7 @@ def verify_rot(f: LiftMap, res: RotResult,
         if fq.eval(res.root) != res.root + res.p:
             return False
         # independent route: the shifted q-th power must exhibit a root
-        return fq.base.table.shift_roots(ZTau(res.p - fq.n)).has_fixed_point()
+        return _classify(fq, res.p).has_fixed_point()
     return rot_enclosure(f, res.iterations, piece_cap) == res
 
 

@@ -153,14 +153,10 @@ class PLMap:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, x) -> QTau:
-        x = _as_qtau(x)
-        if (x - self.xs[0]).sign() < 0 or (x - self.xs[-1]).sign() > 0:
-            raise OutOfDomain(f"{x} outside [{self.xs[0]}, {self.xs[-1]}]")
-        j = _piece_index(self.xs, x)
-        return QTau(self.ys[j]) + QTau(tau_pow(self.ks[j])) * (x - QTau(self.xs[j]))
-
-    def eval_zt(self, x: ZTau) -> ZTau:
+    def eval(self, x: ZTau | QTau) -> ZTau | QTau:
+        """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""
+        if not isinstance(x, ZTau):
+            x = _as_qtau(x)
         if (x - self.xs[0]).sign() < 0 or (x - self.xs[-1]).sign() > 0:
             raise OutOfDomain(f"{x} outside [{self.xs[0]}, {self.xs[-1]}]")
         j = _piece_index(self.xs, x)
@@ -202,7 +198,7 @@ class PLMap:
             raise OutOfDomain(f"[{lo}, {hi}] is not inside the domain")
         xs = [lo] + [x for x in self.xs if (x - lo).sign() > 0
                      and (hi - x).sign() > 0] + [hi]
-        ys = [self.eval_zt(x) for x in xs]
+        ys = [self.eval(x) for x in xs]
         ks = [self.ks[_piece_index(self.xs, xs[i])] for i in range(len(xs) - 1)]
         return PLMap(xs, ys, ks)
 

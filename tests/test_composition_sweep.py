@@ -5,7 +5,8 @@ The reference product collects self's breakpoints and the preimages of
 other's, sorts them and evaluates both maps at each; the reference window
 unrolls a periodic table onto [lo, hi] one integer shift at a time.  Both
 are kept here only as oracles.  Every comparison is of whole tables
-(breakpoints, images and slope exponents), and of the integer carry.
+(breakpoints, images and slope exponents), of lifts as well as of circle
+maps, so the integer part that a circle product drops is compared too.
 """
 
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ def reference_mul(f: PLMap, g: PLMap) -> PLMap:
         j = _piece_index(f.ys, u)
         pts.add(f.xs[j] + tau_pow(-f.ks[j]) * (u - f.ys[j]))
     xs = sorted(pts)
-    ys = [g.eval_zt(f.eval_zt(x)) for x in xs]
-    ks = [f.ks[_piece_index(f.xs, x)] + g.ks[_piece_index(g.xs, f.eval_zt(x))]
+    ys = [g.eval(f.eval(x)) for x in xs]
+    ks = [f.ks[_piece_index(f.xs, x)] + g.ks[_piece_index(g.xs, f.eval(x))]
           for x in xs[:-1]]
     return PLMap(xs, ys, ks)
 
@@ -37,24 +38,26 @@ def reference_window(pl: PLMap, lo: ZTau, hi: ZTau) -> PLMap:
         for n in range((lo - x).ceil(), (hi - x).floor() + 1):
             pts.add(x + n)
     xs = sorted(pts)
-    ys = [pl.eval_zt(x - (x - t0).floor()) + (x - t0).floor() for x in xs]
+    ys = [pl.eval(x - (x - t0).floor()) + (x - t0).floor() for x in xs]
     ks = [pl.ks[_piece_index(pl.xs, x - (x - t0).floor())] for x in xs[:-1]]
     return PLMap(xs, ys, ks)
 
 
-def reference_compose_with_carry(a: CircleMap, b: CircleMap):
-    g = a.table
-    table = reference_mul(g, reference_window(b.table, g.ys[0], g.ys[-1]))
-    return CircleMap(table), table.ys[0].floor()
+def reference_lift_product(a: PLMap, b: PLMap) -> PLMap:
+    """Table of the product of the lifts with tables a and b."""
+    return reference_mul(a, reference_window(b, a.ys[0], a.ys[-1]))
 
 
-def reference_inverse_with_carry(a: CircleMap):
-    table = reference_window(a.table.inverse(), ZERO, ONE)
-    return CircleMap(table), table.ys[0].floor()
+def reference_lift_inverse(a: PLMap) -> PLMap:
+    return reference_window(a.inverse(), ZERO, ONE)
+
+
+def lift(c: CircleMap) -> LiftMap:
+    return LiftMap(c.table)
 
 
 def table(m) -> tuple:
-    t = m.table if isinstance(m, CircleMap) else m
+    t = m if isinstance(m, PLMap) else m.table
     return t.xs, t.ys, t.ks
 
 
@@ -87,13 +90,13 @@ def test_interval_products_match_the_reference(f, g):
 @given(circle_maps(), circle_maps())
 def test_circle_products_and_inverses_match_the_reference(f, g):
     for a, b in ((f, g), (g, f), (f, f.inverse()), (f, f)):
-        prod, carry = a.compose_with_carry(b)
-        ref, ref_carry = reference_compose_with_carry(a, b)
-        assert (table(prod), carry) == (table(ref), ref_carry)
+        ref = reference_lift_product(a.table, b.table)
+        assert table(lift(a) * lift(b)) == table(ref)
+        assert table(a * b) == table(CircleMap(ref))
     for a in (f, g, f * g):
-        inv, carry = a.inverse_with_carry()
-        ref, ref_carry = reference_inverse_with_carry(a)
-        assert (table(inv), carry) == (table(ref), ref_carry)
+        ref = reference_lift_inverse(a.table)
+        assert table(lift(a).inverse()) == table(ref)
+        assert table(a.inverse()) == table(CircleMap(ref))
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,10 +105,10 @@ def test_lift_products_match_the_reference(s1, n1, s2, n2):
     f = random_element(s1, n1, "Lift")
     g = random_element(s2, n2, "Lift")
     for a, b in ((f, g), (g, f), (f, f.inverse()), (f * g, g.inverse())):
-        ref, carry = reference_compose_with_carry(a.base, b.base)
-        assert a * b == LiftMap(ref, a.n + b.n + carry)
-    ref, carry = reference_inverse_with_carry(f.base)
-    assert f.inverse() == LiftMap(ref, carry - f.n)
+        ref = reference_lift_product(a.base.table, b.base.table)
+        assert a * b == LiftMap(ref).translate(a.n + b.n)
+    ref = reference_lift_inverse(f.base.table)
+    assert f.inverse() == LiftMap(ref).translate(-f.n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,5 +137,9 @@ def test_windows_on_breakpoints_and_base_zero():
             for a in (x, x - 1, x + 2):
                 assert table(_unroll(pl, a)) == table(reference_window(pl, a, a + 1))
     for a, b in ((f, f), (f, f.inverse()), (f, g), (g, f), (g, g.inverse())):
-        assert a.compose_with_carry(b) == reference_compose_with_carry(a, b)
-    assert f.inverse_with_carry() == reference_inverse_with_carry(f)
+        ref = reference_lift_product(a.table, b.table)
+        assert lift(a) * lift(b) == LiftMap(ref)
+        assert a * b == CircleMap(ref)
+    ref = reference_lift_inverse(f.table)
+    assert lift(f).inverse() == LiftMap(ref)
+    assert f.inverse() == CircleMap(ref)

@@ -73,7 +73,7 @@ def test_connect_tuple_examples():
     assert cert2.element.is_identity()
     cert3 = connect_tuple((T2, TAU), (T3, T2))
     cert3.verify()
-    assert cert3.element.eval_zt(T2) == T3
+    assert cert3.element.eval(T2) == T3
 
 
 def test_connect_tuple_seeded():
@@ -84,7 +84,7 @@ def test_connect_tuple_seeded():
         cert = connect_tuple(xs, ys)
         cert.verify()
         for x, y in zip(xs, ys):
-            assert cert.element.eval_zt(x) == y
+            assert cert.element.eval(x) == y
 
 
 def test_connect_tuple_bad_input():
@@ -101,7 +101,7 @@ def test_connect_tuple_derived():
     cert.verify()
     assert cert.expr == "comm(l, f)"
     assert is_ftau_compact(cert.element)
-    assert cert.element.eval_zt(T2) == T3
+    assert cert.element.eval(T2) == T3
     same = connect_tuple_derived((TAU,), (TAU,))
     assert same.element.is_identity()
 
@@ -119,7 +119,7 @@ def test_connect_tuple_derived_seeded():
 def test_proximal_shrink_interval():
     f = proximal_shrink((T2, TAU), (ZERO, T3))
     for s in (T2, TAU):
-        img = f.eval_zt(s)
+        img = f.eval(s)
         assert img.sign() > 0 and (T3 - img).sign() > 0
     assert proximal_shrink((T2, T2 + tau_pow(5)), (T3, TAU)).is_identity()
 
@@ -127,12 +127,12 @@ def test_proximal_shrink_interval():
 def test_proximal_shrink_circle():
     f = proximal_shrink_circle((zt(1, -1), zt(0, 1)), (zt(0, 1), zt(1, 0) - tau_pow(4)))
     for s in (zt(1, -1), zt(0, 1)):
-        img = f.eval_zt(s)
+        img = f.eval(s)
         assert arc_contains(zt(0, 1), zt(1) - tau_pow(4), img)
     # arc through 0: shrink [1-t^2, t^3] into (t^2, t)
     g = proximal_shrink_circle((ONE - T2, T3), (T2, TAU))
     for s in (ONE - T2, T3):
-        assert arc_contains(T2, TAU, g.eval_zt(s))
+        assert arc_contains(T2, TAU, g.eval(s))
 
 
 def test_arc_helpers():

@@ -61,7 +61,7 @@ def test_evaluate_basics():
     c = evaluate_str(TORSION_SRC)
     assert isinstance(c, CircleMap) and c.v == tau_pow(2)
     assert evaluate_str("rot(t) * rot(1-t)").is_identity()
-    assert evaluate_str("trans(1+t)") == LiftMap(CircleMap.rotation(TAU), 1)
+    assert evaluate_str("trans(1+t)") == LiftMap(CircleMap.rotation(TAU).table).translate(1)
 
 
 def test_evaluate_promotions():

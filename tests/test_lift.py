@@ -21,7 +21,7 @@ from taut.ring import ONE, QTau, TAU, ZERO, ZTau
 LEAF = SubdivisionTree.leaf()
 CARET3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF), LEAF)
 TORSION = CircleMap.from_tree_pair(CARET3, CARET3, 1)
-LC = LiftMap(TORSION, 0)
+LC = LiftMap(TORSION.table)
 
 
 def exact_value(res) -> QTau:
@@ -32,7 +32,7 @@ def exact_value(res) -> QTau:
 
 
 def test_lift_project_round_trip():
-    assert LiftMap(TORSION, 2).project() == TORSION
+    assert LiftMap(TORSION.table).translate(2).base == TORSION
     t1 = LiftMap.translation(1)
     assert t1.base.is_identity() and t1.n == 1
     assert LiftMap.translation(TAU).eval(ZERO) == QTau(TAU)

@@ -24,7 +24,7 @@ from taut.plmap import (
     is_supported_in,
     power,
 )
-from taut.ring import ONE, QTau, TAU, ZERO, tau_pow
+from taut.ring import ONE, QTau, TAU, ZERO, ZTau, tau_pow
 
 T2 = tau_pow(2)
 T3 = tau_pow(3)
@@ -67,7 +67,8 @@ def test_eval_keeps_ring_points_in_ring():
         g = random_element(rng.randrange(2**63), 5, "F_tau")
         for _ in range(5):
             x = g.xs[rng.randrange(len(g.xs))]
-            assert g.eval(x).is_ring_element()
+            assert isinstance(g.eval(x), ZTau)
+            assert g.eval(QTau(x)).is_ring_element()
 
 
 def test_compose_brute_force_oracle():
