@@ -30,7 +30,7 @@ from .lift import (
     rot_result_from_json,
 )
 from .plmap import PLMap, concat, conjugate, commutator, is_ftau, is_ftau_compact
-from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_int, tau_pow
+from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_bool, json_int, tau_pow
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
 
@@ -250,7 +250,7 @@ class TransitivityCertificate:
                 element=PLMap.from_json(obj["element"]),
                 sources=tuple(parse_ztau(s) for s in obj["sources"]),
                 targets=tuple(parse_ztau(t) for t in obj["targets"]),
-                compact=bool(obj.get("compact", False)),
+                compact=json_bool(obj.get("compact", False), "compact"),
                 expr=_text(obj.get("expr"), "expr", optional=True),
                 pieces={k: PLMap.from_json(v)
                         for k, v in obj.get("pieces", {}).items()},

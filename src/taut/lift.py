@@ -407,11 +407,6 @@ class DefectDelta:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def to_json(self) -> dict:
-        if self.exact is not None:
-            return {"kind": "exact", "value": qtau_literal(self.exact)}
-        return {"kind": "enclosure", "lo": str(self.lo), "hi": str(self.hi)}
-
 
 def _rot_interval(r: RotResult) -> tuple[QTau, QTau]:
     """rot as an interval in Q(tau), a single point when it is exact."""

@@ -95,24 +95,6 @@ class ZTau:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> ZTau:
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __truediv__(self, other: "ZTau | QTau | int") -> "QTau":
-        return QTau(self) / other
-
-    def __rtruediv__(self, other: "ZTau | QTau | int") -> "QTau":
-        return _as_qtau(other) / QTau(self)
-
     def conj(self) -> ZTau:
         """Galois conjugate: tau -> -1 - tau, so a + b*tau -> (a-b) - b*tau."""
         return ZTau(self.a - self.b, -self.b)
@@ -472,3 +454,10 @@ def json_int(value: object, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise SchemaError(f"{what} must be a JSON integer, not {type(value).__name__}")
+
+
+def json_bool(value: object, what: str) -> bool:
+    """A boolean field of a JSON payload: true or false, nothing else."""
+    if isinstance(value, bool):
+        return value
+    raise SchemaError(f"{what} must be a JSON boolean, not {type(value).__name__}")

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from taut.circle import CircleMap
 from taut.cli import main
+from taut.construct import commutator_trick, random_element
 from taut.expr import deserialize
+from taut.plmap import PLMap
+from taut.ring import TAU, ZERO
 
 TORSION_LIFT = ('lift(treepair {"p": ["s+", ["s+", "leaf", "leaf"], "leaf"],'
                 ' "q": ["s+", ["s+", "leaf", "leaf"], "leaf"], "shift": 1}, 0)')
@@ -218,3 +222,71 @@ def test_check_connect_cert_with_an_extra_point_is_rejected(tmp_path, capsys,
     path.write_text(json.dumps(tampered))
     rc2, _, err2 = run(capsys, "check", str(path))
     assert rc2 == 1 and "BadTuple" in err2 and "equal length" in err2
+
+
+def _assign(target, source):
+    def tamper(payload):
+        payload[target] = payload[source]
+    return tamper
+
+
+def _swap_u_and_v(payload):
+    for a, b in (("u", "v"), ("u_expr", "v_expr")):
+        payload[a], payload[b] = payload[b], payload[a]
+
+
+def _collapse(payload):
+    payload["expr"] = "g^-1 * g"
+    payload["result"] = CircleMap.identity().to_json()
+
+
+def _x_to_arc_start(payload):
+    payload["x"] = payload["arc"][0]
+
+
+def _element_to_piece_f(payload):
+    payload["element"] = payload["pieces"]["f"]
+
+
+def _outside_ftau(payload):
+    payload["element"] = PLMap.identity(ZERO, TAU).to_json()
+
+
+def _certificate(capsys, kind):
+    if kind == "commutator":
+        return commutator_trick(random_element(3, 3, "T_tau"), ZERO).to_json()
+    argv = {"factor": ["factor", "--json", "rot(t)"],
+            "derived": ["connect", "--json", "--derived", "--", "1-t", "t"],
+            "connect": ["connect", "--json", "--", "1-t", "t"]}[kind]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    return json.loads(out)
+
+
+# one case per check of FactorCertificate, CommutatorCertificate and
+# TransitivityCertificate
+@pytest.mark.parametrize("kind, tamper, message", [
+    ("factor", _assign("u", "v"), "u expression does not rebuild u"),
+    ("factor", _assign("v", "u"), "v expression does not rebuild v"),
+    ("factor", _swap_u_and_v, "u * v differs from the factored element"),
+    ("factor", _assign("x", "y"), "u does not fix a neighbourhood of x"),
+    ("factor", _assign("y", "x"), "piece f does not fix a neighbourhood of y"),
+    ("commutator", _assign("result", "g"), "expression does not rebuild the element"),
+    ("commutator", _x_to_arc_start, "result does not fix a neighbourhood of x"),
+    ("commutator", _collapse, "commutator collapsed to the identity"),
+    ("derived", _element_to_piece_f, "expression does not rebuild the element"),
+    ("connect", _set("compact", True), "support closure is not inside (0, 1)"),
+    ("connect", _outside_ftau, "element does not fix 0 and 1"),
+], ids=["factor-u", "factor-v", "factor-swapped", "factor-x", "factor-y",
+        "commutator-result", "commutator-x", "commutator-collapsed",
+        "derived-element", "connect-compact", "connect-outside-ftau"])
+def test_check_tampered_certificate(tmp_path, capsys, kind, tamper, message):
+    payload = _certificate(capsys, kind)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "check", str(path))[0] == 0
+
+    tamper(payload)
+    path.write_text(json.dumps(payload))
+    rc, _, err = run(capsys, "check", str(path))
+    assert rc == 1 and "CertificateError" in err and message in err

@@ -168,3 +168,16 @@ def test_integer_fields_must_be_json_integers(tmp_path, capsys):
     for n in (1.5, "1"):
         err = _check_file(tmp_path, capsys, dict(witness, n=n))
         assert "defect n must be a JSON integer" in err
+
+
+def test_compact_must_be_a_json_boolean(tmp_path, capsys):
+    connect = _answer(capsys, "connect", "--", "1-t", "t")
+    assert connect["compact"] is False
+    for compact in ("false", "yes", 1, [1], 0, None):
+        err = _check_file(tmp_path, capsys, dict(connect, compact=compact))
+        assert "SchemaError" in err and "compact must be a JSON boolean" in err
+    # false and a missing field are read as false
+    path = tmp_path / "plain.json"
+    for payload in (connect, {k: v for k, v in connect.items() if k != "compact"}):
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "check", str(path))[0] == 0

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from conftest import zt
 from taut.circle import CircleMap, SubdivisionTree
 from taut.construct import random_element
@@ -233,3 +236,31 @@ def test_rot_against_decimal_orbit_oracle():
             v = exact_value(r)
             lo = hi = dec(v)
         assert lo - Decimal(1) / n <= est <= hi + Decimal(1) / n
+
+
+seeds = st.integers(min_value=0, max_value=2**32)
+small = st.integers(min_value=-40, max_value=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=6), seeds,
+       st.integers(min_value=-3, max_value=3), st.builds(ZTau, small, small))
+@example(32, 3, 7, -3, ZTau(5, -9))    # an enclosure, moved down
+@example(52, 3, 8, 2, ZTau(-4, 11))    # an enclosure, moved up
+def test_rot_moves_by_n_under_integer_translation(s1, size, s2, n, x):
+    f = random_element(s1, size, "Lift")
+    r = rot(f, max_den=64, max_iter=64)
+    rn = rot(f * LiftMap.translation(n), max_den=64, max_iter=64)
+    assert rn.kind == r.kind
+    if r.kind == "enclosure":
+        assert rn.iterations == r.iterations
+        assert (rn.lo, rn.hi) == (r.lo + n, r.hi + n)
+    else:
+        assert rn.value == r.value + n
+        if r.kind == "rational":
+            assert rn.root == r.root
+    # a lift maps ring points to ring points, and agrees with its value in Q(tau)
+    g = random_element(s2, size, "Lift")
+    y = f.eval(x)
+    assert isinstance(y, ZTau) and y == f.eval(QTau(x))
+    assert (f * g).eval(x) == g.eval(y)
