@@ -23,7 +23,7 @@ from .construct import (
     random_element,
 )
 from .errors import TautError, ValidationError
-from .expr import deserialize, evaluate_str, parse, serialize, to_expression
+from .expr import deserialize, evaluate_str, serialize, to_expression
 from .lift import (
     LiftMap,
     RotEnclosure,

@@ -28,55 +28,69 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("budgets must be positive")
+    return n
+
+
 @cache
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine readable output")
-    common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    common.add_argument("--max-den", type=int, default=DEFAULT_MAX_DEN)
-    common.add_argument("--depth", type=int, default=construct.DEFAULT_DEPTH,
-                        help="search depth for constructive operations")
-    common.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP)
-    common.add_argument("--seed", type=int, default=0)
+    # every subcommand takes --json; the others only where they are read
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json", action="store_true", dest="as_json",
+                     help="machine readable output")
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--max-iter", type=_positive, default=DEFAULT_MAX_ITER)
+    budgets.add_argument("--max-den", type=_positive, default=DEFAULT_MAX_DEN)
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--piece-cap", type=_positive, default=DEFAULT_PIECE_CAP)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
 
     p = _Parser(prog="taut", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eval", parents=[common],
+    sp = sub.add_parser("eval", parents=[out],
                         help="evaluate an element expression")
     sp.add_argument("expression")
 
-    sp = sub.add_parser("rot", parents=[common],
+    sp = sub.add_parser("rot", parents=[out, budgets, cap],
                         help="certified rotation number of a lift")
     sp.add_argument("expression")
 
-    sp = sub.add_parser("scl", parents=[common],
+    sp = sub.add_parser("scl", parents=[out, budgets, cap],
                         help="stable commutator length of a lift")
     sp.add_argument("expression")
 
-    sp = sub.add_parser("check", parents=[common],
+    sp = sub.add_parser("check", parents=[out, budgets, cap],
                         help="re-validate an element, result or certificate")
     sp.add_argument("target", help="JSON file or element expression")
 
-    sp = sub.add_parser("connect", parents=[common],
+    sp = sub.add_parser("connect", parents=[out],
                         help="element carrying one ring tuple to another")
     sp.add_argument("sources", help="comma separated ring points")
     sp.add_argument("targets")
     sp.add_argument("--derived", action="store_true",
                     help="return a single-commutator certificate")
 
-    sp = sub.add_parser("factor", parents=[common],
+    sp = sub.add_parser("factor", parents=[out],
                         help="local factorization certificate of a circle element")
     sp.add_argument("expression")
+    sp.add_argument("--depth", type=_positive, default=construct.DEFAULT_DEPTH,
+                    help="search depth for constructive operations")
 
-    sp = sub.add_parser("defect", parents=[common],
+    sp = sub.add_parser("defect", parents=[out, budgets, seed],
                         help="defect witnesses for the rotation quasimorphism")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--search", action="store_true")
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = sub.add_parser("random", parents=[common],
+    sp = sub.add_parser("random", parents=[out, seed],
                         help="seeded random element")
     sp.add_argument("--size", type=int, default=4)
     sp.add_argument("--flavor", choices=["F_tau", "T_tau", "Lift"],
@@ -85,11 +99,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if min(args.max_iter, args.max_den, args.depth, args.piece_cap) < 1:
-            raise _UsageError("budgets must be positive")
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

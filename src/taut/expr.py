@@ -14,7 +14,7 @@ Grammar:
     zterm   := INT ['*'] 't' | INT | 't'
 
 '*' composes in action order (left map acts first, matching actions on
-the right), so eval(parse("a * b")) applied to x gives b(a(x)).  Interval
+the right), so evaluate_str("a * b") applied to x gives b(a(x)).  Interval
 maps promote to circle maps when mixed with them; circle maps must be
 lifted explicitly with lift(e, n).  Applying lift to something that is
 already a lift offsets its integer part by n.
@@ -24,21 +24,27 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import construct
 from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
-from .errors import ExprSyntaxError, ExprTypeError, SchemaError, TautError
+from .errors import (
+    BudgetExceeded,
+    ExprSyntaxError,
+    ExprTypeError,
+    SchemaError,
+    TautError,
+)
 from .lift import (
     LiftMap,
+    RotEnclosure,
     SclResult,
     rot_result_from_json,
     scl_result_from_json,
     verify_rot,
 )
 from .plmap import PLMap, commutator, conjugate, is_ftau, power
-from .ring import RingLiteralError, ZTau, json_int, read_ztau, ztau_str
+from .ring import RingLiteralError, ZTau, json_int, read_ztau
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
              "treepair", "t"}
@@ -67,83 +73,20 @@ def _check_json_nesting(text: str) -> None:
         raise SchemaError(f"JSON nests deeper than {MAX_NESTING} levels")
 
 
-# -- AST ---------------------------------------------------------------------
+# -- reading and evaluating ---------------------------------------------------
+#
+# The recursive-descent reader returns the element that each rule
+# denotes, so the first error in reading order is the one reported.
 
-@dataclass(frozen=True)
-class Rotation:
-    angle: ZTau
+Element = PLMap | CircleMap | LiftMap
 
-
-@dataclass(frozen=True)
-class Translation:
-    angle: ZTau
-
-
-@dataclass(frozen=True)
-class MapLit:
-    value: object  # PLMap or CircleMap, validated at parse time
-
-
-@dataclass(frozen=True)
-class TreePairLit:
-    p: SubdivisionTree
-    q: SubdivisionTree
-    shift: int
-
-
-@dataclass(frozen=True)
-class Compose:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Power:
-    inner: object
-    k: int
-
-
-@dataclass(frozen=True)
-class Inverse:
-    inner: object
-
-
-@dataclass(frozen=True)
-class Comm:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class Conj:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class Lift:
-    inner: object
-    n: int
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-
-
-@dataclass(frozen=True)
-class Program:
-    bindings: tuple[tuple[str, object], ...]
-    body: object
-
-
-# -- parser --------------------------------------------------------------------
 
 class _Scanner:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, env: dict[str, Element] | None) -> None:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.env = dict(env or {})
 
     def error(self, message: str) -> ExprSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -221,138 +164,102 @@ class _Scanner:
         raise self.error("expected a ring literal")
 
 
-def parse(text: str) -> Program:
-    sc = _Scanner(text)
-    bindings = []
+def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
+    """The element that an expression denotes; names are looked up in env,
+    which the expression's let bindings do not change."""
+    sc = _Scanner(text, env)
     while sc.take_word("let"):
         name = sc.read_name()
         if name in _KEYWORDS:
             raise sc.error(f"{name!r} is reserved")
         sc.take("=")
-        node = _parse_expr(sc)
+        value = _read_expr(sc)
         sc.take(";")
-        bindings.append((name, node))
-    body = _parse_expr(sc)
+        sc.env[name] = value
+    out = _read_expr(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise sc.error("trailing input after expression")
-    return Program(tuple(bindings), body)
+    return out
 
 
-def _parse_expr(sc: _Scanner) -> object:
+def _read_expr(sc: _Scanner) -> Element:
     sc.depth += 1
     if sc.depth > MAX_NESTING:
         raise sc.error(f"expression nests deeper than {MAX_NESTING} levels")
-    node = _parse_term(sc)
+    # fold a * b * c in this loop, so that a long product does not recurse
+    # once per factor
+    out = _read_term(sc)
     while sc.peek() in ("*", "@"):
         sc.pos += 1
-        node = Compose(node, _parse_term(sc))
+        a, b = _promote_pair(out, _read_term(sc))
+        out = a * b
     sc.depth -= 1
-    return node
+    return out
 
 
-def _parse_term(sc: _Scanner) -> object:
-    node = _parse_atom(sc)
+def _read_term(sc: _Scanner) -> Element:
+    out = _read_atom(sc)
     if sc.peek() == "^":
         sc.pos += 1
         k = sc.read_int()
-        node = Inverse(node) if k == -1 else Power(node, k)
-    return node
+        out = out.inverse() if k == -1 else power(out, k, DEFAULT_PIECE_CAP)
+    return out
 
 
-def _parse_atom(sc: _Scanner) -> object:
-    for word, make in (("rot", Rotation), ("trans", Translation)):
+def _read_atom(sc: _Scanner) -> Element:
+    for word, make in (("rot", CircleMap.rotation),
+                       ("trans", LiftMap.translation)):
         if sc.take_word(word):
             sc.take("(")
             angle = sc.read_ztau()
             sc.take(")")
             return make(angle)
-    for word, make in (("comm", Comm), ("conj", Conj)):
+    for word, make in (("comm", commutator), ("conj", conjugate)):
         if sc.take_word(word):
             sc.take("(")
-            a = _parse_expr(sc)
+            a = _read_expr(sc)
             sc.take(",")
-            b = _parse_expr(sc)
+            b = _read_expr(sc)
             sc.take(")")
-            return make(a, b)
+            return make(*_promote_pair(a, b))
     if sc.take_word("lift"):
         sc.take("(")
-        inner = _parse_expr(sc)
+        inner = _read_expr(sc)
         sc.take(",")
         n = sc.read_int()
         sc.take(")")
-        return Lift(inner, n)
+        if isinstance(inner, PLMap):
+            inner = _to_circle(inner)
+        return LiftMap(inner.table).translate(n)
     if sc.take_word("map"):
         obj = sc.read_json()
         is_circle = isinstance(obj, dict) and (
             "base" in obj or obj.get("kind") == "circle")
         try:
-            value = (CircleMap.from_json(obj) if is_circle
-                     else PLMap.from_json(obj))
+            return (CircleMap.from_json(obj) if is_circle
+                    else PLMap.from_json(obj))
         except SchemaError as exc:
             raise sc.error(str(exc)) from exc
-        return MapLit(value)
     if sc.take_word("treepair"):
         obj = sc.read_json()
         if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
             raise sc.error("treepair payload needs 'p' and 'q'")
-        return TreePairLit(SubdivisionTree.from_json(obj["p"]),
-                           SubdivisionTree.from_json(obj["q"]),
-                           json_int(obj.get("shift", 0), "treepair shift"))
+        p = SubdivisionTree.from_json(obj["p"])
+        q = SubdivisionTree.from_json(obj["q"])
+        shift = json_int(obj.get("shift", 0), "treepair shift")
+        return CircleMap.from_tree_pair(p, q, shift)
     if sc.peek() == "(":
         sc.take("(")
-        node = _parse_expr(sc)
+        out = _read_expr(sc)
         sc.take(")")
-        return node
+        return out
     name = sc.read_name()
     if name in _KEYWORDS:
         raise sc.error(f"{name!r} cannot be used as a name here")
-    return Name(name)
-
-
-# -- printing -------------------------------------------------------------------
-
-def format_ast(node: object) -> str:
-    if isinstance(node, Program):
-        parts = [f"let {n} = {format_ast(e)}; " for n, e in node.bindings]
-        return "".join(parts) + format_ast(node.body)
-    if isinstance(node, Rotation):
-        return f"rot({ztau_str(node.angle)})"
-    if isinstance(node, Translation):
-        return f"trans({ztau_str(node.angle)})"
-    if isinstance(node, Compose):
-        return f"{format_ast(node.left)} * {_fmt_tight(node.right)}"
-    if isinstance(node, Power):
-        return f"{_fmt_tight(node.inner)}^{node.k}"
-    if isinstance(node, Inverse):
-        return f"{_fmt_tight(node.inner)}^-1"
-    if isinstance(node, Comm):
-        return f"comm({format_ast(node.a)}, {format_ast(node.b)})"
-    if isinstance(node, Conj):
-        return f"conj({format_ast(node.a)}, {format_ast(node.b)})"
-    if isinstance(node, Lift):
-        return f"lift({format_ast(node.inner)}, {node.n})"
-    if isinstance(node, MapLit):
-        return f"map {canonical_json(node.value.to_json())}"
-    if isinstance(node, TreePairLit):
-        payload = {"p": node.p.to_json(), "q": node.q.to_json(),
-                   "shift": node.shift}
-        return f"treepair {canonical_json(payload)}"
-    if isinstance(node, Name):
-        return node.ident
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _fmt_tight(node: object) -> str:
-    text = format_ast(node)
-    if isinstance(node, (Compose, Power, Inverse)):
-        return f"({text})"
-    return text
-
-
-# -- evaluation -------------------------------------------------------------------
-
-Element = PLMap | CircleMap | LiftMap
+    if name not in sc.env:
+        raise ExprTypeError(f"unbound name {name!r}")
+    return sc.env[name]
 
 
 def _promote_pair(a: Element, b: Element) -> tuple[Element, Element]:
@@ -372,58 +279,6 @@ def _to_circle(g: PLMap) -> CircleMap:
         raise ExprTypeError(
             "only interval elements of [0, 1] promote to circle maps")
     return CircleMap.from_interval_map(g)
-
-
-def evaluate(node: object, env: dict[str, Element] | None = None) -> Element:
-    env = dict(env or {})
-    if isinstance(node, Program):
-        for name, sub in node.bindings:
-            env[name] = evaluate(sub, env)
-        return evaluate(node.body, env)
-    if isinstance(node, Rotation):
-        return CircleMap.rotation(node.angle)
-    if isinstance(node, Translation):
-        return LiftMap.translation(node.angle)
-    if isinstance(node, (MapLit,)):
-        return node.value
-    if isinstance(node, TreePairLit):
-        return CircleMap.from_tree_pair(node.p, node.q, node.shift)
-    if isinstance(node, Compose):
-        # a * b * c nests to the left: fold the chain in a loop, so that a
-        # long product does not recurse once per factor
-        rights = []
-        while isinstance(node, Compose):
-            rights.append(node.right)
-            node = node.left
-        out = evaluate(node, env)
-        for right in reversed(rights):
-            a, b = _promote_pair(out, evaluate(right, env))
-            out = a * b
-        return out
-    if isinstance(node, Power):
-        return power(evaluate(node.inner, env), node.k, DEFAULT_PIECE_CAP)
-    if isinstance(node, Inverse):
-        return evaluate(node.inner, env).inverse()
-    if isinstance(node, Comm):
-        a, b = _promote_pair(evaluate(node.a, env), evaluate(node.b, env))
-        return commutator(a, b)
-    if isinstance(node, Conj):
-        a, b = _promote_pair(evaluate(node.a, env), evaluate(node.b, env))
-        return conjugate(a, b)
-    if isinstance(node, Lift):
-        inner = evaluate(node.inner, env)
-        if isinstance(inner, PLMap):
-            inner = _to_circle(inner)
-        return LiftMap(inner.table).translate(node.n)
-    if isinstance(node, Name):
-        if node.ident not in env:
-            raise ExprTypeError(f"unbound name {node.ident!r}")
-        return env[node.ident]
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
-    return evaluate(parse(text), env)
 
 
 def to_expression(element: Element) -> str:
@@ -494,7 +349,15 @@ def _check_result(res, obj: dict, budgets: dict) -> dict:
     if not isinstance(embedded, dict) or "element" not in embedded:
         raise SchemaError(f"{label} has no embedded element to re-check")
     f = LiftMap.from_json(embedded["element"])
-    if not verify_rot(f, res.rot if is_scl else res, budgets["piece_cap"]):
+    rot_res = res.rot if is_scl else res
+    # a stored enclosure is recomputed with its own iteration count: the
+    # max_iter budget bounds that work before any power is built
+    if (isinstance(rot_res, RotEnclosure)
+            and rot_res.iterations > budgets["max_iter"]):
+        raise BudgetExceeded(
+            f"stored enclosure has {rot_res.iterations} iterations, more "
+            f"than the max_iter budget of {budgets['max_iter']}")
+    if not verify_rot(f, rot_res, budgets["piece_cap"]):
         raise TautError(f"stored {label} fails re-checking")
     return {"checked": label, "ok": True}
 

@@ -24,6 +24,7 @@ group.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,18 +206,39 @@ class RotEnclosure:
 RotResult = RotRational | RotTranslation | RotEnclosure
 
 
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_fraction(value: object, what: str) -> Fraction:
+    """A rational field of a JSON payload, written as str(Fraction) writes it."""
+    if not isinstance(value, str) or not _FRACTION.fullmatch(value):
+        raise SchemaError(f"{what} must be a string p or p/q, not {value!r:.40}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad {what} {value!r:.40}: {exc}") from exc
+
+
 def rot_result_from_json(obj: object) -> RotResult:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("rotation payload must carry a kind")
     kind = obj["kind"]
     if kind == "rational":
         cert = obj.get("certificate", {})
-        return RotRational(Fraction(obj["value"]),
-                           parse_qtau(cert["root"]))
+        res = RotRational(_json_fraction(obj["value"], "rot value"),
+                          parse_qtau(cert["root"]))
+        stated = (json_int(cert.get("power"), "rational power"),
+                  json_int(cert.get("shift"), "rational shift"))
+        if stated != (res.q, res.p):
+            raise CertificateError("stored rot-result fails re-checking: its "
+                                   "power and shift are not the q and p of "
+                                   "its value")
+        return res
     if kind == "ztau":
         return RotTranslation(parse_ztau(obj["value"]))
     if kind == "enclosure":
-        return RotEnclosure(Fraction(obj["lo"]), Fraction(obj["hi"]),
+        return RotEnclosure(_json_fraction(obj["lo"], "enclosure lo"),
+                            _json_fraction(obj["hi"], "enclosure hi"),
                             json_int(obj["iterations"], "iterations"))
     raise SchemaError(f"unknown rotation result kind {kind!r}")
 

@@ -140,10 +140,8 @@ class ZTau:
     def from_json(cls, obj: object) -> ZTau:
         if not isinstance(obj, dict) or set(obj) - {"a", "b"}:
             raise SchemaError(f"bad ring element payload: {obj!r}")
-        try:
-            return cls(int(obj.get("a", "0")), int(obj.get("b", "0")))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad ring element payload: {obj!r}") from exc
+        return cls(json_coeff(obj.get("a", "0"), "ring coefficient"),
+                   json_coeff(obj.get("b", "0"), "ring coefficient"))
 
 
 ZERO = ZTau(0)
@@ -290,11 +288,8 @@ class QTau:
     def from_json(cls, obj: object) -> QTau:
         if not isinstance(obj, dict) or set(obj) - {"num", "den"}:
             raise SchemaError(f"bad quotient payload: {obj!r}")
-        try:
-            den = int(obj.get("den", "1"))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad quotient payload: {obj!r}") from exc
-        return cls(ZTau.from_json(obj.get("num", {})), den)
+        return cls(ZTau.from_json(obj.get("num", {})),
+                   json_coeff(obj.get("den", "1"), "quotient denominator"))
 
 
 def _maybe_qtau(x: object) -> QTau | None:
@@ -454,6 +449,19 @@ def json_int(value: object, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise SchemaError(f"{what} must be a JSON integer, not {type(value).__name__}")
+
+
+def json_coeff(value: object, what: str) -> int:
+    """An integer coefficient of a JSON payload: a decimal string exactly
+    as to_json writes it, or a JSON integer; anything else is refused."""
+    if type(value) is not str:
+        return json_int(value, what)
+    try:
+        if str(n := int(value)) == value:
+            return n
+    except ValueError:  # not a number, or past the interpreter's digit limit
+        pass
+    raise SchemaError(f"{what} must be a decimal integer, not {value[:40]!r}")
 
 
 def json_bool(value: object, what: str) -> bool:

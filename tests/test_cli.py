@@ -94,6 +94,38 @@ def test_usage_error_is_exit_3(capsys):
     assert rc == 3
     rc2, _, _ = run(capsys, "rot")
     assert rc2 == 3
+    for argv in (["rot", "trans(t)", "--max-iter", "0"],
+                 ["scl", "trans(t)", "--max-den", "-1"],
+                 ["check", "rot(t)", "--piece-cap", "0"],
+                 ["defect", "--max-iter", "0"],
+                 ["factor", "rot(t)", "--depth", "0"]):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 3 and "budgets must be positive" in err, argv
+    rc, _, err = run(capsys, "rot", "trans(t)", "--max-iter", "x")
+    assert rc == 3 and "invalid int value: 'x'" in err
+
+
+# the options each subcommand reads, with a positional argument it needs
+KEPT_OPTIONS = {
+    "eval": (["rot(t)"], set()),
+    "rot": (["trans(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
+    "scl": (["trans(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
+    "check": (["rot(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
+    "defect": ([], {"--max-iter", "--max-den", "--seed"}),
+    "factor": (["rot(t)"], {"--depth"}),
+    "random": ([], {"--seed"}),
+    "connect": (["1-t", "t"], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_OPTIONS))
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, command):
+    positional, kept = KEPT_OPTIONS[command]
+    for option in ("--max-iter", "--max-den", "--piece-cap", "--depth",
+                   "--seed"):
+        if option not in kept:
+            rc, _, err = run(capsys, command, option, "5", *positional)
+            assert rc == 3 and option in err, (command, option)
 
 
 def test_domain_error_is_exit_1(capsys):

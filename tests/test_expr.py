@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from taut.circle import CircleMap
+from taut.circle import CircleMap, SubdivisionTree
 from taut.construct import connect_tuple, random_element
 from taut.errors import (
     ExprSyntaxError,
@@ -15,43 +15,48 @@ from taut.expr import (
     canonical_json,
     deserialize,
     evaluate_str,
-    format_ast,
-    parse,
     serialize,
     to_expression,
 )
 from taut.lift import LiftMap
-from taut.ring import TAU, tau_pow
+from taut.plmap import commutator, conjugate, power
+from taut.ring import ONE, TAU, ZTau, tau_pow
 
 TORSION_SRC = ('treepair {"p": ["s+", ["s+", "leaf", "leaf"], "leaf"],'
                ' "q": ["s+", ["s+", "leaf", "leaf"], "leaf"], "shift": 1}')
 
 
-def test_parse_examples():
-    ast = parse("trans(t)")
-    assert format_ast(ast) == "trans(t)"
-    ast2 = parse("lift(rot(t), 0)^2")
-    assert format_ast(ast2) == "lift(rot(t), 0)^2"
-    ast3 = parse("let a = rot(t); let b = rot(1-t); comm(a, b)")
-    assert "comm(a, b)" in format_ast(ast3)
-
-
-def test_parse_print_parse_identity():
+def test_grammar_corpus_evaluates_as_the_library_builds():
+    r = CircleMap.rotation(TAU)
+    s = CircleMap.rotation(ONE - TAU)
+    tree = SubdivisionTree.from_json(["s+", ["s+", "leaf", "leaf"], "leaf"])
+    torsion = CircleMap.from_tree_pair(tree, tree, 1)
+    lift_r = LiftMap(r.table)
     corpus = [
-        "trans(t)",
-        "rot(1-t)",
-        "trans(-1+2*t)",
-        "lift(rot(t), 0)^2",
-        "comm(rot(t), rot(1-t))",
-        "conj(rot(t), rot(1-t)) * rot(t)",
-        "rot(t)^-1",
-        "(rot(t) * rot(1-t))^3",
-        "lift(" + TORSION_SRC + ", -2)",
-        "let g = rot(t); let h = conj(g, g); comm(g, h)",
+        ("trans(t)", LiftMap.translation(TAU)),
+        ("rot(1-t)", s),
+        ("trans(-1+2*t)", LiftMap.translation(ZTau(-1, 2))),
+        ("lift(rot(t), 0)^2", power(lift_r.translate(0), 2)),
+        ("comm(rot(t), rot(1-t))", commutator(r, s)),
+        ("conj(rot(t), rot(1-t)) * rot(t)", conjugate(r, s) * r),
+        ("rot(t)^-1", r.inverse()),
+        ("(rot(t) * rot(1-t))^3", power(r * s, 3)),
+        ("lift(" + TORSION_SRC + ", -2)", LiftMap(torsion.table).translate(-2)),
+        ("let g = rot(t); let h = conj(g, g); comm(g, h)",
+         commutator(r, conjugate(r, r))),
+        # a let chain of elements that do not commute
+        ("let a = " + TORSION_SRC + "; let b = conj(rot(t), a); comm(a, b) * b^2",
+         commutator(torsion, conjugate(r, torsion))
+         * power(conjugate(r, torsion), 2)),
+        # '^' binds tighter than '*', and '@' means '*'
+        ("rot(t) * rot(1-t)^2", r * power(s, 2)),
+        ("lift(rot(t), 1) @ trans(t)^-1",
+         lift_r.translate(1) * LiftMap.translation(TAU).inverse()),
+        # lift of a lift offsets its integer part
+        ("lift(lift(rot(t), 1), -3)", lift_r.translate(1).translate(-3)),
     ]
-    for text in corpus:
-        ast = parse(text)
-        assert parse(format_ast(ast)) == ast
+    for text, expected in corpus:
+        assert serialize(evaluate_str(text)) == serialize(expected), text
 
 
 def test_evaluate_basics():
@@ -80,16 +85,19 @@ def test_evaluate_promotions():
 def test_evaluate_unbound_name():
     with pytest.raises(ExprTypeError):
         evaluate_str("nope")
+    # evaluated as read: the unbound name comes before the open parenthesis
+    with pytest.raises(ExprTypeError):
+        evaluate_str("nope * (")
 
 
 def test_syntax_errors_have_positions():
     with pytest.raises(ExprSyntaxError) as err:
-        parse("trans(")
+        evaluate_str("trans(")
     assert "column" in str(err.value)
     with pytest.raises(ExprSyntaxError):
-        parse("rot(t) rot(t)")
+        evaluate_str("rot(t) rot(t)")
     with pytest.raises(ExprSyntaxError):
-        parse("map {broken")
+        evaluate_str("map {broken")
 
 
 def test_element_expression_round_trip():

@@ -2,6 +2,10 @@
 
 import json
 import time
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taut.cli import main
 from taut.construct import commutator_trick, random_element
@@ -181,3 +185,120 @@ def test_compact_must_be_a_json_boolean(tmp_path, capsys):
     for payload in (connect, {k: v for k, v in connect.items() if k != "compact"}):
         path.write_text(json.dumps(payload))
         assert run(capsys, "check", str(path))[0] == 0
+
+
+def _map(x):
+    return (f'{{"xs": [{{"a": "0"}}, {x}], "ys": [{{"a": "0"}}, {{"a": "1"}}],'
+            ' "ks": [0]}')
+
+
+def test_ring_coefficients_are_read_exactly_or_rejected(tmp_path, capsys):
+    # a decimal string, as written, or a JSON integer
+    for good in ('{"a": "1"}', '{"a": 1}', '{"num": {"a": "2"}, "den": 2}',
+                 '{"num": {"a": "-2"}, "den": "-2"}'):
+        assert run(capsys, "eval", "map " + _map(good))[0] == 0
+    path = tmp_path / "map.json"
+    for bad in ('{"a": 1.9}', '{"a": true}', '{"a": 1e400}', '{"a": "1.0"}',
+                '{"a": "+1"}', '{"a": null}', '{"b": [1], "a": "1"}',
+                '{"a": "' + "9" * 5000 + '"}',
+                '{"num": {"a": "2"}, "den": 2.7}',
+                '{"num": {"a": "2"}, "den": "2/1"}'):
+        err = assert_one_line_error(capsys, "eval", "map " + _map(bad))
+        assert "ring coefficient" in err or "quotient denominator" in err
+        path.write_text('{"kind": "plmap", ' + _map(bad)[1:])
+        assert "SchemaError" in assert_one_line_error(capsys, "check", str(path))
+
+
+def _check_raw(tmp_path, capsys, payload, field, raw):
+    """taut check of payload with field set to the raw JSON text."""
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(dict(payload, **{field: "@"})).replace('"@"', raw))
+    return run(capsys, "check", str(path))
+
+
+ENCLOSED = ('lift(conj(rot(t), treepair {"p": ["s+", ["s-", "leaf", "leaf"], '
+            '"leaf"], "q": ["s+", "leaf", ["s+", "leaf", "leaf"]], '
+            '"shift": 0}), 0)')
+TORSION = ('lift(treepair {"p": ["s+", ["s+", "leaf", "leaf"], "leaf"], '
+           '"q": ["s+", ["s+", "leaf", "leaf"], "leaf"], "shift": 1}, 0)')
+
+
+def test_rot_results_are_read_strictly(tmp_path, capsys):
+    enclosure = _answer(capsys, "rot", "--max-iter", "64", "--", ENCLOSED)
+    rational = _answer(capsys, "rot", TORSION)
+    assert (rational["value"], rational["certificate"]["power"],
+            rational["certificate"]["shift"]) == ("1/3", 3, 1)
+    for payload, field in ((enclosure, "lo"), (enclosure, "hi"),
+                           (rational, "value")):
+        for raw in ("1e400", "Infinity", '"1e3000000"', '"0.5"', '"1/0"',
+                    '" 1"', "1", "null"):
+            start = time.perf_counter()
+            rc, out, err = _check_raw(tmp_path, capsys, payload, field, raw)
+            assert rc == 1 and "SchemaError" in err, (field, raw)
+            assert time.perf_counter() - start < 0.5
+    cert = rational["certificate"]
+    for tampered in (dict(cert, power=99), dict(cert, shift=-7),
+                     dict(cert, power=6, shift=2)):
+        err = _check_file(tmp_path, capsys, dict(rational, certificate=tampered))
+        assert "CertificateError" in err and "fails re-checking" in err
+    for tampered in (dict(cert, power="x"), dict(cert, shift=1.0),
+                     {k: v for k, v in cert.items() if k != "power"}):
+        err = _check_file(tmp_path, capsys, dict(rational, certificate=tampered))
+        assert "SchemaError" in err and "must be a JSON integer" in err
+    # the scl result reads its rot certificate the same way
+    scl = _answer(capsys, "scl", TORSION)
+    rot = dict(scl["certificate"]["rot"])
+    rot["certificate"] = dict(rot["certificate"], shift=-7)
+    err = _check_file(tmp_path, capsys, dict(scl, certificate={"rot": rot}))
+    assert "fails re-checking" in err
+
+
+def test_check_honours_max_iter_for_a_stored_enclosure(tmp_path, capsys):
+    enclosure = _answer(capsys, "rot", "--max-iter", "64", "--", ENCLOSED)
+    path = tmp_path / "enclosure.json"
+    path.write_text(json.dumps(enclosure))
+    assert run(capsys, "check", str(path), "--max-iter", "64")[0] == 0
+    rc, _, err = run(capsys, "check", str(path), "--max-iter", "63")
+    assert rc == 2 and "max_iter" in err
+    # a tampered iteration count ends at the default budget, before any power
+    path.write_text(json.dumps(dict(enclosure, iterations=10**6)))
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "check", str(path), "--json")
+    assert rc == 2 and json.loads(out)["error"]["type"] == "BudgetExceeded"
+    assert time.perf_counter() - start < 0.5
+
+
+# every successful --json answer pinned by the golden test
+GOLDEN_ANSWERS = [
+    json.loads(record["stdout"])
+    for record in json.loads(
+        Path(__file__).with_name("golden_cli.json").read_text())
+    if record["exit"] == 0 and "--json" in record["argv"]
+    and record["argv"][0] != "check"]
+HOSTILE = ["1e400", "true", "1.5", '"1e99"', '"x"', "null", "[]", "{}"]
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GOLDEN_ANSWERS), st.data(), st.sampled_from(HOSTILE))
+def test_hostile_leaf_in_a_stored_answer_ends_in_an_exit_code(tmp_path_factory,
+                                                              answer, data, raw):
+    path = data.draw(st.sampled_from(list(_leaves(answer))))
+    payload = json.loads(json.dumps(answer))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    target = tmp_path_factory.mktemp("fuzz") / "answer.json"
+    target.write_text(json.dumps(payload).replace('"@"', raw))
+    assert main(["check", str(target)]) in (0, 1, 2, 3)
