@@ -26,7 +26,9 @@ TORSION_SRC = ('treepair {"p": ["s+", ["s+", "leaf", "leaf"], "leaf"],'
                ' "q": ["s+", ["s+", "leaf", "leaf"], "leaf"], "shift": 1}')
 
 
-def test_grammar_corpus_evaluates_as_the_library_builds():
+def _grammar_corpus():
+    """Expression texts over the whole grammar, each with the element the
+    library builds for it directly."""
     r = CircleMap.rotation(TAU)
     s = CircleMap.rotation(ONE - TAU)
     tree = SubdivisionTree.from_json(["s+", ["s+", "leaf", "leaf"], "leaf"])
@@ -55,8 +57,22 @@ def test_grammar_corpus_evaluates_as_the_library_builds():
         # lift of a lift offsets its integer part
         ("lift(lift(rot(t), 1), -3)", lift_r.translate(1).translate(-3)),
     ]
-    for text, expected in corpus:
+    return corpus
+
+
+def test_parse_examples():
+    for text, expected in _grammar_corpus():
         assert serialize(evaluate_str(text)) == serialize(expected), text
+
+
+def test_parse_print_parse_identity():
+    # read, print the element back as text, read again: the same element
+    for text, _ in _grammar_corpus():
+        element = evaluate_str(text)
+        printed = to_expression(element)
+        again = evaluate_str(printed)
+        assert serialize(again) == serialize(element), text
+        assert to_expression(again) == printed, text
 
 
 def test_evaluate_basics():
