@@ -86,6 +86,8 @@ COMMANDS = [
     ["eval", f"lift(lift({TORSION}, 1), -3)", "--json"],
     ["eval", f"lift({THREE_LEAF}, 2) * lift({TORSION}, -1)", "--json"],
     ["eval", f"lift({THREE_LEAF}, 2)^-1", "--json"],
+    # an enclosure at an iteration count that is not a power of two
+    *_both("rot", f"lift({ENCLOSED}, 0)", "--max-iter", "1000"),
 ]
 
 
