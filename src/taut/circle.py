@@ -32,7 +32,7 @@ class CircleMap:
         _check_lift_table(table)
         j = table.ys[0].floor()
         if j:
-            table = PLMap(table.xs, tuple(y - j for y in table.ys), table.ks)
+            table = PLMap(table.xs, [y - j for y in table.ys], table.ks)
         self.table = table
 
     # -- constructors ---------------------------------------------------

@@ -11,9 +11,9 @@ the lifts whose table is x -> x + n.  Rotation numbers are certified:
 * rational values p/q are proved by an exact fixed point of the q-th
   power shifted by p (Poincare's criterion), found by Stern-Brocot
   descent where every step is an exact sign trichotomy;
-* otherwise the answer degrades to a sound enclosure computed from the
-  exact N-th power map: its displacement range has width < 1, giving an
-  interval of width < 1/N before outward rounding to denominator 2N.
+* otherwise the answer degrades to the sound enclosure [p/N, (p+1)/N]
+  with p = floor(F^N(0)), from the one exact orbit point F^N(0): its
+  width is exactly 1/N, and N is always the iteration count asked for.
 
 scl is |rot|/2: the commutator subgroup of the lifted group has index
 two and carries scl = |rot|/2 by Bavard duality (the rotation number
@@ -181,7 +181,7 @@ class RotTranslation:
 
 @dataclass(frozen=True)
 class RotEnclosure:
-    """lo <= rot <= hi with hi - lo <= 2/iterations, endpoints rational."""
+    """lo <= rot <= hi with hi - lo == 1/iterations, endpoints rational."""
 
     lo: Fraction
     hi: Fraction
@@ -289,31 +289,31 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
 
 def rot_enclosure(f: LiftMap, iterations: int,
                   piece_cap: int = DEFAULT_PIECE_CAP) -> RotEnclosure:
-    """Sound enclosure of rot(f) from the exact power f**M, M <= iterations.
+    """rot(f) in [p/N, (p+1)/N], N = iterations and p = floor(F^N(0)).
 
-    The displacement of the M-th power has range of width < 1 (strictly),
-    so dividing its exact min and max by M gives an interval of width
-    < 1/M; outward rounding to denominator 2M keeps the width below 2/M
-    and preserves nesting when M doubles.
+    G = F^N - p is increasing of degree one with 0 <= G(0) < 1, so
+    p <= N rot(f) <= p + 1.  F^N(0) is reached through the commuting
+    squares f, f**2, f**4, ..., built while the last has fewer pieces
+    than the steps the next would save, and within the piece cap.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    m_used = iterations
-    while True:
+    squares, k = [f], 1
+    while squares[-1].num_pieces < iterations // (2 * k):
         try:
-            big = f.power(m_used, piece_cap)
-            break
+            squares.append(_capped_mul(squares[-1], squares[-1], piece_cap))
         except PowerBudgetExceeded:
-            if m_used == 1:
-                raise
-            m_used //= 2
-    tb = big.table
-    disps = [tb.ys[i] - tb.xs[i] for i in range(len(tb.xs) - 1)]
-    dmin = min(disps)
-    dmax = max(disps)
-    lo = Fraction((dmin * 2).floor(), 2 * m_used)
-    hi = Fraction((dmax * 2).ceil(), 2 * m_used)
-    return RotEnclosure(lo, hi, m_used)
+            break
+        k *= 2
+    x = ZERO
+    for _ in range(iterations // k):
+        x = squares[-1].eval(x)
+    for i, sq in enumerate(squares):
+        if iterations % k >> i & 1:
+            x = sq.eval(x)
+    p = x.floor()
+    return RotEnclosure(Fraction(p, iterations), Fraction(p + 1, iterations),
+                        iterations)
 
 
 def verify_rot(f: LiftMap, res: RotResult,

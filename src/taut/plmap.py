@@ -64,9 +64,12 @@ class PLMap:
             if ks[i - 1] != ks[i]:
                 keep.append(i)
         keep.append(len(xs) - 1)
-        self.xs = tuple(xs[i] for i in keep)
-        self.ys = tuple(ys[i] for i in keep)
-        self.ks = tuple(ks[i] for i in keep[:-1])
+        if len(keep) < len(xs):
+            # lists, not generators: tuple(genexpr) is built by resizing
+            xs = tuple([xs[i] for i in keep])
+            ys = tuple([ys[i] for i in keep])
+            ks = tuple([ks[i] for i in keep[:-1]])
+        self.xs, self.ys, self.ks = xs, ys, ks
 
     # -- construction -------------------------------------------------
 
@@ -190,7 +193,7 @@ class PLMap:
         return PLMap(xs, ys, ks)
 
     def inverse(self) -> PLMap:
-        return PLMap(self.ys, self.xs, tuple(-k for k in self.ks))
+        return PLMap(self.ys, self.xs, [-k for k in self.ks])
 
     def restrict(self, lo: ZTau, hi: ZTau) -> PLMap:
         if (lo - self.xs[0]).sign() < 0 or (hi - self.xs[-1]).sign() > 0 \

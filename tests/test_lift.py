@@ -135,7 +135,7 @@ def test_enclosure_soundness_and_width():
     for _ in range(10):
         f = random_element(rng.randrange(2**63), 3, "Lift")
         e = rot_enclosure(f, 64)
-        assert e.width() <= Fraction(2, e.iterations)
+        assert e.width() == Fraction(1, e.iterations)
         e2 = rot_enclosure(f, 128)
         assert e.lo <= e2.lo and e2.hi <= e.hi
         r = rot(f, max_den=64)
@@ -143,6 +143,59 @@ def test_enclosure_soundness_and_width():
             v = exact_value(r)
             assert (v - QTau(zt(e.lo.numerator), e.lo.denominator)).sign() >= 0
             assert (QTau(zt(e.hi.numerator), e.hi.denominator) - v).sign() >= 0
+
+
+def reference_enclosure(f: LiftMap, iterations: int) -> RotEnclosure:
+    """The enclosure rot_enclosure gave before it followed one orbit, kept
+    here only as an oracle: the range of the displacement of the exact
+    power table, divided by N and rounded out to denominator 2N."""
+    table = f.power(iterations).table
+    disps = [y - x for x, y in zip(table.xs, table.ys)]
+    return RotEnclosure(Fraction((min(disps) * 2).floor(), 2 * iterations),
+                        Fraction((max(disps) * 2).ceil(), 2 * iterations),
+                        iterations)
+
+
+def as_qtau(x: Fraction) -> QTau:
+    return QTau(zt(x.numerator), x.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=1, max_value=700))
+@example(283, 6, 0, 700)     # a table that grows with every power
+@example(32, 3, -3, 513)
+def test_enclosure_is_the_poincare_interval_of_one_orbit(seed, size, n, big_n):
+    f = random_element(seed, size, "Lift").translate(n)
+    e = rot_enclosure(f, big_n)
+    # differential: N plain steps of the orbit of 0
+    x = ZERO
+    for _ in range(big_n):
+        x = f.eval(x)
+    p = x.floor()
+    assert e == RotEnclosure(Fraction(p, big_n), Fraction(p + 1, big_n), big_n)
+    assert e.width() == Fraction(1, big_n)
+    # nested under N -> 2N
+    e2 = rot_enclosure(f, 2 * big_n)
+    assert e.lo <= e2.lo and e2.hi <= e.hi
+    # overlaps the displacement-range enclosure of the power table
+    old = reference_enclosure(f, big_n)
+    assert e.lo <= old.hi and old.lo <= e.hi
+    # contains every exact rot
+    r = rot(f, max_den=64)
+    if r.kind != "enclosure":
+        v = exact_value(r)
+        assert (v - as_qtau(e.lo)).sign() >= 0 and (as_qtau(e.hi) - v).sign() >= 0
+
+
+def test_enclosure_keeps_its_iterations_at_a_tight_piece_cap():
+    f = random_element(7, 4, "Lift")
+    assert f.num_pieces > 1
+    e = rot_enclosure(f, 300, piece_cap=1)
+    assert e.iterations == 300
+    assert e == rot_enclosure(f, 300)
 
 
 def test_enclosure_on_irrational_translation_like():
