@@ -38,6 +38,7 @@ from .errors import (
 from .lift import (
     LiftMap,
     RotEnclosure,
+    RotRational,
     SclResult,
     rot_result_from_json,
     scl_result_from_json,
@@ -350,13 +351,18 @@ def _check_result(res, obj: dict, budgets: dict) -> dict:
         raise SchemaError(f"{label} has no embedded element to re-check")
     f = LiftMap.from_json(embedded["element"])
     rot_res = res.rot if is_scl else res
-    # a stored enclosure is recomputed with its own iteration count: the
-    # max_iter budget bounds that work before any power is built
+    # a stored enclosure is recomputed with its own iteration count, and a
+    # stored rational with its own power q: the max_iter and max_den
+    # budgets bound that work before any power is built
     if (isinstance(rot_res, RotEnclosure)
             and rot_res.iterations > budgets["max_iter"]):
         raise BudgetExceeded(
             f"stored enclosure has {rot_res.iterations} iterations, more "
             f"than the max_iter budget of {budgets['max_iter']}")
+    if isinstance(rot_res, RotRational) and rot_res.q > budgets["max_den"]:
+        raise BudgetExceeded(
+            f"stored rational rot has power {rot_res.q}, more than the "
+            f"max_den budget of {budgets['max_den']}")
     if not verify_rot(f, rot_res, budgets["piece_cap"]):
         raise TautError(f"stored {label} fails re-checking")
     return {"checked": label, "ok": True}
@@ -390,6 +396,10 @@ def _load(text: str):
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown payload kind {kind!r}")
+    # rot --json writes no schema; a payload that states one states this one
+    if "schema" in obj and json_int(obj["schema"], "schema") != SCHEMA_VERSION:
+        raise SchemaError(f"unknown schema {obj['schema']!r:.40}, expected "
+                          f"{SCHEMA_VERSION}")
     load, check = _KINDS[kind]
     try:
         value = load(obj)

@@ -43,6 +43,7 @@ from .ring import (
     ZERO,
     ZTau,
     _as_qtau,
+    json_bool,
     json_int,
     qtau_literal,
     ztau_literal,
@@ -235,6 +236,9 @@ def rot_result_from_json(obj: object) -> RotResult:
                                    "its value")
         return res
     if kind == "ztau":
+        if not json_bool(obj.get("certificate", {}).get("translation"),
+                         "certificate translation"):
+            raise SchemaError("certificate translation must be true")
         return RotTranslation(parse_ztau(obj["value"]))
     if kind == "enclosure":
         return RotEnclosure(_json_fraction(obj["lo"], "enclosure lo"),

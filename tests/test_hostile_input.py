@@ -268,6 +268,54 @@ def test_check_honours_max_iter_for_a_stored_enclosure(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
 
 
+THREE_LEAF = ('lift(treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
+              '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 0}, 0)')
+
+
+def test_check_honours_max_den_for_a_stored_rational(tmp_path, capsys):
+    rational = _answer(capsys, "rot", THREE_LEAF)
+    assert rational["value"] == "0"
+    # a stated power of 10**6 ends at the default budget, before any power
+    cert = dict(rational["certificate"], power=10**6, shift=1)
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(dict(rational, value="1/1000000", certificate=cert)))
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "check", str(path), "--json")
+    assert rc == 2 and json.loads(out)["error"]["type"] == "BudgetExceeded"
+    assert "max_den" in json.loads(out)["error"]["message"]
+    assert time.perf_counter() - start < 1
+
+
+def test_schema_and_translation_fields_are_read(tmp_path, capsys):
+    translation = _answer(capsys, "rot", "trans(t)")
+    scl = _answer(capsys, "scl", "trans(t)")
+    lift = _answer(capsys, "eval", "lift(rot(t), 2)")
+    # rot --json writes no schema; the other answers write schema 1
+    assert "schema" not in translation and lift["schema"] == 1
+    assert translation["certificate"]["translation"] is True
+    path = tmp_path / "payload.json"
+    for payload in (translation, lift, dict(translation, schema=1)):
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "check", str(path))[0] == 0
+    for raw in ("1e400", '"x"', "null", "[]", "{}", "true", "2"):
+        for payload in (translation, scl, lift):
+            rc, _, err = _check_raw(tmp_path, capsys, payload, "schema", raw)
+            assert rc == 1 and "SchemaError" in err, (raw, payload["kind"])
+    for raw in ("1e400", '"x"', "null", "[]", "{}", "1", "false"):
+        rot_cert = dict(translation["certificate"], translation="@")
+        rc, _, err = _check_raw(tmp_path, capsys, translation, "certificate",
+                                json.dumps(rot_cert).replace('"@"', raw))
+        assert rc == 1 and "SchemaError" in err, raw
+        scl_rot = dict(scl["certificate"]["rot"], certificate=rot_cert)
+        rc, _, err = _check_raw(tmp_path, capsys, scl, "certificate",
+                                json.dumps({"rot": scl_rot}).replace('"@"', raw))
+        assert rc == 1 and "SchemaError" in err, raw
+    # a missing field is no statement of a translation either
+    cert = {"element": translation["certificate"]["element"]}
+    err = _check_file(tmp_path, capsys, dict(translation, certificate=cert))
+    assert "SchemaError" in err and "translation" in err
+
+
 # every successful --json answer pinned by the golden test
 GOLDEN_ANSWERS = [
     json.loads(record["stdout"])
