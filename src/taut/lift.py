@@ -313,7 +313,7 @@ def rot_enclosure(f: LiftMap, iterations: int,
     for _ in range(iterations // k):
         x = squares[-1].eval(x)
     for i, sq in enumerate(squares):
-        if iterations % k >> i & 1:
+        if (iterations % k) >> i & 1:
             x = sq.eval(x)
     p = x.floor()
     return RotEnclosure(Fraction(p, iterations), Fraction(p + 1, iterations),

@@ -176,7 +176,6 @@ def test_enclosure_is_the_poincare_interval_of_one_orbit(seed, size, n, big_n):
         x = f.eval(x)
     p = x.floor()
     assert e == RotEnclosure(Fraction(p, big_n), Fraction(p + 1, big_n), big_n)
-    assert e.width() == Fraction(1, big_n)
     # nested under N -> 2N
     e2 = rot_enclosure(f, 2 * big_n)
     assert e.lo <= e2.lo and e2.hi <= e.hi
