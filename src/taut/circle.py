@@ -19,7 +19,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import PLMap, _piece_index, is_ftau
+from .plmap import PLMap, _compose, _piece_index, is_ftau
 from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_qtau, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
@@ -135,7 +135,10 @@ class CircleMap:
     def __mul__(self, other: CircleMap) -> CircleMap:
         if not isinstance(other, CircleMap):
             return NotImplemented
-        return CircleMap(self.table * _unroll(other.table, self.table.ys[0]))
+        t, (gx, gy, gk) = self.table, _unrolled(other.table, self.v)
+        j = gy[0].floor()  # moved into [0, 1) here, __init__ builds no 2nd table
+        gy = [y - j for y in gy] if j else gy
+        return CircleMap(_compose(t.xs, t.ys, t.ks, gx, gy, gk))
 
     def inverse(self) -> CircleMap:
         return CircleMap(_unroll(self.table.inverse(), ZERO))
@@ -196,8 +199,14 @@ def _unroll(pl: PLMap, a: ZTau) -> PLMap:
     pl must satisfy pl(x + 1) = pl(x) + 1 across its period, i.e. domain
     and image both have length one.  With n the integer that puts r = a - n
     in pl's domain, the table is pl cut at r with its part left of r moved
-    on by one period, the whole moved by n.
+    on by one period, the whole moved by n.  Lift and circle products
+    sweep the raw sequences of _unrolled directly and build no table here.
     """
+    return PLMap(*_unrolled(pl, a))
+
+
+def _unrolled(pl: PLMap, a: ZTau) -> tuple[list, list, tuple]:
+    """The raw (xs, ys, ks) of _unroll(pl, a), colinear neighbours unmerged."""
     xs, ys, ks = pl.xs, pl.ys, pl.ks
     n = (a - xs[0]).floor()
     r = a - n
@@ -208,9 +217,9 @@ def _unroll(pl: PLMap, a: ZTau) -> PLMap:
         ys = ys[:j + 1] + (ys[j] + tau_pow(ks[j]) * (r - xs[j]),) + ys[j + 1:]
         ks = ks[:j + 1] + ks[j:]
         j += 1
-    return PLMap([x + n for x in xs[j:]] + [x + n + 1 for x in xs[1:j + 1]],
-                 [y + n for y in ys[j:]] + [y + n + 1 for y in ys[1:j + 1]],
-                 ks[j:] + ks[:j])
+    return ([x + n for x in xs[j:]] + [x + n + 1 for x in xs[1:j + 1]],
+            [y + n for y in ys[j:]] + [y + n + 1 for y in ys[1:j + 1]],
+            ks[j:] + ks[:j])
 
 
 # -- tau-subdivision trees -------------------------------------------------

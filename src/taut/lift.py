@@ -34,9 +34,10 @@ from .circle import (
     _check_lift_table,
     _eval_lift,
     _unroll,
+    _unrolled,
 )
 from .errors import CertificateError, PowerBudgetExceeded, SchemaError
-from .plmap import ABOVE, BELOW, PLMap, _capped_mul, power
+from .plmap import ABOVE, BELOW, PLMap, _capped_mul, _compose, power
 from .ring import (
     ONE,
     QTau,
@@ -104,7 +105,8 @@ class LiftMap:
     def __mul__(self, other: LiftMap) -> LiftMap:
         if not isinstance(other, LiftMap):
             return NotImplemented
-        return LiftMap(self.table * _unroll(other.table, self.table.ys[0]))
+        t = self.table
+        return LiftMap(_compose(t.xs, t.ys, t.ks, *_unrolled(other.table, t.ys[0])))
 
     def inverse(self) -> LiftMap:
         return LiftMap(_unroll(self.table.inverse(), ZERO))

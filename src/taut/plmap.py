@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import ONE, QTau, ZERO, ZTau, _as_qtau, is_tau_power, json_int, tau_pow
+from .ring import ONE, QTau, ZERO, ZTau, _as_qtau, _sign, is_tau_power, json_int, tau_pow
 
 
 def _piece_index(xs, x) -> int:
@@ -48,16 +48,21 @@ class PLMap:
         for v in xs + ys:
             if not isinstance(v, ZTau):
                 raise NotInRing(f"breakpoint {v!r} is not in Z[tau]")
-        for i in range(len(ks)):
-            dx = xs[i + 1] - xs[i]
-            dy = ys[i + 1] - ys[i]
-            if dx.sign() <= 0 or dy.sign() <= 0:
+        for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
+            # dx = pa + pb*tau and dy = qa + qb*tau; dy = tau**k * dx > 0
+            # follows from dx > 0, so dy's sign matters only on rejection
+            pa, pb = x1.a - x0.a, x1.b - x0.b
+            qa, qb = y1.a - y0.a, y1.b - y0.b
+            if _sign(pa, pb) <= 0:
                 raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-            if dy != tau_pow(ks[i]) * dx:
-                if is_tau_power(QTau(dy) / QTau(dx)) is None:
+            t = tau_pow(k)
+            bb = t.b * pb  # tau**2 = 1 - tau, as in ZTau.__mul__
+            if qa != t.a * pa + bb or qb != t.a * pb + t.b * pa - bb:
+                if _sign(qa, qb) <= 0:
+                    raise NotIncreasing(f"table is not strictly increasing at piece {i}")
+                if is_tau_power(QTau(ZTau(qa, qb)) / QTau(ZTau(pa, pb))) is None:
                     raise NotTauPower(f"slope of piece {i} is no power of tau")
-                raise SlopeMismatch(
-                    f"piece {i} does not have slope tau**{ks[i]}")
+                raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
         # merge colinear neighbours: same exponent across a shared breakpoint
         keep = [0]
         for i in range(1, len(xs) - 1):
@@ -175,22 +180,7 @@ class PLMap:
             raise DomainMismatch(
                 f"range [{self.ys[0]}, {self.ys[-1]}] does not match "
                 f"domain [{other.xs[0]}, {other.xs[-1]}]")
-        fx, fy, fk = self.xs, self.ys, self.ks
-        gx, gy, gk = other.xs, other.ys, other.ks
-        xs, ys, ks = [fx[0]], [gy[0]], []
-        i = j = 0
-        while i < len(fk):
-            ks.append(fk[i] + gk[j])
-            # the nearer of self's next image and other's next breakpoint
-            # ends the piece; a tie (c == 0) ends both
-            c = (fy[i + 1] - gx[j + 1]).sign()
-            if c <= 0:
-                i += 1
-            if c >= 0:
-                j += 1
-            xs.append(fx[i] if c <= 0 else fx[i] + tau_pow(-fk[i]) * (gx[j] - fy[i]))
-            ys.append(gy[j] if c >= 0 else gy[j] + tau_pow(gk[j]) * (fy[i] - gx[j]))
-        return PLMap(xs, ys, ks)
+        return _compose(self.xs, self.ys, self.ks, other.xs, other.ys, other.ks)
 
     def inverse(self) -> PLMap:
         return PLMap(self.ys, self.xs, [-k for k in self.ks])
@@ -285,6 +275,24 @@ class IntervalSet:
         cmp = 1 if strict else 0
         return all((a - lo).sign() >= cmp and (hi - b).sign() >= cmp
                    for a, b in self.intervals)
+
+
+def _compose(fx, fy, fk, gx, gy, gk) -> PLMap:
+    """x -> g(f(x)) from raw tables in one sweep; f's image is g's domain."""
+    xs, ys, ks = [fx[0]], [gy[0]], []
+    i = j = 0
+    while i < len(fk):
+        ks.append(fk[i] + gk[j])
+        # the nearer of f's next image and g's next breakpoint ends the
+        # piece; a tie (c == 0) ends both
+        c = (fy[i + 1] - gx[j + 1]).sign()
+        if c <= 0:
+            i += 1
+        if c >= 0:
+            j += 1
+        xs.append(fx[i] if c <= 0 else fx[i] + tau_pow(-fk[i]) * (gx[j] - fy[i]))
+        ys.append(gy[j] if c >= 0 else gy[j] + tau_pow(gk[j]) * (fy[i] - gx[j]))
+    return PLMap(xs, ys, ks)
 
 
 def _coerce_ring(v) -> ZTau:

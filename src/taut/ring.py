@@ -25,6 +25,21 @@ def _isign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
+def _sign(a: int, b: int) -> int:
+    """Sign of a + b*tau, on the integer coefficients alone."""
+    # 2*(a + b*tau) = (2a - b) + b*sqrt(5); compare by squaring
+    u = 2 * a - b
+    if b == 0:
+        return _isign(u)
+    if u == 0:
+        return _isign(b)
+    if (u > 0) == (b > 0):
+        return _isign(u)
+    if u > 0:
+        return 1 if u * u > 5 * b * b else -1
+    return -1 if u * u > 5 * b * b else 1
+
+
 @total_ordering
 class ZTau:
     """The real number a + b*tau with arbitrary-precision integers a, b."""
@@ -104,18 +119,7 @@ class ZTau:
         return self.a * self.a - self.a * self.b - self.b * self.b
 
     def sign(self) -> int:
-        # 2*(a + b*tau) = (2a - b) + b*sqrt(5); compare by squaring
-        u = 2 * self.a - self.b
-        v = self.b
-        if v == 0:
-            return _isign(u)
-        if u == 0:
-            return _isign(v)
-        if (u > 0) == (v > 0):
-            return _isign(u)
-        if u > 0:
-            return 1 if u * u > 5 * v * v else -1
-        return -1 if u * u > 5 * v * v else 1
+        return _sign(self.a, self.b)
 
     def floor(self) -> int:
         v = self.b
