@@ -87,6 +87,8 @@ class LiftMap:
         return self.table.ys[0].floor()
 
     def translate(self, j: int) -> LiftMap:
+        if not j:
+            return self  # frozen, so sharing it is safe
         t = self.table
         return LiftMap(PLMap(t.xs, [y + j for y in t.ys], t.ks))
 

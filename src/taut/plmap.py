@@ -3,8 +3,11 @@
 A PLMap is an increasing PL bijection between two intervals with Z[tau]
 endpoints, stored as breakpoints xs, their images ys and per-piece slope
 exponents ks (piece i has slope tau**ks[i]).  Construction always checks
-the slope identities exactly and merges colinear pieces, so equality of
-normalized tables is equality of maps.
+the slope identities exactly, on the integer coefficients of each piece's
+run and rise, and merges colinear pieces, so equality of normalized tables
+is equality of maps.  A product is one sweep over both tables; lift and
+circle products sweep the other factor's periodic extension as raw
+sequences (circle._unrolled), so each product builds only its own table.
 """
 
 from __future__ import annotations
@@ -189,11 +192,17 @@ class PLMap:
         if (lo - self.xs[0]).sign() < 0 or (hi - self.xs[-1]).sign() > 0 \
                 or (hi - lo).sign() <= 0:
             raise OutOfDomain(f"[{lo}, {hi}] is not inside the domain")
-        xs = [lo] + [x for x in self.xs if (x - lo).sign() > 0
-                     and (hi - x).sign() > 0] + [hi]
-        ys = [self.eval(x) for x in xs]
-        ks = [self.ks[_piece_index(self.xs, xs[i])] for i in range(len(xs) - 1)]
-        return PLMap(xs, ys, ks)
+        fx, fy, fk = self.xs, self.ys, self.ks
+        i = 0  # lo lies on piece i and hi on piece j, found in one walk
+        while (fx[i + 1] - lo).sign() <= 0:
+            i += 1
+        j = i
+        while (fx[j + 1] - hi).sign() < 0:
+            j += 1
+        return PLMap((lo,) + fx[i + 1:j + 1] + (hi,),
+                     (fy[i] + tau_pow(fk[i]) * (lo - fx[i]),) + fy[i + 1:j + 1]
+                     + (fy[j] + tau_pow(fk[j]) * (hi - fx[j]),),
+                     fk[i:j + 1])
 
     # -- dynamics -----------------------------------------------------
 

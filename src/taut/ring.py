@@ -154,17 +154,33 @@ TAU = ZTau(0, 1)
 INV_TAU = ZTau(1, 1)
 
 
-@lru_cache(maxsize=None)
+# Real tables use few, small exponents; the bound keeps the memory of
+# hostile ones (up to PLMap.from_raw's height bound) finite.
+TAU_POW_CACHE = 1024
+
+
+@lru_cache(maxsize=TAU_POW_CACHE)
 def tau_pow(k: int) -> ZTau:
-    """Exact tau**k for any integer k (negative powers via 1/tau = 1 + tau)."""
-    a, b = 1, 0
-    if k >= 0:
-        for _ in range(k):
-            a, b = b, a - b
-    else:
-        for _ in range(-k):
-            a, b = a + b, a
-    return ZTau(a, b)
+    """Exact tau**k for any integer k, in O(log |k|) steps.
+
+    With Fibonacci numbers F: tau**k = (-1)**k * (F(k-1) - F(k)*tau) for
+    k >= 0, and tau**-k = (1 + tau)**k = F(k+1) + F(k)*tau.
+    """
+    f, g = _fib_pair(abs(k))
+    if k < 0:
+        return ZTau(g, f)
+    s = -1 if k & 1 else 1
+    return ZTau(s * (g - f), -s * f)
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) for n >= 0, by fast doubling over the bits of n."""
+    f, g = 0, 1
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f, g
 
 
 @total_ordering

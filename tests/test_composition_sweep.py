@@ -16,7 +16,7 @@ from taut.circle import CircleMap, _unroll
 from taut.construct import random_element
 from taut.lift import LiftMap
 from taut.plmap import PLMap, _piece_index
-from taut.ring import ONE, ZERO, ZTau, tau_pow
+from taut.ring import ONE, TAU, ZERO, ZTau, tau_pow
 
 
 def reference_mul(f: PLMap, g: PLMap) -> PLMap:
@@ -143,3 +143,32 @@ def test_windows_on_breakpoints_and_base_zero():
     ref = reference_lift_inverse(f.table)
     assert lift(f).inverse() == LiftMap(ref)
     assert f.inverse() == CircleMap(ref)
+
+
+def test_each_product_builds_one_table(monkeypatch):
+    g = random_element(7, 5, "T_tau")
+    h = random_element(11, 4, "Lift").translate(-2)
+    on_breakpoint = g.table.xs[2]  # self's table(0) on other's breakpoint
+    pairs = [
+        (lift(g).translate(3), h),
+        (LiftMap.translation(on_breakpoint + 2), lift(g)),
+        (LiftMap.translation(on_breakpoint - 1), h),
+        (h, h.inverse()),
+        (g, g.inverse()),
+        (CircleMap.rotation(on_breakpoint), g),
+        (CircleMap.rotation(TAU), CircleMap.rotation(TAU)),  # image from 2*tau > 1
+        (g, CircleMap.rotation(ONE - tau_pow(4))),
+    ]
+    expected = [a * b for a, b in pairs]
+    built = []
+    init = PLMap.__init__
+
+    def counting_init(self, xs, ys, ks):
+        built.append(xs)
+        init(self, xs, ys, ks)
+
+    monkeypatch.setattr(PLMap, "__init__", counting_init)
+    for (a, b), want in zip(pairs, expected):
+        built.clear()
+        assert a * b == want
+        assert len(built) == 1, (a, b)

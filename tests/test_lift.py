@@ -316,3 +316,12 @@ def test_rot_moves_by_n_under_integer_translation(s1, size, s2, n, x):
     y = f.eval(x)
     assert isinstance(y, ZTau) and y == f.eval(QTau(x))
     assert (f * g).eval(x) == g.eval(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=-3, max_value=3))
+def test_json_round_trip_and_translate_zero(seed, size, n):
+    f = random_element(seed, size, "Lift").translate(n)
+    assert LiftMap.from_json(f.to_json()) == f
+    assert f.translate(0) is f

@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import zt
 from taut.construct import match_intervals, random_element
 from taut.errors import (
     DomainMismatch,
+    NotInRing,
     NotIncreasing,
     NotTauPower,
     OutOfDomain,
+    SchemaError,
     SlopeMismatch,
+    ValidationError,
 )
 from taut.plmap import (
     ABOVE,
@@ -24,7 +29,7 @@ from taut.plmap import (
     is_supported_in,
     power,
 )
-from taut.ring import ONE, QTau, TAU, ZERO, ZTau, tau_pow
+from taut.ring import ONE, QTau, TAU, ZERO, ZTau, is_tau_power, tau_pow
 
 T2 = tau_pow(2)
 T3 = tau_pow(3)
@@ -174,3 +179,76 @@ def test_restrict_and_concat():
     left = CONNECT.restrict(ZERO, TAU)
     right = CONNECT.restrict(TAU, ONE)
     assert concat([left, right]) == CONNECT
+
+
+# -- the integer slope check against the ZTau-object check it replaced ----
+
+def reference_table(xs, ys, ks) -> tuple:
+    """PLMap.__init__ as it was, with dx, dy and tau**k * dx as ring
+    elements and both signs taken up front; kept here only as an oracle.
+    Returns the normalized table."""
+    xs, ys, ks = tuple(xs), tuple(ys), tuple(ks)
+    if len(xs) < 2 or len(xs) != len(ys) or len(ks) != len(xs) - 1:
+        raise SchemaError("breakpoint table has inconsistent lengths")
+    for v in xs + ys:
+        if not isinstance(v, ZTau):
+            raise NotInRing(f"breakpoint {v!r} is not in Z[tau]")
+    for i in range(len(ks)):
+        dx = xs[i + 1] - xs[i]
+        dy = ys[i + 1] - ys[i]
+        if dx.sign() <= 0 or dy.sign() <= 0:
+            raise NotIncreasing(f"table is not strictly increasing at piece {i}")
+        if dy != tau_pow(ks[i]) * dx:
+            if is_tau_power(QTau(dy) / QTau(dx)) is None:
+                raise NotTauPower(f"slope of piece {i} is no power of tau")
+            raise SlopeMismatch(f"piece {i} does not have slope tau**{ks[i]}")
+    keep = [0] + [i for i in range(1, len(xs) - 1) if ks[i - 1] != ks[i]] \
+        + [len(xs) - 1]
+    return (tuple(xs[i] for i in keep), tuple(ys[i] for i in keep),
+            tuple(ks[i] for i in keep[:-1]))
+
+
+def outcome(build, xs, ys, ks):
+    """The table built, or the class and message of the rejection."""
+    try:
+        out = build(xs, ys, ks)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return out if isinstance(out, tuple) else (out.xs, out.ys, out.ks)
+
+
+def mutate(table: PLMap, kind: str, i: int, delta: int):
+    xs, ys, ks = list(table.xs), list(table.ys), list(table.ks)
+    pts = xs if i % 2 else ys
+    j = i % len(pts)
+    z = pts[j]
+    if kind == "coefficient a":
+        pts[j] = ZTau(z.a + delta, z.b)
+    elif kind == "coefficient b":
+        pts[j] = ZTau(z.a, z.b + delta)
+    elif kind == "exponent":
+        ks[i % len(ks)] += delta
+    elif kind == "swap":
+        j = i % (len(pts) - 1)
+        pts[j], pts[j + 1] = pts[j + 1], pts[j]
+    else:  # a zero-length piece: a breakpoint and its image repeated
+        j = i % len(ks)
+        xs.insert(j, xs[j])
+        ys.insert(j, ys[j])
+        ks.insert(j, ks[j] + delta)
+    return xs, ys, ks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6),
+       st.sampled_from(["lift", "inverse", "square"]),
+       st.sampled_from(["coefficient a", "coefficient b", "exponent", "swap",
+                        "zero-length piece"]),
+       st.integers(min_value=0, max_value=50), st.sampled_from([-1, 1]))
+def test_integer_slope_check_matches_the_ring_check(seed, size, which, kind, i, delta):
+    f = random_element(seed, size, "Lift")
+    g = {"lift": f, "inverse": f.inverse(), "square": f * f}[which]
+    xs, ys, ks = mutate(g.table, kind, i, delta)
+    assert outcome(PLMap, xs, ys, ks) == outcome(reference_table, xs, ys, ks)
+    t = g.table
+    assert outcome(PLMap, t.xs, t.ys, t.ks) == outcome(reference_table, t.xs, t.ys, t.ks)

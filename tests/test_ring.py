@@ -11,6 +11,7 @@ from taut.ring import (
     QTau,
     TAU,
     ZERO,
+    ZTau,
     is_tau_power,
     parse_qtau,
     parse_ztau,
@@ -84,6 +85,26 @@ def test_tau_pow_is_a_homomorphism():
         m = rng.randrange(-60, 60)
         n = rng.randrange(-60, 60)
         assert tau_pow(m + n) == tau_pow(m) * tau_pow(n)
+
+
+def iterated_tau_pow(k: int) -> ZTau:
+    """tau**k by |k| multiplications with tau or 1/tau = 1 + tau."""
+    a, b = 1, 0
+    for _ in range(abs(k)):
+        a, b = (b, a - b) if k > 0 else (a + b, a)
+    return ZTau(a, b)
+
+
+def test_tau_pow_matches_the_iterated_powers():
+    for k in range(-300, 301):
+        assert tau_pow(k) == iterated_tau_pow(k)
+    # the largest exponent PLMap.from_raw admits for a piece whose run and
+    # rise have 4,000-digit coefficients: |k| <= 3 * bits(h) // 2 + 1
+    c = 10 ** 4000 - 1
+    h = (3 * c) * (3 * c)  # heights |a| + 2|b| of run and rise c + c*tau
+    k = 3 * h.bit_length() // 2 + 1
+    for e in (k, -k):
+        assert tau_pow(e) == iterated_tau_pow(e)
 
 
 def test_norm():
