@@ -136,7 +136,7 @@ class CircleMap:
         if not isinstance(other, CircleMap):
             return NotImplemented
         t, (gx, gy, gk) = self.table, _unrolled(other.table, self.v)
-        j = gy[0].floor()  # moved into [0, 1) here, __init__ builds no 2nd table
+        j = gy[0].floor()  # the product starts at gy[0]: move it into [0, 1) now
         gy = [y - j for y in gy] if j else gy
         return CircleMap(_compose(t.xs, t.ys, t.ks, gx, gy, gk))
 
