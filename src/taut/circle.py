@@ -30,10 +30,8 @@ class CircleMap:
 
     def __init__(self, table: PLMap) -> None:
         _check_lift_table(table)
-        j = table.ys[0].floor()
-        if j:
-            table = PLMap(table.xs, [y - j for y in table.ys], table.ks)
-        self.table = table
+        ys = _into_period(table.ys)
+        self.table = table if ys is table.ys else PLMap(table.xs, ys, table.ks)
 
     # -- constructors ---------------------------------------------------
 
@@ -136,9 +134,8 @@ class CircleMap:
         if not isinstance(other, CircleMap):
             return NotImplemented
         t, (gx, gy, gk) = self.table, _unrolled(other.table, self.v)
-        j = gy[0].floor()  # the product starts at gy[0]: move it into [0, 1) now
-        gy = [y - j for y in gy] if j else gy
-        return CircleMap(_compose(t.xs, t.ys, t.ks, gx, gy, gk))
+        # the product's images start at gy[0], so shifting gy shifts them
+        return CircleMap(_compose(t.xs, t.ys, t.ks, gx, _into_period(gy), gk))
 
     def inverse(self) -> CircleMap:
         return CircleMap(_unroll(self.table.inverse(), ZERO))
@@ -182,6 +179,12 @@ def _check_lift_table(table: PLMap) -> None:
         raise ValidationError("lift table must live on [0, 1]")
     if table.ys[-1] - table.ys[0] != ONE:
         raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
+
+
+def _into_period(ys):
+    """ys moved by the integer that puts ys[0] into [0, 1); ys itself if 0."""
+    j = ys[0].floor()
+    return [y - j for y in ys] if j else ys
 
 
 def _eval_lift(table: PLMap, x: ZTau | QTau) -> ZTau | QTau:

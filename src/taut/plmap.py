@@ -24,7 +24,8 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import ONE, QTau, ZERO, ZTau, _as_qtau, _sign, is_tau_power, json_int, tau_pow
+from .ring import (ONE, QTau, ZERO, ZTau, _as_qtau, _is_tau_multiple, _sign,
+                   is_tau_power, json_int, tau_pow)
 
 
 def _piece_index(xs, x) -> int:
@@ -52,15 +53,14 @@ class PLMap:
             if not isinstance(v, ZTau):
                 raise NotInRing(f"breakpoint {v!r} is not in Z[tau]")
         for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
-            # dx = pa + pb*tau and dy = qa + qb*tau; dy = tau**k * dx > 0
-            # follows from dx > 0, so dy's sign matters only on rejection
+            # dx = pa + pb*tau, dy = qa + qb*tau; dx > 0 and dy = tau**k * dx
+            # give dy > 0, so dy's sign matters only on rejection.  dy == 0 is
+            # rejected before tau_pow(k): from_raw bounds k only if dy != 0.
             pa, pb = x1.a - x0.a, x1.b - x0.b
             qa, qb = y1.a - y0.a, y1.b - y0.b
             if _sign(pa, pb) <= 0:
                 raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-            t = tau_pow(k)
-            bb = t.b * pb  # tau**2 = 1 - tau, as in ZTau.__mul__
-            if qa != t.a * pa + bb or qb != t.a * pb + t.b * pa - bb:
+            if not ((qa or qb) and _is_tau_multiple(qa, qb, k, pa, pb)):
                 if _sign(qa, qb) <= 0:
                     raise NotIncreasing(f"table is not strictly increasing at piece {i}")
                 if is_tau_power(QTau(ZTau(qa, qb)) / QTau(ZTau(pa, pb))) is None:
@@ -105,7 +105,7 @@ class PLMap:
         # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
         # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
         # tau**k = dy/dx has phi**|k| <= H(dx)*H(dy).  A larger exponent
-        # cannot match, and is rejected before tau_pow spends |k| steps on it.
+        # cannot match, and is rejected before tau_pow builds a huge power.
         for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
             h = _height(x1 - x0) * _height(y1 - y0)
             if h and abs(k) > 3 * h.bit_length() // 2 + 1:

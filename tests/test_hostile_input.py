@@ -4,6 +4,7 @@ import json
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,16 @@ def test_huge_slope_exponent_is_rejected_at_once(capsys):
     err = assert_one_line_error(capsys, "eval", f"map {{{table}}}")
     assert time.perf_counter() - start < 0.1
     assert "SlopeMismatch" in err
+
+
+@pytest.mark.parametrize("k", ["1000000000", "9" * 4000])
+def test_zero_rise_with_huge_slope_exponent_is_rejected_at_once(capsys, k):
+    table = ('"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"a": "0"}, {"a": "0"}],'
+             f' "ks": [{k}]')
+    start = time.perf_counter()
+    err = assert_one_line_error(capsys, "eval", f"map {{{table}}}")
+    assert time.perf_counter() - start < 0.1
+    assert "NotIncreasing" in err and "piece 0" in err
 
 
 def test_certificate_that_is_not_an_object_is_rejected(tmp_path, capsys):

@@ -231,6 +231,10 @@ def mutate(table: PLMap, kind: str, i: int, delta: int):
     elif kind == "swap":
         j = i % (len(pts) - 1)
         pts[j], pts[j + 1] = pts[j + 1], pts[j]
+    elif kind == "zero rise":  # with an exponent too large to power out
+        j = i % len(ks)
+        ys[j + 1] = ys[j]
+        ks[j] = delta * 10**9
     else:  # a zero-length piece: a breakpoint and its image repeated
         j = i % len(ks)
         xs.insert(j, xs[j])
@@ -243,7 +247,7 @@ def mutate(table: PLMap, kind: str, i: int, delta: int):
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6),
        st.sampled_from(["lift", "inverse", "square"]),
        st.sampled_from(["coefficient a", "coefficient b", "exponent", "swap",
-                        "zero-length piece"]),
+                        "zero rise", "zero-length piece"]),
        st.integers(min_value=0, max_value=50), st.sampled_from([-1, 1]))
 def test_integer_slope_check_matches_the_ring_check(seed, size, which, kind, i, delta):
     f = random_element(seed, size, "Lift")
