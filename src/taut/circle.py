@@ -133,12 +133,14 @@ class CircleMap:
     def __mul__(self, other: CircleMap) -> CircleMap:
         if not isinstance(other, CircleMap):
             return NotImplemented
-        t, (gx, gy, gk) = self.table, _unrolled(other.table, self.v)
+        t, o = self.table, other.table
+        gx, gy, gk = _unrolled(o.xs, o.ys, o.ks, self.v)
         # the product's images start at gy[0], so shifting gy shifts them
         return CircleMap(_compose(t.xs, t.ys, t.ks, gx, _into_period(gy), gk))
 
     def inverse(self) -> CircleMap:
-        return CircleMap(_unroll(self.table.inverse(), ZERO))
+        xs, ys, ks = _inverse_unrolled(self.table)
+        return CircleMap(PLMap(xs, _into_period(ys), ks))
 
     # -- fixed sets ---------------------------------------------------------
 
@@ -196,21 +198,17 @@ def _eval_lift(table: PLMap, x: ZTau | QTau) -> ZTau | QTau:
     return table.eval(x - n) + n
 
 
-def _unroll(pl: PLMap, a: ZTau) -> PLMap:
-    """Table of the periodic extension of a one-period lift on [a, a + 1].
+def _unrolled(xs, ys, ks, a: ZTau) -> tuple[list, list, tuple]:
+    """Raw table of the periodic extension of a one-period lift on [a, a + 1].
 
-    pl must satisfy pl(x + 1) = pl(x) + 1 across its period, i.e. domain
-    and image both have length one.  With n the integer that puts r = a - n
-    in pl's domain, the table is pl cut at r with its part left of r moved
-    on by one period, the whole moved by n.  Lift and circle products
-    sweep the raw sequences of _unrolled directly and build no table here.
+    The table f = (xs, ys, ks), given as tuples, must satisfy
+    f(x + 1) = f(x) + 1 across its period, i.e. domain and image both
+    have length one.  With n the integer that puts r = a - n in f's
+    domain, the result is f cut at r with its part left of r moved on by
+    one period, the whole moved by n; colinear neighbours are left
+    unmerged.  Lift and circle products and inverses sweep these
+    sequences directly, so that each builds only its own table.
     """
-    return PLMap(*_unrolled(pl, a))
-
-
-def _unrolled(pl: PLMap, a: ZTau) -> tuple[list, list, tuple]:
-    """The raw (xs, ys, ks) of _unroll(pl, a), colinear neighbours unmerged."""
-    xs, ys, ks = pl.xs, pl.ys, pl.ks
     n = (a - xs[0]).floor()
     r = a - n
     j = _piece_index(xs, r)
@@ -220,9 +218,15 @@ def _unrolled(pl: PLMap, a: ZTau) -> tuple[list, list, tuple]:
         ys = ys[:j + 1] + (ys[j] + tau_pow(ks[j]) * (r - xs[j]),) + ys[j + 1:]
         ks = ks[:j + 1] + ks[j:]
         j += 1
-    return ([x + n for x in xs[j:]] + [x + n + 1 for x in xs[1:j + 1]],
-            [y + n for y in ys[j:]] + [y + n + 1 for y in ys[1:j + 1]],
+    m = n + 1
+    return ([x + n for x in xs[j:]] + [x + m for x in xs[1:j + 1]],
+            [y + n for y in ys[j:]] + [y + m for y in ys[1:j + 1]],
             ks[j:] + ks[:j])
+
+
+def _inverse_unrolled(table: PLMap) -> tuple[list, list, tuple]:
+    """Raw table on [0, 1] of the inverse of the lift with this table."""
+    return _unrolled(table.ys, table.xs, tuple([-k for k in table.ks]), ZERO)
 
 
 # -- tau-subdivision trees -------------------------------------------------

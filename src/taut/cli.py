@@ -225,8 +225,12 @@ def _dispatch(args) -> int:
 
 def _run_check(args) -> int:
     if os.path.exists(args.target):
-        with open(args.target, "r", encoding="utf-8") as fh:
-            msg = expr.check_payload(fh.read(), _budget_kwargs(args))
+        try:
+            with open(args.target, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:  # a directory, or a file this user cannot read
+            raise TautError(f"cannot read {args.target}: {exc.strerror}") from None
+        msg = expr.check_payload(text, _budget_kwargs(args))
     else:
         msg = expr.check_expression(args.target)
     print(expr.canonical_json(msg) if args.as_json

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circle import CircleMap, SubdivisionTree, _unroll
+from .circle import CircleMap, SubdivisionTree, _unrolled
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -29,7 +29,8 @@ from .lift import (
     defect_delta,
     rot_result_from_json,
 )
-from .plmap import PLMap, concat, conjugate, commutator, is_ftau, is_ftau_compact
+from .plmap import (PLMap, _restricted, concat, conjugate, commutator, is_ftau,
+                    is_ftau_compact)
 from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_bool, json_int, tau_pow
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
@@ -448,15 +449,13 @@ def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
     fixing its endpoints; the arc and its image must avoid the center."""
     span = _reduce(hi - lo)
     a = _reduce(lo)
-    w = _unroll(u.table, a).restrict(a, a + span)
-    m = w.ys[0] - a
+    t = u.table
+    xs, ys, ks = _restricted(*_unrolled(t.xs, t.ys, t.ks, a), a, a + span)
+    m = ys[0] - a
     if m.b != 0:
         raise CertificateError("arc endpoint is not fixed")
-    c0 = _chart(center, lo)
-    shift = c0 - a
-    xs = [x + shift for x in w.xs]
-    ys = [y - m.a + shift for y in w.ys]
-    return PLMap(xs, ys, w.ks)
+    shift = _chart(center, lo) - a
+    return PLMap([x + shift for x in xs], [y - m.a + shift for y in ys], ks)
 
 
 def factor_local(g: CircleMap,

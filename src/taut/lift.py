@@ -14,6 +14,10 @@ the lifts whose table is x -> x + n.  Rotation numbers are certified:
 * otherwise the answer degrades to the sound enclosure [p/N, (p+1)/N]
   with p = floor(F^N(0)), from the one exact orbit point F^N(0): its
   width is exactly 1/N, and N is always the iteration count asked for.
+  0 walks to F^N(0) through the powers F^q the descent already holds,
+  largest q first (Ostrowski's numeration by the convergents'
+  denominators), squaring the largest only while its pieces are fewer
+  than the steps a square saves; rot_enclosure starts from F alone.
 
 scl is |rot|/2: the commutator subgroup of the lifted group has index
 two and carries scl = |rot|/2 by Bavard duality (the rotation number
@@ -33,7 +37,7 @@ from .circle import (
     CircleMap,
     _check_lift_table,
     _eval_lift,
-    _unroll,
+    _inverse_unrolled,
     _unrolled,
 )
 from .errors import CertificateError, PowerBudgetExceeded, SchemaError
@@ -107,11 +111,12 @@ class LiftMap:
     def __mul__(self, other: LiftMap) -> LiftMap:
         if not isinstance(other, LiftMap):
             return NotImplemented
-        t = self.table
-        return LiftMap(_compose(t.xs, t.ys, t.ks, *_unrolled(other.table, t.ys[0])))
+        t, o = self.table, other.table
+        return LiftMap(_compose(t.xs, t.ys, t.ks,
+                                *_unrolled(o.xs, o.ys, o.ks, t.ys[0])))
 
     def inverse(self) -> LiftMap:
-        return LiftMap(_unroll(self.table.inverse(), ZERO))
+        return LiftMap(PLMap(*_inverse_unrolled(self.table)))
 
     def power(self, k: int, piece_cap: int = DEFAULT_PIECE_CAP) -> LiftMap:
         return power(self, k, piece_cap)
@@ -274,13 +279,19 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         if verdict.verdict == BELOW:
             window = m - 1
             break
-    # Stern-Brocot descent inside (window, window + 1)
-    p_lo, q_lo, f_lo = window, 1, f
-    p_hi, q_hi, f_hi = window + 1, 1, f
+    # Stern-Brocot descent inside (window, window + 1).  powers[q] is F**q
+    # for the fractions the orbit below can use: a table that the next
+    # step displaces again on the same side is an intermediate fraction
+    # of that run, and is dropped, so what stays are the convergents and
+    # the last bracket (Ostrowski's numeration uses just these).
+    p_lo, q_lo = window, 1
+    p_hi, q_hi = window + 1, 1
+    powers = {1: f}
+    side = None
     if max_den >= 2:
         while q_lo + q_hi <= max_den:
             try:
-                f_med = _capped_mul(f_lo, f_hi, piece_cap)
+                f_med = _capped_mul(powers[q_lo], powers[q_hi], piece_cap)
             except PowerBudgetExceeded:
                 break
             p_med = p_lo + p_hi
@@ -288,11 +299,15 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
             verdict = _classify(f_med, p_med)
             if verdict.has_fixed_point():
                 return RotRational(Fraction(p_med, q_med), verdict.witness())
-            if verdict.verdict == ABOVE:
-                p_lo, q_lo, f_lo = p_med, q_med, f_med
+            if verdict.verdict == side:
+                del powers[q_lo if side == ABOVE else q_hi]
+            side = verdict.verdict
+            powers[q_med] = f_med
+            if side == ABOVE:
+                p_lo, q_lo = p_med, q_med
             else:
-                p_hi, q_hi, f_hi = p_med, q_med, f_med
-    return rot_enclosure(f, max_iter, piece_cap=piece_cap)
+                p_hi, q_hi = p_med, q_med
+    return _orbit_enclosure(powers, max_iter, piece_cap)
 
 
 def rot_enclosure(f: LiftMap, iterations: int,
@@ -302,23 +317,35 @@ def rot_enclosure(f: LiftMap, iterations: int,
     G = F^N - p is increasing of degree one with 0 <= G(0) < 1, so
     p <= N rot(f) <= p + 1.  F^N(0) is reached through the commuting
     squares f, f**2, f**4, ..., built while the last has fewer pieces
-    than the steps the next would save, and within the piece cap.
+    than the steps the next would save, and within the piece cap: the
+    orbit walk of rot, started from f alone.
+    """
+    return _orbit_enclosure({1: f}, iterations, piece_cap)
+
+
+def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
+                     piece_cap: int) -> RotEnclosure:
+    """rot_enclosure from the tables powers[q] = F**q, with powers[1] = F.
+
+    The largest table F**q is squared while it has fewer pieces than
+    N // (2q), within the piece cap; then 0 walks N greedily, largest q
+    first, N // q steps of F**q and the remainder through the smaller q.
+    F^N(0) is one exact point, so every route to it gives the same p.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    squares, k = [f], 1
-    while squares[-1].num_pieces < iterations // (2 * k):
+    q = max(powers)
+    while powers[q].num_pieces < iterations // (2 * q):
         try:
-            squares.append(_capped_mul(squares[-1], squares[-1], piece_cap))
+            powers[2 * q] = _capped_mul(powers[q], powers[q], piece_cap)
         except PowerBudgetExceeded:
             break
-        k *= 2
-    x = ZERO
-    for _ in range(iterations // k):
-        x = squares[-1].eval(x)
-    for i, sq in enumerate(squares):
-        if (iterations % k) >> i & 1:
-            x = sq.eval(x)
+        q *= 2
+    x, rest = ZERO, iterations
+    for q in sorted(powers, reverse=True):
+        steps, rest = divmod(rest, q)
+        for _ in range(steps):
+            x = powers[q].eval(x)
     p = x.floor()
     return RotEnclosure(Fraction(p, iterations), Fraction(p + 1, iterations),
                         iterations)

@@ -24,8 +24,8 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import (ONE, QTau, ZERO, ZTau, _as_qtau, _is_tau_multiple, _sign,
-                   is_tau_power, json_int, tau_pow)
+from .ring import (ONE, QTau, ZERO, ZTau, _as_qtau, _cmp, _is_tau_multiple,
+                   _shifted_gap, _sign, is_tau_power, json_int, tau_pow)
 
 
 def _piece_index(xs, x) -> int:
@@ -189,20 +189,7 @@ class PLMap:
         return PLMap(self.ys, self.xs, [-k for k in self.ks])
 
     def restrict(self, lo: ZTau, hi: ZTau) -> PLMap:
-        if (lo - self.xs[0]).sign() < 0 or (hi - self.xs[-1]).sign() > 0 \
-                or (hi - lo).sign() <= 0:
-            raise OutOfDomain(f"[{lo}, {hi}] is not inside the domain")
-        fx, fy, fk = self.xs, self.ys, self.ks
-        i = 0  # lo lies on piece i and hi on piece j, found in one walk
-        while (fx[i + 1] - lo).sign() <= 0:
-            i += 1
-        j = i
-        while (fx[j + 1] - hi).sign() < 0:
-            j += 1
-        return PLMap((lo,) + fx[i + 1:j + 1] + (hi,),
-                     (fy[i] + tau_pow(fk[i]) * (lo - fx[i]),) + fy[i + 1:j + 1]
-                     + (fy[j] + tau_pow(fk[j]) * (hi - fx[j]),),
-                     fk[i:j + 1])
+        return PLMap(*_restricted(self.xs, self.ys, self.ks, lo, hi))
 
     # -- dynamics -----------------------------------------------------
 
@@ -227,7 +214,7 @@ class PLMap:
 
     def shift_roots(self, s: ZTau) -> Trichotomy:
         """Exact trichotomy for d(x) = self(x) - x - s on the domain."""
-        vals = [self.ys[i] - self.xs[i] - s for i in range(len(self.xs))]
+        vals = [_shifted_gap(x, y, s) for x, y in zip(self.xs, self.ys)]
         for i, k in enumerate(self.ks):
             if k == 0 and not vals[i]:
                 return Trichotomy(FLAT, flat=(self.xs[i], self.xs[i + 1]))
@@ -294,7 +281,7 @@ def _compose(fx, fy, fk, gx, gy, gk) -> PLMap:
         ks.append(fk[i] + gk[j])
         # the nearer of f's next image and g's next breakpoint ends the
         # piece; a tie (c == 0) ends both
-        c = (fy[i + 1] - gx[j + 1]).sign()
+        c = _cmp(fy[i + 1], gx[j + 1])
         if c <= 0:
             i += 1
         if c >= 0:
@@ -302,6 +289,22 @@ def _compose(fx, fy, fk, gx, gy, gk) -> PLMap:
         xs.append(fx[i] if c <= 0 else fx[i] + tau_pow(-fk[i]) * (gx[j] - fy[i]))
         ys.append(gy[j] if c >= 0 else gy[j] + tau_pow(gk[j]) * (fy[i] - gx[j]))
     return PLMap(xs, ys, ks)
+
+
+def _restricted(fx, fy, fk, lo: ZTau, hi: ZTau) -> tuple:
+    """The raw table of f restricted to [lo, hi], from f's raw table."""
+    if _cmp(lo, fx[0]) < 0 or _cmp(hi, fx[-1]) > 0 or _cmp(hi, lo) <= 0:
+        raise OutOfDomain(f"[{lo}, {hi}] is not inside the domain")
+    i = 0  # lo lies on piece i and hi on piece j, found in one walk
+    while _cmp(fx[i + 1], lo) <= 0:
+        i += 1
+    j = i
+    while _cmp(fx[j + 1], hi) < 0:
+        j += 1
+    return ([lo, *fx[i + 1:j + 1], hi],
+            [fy[i] + tau_pow(fk[i]) * (lo - fx[i]), *fy[i + 1:j + 1],
+             fy[j] + tau_pow(fk[j]) * (hi - fx[j])],
+            fk[i:j + 1])
 
 
 def _coerce_ring(v) -> ZTau:

@@ -40,6 +40,16 @@ def _sign(a: int, b: int) -> int:
     return -1 if u * u > 5 * b * b else 1
 
 
+def _cmp(x: ZTau, y: ZTau) -> int:
+    """Sign of x - y, taken on coefficients without building the difference."""
+    return _sign(x.a - y.a, x.b - y.b)
+
+
+def _shifted_gap(x: ZTau, y: ZTau, s: ZTau) -> ZTau:
+    """y - x - s, built as one ring element."""
+    return ZTau(y.a - x.a - s.a, y.b - x.b - s.b)
+
+
 def _is_tau_multiple(qa: int, qb: int, k: int, pa: int, pb: int) -> bool:
     """Whether qa + qb*tau = tau**k * (pa + pb*tau), using tau**2 = 1 - tau."""
     t = tau_pow(k)

@@ -12,10 +12,10 @@ maps, so the integer part that a circle product drops is compared too.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import CircleMap, _unroll
-from taut.construct import random_element
+from taut.circle import CircleMap, _unrolled
+from taut.construct import _chart_restriction_fixed_arc, random_element
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _piece_index
+from taut.plmap import PLMap, _piece_index, _restricted, concat
 from taut.ring import ONE, TAU, ZERO, ZTau, tau_pow
 
 
@@ -50,6 +50,10 @@ def reference_lift_product(a: PLMap, b: PLMap) -> PLMap:
 
 def reference_lift_inverse(a: PLMap) -> PLMap:
     return reference_window(a.inverse(), ZERO, ONE)
+
+
+def unroll(pl: PLMap, a: ZTau) -> PLMap:
+    return PLMap(*_unrolled(pl.xs, pl.ys, pl.ks, a))
 
 
 def lift(c: CircleMap) -> LiftMap:
@@ -118,13 +122,14 @@ def test_unroll_matches_the_reference_window(g, data):
     shift = data.draw(st.integers(min_value=-3, max_value=3))
     bp = data.draw(st.sampled_from(pl.xs))
     for a in (bp + shift, data.draw(ring_points), ZERO, pl.ys[0], ONE):
-        assert table(_unroll(pl, a)) == table(reference_window(pl, a, a + 1))
-        assert table(_unroll(pl.inverse(), a)) \
+        assert table(unroll(pl, a)) == table(reference_window(pl, a, a + 1))
+        assert table(unroll(pl.inverse(), a)) \
             == table(reference_window(pl.inverse(), a, a + 1))
     # the restriction the factor construction takes of an unrolled table
     a = bp + shift
     span = data.draw(st.sampled_from(pl.xs[1:]))
-    assert table(_unroll(pl, a).restrict(a, a + span)) \
+    unrolled = _unrolled(pl.xs, pl.ys, pl.ks, a)
+    assert table(PLMap(*_restricted(*unrolled, a, a + span))) \
         == table(reference_window(pl, a, a + span))
 
 
@@ -135,7 +140,7 @@ def test_windows_on_breakpoints_and_base_zero():
     for pl in (g.table, g.table.inverse(), f.table):
         for x in pl.xs:
             for a in (x, x - 1, x + 2):
-                assert table(_unroll(pl, a)) == table(reference_window(pl, a, a + 1))
+                assert table(unroll(pl, a)) == table(reference_window(pl, a, a + 1))
     for a, b in ((f, f), (f, f.inverse()), (f, g), (g, f), (g, g.inverse())):
         ref = reference_lift_product(a.table, b.table)
         assert lift(a) * lift(b) == LiftMap(ref)
@@ -159,7 +164,24 @@ def test_each_product_builds_one_table(monkeypatch):
         (CircleMap.rotation(TAU), CircleMap.rotation(TAU)),  # image from 2*tau > 1
         (g, CircleMap.rotation(ONE - tau_pow(4))),
     ]
+    # inverses: a lift, lifts whose table(0) is negative or on a breakpoint,
+    # and circle maps, whose inverse's images are moved into [0, 1)
+    inverses = [h, lift(g).translate(-3), LiftMap.translation(on_breakpoint),
+                g, CircleMap.rotation(on_breakpoint), CircleMap.rotation(ZERO),
+                CircleMap.from_interval_map(random_element(8, 4, "F_tau"))]
     expected = [a * b for a, b in pairs]
+    expected_inverses = [CircleMap(reference_lift_inverse(a.table))
+                         if isinstance(a, CircleMap)
+                         else LiftMap(reference_lift_inverse(a.table))
+                         for a in inverses]
+    # an F_tau element squeezed onto the arc [lo, hi] and the identity off it
+    lo, hi = tau_pow(3), TAU
+    f = random_element(8, 4, "F_tau")
+    bump = CircleMap.from_interval_map(concat([
+        PLMap.identity(ZERO, lo),
+        PLMap([lo + tau_pow(2) * x for x in f.xs],
+              [lo + tau_pow(2) * y for y in f.ys], f.ks),
+        PLMap.identity(hi, ONE)]))
     built = []
     init = PLMap.__init__
 
@@ -172,3 +194,11 @@ def test_each_product_builds_one_table(monkeypatch):
         built.clear()
         assert a * b == want
         assert len(built) == 1, (a, b)
+    for a, want in zip(inverses, expected_inverses):
+        built.clear()
+        assert a.inverse() == want
+        assert len(built) == 1, a
+    built.clear()
+    chart = _chart_restriction_fixed_arc(bump, lo, hi, ONE - tau_pow(3))
+    assert len(built) == 1
+    assert chart.ks == f.ks

@@ -1,6 +1,7 @@
 """Hostile input ends in a documented exit code, never in a traceback."""
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -361,3 +362,89 @@ def test_hostile_leaf_in_a_stored_answer_ends_in_an_exit_code(tmp_path_factory,
     target = tmp_path_factory.mktemp("fuzz") / "answer.json"
     target.write_text(json.dumps(payload).replace('"@"', raw))
     assert main(["check", str(target)]) in (0, 1, 2, 3)
+
+
+def test_check_of_an_unreadable_path_is_a_domain_error(tmp_path, capsys):
+    err = assert_one_line_error(capsys, "check", str(tmp_path))
+    assert "cannot read" in err and "Is a directory" in err
+
+
+# Expression text drawn from the grammar's alphabet, token by token.  The
+# whole payloads are small valid elements; the extreme sizes (nesting past
+# MAX_NESTING, a slope exponent of 10**9) are ones with a reject path, as
+# no example may build a huge element.  Integers stay small and at most
+# FUZZ_TOKENS tokens are joined, so no power exceeds 12**3.
+_TREEPAIR = ('treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
+             '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 1}')
+_MAP = ('map {"xs": [{"a": "0"}, {"a": "0", "b": "1"}, {"a": "1"}], '
+        '"ys": [{"a": "0"}, {"a": "1", "b": "-1"}, {"a": "1"}], "ks": [-1, 1]}')
+_HUGE_K = ('map {"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"a": "0"}, {"a": "1"}],'
+           ' "ks": [1000000000]}')
+FUZZ_TOKENS = 12
+_WORDS = ["let", "rot", "trans", "comm", "conj", "lift", "map", "treepair",
+          "t", "x", "y", "_"]
+_MARKS = list("()*@^,;=+-{}[]:\"") + [" ", "\n", "\t", "/", "."]
+_INTS = ["0", "1", "2", "3", "12", "-1", "+2", "007"]
+_WHOLE = [_TREEPAIR, _MAP, _HUGE_K, '"leaf"', '["s+", "leaf", "leaf"]',
+          '{"p": ', "(" * (MAX_NESTING + 20), "rot(t)", "lift(rot(2+3*t), -1)",
+          "1-t", "2*t", "3t", "comm(", "conj(lift("]
+FUZZ_TIME_S = 10.0
+
+
+@st.composite
+def expression_text(draw):
+    tokens = draw(st.lists(st.sampled_from(_WORDS + _MARKS + _INTS + _WHOLE),
+                           max_size=FUZZ_TOKENS))
+    out = ""
+    for tok in tokens:
+        # adjacent integers would read as one large integer
+        glue = " " if out[-1:].isdigit() and tok[:1] in "0123456789+-" else ""
+        out += glue + draw(st.sampled_from(["", " "])) + tok
+    return out
+
+
+def _grammar_expressions():
+    """Expressions the grammar derives, exponents kept small (3**depth)."""
+    ring = st.sampled_from(["t", "2+3*t", "-1+t", "0", "5-2t"])
+    ints = st.sampled_from(["-1", "0", "1", "2"])
+    atoms = st.one_of(ring.map("rot({})".format), ring.map("trans({})".format),
+                      st.sampled_from([_TREEPAIR, _MAP]))
+    return st.recursive(atoms, lambda e: st.one_of(
+        st.builds("({}) * ({})".format, e, e),
+        st.builds("{}@{}".format, e, e),
+        st.builds("({})^{}".format, e, st.sampled_from(["-1", "0", "2", "3"])),
+        st.builds("comm({}, {})".format, e, e),
+        st.builds("conj({}, {})".format, e, e),
+        st.builds("lift({}, {})".format, e, ints),
+        st.builds("let x = {}; x * {}".format, e, e)), max_leaves=6)
+
+
+@st.composite
+def edited_expression(draw):
+    """A derived expression, sometimes cut or with one token put in; no
+    digit is put in, since one next to an exponent would multiply it."""
+    text = draw(_grammar_expressions())
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    edit = draw(st.sampled_from(["none", "cut", "insert"]))
+    if edit == "cut":
+        return text[:at] + text[at + draw(st.integers(1, 8)):]
+    if edit == "insert":
+        return text[:at] + draw(st.sampled_from(_WORDS + _MARKS)) + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(expression_text(), edited_expression()))
+def test_random_expression_text_ends_in_an_exit_code(tmp_path_factory, text):
+    # in an empty directory, so that check reads the text as an expression
+    where = tmp_path_factory.mktemp("fuzz")
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        for command in ("eval", "rot", "scl", "check"):
+            start = time.perf_counter()
+            rc = main([command, text, "--json"])
+            assert rc in (0, 1, 2, 3), (command, text)
+            assert time.perf_counter() - start < FUZZ_TIME_S, (command, text)
+    finally:
+        os.chdir(cwd)

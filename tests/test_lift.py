@@ -5,9 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import zt
-from taut.circle import CircleMap, SubdivisionTree
+from taut import lift
+from taut.circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from taut.construct import random_element
+from taut.expr import evaluate_str
 from taut.lift import (
+    DEFAULT_MAX_ITER,
     LiftMap,
     RotEnclosure,
     RotRational,
@@ -18,7 +21,7 @@ from taut.lift import (
     scl,
     verify_rot,
 )
-from taut.plmap import conjugate, power
+from taut.plmap import PLMap, conjugate, power
 from taut.ring import ONE, QTau, TAU, ZERO, ZTau
 
 LEAF = SubdivisionTree.leaf()
@@ -195,6 +198,76 @@ def test_enclosure_keeps_its_iterations_at_a_tight_piece_cap():
     e = rot_enclosure(f, 300, piece_cap=1)
     assert e.iterations == 300
     assert e == rot_enclosure(f, 300)
+
+
+# a lift whose table is no rotation, conjugating the rotations below
+H = ('lift(treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
+     '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 1}, 0)')
+
+
+def test_rot_enclosures_match_the_squares_only_orbit():
+    """rot reaches F^N(0) through the tables its descent built; over the
+    random-lift family, its enclosures must be the squares-only
+    rot_enclosure's, also when a small piece cap stops the descent early."""
+    enclosures = capped = 0
+    for k in range(80):
+        f = random_element(k, 3 + k % 4, "Lift")
+        for max_den, max_iter in ((64, 64), (1000, 10000), (30, 777)):
+            for cap in (DEFAULT_PIECE_CAP, 2 * f.num_pieces + 1):
+                r = rot(f, max_den=max_den, max_iter=max_iter, piece_cap=cap)
+                if r.kind == "enclosure":
+                    assert r == rot_enclosure(f, max_iter), (k, max_den, max_iter, cap)
+                    enclosures += 1
+                    capped += cap < DEFAULT_PIECE_CAP
+    assert enclosures >= 10 and capped >= 10
+
+
+def test_rot_builds_no_table_after_its_descent(monkeypatch):
+    f = evaluate_str(f"conj(lift(rot(2+3*t), -1), {H})")
+    events = []
+    init, classify = PLMap.__init__, PLMap.shift_roots
+
+    def counting_init(self, xs, ys, ks):
+        events.append("table")
+        init(self, xs, ys, ks)
+
+    def counting_classify(self, s):
+        events.append("step")
+        return classify(self, s)
+
+    monkeypatch.setattr(PLMap, "__init__", counting_init)
+    monkeypatch.setattr(PLMap, "shift_roots", counting_classify)
+    r = rot(f)
+    monkeypatch.undo()
+    assert r.kind == "enclosure" and r.iterations == DEFAULT_MAX_ITER
+    assert events.count("step") > 10
+    # the descent builds one table per step and nothing follows its last step
+    assert events[-1] == "step"
+    assert r == rot_enclosure(f, DEFAULT_MAX_ITER)
+
+
+def test_rot_keeps_no_intermediate_fraction_table(monkeypatch):
+    """rot ~ 1/47: the descent takes one step per unit of that partial
+    quotient, but only the convergents' tables and the last bracket's
+    stay alive for the orbit walk."""
+    f = evaluate_str(f"conj(lift(rot(13-21*t), 0), {H})")  # tau**8
+    kept, steps = [], []
+    walk, classify = lift._orbit_enclosure, PLMap.shift_roots
+
+    def spy_walk(powers, iterations, piece_cap):
+        kept.extend(powers)
+        return walk(powers, iterations, piece_cap)
+
+    def counting_classify(self, s):
+        steps.append(s)
+        return classify(self, s)
+
+    monkeypatch.setattr(lift, "_orbit_enclosure", spy_walk)
+    monkeypatch.setattr(PLMap, "shift_roots", counting_classify)
+    r = rot(f)
+    monkeypatch.undo()
+    assert r.kind == "enclosure" and r == rot_enclosure(f, DEFAULT_MAX_ITER)
+    assert len(kept) < 8 and len(steps) > 40
 
 
 def test_enclosure_on_irrational_translation_like():
