@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circle import CircleMap, SubdivisionTree, _unrolled
+from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree, _unrolled
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -24,13 +24,15 @@ from .errors import (
 from .lift import (
     DEFAULT_MAX_DEN,
     DEFAULT_MAX_ITER,
+    DefectDelta,
     LiftMap,
     RotResult,
     defect_delta,
     rot_result_from_json,
+    verify_rot,
 )
 from .plmap import (PLMap, _restricted, concat, conjugate, commutator, is_ftau,
-                    is_ftau_compact)
+                    is_ftau_compact, power)
 from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_bool, json_int, tau_pow
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
@@ -645,9 +647,19 @@ class DefectWitness:
     n: int | None = None
 
     def verify(self, *, max_den: int = DEFAULT_MAX_DEN,
-               max_iter: int = DEFAULT_MAX_ITER) -> None:
-        d = defect_delta(self.g, self.h, max_den=max_den, max_iter=max_iter)
-        if not d.is_exact or d.exact != self.delta:
+               max_iter: int = DEFAULT_MAX_ITER,
+               piece_cap: int = DEFAULT_PIECE_CAP) -> None:
+        """Replay the stored rots of g, h and g*h through verify_rot, within
+        the budgets, and recompute delta from them."""
+        d = DefectDelta.of(self.rots)
+        if not d.is_exact:
+            raise CertificateError("a defect witness rot is an enclosure, not exact")
+        for name, f, r in zip(("g", "h", "g*h"), (self.g, self.h, self.g * self.h),
+                              self.rots):
+            if not verify_rot(f, r, max_den=max_den, max_iter=max_iter,
+                              piece_cap=piece_cap):
+                raise CertificateError(f"stored rot of {name} fails re-checking")
+        if d.exact != self.delta:
             raise CertificateError("recomputed defect delta disagrees")
 
     def to_json(self) -> dict:
@@ -663,6 +675,8 @@ class DefectWitness:
     @classmethod
     def from_json(cls, obj: dict) -> DefectWitness:
         try:
+            if not isinstance(obj["rots"], list) or len(obj["rots"]) != 3:
+                raise SchemaError("defect witness rots must be a list of three")
             return cls(
                 g=LiftMap.from_json(obj["g"]),
                 h=LiftMap.from_json(obj["h"]),
@@ -681,7 +695,7 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN,
     as n grows, so delta = |rot(g*h)| approaches the defect bound 1."""
     if n < 1:
         raise BadTuple("need n >= 1")
-    g = LiftMap(standard_push_map().table).power(-n)
+    g = power(LiftMap(standard_push_map().table), -n, DEFAULT_PIECE_CAP)
     rho = LiftMap(CircleMap.rotation(tau_pow(2)).table)
     h = conjugate(g, rho)
     d = defect_delta(g, h, max_den=max_den, max_iter=max_iter)

@@ -29,7 +29,6 @@ from itertools import accumulate
 from . import construct
 from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from .errors import (
-    BudgetExceeded,
     ExprSyntaxError,
     ExprTypeError,
     SchemaError,
@@ -37,8 +36,6 @@ from .errors import (
 )
 from .lift import (
     LiftMap,
-    RotEnclosure,
-    RotRational,
     SclResult,
     rot_result_from_json,
     scl_result_from_json,
@@ -329,7 +326,7 @@ def _check_certificate(cert, obj: dict, budgets: dict) -> dict:
 
 
 def _check_witness(wit, obj: dict, budgets: dict) -> dict:
-    wit.verify(max_den=budgets["max_den"], max_iter=budgets["max_iter"])
+    wit.verify(**budgets)
     return {"checked": obj["kind"], "ok": True}
 
 
@@ -350,20 +347,7 @@ def _check_result(res, obj: dict, budgets: dict) -> dict:
     if not isinstance(embedded, dict) or "element" not in embedded:
         raise SchemaError(f"{label} has no embedded element to re-check")
     f = LiftMap.from_json(embedded["element"])
-    rot_res = res.rot if is_scl else res
-    # a stored enclosure is recomputed with its own iteration count, and a
-    # stored rational with its own power q: the max_iter and max_den
-    # budgets bound that work before any power is built
-    if (isinstance(rot_res, RotEnclosure)
-            and rot_res.iterations > budgets["max_iter"]):
-        raise BudgetExceeded(
-            f"stored enclosure has {rot_res.iterations} iterations, more "
-            f"than the max_iter budget of {budgets['max_iter']}")
-    if isinstance(rot_res, RotRational) and rot_res.q > budgets["max_den"]:
-        raise BudgetExceeded(
-            f"stored rational rot has power {rot_res.q}, more than the "
-            f"max_den budget of {budgets['max_den']}")
-    if not verify_rot(f, rot_res, budgets["piece_cap"]):
+    if not verify_rot(f, res.rot if is_scl else res, **budgets):
         raise TautError(f"stored {label} fails re-checking")
     return {"checked": label, "ok": True}
 

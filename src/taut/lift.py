@@ -40,8 +40,8 @@ from .circle import (
     _inverse_unrolled,
     _unrolled,
 )
-from .errors import CertificateError, PowerBudgetExceeded, SchemaError
-from .plmap import ABOVE, BELOW, PLMap, _capped_mul, _compose, power
+from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
+from .plmap import PLMap, _capped_mul, _compose, power
 from .ring import (
     ONE,
     QTau,
@@ -117,9 +117,6 @@ class LiftMap:
 
     def inverse(self) -> LiftMap:
         return LiftMap(PLMap(*_inverse_unrolled(self.table)))
-
-    def power(self, k: int, piece_cap: int = DEFAULT_PIECE_CAP) -> LiftMap:
-        return power(self, k, piece_cap)
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
         """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""
@@ -258,8 +255,9 @@ def rot_result_from_json(obj: object) -> RotResult:
 
 # -- the rotation number ----------------------------------------------------
 
-def _classify(f_q: LiftMap, p: int):
-    """Trichotomy of rot against p/q, given the exact q-th power f_q."""
+def _classify(f_q: LiftMap, p: int) -> tuple[int, QTau | None]:
+    """rot against p/q, given the exact q-th power f_q: (0, root) when
+    rot = p/q, with a root of f_q(x) = x + p, else the sign of rot - p/q."""
     return f_q.table.shift_roots(ZTau(p))
 
 
@@ -273,10 +271,10 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
     n = f.n
     window = n + 1
     for m in (n, n + 1):
-        verdict = _classify(f, m)
-        if verdict.has_fixed_point():
-            return RotRational(Fraction(m), verdict.witness())
-        if verdict.verdict == BELOW:
+        sign, root = _classify(f, m)
+        if root is not None:
+            return RotRational(Fraction(m), root)
+        if sign < 0:
             window = m - 1
             break
     # Stern-Brocot descent inside (window, window + 1).  powers[q] is F**q
@@ -287,7 +285,7 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
     p_lo, q_lo = window, 1
     p_hi, q_hi = window + 1, 1
     powers = {1: f}
-    side = None
+    side = 0
     if max_den >= 2:
         while q_lo + q_hi <= max_den:
             try:
@@ -296,14 +294,14 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
                 break
             p_med = p_lo + p_hi
             q_med = q_lo + q_hi
-            verdict = _classify(f_med, p_med)
-            if verdict.has_fixed_point():
-                return RotRational(Fraction(p_med, q_med), verdict.witness())
-            if verdict.verdict == side:
-                del powers[q_lo if side == ABOVE else q_hi]
-            side = verdict.verdict
+            sign, root = _classify(f_med, p_med)
+            if root is not None:
+                return RotRational(Fraction(p_med, q_med), root)
+            if sign == side:
+                del powers[q_lo if side > 0 else q_hi]
+            side = sign
             powers[q_med] = f_med
-            if side == ABOVE:
+            if side > 0:
                 p_lo, q_lo = p_med, q_med
             else:
                 p_hi, q_hi = p_med, q_med
@@ -351,17 +349,28 @@ def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
                         iterations)
 
 
-def verify_rot(f: LiftMap, res: RotResult,
+def verify_rot(f: LiftMap, res: RotResult, *, max_den: int = DEFAULT_MAX_DEN,
+               max_iter: int = DEFAULT_MAX_ITER,
                piece_cap: int = DEFAULT_PIECE_CAP) -> bool:
-    """Re-check a rotation result against its element by pure evaluation."""
+    """Re-check a stored rot result against its element within rot's budgets:
+    the one re-check of a stored rot, a defect witness's included.  A
+    rational p/q needs a root of F**q(x) = x + p, an enclosure is recomputed
+    with its own iterations, and a q above max_den or iterations above
+    max_iter raise BudgetExceeded before any power is built."""
     if isinstance(res, RotTranslation):
         return f.is_translation() and f.translation_amount() == res.value
     if isinstance(res, RotRational):
-        fq = f.power(res.q, piece_cap)
+        if res.q > max_den:
+            raise BudgetExceeded(f"stored rational rot has power {res.q}, more "
+                                 f"than the max_den budget of {max_den}")
+        fq = power(f, res.q, piece_cap)
         if fq.eval(res.root) != res.root + res.p:
             return False
         # independent route: the shifted q-th power must exhibit a root
-        return _classify(fq, res.p).has_fixed_point()
+        return _classify(fq, res.p)[1] is not None
+    if res.iterations > max_iter:
+        raise BudgetExceeded(f"stored enclosure has {res.iterations} iterations, "
+                             f"more than the max_iter budget of {max_iter}")
     return rot_enclosure(f, res.iterations, piece_cap) == res
 
 
@@ -453,39 +462,25 @@ def _abs_interval(lo, hi):
 
 @dataclass(frozen=True)
 class DefectDelta:
-    """|rot(f) + rot(g) - rot(fg)|, exact when all three rots are exact."""
+    """|rot(f) + rot(g) - rot(fg)|; None unless all three rots are exact."""
 
     exact: QTau | None
-    lo: Fraction
-    hi: Fraction
     rots: tuple[RotResult, RotResult, RotResult]
 
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
 
-
-def _rot_interval(r: RotResult) -> tuple[QTau, QTau]:
-    """rot as an interval in Q(tau), a single point when it is exact."""
-    if r.kind == "enclosure":
-        return _as_qtau(r.lo), _as_qtau(r.hi)
-    v = _as_qtau(r.value)
-    return v, v
+    @classmethod
+    def of(cls, rots: tuple[RotResult, RotResult, RotResult]) -> DefectDelta:
+        if any(r.kind == "enclosure" for r in rots):
+            return cls(None, rots)
+        f, g, fg = (_as_qtau(r.value) for r in rots)
+        return cls(abs(f + g - fg), rots)
 
 
 def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
                  max_iter: int = DEFAULT_MAX_ITER,
                  piece_cap: int = DEFAULT_PIECE_CAP) -> DefectDelta:
     opts = {"max_den": max_den, "max_iter": max_iter, "piece_cap": piece_cap}
-    rots = (rot(f, **opts), rot(g, **opts), rot(f * g, **opts))
-    (flo, fhi), (glo, ghi), (fglo, fghi) = map(_rot_interval, rots)
-    lo, hi = _abs_interval(flo + glo - fghi, fhi + ghi - fglo)
-    exact = lo if all(r.kind != "enclosure" for r in rots) else None
-    return DefectDelta(exact, _to_fraction_bounds(lo)[0],
-                       _to_fraction_bounds(hi)[1], rots)
-
-
-def _to_fraction_bounds(x: QTau, scale: int = 1 << 32) -> tuple[Fraction, Fraction]:
-    lo = Fraction((x * scale).floor(), scale)
-    hi = Fraction((x * scale).ceil(), scale)
-    return lo, hi
+    return DefectDelta.of((rot(f, **opts), rot(g, **opts), rot(f * g, **opts)))

@@ -212,20 +212,21 @@ class PLMap:
             out.append((cur, self.xs[-1]))
         return IntervalSet(tuple(out))
 
-    def shift_roots(self, s: ZTau) -> Trichotomy:
-        """Exact trichotomy for d(x) = self(x) - x - s on the domain."""
+    def shift_roots(self, s: ZTau) -> tuple[int, QTau | None]:
+        """Where d(x) = self(x) - x - s vanishes on the domain: (0, root) with
+        an exact root, or (sign of d, None) when d has one sign throughout.
+        The root is a flat piece's left end, else a breakpoint, else the
+        crossing inside a piece, in that order of preference."""
         vals = [_shifted_gap(x, y, s) for x, y in zip(self.xs, self.ys)]
         for i, k in enumerate(self.ks):
             if k == 0 and not vals[i]:
-                return Trichotomy(FLAT, flat=(self.xs[i], self.xs[i + 1]))
+                return 0, QTau(self.xs[i])
         for i, v in enumerate(vals):
             if not v:
-                return Trichotomy(ROOT, root=QTau(self.xs[i]))
+                return 0, QTau(self.xs[i])
         signs = [v.sign() for v in vals]
-        if all(sg > 0 for sg in signs):
-            return Trichotomy(ABOVE)
-        if all(sg < 0 for sg in signs):
-            return Trichotomy(BELOW)
+        if len(set(signs)) == 1:
+            return signs[0], None
         for i in range(len(self.ks)):
             if signs[i] * signs[i + 1] < 0:
                 k = self.ks[i]
@@ -233,31 +234,8 @@ class PLMap:
                 # the endpoint values equal), so the root is the exact quotient
                 root = (QTau(self.xs[i] * tau_pow(k) - self.ys[i] + s)
                         / QTau(tau_pow(k) - ONE))
-                return Trichotomy(ROOT, root=root)
+                return 0, root
         raise AssertionError("sign pattern without a crossing")
-
-
-ABOVE = "above"
-BELOW = "below"
-ROOT = "root"
-FLAT = "flat"
-
-
-@dataclass(frozen=True)
-class Trichotomy:
-    verdict: str
-    root: QTau | None = None
-    flat: tuple[ZTau, ZTau] | None = None
-
-    def has_fixed_point(self) -> bool:
-        return self.verdict in (ROOT, FLAT)
-
-    def witness(self) -> QTau:
-        if self.verdict == ROOT:
-            return self.root
-        if self.verdict == FLAT:
-            return QTau(self.flat[0])
-        raise ValueError(f"no fixed point in verdict {self.verdict!r}")
 
 
 @dataclass(frozen=True)

@@ -286,12 +286,6 @@ class QTau:
         n = other.num.norm()
         return QTau(self.num * other.num.conj() * other.den, self.den * n)
 
-    def __rtruediv__(self, other: object) -> QTau:
-        o = _maybe_qtau(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def sign(self) -> int:
         return self.num.sign()
 
@@ -316,9 +310,6 @@ class QTau:
 
     def __float__(self) -> float:
         return float(self.num) / self.den
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": str(self.den)}
 
     @classmethod
     def from_json(cls, obj: object) -> QTau:

@@ -7,6 +7,7 @@ from taut.circle import CircleMap
 from taut.cli import main
 from taut.construct import commutator_trick, random_element
 from taut.expr import deserialize
+from taut.lift import LiftMap, rot_enclosure
 from taut.plmap import PLMap
 from taut.ring import TAU, ZERO
 
@@ -284,19 +285,33 @@ def _outside_ftau(payload):
     payload["element"] = PLMap.identity(ZERO, TAU).to_json()
 
 
+def _third_rot_to_one_seventh(payload):
+    # consistent in itself (power 7, shift 1), but not rot(g*h)
+    third = payload["rots"][2]
+    third["value"] = "1/7"
+    third["certificate"].update(power=7, shift=1)
+
+
+def _first_rot_to_enclosure(payload):
+    # a sound enclosure of rot(g), which a witness may not carry
+    g = LiftMap.from_json(payload["g"])
+    payload["rots"][0] = rot_enclosure(g, 64).to_json()
+
+
 def _certificate(capsys, kind):
     if kind == "commutator":
         return commutator_trick(random_element(3, 3, "T_tau"), ZERO).to_json()
     argv = {"factor": ["factor", "--json", "rot(t)"],
             "derived": ["connect", "--json", "--derived", "--", "1-t", "t"],
-            "connect": ["connect", "--json", "--", "1-t", "t"]}[kind]
+            "connect": ["connect", "--json", "--", "1-t", "t"],
+            "defect": ["defect", "--json", "--n", "2"]}[kind]
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     return json.loads(out)
 
 
-# one case per check of FactorCertificate, CommutatorCertificate and
-# TransitivityCertificate
+# one case per check of FactorCertificate, CommutatorCertificate,
+# TransitivityCertificate and DefectWitness
 @pytest.mark.parametrize("kind, tamper, message", [
     ("factor", _assign("u", "v"), "u expression does not rebuild u"),
     ("factor", _assign("v", "u"), "v expression does not rebuild v"),
@@ -309,9 +324,13 @@ def _certificate(capsys, kind):
     ("derived", _element_to_piece_f, "expression does not rebuild the element"),
     ("connect", _set("compact", True), "support closure is not inside (0, 1)"),
     ("connect", _outside_ftau, "element does not fix 0 and 1"),
+    ("defect", _third_rot_to_one_seventh, "stored rot of g*h fails re-checking"),
+    ("defect", _first_rot_to_enclosure, "rot is an enclosure, not exact"),
+    ("defect", _set("delta", "(1+0*t)/7"), "recomputed defect delta disagrees"),
 ], ids=["factor-u", "factor-v", "factor-swapped", "factor-x", "factor-y",
         "commutator-result", "commutator-x", "commutator-collapsed",
-        "derived-element", "connect-compact", "connect-outside-ftau"])
+        "derived-element", "connect-compact", "connect-outside-ftau",
+        "defect-third-rot", "defect-enclosure-rot", "defect-delta"])
 def test_check_tampered_certificate(tmp_path, capsys, kind, tamper, message):
     payload = _certificate(capsys, kind)
     path = tmp_path / "cert.json"
@@ -322,3 +341,31 @@ def test_check_tampered_certificate(tmp_path, capsys, kind, tamper, message):
     path.write_text(json.dumps(payload))
     rc, _, err = run(capsys, "check", str(path))
     assert rc == 1 and "CertificateError" in err and message in err
+
+
+@pytest.mark.parametrize("keep", [0, 2])
+def test_defect_witness_needs_three_rots(tmp_path, capsys, keep):
+    payload = _certificate(capsys, "defect")
+    payload["rots"] = payload["rots"][:keep]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(payload))
+    rc, _, err = run(capsys, "check", str(path))
+    assert rc == 1 and "SchemaError" in err and "list of three" in err
+
+
+@pytest.mark.parametrize("answer, budget, message", [
+    # the stored rot(g*h) = -1/2 needs the power q = 2
+    (["--n", "2"], ["--max-den", "1"], "more than the max_den budget of 1"),
+    # the stored rot(g) = 11/5 needs g**2, which has 5 pieces
+    (["--search", "--samples", "8", "--seed", "13"], ["--piece-cap", "4"],
+     "exceed the configured cap 4"),
+], ids=["max-den", "piece-cap"])
+def test_defect_witness_recheck_is_budgeted(tmp_path, capsys, answer, budget,
+                                            message):
+    rc, out, _ = run(capsys, "defect", "--json", *answer)
+    assert rc == 0
+    path = tmp_path / "witness.json"
+    path.write_text(out)
+    assert run(capsys, "check", str(path))[0] == 0
+    rc, _, err = run(capsys, "check", str(path), *budget)
+    assert rc == 2 and message in err

@@ -152,7 +152,7 @@ def reference_enclosure(f: LiftMap, iterations: int) -> RotEnclosure:
     """The enclosure rot_enclosure gave before it followed one orbit, kept
     here only as an oracle: the range of the displacement of the exact
     power table, divided by N and rounded out to denominator 2N."""
-    table = f.power(iterations).table
+    table = power(f, iterations).table
     disps = [y - x for x, y in zip(table.xs, table.ys)]
     return RotEnclosure(Fraction((min(disps) * 2).floor(), 2 * iterations),
                         Fraction((max(disps) * 2).ceil(), 2 * iterations),

@@ -17,11 +17,7 @@ from taut.errors import (
     ValidationError,
 )
 from taut.plmap import (
-    ABOVE,
-    BELOW,
-    FLAT,
     PLMap,
-    ROOT,
     commutator,
     concat,
     is_ftau,
@@ -145,20 +141,24 @@ def test_flavors():
 
 
 def test_shift_roots_examples():
-    assert PLMap.identity().shift_roots(ZERO).verdict == FLAT
-    tri = CONNECT.shift_roots(ZERO)
-    assert tri.verdict == ROOT and tri.root == QTau(ZERO)
-    assert CONNECT.shift_roots(ONE).verdict == BELOW
-    assert CONNECT.shift_roots(zt(-1)).verdict == ABOVE
+    assert PLMap.identity().shift_roots(ZERO) == (0, QTau(ZERO))
+    # a flat piece's left end comes before a zero at an earlier breakpoint
+    inner = match_intervals(ZERO, ONE, ZERO, TAU)
+    moved_then_flat = concat([inner.inverse() * CONNECT * inner,
+                              PLMap.identity(TAU, ONE)])
+    assert moved_then_flat.shift_roots(ZERO) == (0, QTau(TAU))
+    assert CONNECT.shift_roots(ZERO) == (0, QTau(ZERO))
+    assert CONNECT.shift_roots(ONE) == (-1, None)
+    assert CONNECT.shift_roots(zt(-1)) == (1, None)
 
 
 def test_shift_roots_interior_root_is_exact():
     # push map minus a small shift crosses zero away from breakpoints
     push = PLMap((ZERO, T2, ONE), (ZERO, TAU, ONE), (-1, 1))
-    tri = push.shift_roots(T3)
-    assert tri.verdict == ROOT
-    x = tri.root
-    assert push.eval(x) == x + QTau(T3)
+    # (a shift of tau**3 would meet the breakpoint tau**2 exactly)
+    sign, x = push.shift_roots(tau_pow(4))
+    assert sign == 0 and x == QTau(T3)
+    assert push.eval(x) == x + QTau(tau_pow(4))
 
 
 def test_shift_roots_sampling_never_contradicts():
@@ -166,13 +166,13 @@ def test_shift_roots_sampling_never_contradicts():
     for trial in range(25):
         g = random_element(trial, 5, "F_tau")
         s = zt(0, 1) * tau_pow(rng.randrange(1, 5)) - tau_pow(5)
-        tri = g.shift_roots(s)
+        sign, root = g.shift_roots(s)
         samples = [QTau(zt(i), 1000) for i in range(0, 1001, 97)]
         ds = [g.eval(x) - x - QTau(s) for x in samples]
-        if tri.verdict == ABOVE:
-            assert all(d.sign() > 0 for d in ds)
-        elif tri.verdict == BELOW:
-            assert all(d.sign() < 0 for d in ds)
+        if root is None:
+            assert sign != 0 and all(d.sign() == sign for d in ds)
+        else:
+            assert sign == 0 and g.eval(root) == root + QTau(s)
 
 
 def test_restrict_and_concat():
