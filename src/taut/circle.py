@@ -6,6 +6,12 @@ Z[tau] with 0 <= v < 1.  Storing v in the ring is exactly the constraint
 that separates T_tau from arbitrary PL circle maps with tau-power slopes
 (every rotation satisfies the breakpoint and slope conditions, but only
 ring rotations preserve Z[tau]/Z).
+
+Products and inverses sweep the raw periodic extension of a table
+(_unrolled) on integer coefficients: the cut point is found and the one
+split breakpoint formed on coefficients, and a shift by a whole period
+moves only the .a coefficient, with the breakpoints reused as they are
+when the shift is 0.  A lift is evaluated likewise, x read as num/den.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .plmap import PLMap, _compose, _piece_index, is_ftau
-from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_qtau, tau_pow
+from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_ratio, _floor, _through, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
 
@@ -179,23 +185,30 @@ def _check_lift_table(table: PLMap) -> None:
     """A lift's table lives on [0, 1] and has degree one."""
     if table.xs[0] != ZERO or table.xs[-1] != ONE:
         raise ValidationError("lift table must live on [0, 1]")
-    if table.ys[-1] - table.ys[0] != ONE:
+    y0, y1 = table.ys[0], table.ys[-1]
+    if y1.a - y0.a != 1 or y1.b != y0.b:
         raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
+
+
+def _shifted(zs, n: int) -> list:
+    """The ring elements zs moved by the integer n, on their .a coefficient."""
+    return [ZTau(z.a + n, z.b) for z in zs] if n else list(zs)
 
 
 def _into_period(ys):
     """ys moved by the integer that puts ys[0] into [0, 1); ys itself if 0."""
     j = ys[0].floor()
-    return [y - j for y in ys] if j else ys
+    return _shifted(ys, -j) if j else ys
 
 
 def _eval_lift(table: PLMap, x: ZTau | QTau) -> ZTau | QTau:
     """The lift with this table on [0, 1] at any x of the line: a ZTau at
     a ZTau, else a QTau (x is read as one)."""
-    if not isinstance(x, ZTau):
-        x = _as_qtau(x)
-    n = x.floor()
-    return table.eval(x - n) + n
+    num, den = _as_ratio(x)
+    n = _floor(num.a, num.b, den)
+    y = table._scaled_image(ZTau(num.a - n * den, num.b), den)
+    y = ZTau(y.a + n * den, y.b)
+    return y if num is x else QTau(y, den)
 
 
 def _unrolled(xs, ys, ks, a: ZTau) -> tuple[list, list, tuple]:
@@ -209,18 +222,17 @@ def _unrolled(xs, ys, ks, a: ZTau) -> tuple[list, list, tuple]:
     unmerged.  Lift and circle products and inverses sweep these
     sequences directly, so that each builds only its own table.
     """
-    n = (a - xs[0]).floor()
-    r = a - n
+    n = _floor(a.a - xs[0].a, a.b - xs[0].b)
+    r = ZTau(a.a - n, a.b) if n else a
     j = _piece_index(xs, r)
     if r != xs[j]:
         # split piece j at r, so that the cut falls on a breakpoint
+        ys = ys[:j + 1] + (_through(xs[j], ys[j], ks[j], r),) + ys[j + 1:]
         xs = xs[:j + 1] + (r,) + xs[j + 1:]
-        ys = ys[:j + 1] + (ys[j] + tau_pow(ks[j]) * (r - xs[j]),) + ys[j + 1:]
         ks = ks[:j + 1] + ks[j:]
         j += 1
-    m = n + 1
-    return ([x + n for x in xs[j:]] + [x + m for x in xs[1:j + 1]],
-            [y + n for y in ys[j:]] + [y + m for y in ys[1:j + 1]],
+    return (_shifted(xs[j:], n) + _shifted(xs[1:j + 1], n + 1),
+            _shifted(ys[j:], n) + _shifted(ys[1:j + 1], n + 1),
             ks[j:] + ks[:j])
 
 

@@ -139,8 +139,17 @@ def _chart(center: ZTau, w: ZTau) -> ZTau:
 
 
 def _embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
-    """Circle map acting like the interval map g in the chart at center."""
-    return conjugate(CircleMap.from_interval_map(g), CircleMap.rotation(center))
+    """Circle map acting like the interval map g in the chart at center.
+
+    This is g conjugated by the rotation by center, x -> G(x - center) +
+    center with G the periodic extension of g, built as one table: G cut
+    at -center, moved on by center.
+    """
+    t = CircleMap.from_interval_map(g).table
+    xs, ys, ks = _unrolled(t.xs, t.ys, t.ks, -center)
+    # the images move by center less the integer that puts them into [0, 1)
+    shift = center - (ys[0] + center).floor()
+    return CircleMap(PLMap([x + center for x in xs], [y + shift for y in ys], ks))
 
 
 # -- interval matching --------------------------------------------------------
@@ -518,7 +527,7 @@ def factor_local(g: CircleMap,
     h2_chart = connect_tuple((eps, a1, b1, top), (eps, t1, t2, top)).element
     h2 = _embed_in_chart(h2_chart, y)
     h3 = commutator(h2, h1)
-    u = g * f.inverse() * h3.inverse()
+    u = w * h3.inverse()
     v = h3 * f
     cert = FactorCertificate(g=g, x=x, y=y, arc=arc, u=u, v=v,
                              pieces={"f": f, "h1": h1, "h2": h2})

@@ -31,6 +31,7 @@ from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from .errors import (
     ExprSyntaxError,
     ExprTypeError,
+    PowerBudgetExceeded,
     SchemaError,
     TautError,
 )
@@ -51,6 +52,11 @@ _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
 # braces in a JSON payload, that is read; deeper input is rejected
 # before the recursive parsers could exhaust the interpreter's stack.
 MAX_NESTING = 100
+
+# Largest |k| read in a power e^k.  A power's pieces and coefficient bits
+# both grow with k, so a larger exponent is rejected before any product
+# is built.
+MAX_POWER = 10_000
 
 _INT = re.compile(r"([+-]?)(\d*)")
 _NAME = re.compile(r"\w+")
@@ -201,6 +207,9 @@ def _read_term(sc: _Scanner) -> Element:
     if sc.peek() == "^":
         sc.pos += 1
         k = sc.read_int()
+        if abs(k) > MAX_POWER:
+            raise PowerBudgetExceeded(f"exponent {k} exceeds the bound "
+                                      f"{MAX_POWER} on |k| in an expression")
         out = out.inverse() if k == -1 else power(out, k, DEFAULT_PIECE_CAP)
     return out
 

@@ -8,6 +8,10 @@ run and rise, and merges colinear pieces, so equality of normalized tables
 is equality of maps.  A product is one sweep over both tables; lift and
 circle products sweep the other factor's periodic extension as raw
 sequences (circle._unrolled), so each product builds only its own table.
+Sweeps, cuts and evaluation work on the (a, b) integer coefficients of
+the breakpoints: comparisons take ring._sign of coefficient differences,
+and each point found on a piece is one ring._through, so every output
+breakpoint is exactly one ZTau with no intermediate ring objects.
 """
 
 from __future__ import annotations
@@ -24,16 +28,19 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import (ONE, QTau, ZERO, ZTau, _as_qtau, _cmp, _is_tau_multiple,
-                   _shifted_gap, _sign, is_tau_power, json_int, tau_pow)
+from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _is_tau_multiple,
+                   _shifted_gap, _sign, _through, is_tau_power, json_int,
+                   tau_pow)
 
 
-def _piece_index(xs, x) -> int:
-    # largest j with xs[j] <= x, clipped to the last piece
+def _piece_index(xs, x: ZTau, den: int = 1) -> int:
+    """Largest j with xs[j] <= x / den, clipped to the last piece."""
+    xa, xb = x.a, x.b
     lo, hi = 0, len(xs) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (x - xs[mid]).sign() >= 0:
+        m = xs[mid]
+        if _sign(xa - m.a * den, xb - m.b * den) >= 0:
             lo = mid
         else:
             hi = mid
@@ -120,9 +127,9 @@ class PLMap:
         if unknown:
             raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
         try:
-            xs = [QTau(ZTau.from_json(v)) if "a" in v else QTau.from_json(v)
+            xs = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
                   for v in obj["xs"]]
-            ys = [QTau(ZTau.from_json(v)) if "a" in v else QTau.from_json(v)
+            ys = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
                   for v in obj["ys"]]
             ks = obj.get("ks")
         except (KeyError, TypeError) as exc:
@@ -166,12 +173,19 @@ class PLMap:
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
         """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""
-        if not isinstance(x, ZTau):
-            x = _as_qtau(x)
-        if (x - self.xs[0]).sign() < 0 or (x - self.xs[-1]).sign() > 0:
-            raise OutOfDomain(f"{x} outside [{self.xs[0]}, {self.xs[-1]}]")
-        j = _piece_index(self.xs, x)
-        return self.ys[j] + tau_pow(self.ks[j]) * (x - self.xs[j])
+        num, den = _as_ratio(x)
+        y = self._scaled_image(num, den)
+        return y if num is x else QTau(y, den)
+
+    def _scaled_image(self, num: ZTau, den: int) -> ZTau:
+        """den * self(num/den), formed on the integer coefficients."""
+        xs = self.xs
+        lo, hi = xs[0], xs[-1]
+        if (_sign(num.a - lo.a * den, num.b - lo.b * den) < 0
+                or _sign(num.a - hi.a * den, num.b - hi.b * den) > 0):
+            raise OutOfDomain(f"{QTau(num, den)} outside [{lo}, {hi}]")
+        j = _piece_index(xs, num, den)
+        return _through(xs[j], self.ys[j], self.ks[j], num, den)
 
     # -- group structure ----------------------------------------------
 
@@ -264,8 +278,8 @@ def _compose(fx, fy, fk, gx, gy, gk) -> PLMap:
             i += 1
         if c >= 0:
             j += 1
-        xs.append(fx[i] if c <= 0 else fx[i] + tau_pow(-fk[i]) * (gx[j] - fy[i]))
-        ys.append(gy[j] if c >= 0 else gy[j] + tau_pow(gk[j]) * (fy[i] - gx[j]))
+        xs.append(fx[i] if c <= 0 else _through(fy[i], fx[i], -fk[i], gx[j]))
+        ys.append(gy[j] if c >= 0 else _through(gx[j], gy[j], gk[j], fy[i]))
     return PLMap(xs, ys, ks)
 
 
@@ -280,8 +294,8 @@ def _restricted(fx, fy, fk, lo: ZTau, hi: ZTau) -> tuple:
     while _cmp(fx[j + 1], hi) < 0:
         j += 1
     return ([lo, *fx[i + 1:j + 1], hi],
-            [fy[i] + tau_pow(fk[i]) * (lo - fx[i]), *fy[i + 1:j + 1],
-             fy[j] + tau_pow(fk[j]) * (hi - fx[j])],
+            [_through(fx[i], fy[i], fk[i], lo), *fy[i + 1:j + 1],
+             _through(fx[j], fy[j], fk[j], hi)],
             fk[i:j + 1])
 
 

@@ -45,6 +45,29 @@ def _cmp(x: ZTau, y: ZTau) -> int:
     return _sign(x.a - y.a, x.b - y.b)
 
 
+def _floor(a: int, b: int, den: int = 1) -> int:
+    """Floor of (a + b*tau) / den for den > 0, on the integer coefficients."""
+    # 2*(a + b*tau) = (2a - b) + b*sqrt(5), and m = floor(b*sqrt(5)) exactly
+    if b == 0:
+        return a // den
+    m = isqrt(5 * b * b) if b > 0 else -isqrt(5 * b * b) - 1
+    return (2 * a - b + m) // (2 * den)
+
+
+def _through(x0: ZTau, y0: ZTau, k: int, x: ZTau, den: int = 1) -> ZTau:
+    """den * (y0 + tau**k * (x/den - x0)), built as one ring element.
+
+    This is the line of slope tau**k through (x0, y0) at x/den, scaled by
+    den: y0*den + tau**k * (x - x0*den), formed on the integer
+    coefficients, with tau**2 = 1 - tau doing the product.
+    """
+    t = tau_pow(k)
+    ta, tb = t.a, t.b
+    da, db = x.a - x0.a * den, x.b - x0.b * den
+    return ZTau(y0.a * den + ta * da + tb * db,
+                y0.b * den + ta * db + tb * (da - db))
+
+
 def _shifted_gap(x: ZTau, y: ZTau, s: ZTau) -> ZTau:
     """y - x - s, built as one ring element."""
     return ZTau(y.a - x.a - s.a, y.b - x.b - s.b)
@@ -79,33 +102,33 @@ class ZTau:
         return bool(self.a or self.b)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = ZTau(other)
         if isinstance(other, ZTau):
             return self.a == other.a and self.b == other.b
+        if isinstance(other, int):
+            return self.a == other and self.b == 0
         return NotImplemented
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = ZTau(other)
         if isinstance(other, ZTau):
-            return (self - other).sign() < 0
+            return _sign(self.a - other.a, self.b - other.b) < 0
+        if isinstance(other, int):
+            return _sign(self.a - other, self.b) < 0
         return NotImplemented
 
     def __add__(self, other: ZTau | int) -> ZTau:
-        if isinstance(other, int):
-            return ZTau(self.a + other, self.b)
         if isinstance(other, ZTau):
             return ZTau(self.a + other.a, self.b + other.b)
+        if isinstance(other, int):
+            return ZTau(self.a + other, self.b)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: ZTau | int) -> ZTau:
-        if isinstance(other, int):
-            return ZTau(self.a - other, self.b)
         if isinstance(other, ZTau):
             return ZTau(self.a - other.a, self.b - other.b)
+        if isinstance(other, int):
+            return ZTau(self.a - other, self.b)
         return NotImplemented
 
     def __rsub__(self, other: ZTau | int) -> ZTau:
@@ -138,11 +161,7 @@ class ZTau:
         return _sign(self.a, self.b)
 
     def floor(self) -> int:
-        v = self.b
-        if v == 0:
-            return self.a
-        m = isqrt(5 * v * v) if v > 0 else -isqrt(5 * v * v) - 1
-        return self.a + (m - v) // 2
+        return _floor(self.a, self.b)
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -290,12 +309,7 @@ class QTau:
         return self.num.sign()
 
     def floor(self) -> int:
-        a, b, d = self.num.a, self.num.b, self.den
-        u, v, big_d = 2 * a - b, b, 2 * d
-        if v == 0:
-            return u // big_d
-        m = isqrt(5 * v * v) if v > 0 else -isqrt(5 * v * v) - 1
-        return (u + m) // big_d
+        return _floor(self.num.a, self.num.b, self.den)
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -334,6 +348,14 @@ def _as_qtau(x: object) -> QTau:
     if q is None:
         raise TypeError(f"cannot interpret {x!r} as a ring quotient")
     return q
+
+
+def _as_ratio(x: object) -> tuple[ZTau, int]:
+    """x as (num, den) with x = num / den and den > 0: (x, 1) at a ZTau."""
+    if isinstance(x, ZTau):
+        return x, 1
+    q = _as_qtau(x)
+    return q.num, q.den
 
 
 def is_tau_power(x: QTau | ZTau | int) -> int | None:

@@ -9,13 +9,15 @@ are kept here only as oracles.  Every comparison is of whole tables
 maps, so the integer part that a circle product drops is compared too.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taut.circle import CircleMap, _unrolled
-from taut.construct import _chart_restriction_fixed_arc, random_element
+from taut.construct import _chart_restriction_fixed_arc, _embed_in_chart, random_element
+from taut.errors import NotFtau
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _piece_index, _restricted, concat
+from taut.plmap import PLMap, _piece_index, _restricted, concat, conjugate
 from taut.ring import ONE, TAU, ZERO, ZTau, tau_pow
 
 
@@ -50,6 +52,11 @@ def reference_lift_product(a: PLMap, b: PLMap) -> PLMap:
 
 def reference_lift_inverse(a: PLMap) -> PLMap:
     return reference_window(a.inverse(), ZERO, ONE)
+
+
+def reference_embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
+    """g conjugated by the rotation by center: two products and an inverse."""
+    return conjugate(CircleMap.from_interval_map(g), CircleMap.rotation(center))
 
 
 def unroll(pl: PLMap, a: ZTau) -> PLMap:
@@ -133,6 +140,21 @@ def test_unroll_matches_the_reference_window(g, data):
         == table(reference_window(pl, a, a + span))
 
 
+@settings(max_examples=100, deadline=None)
+@given(interval_maps(), ring_points, st.data())
+def test_chart_embedding_matches_the_conjugate(g, center, data):
+    # centers on g's breakpoints and their images, and away from [0, 1)
+    on = data.draw(st.sampled_from(g.xs + g.ys)) + data.draw(st.integers(-2, 2))
+    for c in (center, on, -on, ZERO):
+        assert table(_embed_in_chart(g, c)) == table(reference_embed_in_chart(g, c))
+
+
+def test_chart_embedding_keeps_the_ftau_check():
+    for g in (PLMap.identity(ZERO, TAU), PLMap((ZERO, ONE), (TAU, ONE + TAU), (0,))):
+        with pytest.raises(NotFtau, match="must be an F_tau element on"):
+            _embed_in_chart(g, TAU)
+
+
 def test_windows_on_breakpoints_and_base_zero():
     g = random_element(7, 5, "T_tau")
     f = CircleMap.from_interval_map(random_element(8, 4, "F_tau"))
@@ -182,6 +204,8 @@ def test_each_product_builds_one_table(monkeypatch):
         PLMap([lo + tau_pow(2) * x for x in f.xs],
               [lo + tau_pow(2) * y for y in f.ys], f.ks),
         PLMap.identity(hi, ONE)]))
+    embedded = {c: reference_embed_in_chart(f, c)
+                for c in (ZERO, TAU, f.xs[1], ONE - tau_pow(5))}
     built = []
     init = PLMap.__init__
 
@@ -202,3 +226,7 @@ def test_each_product_builds_one_table(monkeypatch):
     chart = _chart_restriction_fixed_arc(bump, lo, hi, ONE - tau_pow(3))
     assert len(built) == 1
     assert chart.ks == f.ks
+    for center in embedded:
+        built.clear()
+        assert _embed_in_chart(f, center) == embedded[center]
+        assert len(built) == 1, center

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taut.cli import main
 from taut.construct import commutator_trick, random_element
-from taut.expr import MAX_NESTING
+from taut.expr import MAX_NESTING, MAX_POWER
 from taut.ring import ZERO
 
 
@@ -109,6 +109,15 @@ def test_zero_rise_with_huge_slope_exponent_is_rejected_at_once(capsys, k):
     err = assert_one_line_error(capsys, "eval", f"map {{{table}}}")
     assert time.perf_counter() - start < 0.1
     assert "NotIncreasing" in err and "piece 0" in err
+
+
+@pytest.mark.parametrize("k", [1000000, -1000000, MAX_POWER + 1])
+def test_huge_power_exponent_is_rejected_at_once(capsys, k):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "eval", f"{_TREEPAIR}^{k}")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert "PowerBudgetExceeded" in err and f"exponent {k}" in err
 
 
 def test_certificate_that_is_not_an_object_is_rejected(tmp_path, capsys):
