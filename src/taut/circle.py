@@ -11,7 +11,11 @@ Products and inverses sweep the raw periodic extension of a table
 (_unrolled) on integer coefficients: the cut point is found and the one
 split breakpoint formed on coefficients, and a shift by a whole period
 moves only the .a coefficient, with the breakpoints reused as they are
-when the shift is 0.  A lift is evaluated likewise, x read as num/den.
+when the shift is 0.  _eval_lift is the one evaluation kernel of a lift
+(LiftMap.eval, CircleMap.eval and the rotation orbit walk): it holds
+x = num/den as integer coefficients through any number of steps, each
+an exact floor, a piece bisection and that piece's line, and builds one
+ring element at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import PLMap, _compose, _piece_index, is_ftau
+from .plmap import PLMap, _compose, _piece_index, _table_json, is_ftau
 from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_ratio, _floor, _through, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
@@ -96,9 +100,7 @@ class CircleMap:
         return g
 
     def to_json(self) -> dict:
-        out = self.table.to_json()
-        out["base"] = self.v.to_json()
-        return out
+        return _circle_json(self.table)
 
     # -- queries --------------------------------------------------------
 
@@ -201,13 +203,39 @@ def _into_period(ys):
     return _shifted(ys, -j) if j else ys
 
 
-def _eval_lift(table: PLMap, x: ZTau | QTau) -> ZTau | QTau:
-    """The lift with this table on [0, 1] at any x of the line: a ZTau at
-    a ZTau, else a QTau (x is read as one)."""
+def _circle_json(table: PLMap) -> dict:
+    """The JSON of the circle map that the lift with this table lifts: the
+    table moved into its period, as CircleMap(table).to_json() writes it
+    but with no table built."""
+    ys = _into_period(table.ys)
+    out = _table_json(table.xs, ys, table.ks)
+    out["base"] = ys[0].to_json()
+    return out
+
+
+def _eval_lift(table: PLMap, x: ZTau | QTau, steps: int = 1) -> ZTau | QTau:
+    """The lift with this table on [0, 1], applied steps times to any x of
+    the line: a ZTau at a ZTau, else a QTau (x is read as one).
+
+    x = (a + b*tau)/den is held as its integer coefficients.  Each step
+    takes the floor n, moves the point down by n into [0, 1), which lies
+    in the table's domain [0, 1] (so no domain check is needed), follows
+    the line of its piece there and adds n back; one ring element is
+    built at the end.
+    """
     num, den = _as_ratio(x)
-    n = _floor(num.a, num.b, den)
-    y = table._scaled_image(ZTau(num.a - n * den, num.b), den)
-    y = ZTau(y.a + n * den, y.b)
+    a, b = num.a, num.b
+    xs, ys, ks = table.xs, table.ys, table.ks
+    for _ in range(steps):
+        n = _floor(a, b, den)
+        a -= n * den
+        j = _piece_index(xs, a, b, den)
+        # den * (y0 + n + tau**k * ((a + b*tau)/den - x0)), as in _through
+        x0, y0, t = xs[j], ys[j], tau_pow(ks[j])
+        da, db = a - x0.a * den, b - x0.b * den
+        a = (y0.a + n) * den + t.a * da + t.b * db
+        b = y0.b * den + t.a * db + t.b * (da - db)
+    y = ZTau(a, b)
     return y if num is x else QTau(y, den)
 
 
@@ -224,7 +252,7 @@ def _unrolled(xs, ys, ks, a: ZTau) -> tuple[list, list, tuple]:
     """
     n = _floor(a.a - xs[0].a, a.b - xs[0].b)
     r = ZTau(a.a - n, a.b) if n else a
-    j = _piece_index(xs, r)
+    j = _piece_index(xs, r.a, r.b)
     if r != xs[j]:
         # split piece j at r, so that the cut falls on a breakpoint
         ys = ys[:j + 1] + (_through(xs[j], ys[j], ks[j], r),) + ys[j + 1:]

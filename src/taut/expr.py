@@ -58,6 +58,14 @@ MAX_NESTING = 100
 # is built.
 MAX_POWER = 10_000
 
+# Largest |k| * size(e) read in a power e^k, where size(e) is the total
+# bit length of e's breakpoint coefficients, checked before any product.
+# Nested powers multiply their exponents past MAX_POWER: with E the
+# three-leaf tree pair (size 12), E^10000 reads 120,000 and (E^100)^100
+# 738,000, each about a second, while (E^1000)^1000 reads 7 * 10**8 and
+# would run for minutes.
+MAX_POWER_WORK = 1_000_000
+
 _INT = re.compile(r"([+-]?)(\d*)")
 _NAME = re.compile(r"\w+")
 _BRACKET = re.compile(r"[][{}]")
@@ -128,10 +136,16 @@ class _Scanner:
     def read_int(self) -> int:
         self.skip_ws()
         m = _INT.match(self.text, self.pos)
-        self.pos = m.end()
         if not m.group(2):
+            self.pos = m.end()
             raise self.error("expected an integer")
-        return int(m.group())
+        try:
+            n = int(m.group())
+        except ValueError:  # past the interpreter's digit limit
+            raise self.error(f"integer of {len(m.group(2))} digits is too "
+                             "long") from None
+        self.pos = m.end()
+        return n
 
     def read_name(self) -> str:
         self.skip_ws()
@@ -210,8 +224,19 @@ def _read_term(sc: _Scanner) -> Element:
         if abs(k) > MAX_POWER:
             raise PowerBudgetExceeded(f"exponent {k} exceeds the bound "
                                       f"{MAX_POWER} on |k| in an expression")
+        size = _size(out)
+        if abs(k) * size > MAX_POWER_WORK:
+            raise PowerBudgetExceeded(
+                f"power ^{k} of an element of size {size} exceeds the bound "
+                f"{MAX_POWER_WORK} on |k| * size in an expression")
         out = out.inverse() if k == -1 else power(out, k, DEFAULT_PIECE_CAP)
     return out
+
+
+def _size(element: Element) -> int:
+    """The total bit length of an element's breakpoint coefficients."""
+    t = element if isinstance(element, PLMap) else element.table
+    return sum([z.a.bit_length() + z.b.bit_length() for z in t.xs + t.ys])
 
 
 def _read_atom(sc: _Scanner) -> Element:
@@ -293,8 +318,8 @@ def to_expression(element: Element) -> str:
     if isinstance(element, (PLMap, CircleMap)):
         return f"map {canonical_json(element.to_json())}"
     if isinstance(element, LiftMap):
-        return (f"lift(map {canonical_json(element.base.to_json())}, "
-                f"{element.n})")
+        out = element.to_json()
+        return f"lift(map {canonical_json(out['base'])}, {out['n']})"
     raise TypeError(f"not an element: {element!r}")
 
 

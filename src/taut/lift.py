@@ -5,7 +5,9 @@ by its table on [0, 1]: table(1) = table(0) + 1, and table(0) may be any
 element of Z[tau].  Products and inverses compose tables directly.  The
 circle map it lifts and its integer translation part n = floor(table(0))
 are read off the table, so the central integer translations are exactly
-the lifts whose table is x -> x + n.  Rotation numbers are certified:
+the lifts whose table is x -> x + n; its JSON writes the base as its own
+table moved down by n, with no circle table built.  Rotation numbers are
+certified:
 
 * lifts of ring rotations are translations, with exact value in Z[tau];
 * rational values p/q are proved by an exact fixed point of the q-th
@@ -16,8 +18,11 @@ the lifts whose table is x -> x + n.  Rotation numbers are certified:
   width is exactly 1/N, and N is always the iteration count asked for.
   0 walks to F^N(0) through the powers F^q the descent already holds,
   largest q first (Ostrowski's numeration by the convergents'
-  denominators), squaring the largest only while its pieces are fewer
-  than the steps a square saves; rot_enclosure starts from F alone.
+  denominators), squaring the largest only while SQUARE_COST times its
+  pieces is below the steps a square saves; rot_enclosure starts from F
+  alone.  Each run of steps through one F^q is one call of the lift
+  kernel circle._eval_lift, which walks on integer coefficients and
+  builds one ring element at its end.
 
 scl is |rot|/2: the commutator subgroup of the lifted group has index
 two and carries scl = |rot|/2 by Bavard duality (the rotation number
@@ -36,6 +41,7 @@ from .circle import (
     DEFAULT_PIECE_CAP,
     CircleMap,
     _check_lift_table,
+    _circle_json,
     _eval_lift,
     _inverse_unrolled,
     _unrolled,
@@ -58,6 +64,16 @@ from .ring import (
 
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_MAX_DEN = 1_000
+
+# An orbit walk squares its largest table F**q while SQUARE_COST times
+# its pieces is below N // (2q), the steps the square saves: a square
+# costs about SQUARE_COST orbit steps per piece of F**q.  Measured on the
+# benchmark's hyperbolic lifts (2 cores, Python 3.11.7), a square costs
+# about 10 us per piece and a step 2.5-4 us while coefficients are small,
+# so at N = 256 the values 2, 3 and 4 tie within 2% and 1 is 13% slower.
+# But a step's cost grows with the bits of the orbit point: at
+# N = 10,000, 3 and 4 walk 50% slower than 2, and 1 is 10% faster.
+SQUARE_COST = 2
 
 
 @dataclass(frozen=True)
@@ -123,10 +139,12 @@ class LiftMap:
         return _eval_lift(self.table, x)
 
     def __repr__(self) -> str:
-        return f"LiftMap({self.base!r}, n={self.n})"
+        y0, n = self.table.ys[0], self.n
+        return (f"LiftMap(CircleMap(v={ZTau(y0.a - n, y0.b)}, "
+                f"pieces={self.num_pieces}), n={n})")
 
     def to_json(self) -> dict:
-        return {"base": self.base.to_json(), "n": self.n}
+        return {"base": _circle_json(self.table), "n": self.n}
 
     @classmethod
     def from_json(cls, obj: object) -> LiftMap:
@@ -314,9 +332,9 @@ def rot_enclosure(f: LiftMap, iterations: int,
 
     G = F^N - p is increasing of degree one with 0 <= G(0) < 1, so
     p <= N rot(f) <= p + 1.  F^N(0) is reached through the commuting
-    squares f, f**2, f**4, ..., built while the last has fewer pieces
-    than the steps the next would save, and within the piece cap: the
-    orbit walk of rot, started from f alone.
+    squares f, f**2, f**4, ..., built while the last costs less to
+    square than the steps the next would save, and within the piece cap:
+    the orbit walk of rot, started from f alone.
     """
     return _orbit_enclosure({1: f}, iterations, piece_cap)
 
@@ -325,15 +343,17 @@ def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
                      piece_cap: int) -> RotEnclosure:
     """rot_enclosure from the tables powers[q] = F**q, with powers[1] = F.
 
-    The largest table F**q is squared while it has fewer pieces than
-    N // (2q), within the piece cap; then 0 walks N greedily, largest q
-    first, N // q steps of F**q and the remainder through the smaller q.
-    F^N(0) is one exact point, so every route to it gives the same p.
+    The largest table F**q is squared while SQUARE_COST times its pieces
+    is below N // (2q), within the piece cap; then 0 walks N greedily,
+    largest q first, N // q steps of F**q and the remainder through the
+    smaller q, each run of steps one call of the lift kernel
+    circle._eval_lift on integer coefficients.  F^N(0) is one exact
+    point, so every route to it gives the same p.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
     q = max(powers)
-    while powers[q].num_pieces < iterations // (2 * q):
+    while SQUARE_COST * powers[q].num_pieces < iterations // (2 * q):
         try:
             powers[2 * q] = _capped_mul(powers[q], powers[q], piece_cap)
         except PowerBudgetExceeded:
@@ -342,8 +362,7 @@ def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
     x, rest = ZERO, iterations
     for q in sorted(powers, reverse=True):
         steps, rest = divmod(rest, q)
-        for _ in range(steps):
-            x = powers[q].eval(x)
+        x = _eval_lift(powers[q].table, x, steps)
     p = x.floor()
     return RotEnclosure(Fraction(p, iterations), Fraction(p + 1, iterations),
                         iterations)

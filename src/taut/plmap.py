@@ -33,9 +33,9 @@ from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _is_tau_multiple,
                    tau_pow)
 
 
-def _piece_index(xs, x: ZTau, den: int = 1) -> int:
-    """Largest j with xs[j] <= x / den, clipped to the last piece."""
-    xa, xb = x.a, x.b
+def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
+    """Largest j with xs[j] <= (xa + xb*tau) / den, clipped to the last
+    piece; the point is given by its integer coefficients."""
     lo, hi = 0, len(xs) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -139,11 +139,7 @@ class PLMap:
         return cls.from_raw(xs, ys, ks)
 
     def to_json(self) -> dict:
-        return {
-            "xs": [x.to_json() for x in self.xs],
-            "ys": [y.to_json() for y in self.ys],
-            "ks": list(self.ks),
-        }
+        return _table_json(self.xs, self.ys, self.ks)
 
     # -- basic queries ------------------------------------------------
 
@@ -184,7 +180,7 @@ class PLMap:
         if (_sign(num.a - lo.a * den, num.b - lo.b * den) < 0
                 or _sign(num.a - hi.a * den, num.b - hi.b * den) > 0):
             raise OutOfDomain(f"{QTau(num, den)} outside [{lo}, {hi}]")
-        j = _piece_index(xs, num, den)
+        j = _piece_index(xs, num.a, num.b, den)
         return _through(xs[j], self.ys[j], self.ks[j], num, den)
 
     # -- group structure ----------------------------------------------
@@ -297,6 +293,14 @@ def _restricted(fx, fy, fk, lo: ZTau, hi: ZTau) -> tuple:
             [_through(fx[i], fy[i], fk[i], lo), *fy[i + 1:j + 1],
              _through(fx[j], fy[j], fk[j], hi)],
             fk[i:j + 1])
+
+
+def _table_json(xs, ys, ks) -> dict:
+    return {
+        "xs": [x.to_json() for x in xs],
+        "ys": [y.to_json() for y in ys],
+        "ks": list(ks),
+    }
 
 
 def _coerce_ring(v) -> ZTau:

@@ -453,7 +453,11 @@ def read_ztau(text: str, pos: int = 0) -> tuple[ZTau, int]:
             raise RingLiteralError("expected a ring literal", m.start(2))
         if star and not t:
             raise RingLiteralError("expected 't' after '*'", m.end())
-        coeff = (-1 if sign == "-" else 1) * int(digits or 1)
+        try:
+            coeff = (-1 if sign == "-" else 1) * int(digits or 1)
+        except ValueError:  # past the interpreter's digit limit
+            raise RingLiteralError(f"coefficient of {len(digits)} digits is "
+                                   "too long", m.start(2)) from None
         if t:
             b += coeff
         else:
@@ -489,8 +493,13 @@ def parse_qtau(text: str) -> QTau:
     with blanks between tokens as in read_ztau."""
     m = _QUOTIENT.fullmatch(text)
     num = 1 if m[1] is not None else 3
-    return QTau(_read_exactly(text, m.start(num), m.end(num)),
-                int(m[num + 1] or 1))
+    z = _read_exactly(text, m.start(num), m.end(num))
+    try:
+        den = int(m[num + 1] or 1)
+    except ValueError:  # past the interpreter's digit limit
+        raise ValueError(f"bad ring literal {text!r}: denominator too long "
+                         f"at column {m.start(num + 1) + 1}") from None
+    return QTau(z, den)
 
 
 def json_int(value: object, what: str) -> int:

@@ -24,12 +24,12 @@ from taut.ring import ONE, TAU, ZERO, ZTau, tau_pow
 def reference_mul(f: PLMap, g: PLMap) -> PLMap:
     pts = set(f.xs)
     for u in g.xs[1:-1]:
-        j = _piece_index(f.ys, u)
+        j = _piece_index(f.ys, u.a, u.b)
         pts.add(f.xs[j] + tau_pow(-f.ks[j]) * (u - f.ys[j]))
     xs = sorted(pts)
     ys = [g.eval(f.eval(x)) for x in xs]
-    ks = [f.ks[_piece_index(f.xs, x)] + g.ks[_piece_index(g.xs, f.eval(x))]
-          for x in xs[:-1]]
+    ks = [f.ks[_piece_index(f.xs, x.a, x.b)]
+          + g.ks[_piece_index(g.xs, f.eval(x).a, f.eval(x).b)] for x in xs[:-1]]
     return PLMap(xs, ys, ks)
 
 
@@ -41,7 +41,7 @@ def reference_window(pl: PLMap, lo: ZTau, hi: ZTau) -> PLMap:
             pts.add(x + n)
     xs = sorted(pts)
     ys = [pl.eval(x - (x - t0).floor()) + (x - t0).floor() for x in xs]
-    ks = [pl.ks[_piece_index(pl.xs, x - (x - t0).floor())] for x in xs[:-1]]
+    ks = [pl.ks[_piece_index(pl.xs, x.a - (x - t0).floor(), x.b)] for x in xs[:-1]]
     return PLMap(xs, ys, ks)
 
 

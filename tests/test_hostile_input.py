@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taut.cli import main
 from taut.construct import commutator_trick, random_element
-from taut.expr import MAX_NESTING, MAX_POWER
+from taut.expr import MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str
 from taut.ring import ZERO
 
 
@@ -457,3 +457,61 @@ def test_random_expression_text_ends_in_an_exit_code(tmp_path_factory, text):
             assert time.perf_counter() - start < FUZZ_TIME_S, (command, text)
     finally:
         os.chdir(cwd)
+
+
+@pytest.mark.parametrize("text", [
+    f"({_TREEPAIR}^1000)^1000",
+    f"let a = {_TREEPAIR}^1000; a^1000",
+    f"let a = lift({_TREEPAIR}, 0)^-1000; a^1000",
+])
+def test_nested_powers_are_bounded_by_their_work(capsys, text):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "eval", text)
+    assert time.perf_counter() - start < 2
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert "PowerBudgetExceeded" in err and str(MAX_POWER_WORK) in err
+
+
+def test_power_work_bound_admits_the_largest_plain_power():
+    # |k| * size stays below the bound for E^MAX_POWER and (E^100)^100;
+    # sizes only, so that no huge power is built
+    size = _size(evaluate_str(_TREEPAIR))
+    assert MAX_POWER * size <= MAX_POWER_WORK
+    assert 100 * _size(evaluate_str(f"{_TREEPAIR}^100")) <= MAX_POWER_WORK
+
+
+LONG = "9" * 5000  # past the interpreter's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["eval", f"rot(t)^{LONG}"], 8),
+    (["eval", f"lift(rot(t), {LONG})"], 14),
+    (["eval", f"lift(rot(t), -{LONG})"], 14),
+    (["eval", f"rot({LONG}*t)"], 5),
+    (["rot", f"trans(1+{LONG}t)"], 9),
+])
+def test_long_integer_in_an_expression_is_a_syntax_error(capsys, argv, column):
+    err = assert_one_line_error(capsys, *argv)
+    assert "ExprSyntaxError" in err and f"column {column})" in err
+    rc, out, _ = run(capsys, argv[0], "--json", *argv[1:])
+    assert rc == 1 and json.loads(out)["error"]["type"] == "ExprSyntaxError"
+
+
+def test_long_integer_in_a_ring_literal_is_positioned(capsys):
+    err = assert_one_line_error(capsys, "connect", "--", f"{LONG}*t", "t")
+    assert "bad ring literal" in err and "at column 1" in err
+    err = assert_one_line_error(capsys, "connect", "--", f"t,1-{LONG}*t", "t,t")
+    assert "at column 3" in err
+    rc, out, _ = run(capsys, "connect", "--json", "--", f"{LONG}*t", "t")
+    assert rc == 1 and json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_long_denominator_in_a_stored_root_is_positioned(tmp_path, capsys):
+    rc, out, _ = run(capsys, "rot", "--json", f"lift({_TREEPAIR}, 0)^2")
+    obj = json.loads(out)
+    assert rc == 0 and obj["kind"] == "rational"
+    obj["certificate"]["root"] = f"(1+0*t)/{LONG}"
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps(obj))
+    err = assert_one_line_error(capsys, "check", str(path))
+    assert "denominator too long at column 9" in err

@@ -5,7 +5,9 @@ Evaluation, composition, restriction and unrolling now form each output
 breakpoint once from the (a, b) coefficients of their inputs.  The
 formulas below build the same values from ZTau and QTau arithmetic, one
 ring object per operation, as the kernels did before; they are kept here
-only as oracles.  Tables come from random F_tau, T_tau and lift elements,
+only as oracles.  A lift's walk of many steps, which keeps the point on
+its coefficients throughout, is compared with the one-step formula
+iterated, and enclosures with that many reference steps.  Tables come from random F_tau, T_tau and lift elements,
 their inverses (negative slope exponents), lifts moved by whole periods,
 and powers of hyperbolic lifts, whose breakpoints have large coefficients.
 """
@@ -21,9 +23,10 @@ from taut.circle import _eval_lift, _unrolled
 from taut.construct import random_element
 from taut.errors import OutOfDomain
 from taut.expr import evaluate_str
-from taut.lift import LiftMap
+from taut import lift
+from taut.lift import LiftMap, RotEnclosure, rot_enclosure
 from taut.plmap import PLMap, _compose, _piece_index, _restricted, power
-from taut.ring import QTau, ZTau, _as_qtau, tau_pow
+from taut.ring import ZERO, QTau, ZTau, _as_qtau, tau_pow
 
 
 # -- the ring-object formulas -------------------------------------------------
@@ -200,6 +203,56 @@ def test_lift_eval_matches_the_ring_formula(table, data):
         assert_same(_eval_lift(table, x), reference_eval_lift(table, x))
 
 
+def reference_walk(table: PLMap, x, steps: int):
+    """reference_eval_lift iterated steps times."""
+    if not isinstance(x, ZTau):
+        x = _as_qtau(x)
+    for _ in range(steps):
+        x = reference_eval_lift(table, x)
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_tables(), st.data())
+def test_lift_walk_matches_the_iterated_ring_formula(table, data):
+    far = st.integers(min_value=-3000, max_value=3000)
+    for _ in range(3):
+        steps = data.draw(st.integers(min_value=0, max_value=40))
+        x = data.draw(points(table)) + data.draw(far)
+        assert_same(_eval_lift(table, x, steps), reference_walk(table, x, steps))
+    for x in (ZERO, data.draw(ring_points), 7, Fraction(-5, 3)):
+        assert_same(_eval_lift(table, x, 40), reference_walk(table, x, 40))
+
+
+@pytest.mark.parametrize("k", BIG_POWERS)
+def test_lift_walk_on_big_coefficients(k):
+    table = hyperbolic_power(k).table
+    x = table.xs[len(table.xs) // 2]
+    for y in (x, x + 3000, x - 2999, QTau(x * 5 + 2, 5) - 1000):
+        for steps in (0, 1, 2, 40):
+            assert_same(_eval_lift(table, y, steps), reference_walk(table, y, steps))
+
+
+@pytest.mark.parametrize("f", [
+    hyperbolic_power(1),
+    random_element(283, 6, "Lift"),
+    random_element(41, 4, "Lift").translate(-3).inverse(),
+])
+def test_enclosure_walk_matches_reference_steps(f, monkeypatch):
+    """rot_enclosure(f, N), whatever squares its rule builds, is the
+    enclosure from N reference steps of 0, for every N up to 700."""
+    squares = []
+    mul = lift._capped_mul
+    monkeypatch.setattr(lift, "_capped_mul",
+                        lambda a, b, cap: squares.append(a) or mul(a, b, cap))
+    x = ZERO
+    for n in range(1, 701):
+        x = reference_eval_lift(f.table, x)
+        p = x.floor()
+        assert rot_enclosure(f, n) == RotEnclosure(Fraction(p, n), Fraction(p + 1, n), n)
+    assert squares  # the walks went through squares, not single steps only
+
+
 def test_eval_reads_ints_and_fractions_as_quotients():
     pl = random_element(5, 4, "F_tau")
     for x in (0, 1, Fraction(1, 3), Fraction(5, 7)):
@@ -258,9 +311,10 @@ def test_restricted_matches_the_ring_formula(pl, data):
 def test_piece_index_matches_the_ring_formula():
     pl = hyperbolic_power(16).table
     for x in [*pl.xs, *(x + tau_pow(40) for x in pl.xs[:-1])]:
-        assert _piece_index(pl.xs, x) == reference_piece_index(pl.xs, x)
+        assert _piece_index(pl.xs, x.a, x.b) == reference_piece_index(pl.xs, x)
         q = QTau(x * 3 + 1, 3)
-        assert _piece_index(pl.xs, q.num, q.den) == reference_piece_index(pl.xs, q)
+        assert _piece_index(pl.xs, q.num.a, q.num.b, q.den) \
+            == reference_piece_index(pl.xs, q)
 
 
 def test_the_big_tables_have_big_coefficients():
