@@ -655,18 +655,16 @@ class DefectWitness:
     rots: tuple[RotResult, RotResult, RotResult]
     n: int | None = None
 
-    def verify(self, *, max_den: int = DEFAULT_MAX_DEN,
-               max_iter: int = DEFAULT_MAX_ITER,
-               piece_cap: int = DEFAULT_PIECE_CAP) -> None:
-        """Replay the stored rots of g, h and g*h through verify_rot, within
-        the budgets, and recompute delta from them."""
+    def verify(self, *, max_den: int = DEFAULT_MAX_DEN) -> None:
+        """Replay the stored rots of g, h and g*h through verify_rot, each q
+        within max_den, and recompute delta from them; an enclosure is
+        rejected before any replay, so no other budget applies."""
         d = DefectDelta.of(self.rots)
         if not d.is_exact:
             raise CertificateError("a defect witness rot is an enclosure, not exact")
         for name, f, r in zip(("g", "h", "g*h"), (self.g, self.h, self.g * self.h),
                               self.rots):
-            if not verify_rot(f, r, max_den=max_den, max_iter=max_iter,
-                              piece_cap=piece_cap):
+            if not verify_rot(f, r, max_den=max_den):
                 raise CertificateError(f"stored rot of {name} fails re-checking")
         if d.exact != self.delta:
             raise CertificateError("recomputed defect delta disagrees")

@@ -360,7 +360,7 @@ def _check_certificate(cert, obj: dict, budgets: dict) -> dict:
 
 
 def _check_witness(wit, obj: dict, budgets: dict) -> dict:
-    wit.verify(**budgets)
+    wit.verify(max_den=budgets["max_den"])
     return {"checked": obj["kind"], "ok": True}
 
 

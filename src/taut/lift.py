@@ -12,7 +12,8 @@ certified:
 * lifts of ring rotations are translations, with exact value in Z[tau];
 * rational values p/q are proved by an exact fixed point of the q-th
   power shifted by p (Poincare's criterion), found by Stern-Brocot
-  descent where every step is an exact sign trichotomy;
+  descent where every step is an exact sign trichotomy; a stored p/q is
+  re-checked by walking its root's orbit q steps, with no power built;
 * otherwise the answer degrades to the sound enclosure [p/N, (p+1)/N]
   with p = floor(F^N(0)), from the one exact orbit point F^N(0): its
   width is exactly 1/N, and N is always the iteration count asked for.
@@ -47,7 +48,7 @@ from .circle import (
     _unrolled,
 )
 from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
-from .plmap import PLMap, _capped_mul, _compose, power
+from .plmap import PLMap, _capped_mul, _compose
 from .ring import (
     ONE,
     QTau,
@@ -238,9 +239,14 @@ def _json_fraction(value: object, what: str) -> Fraction:
     """A rational field of a JSON payload, written as str(Fraction) writes it."""
     if not isinstance(value, str) or not _FRACTION.fullmatch(value):
         raise SchemaError(f"{what} must be a string p or p/q, not {value!r:.40}")
+    parts = value.split("/")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(*map(int, parts))
+    except ValueError:  # past the interpreter's digit limit
+        digits = max(len(part.lstrip("-")) for part in parts)
+        raise SchemaError(f"{what} has an integer of {digits} digits, which "
+                          "is too long") from None
+    except ZeroDivisionError as exc:
         raise SchemaError(f"bad {what} {value!r:.40}: {exc}") from exc
 
 
@@ -273,12 +279,6 @@ def rot_result_from_json(obj: object) -> RotResult:
 
 # -- the rotation number ----------------------------------------------------
 
-def _classify(f_q: LiftMap, p: int) -> tuple[int, QTau | None]:
-    """rot against p/q, given the exact q-th power f_q: (0, root) when
-    rot = p/q, with a root of f_q(x) = x + p, else the sign of rot - p/q."""
-    return f_q.table.shift_roots(ZTau(p))
-
-
 def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         max_iter: int = DEFAULT_MAX_ITER,
         piece_cap: int = DEFAULT_PIECE_CAP) -> RotResult:
@@ -289,7 +289,7 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
     n = f.n
     window = n + 1
     for m in (n, n + 1):
-        sign, root = _classify(f, m)
+        sign, root = f.table.shift_roots(ZTau(m))
         if root is not None:
             return RotRational(Fraction(m), root)
         if sign < 0:
@@ -312,7 +312,7 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
                 break
             p_med = p_lo + p_hi
             q_med = q_lo + q_hi
-            sign, root = _classify(f_med, p_med)
+            sign, root = f_med.table.shift_roots(ZTau(p_med))
             if root is not None:
                 return RotRational(Fraction(p_med, q_med), root)
             if sign == side:
@@ -373,20 +373,17 @@ def verify_rot(f: LiftMap, res: RotResult, *, max_den: int = DEFAULT_MAX_DEN,
                piece_cap: int = DEFAULT_PIECE_CAP) -> bool:
     """Re-check a stored rot result against its element within rot's budgets:
     the one re-check of a stored rot, a defect witness's included.  A
-    rational p/q needs a root of F**q(x) = x + p, an enclosure is recomputed
-    with its own iterations, and a q above max_den or iterations above
-    max_iter raise BudgetExceeded before any power is built."""
+    rational p/q is the one identity F^q(root) = root + p, which proves
+    rot = p/q by Poincare's criterion, checked on the root's orbit with no
+    power built; an enclosure is recomputed with its own iterations.  A q
+    above max_den or iterations above max_iter raise BudgetExceeded first."""
     if isinstance(res, RotTranslation):
         return f.is_translation() and f.translation_amount() == res.value
     if isinstance(res, RotRational):
         if res.q > max_den:
             raise BudgetExceeded(f"stored rational rot has power {res.q}, more "
                                  f"than the max_den budget of {max_den}")
-        fq = power(f, res.q, piece_cap)
-        if fq.eval(res.root) != res.root + res.p:
-            return False
-        # independent route: the shifted q-th power must exhibit a root
-        return _classify(fq, res.p)[1] is not None
+        return _eval_lift(f.table, res.root, res.q) == res.root + res.p
     if res.iterations > max_iter:
         raise BudgetExceeded(f"stored enclosure has {res.iterations} iterations, "
                              f"more than the max_iter budget of {max_iter}")

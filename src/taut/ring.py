@@ -473,7 +473,7 @@ def _read_exactly(text: str, start: int, stop: int) -> ZTau:
         if end < stop:
             raise RingLiteralError("expected '+' or '-'", end)
     except RingLiteralError as exc:
-        raise ValueError(f"bad ring literal {text!r}: {exc} "
+        raise ValueError(f"bad ring literal {text!r:.40}: {exc} "
                          f"at column {exc.pos + 1}") from None
     return z
 
@@ -497,7 +497,7 @@ def parse_qtau(text: str) -> QTau:
     try:
         den = int(m[num + 1] or 1)
     except ValueError:  # past the interpreter's digit limit
-        raise ValueError(f"bad ring literal {text!r}: denominator too long "
+        raise ValueError(f"bad ring literal {text!r:.40}: denominator too long "
                          f"at column {m.start(num + 1) + 1}") from None
     return QTau(z, den)
 

@@ -356,10 +356,7 @@ def test_defect_witness_needs_three_rots(tmp_path, capsys, keep):
 @pytest.mark.parametrize("answer, budget, message", [
     # the stored rot(g*h) = -1/2 needs the power q = 2
     (["--n", "2"], ["--max-den", "1"], "more than the max_den budget of 1"),
-    # the stored rot(g) = 11/5 needs g**2, which has 5 pieces
-    (["--search", "--samples", "8", "--seed", "13"], ["--piece-cap", "4"],
-     "exceed the configured cap 4"),
-], ids=["max-den", "piece-cap"])
+], ids=["max-den"])
 def test_defect_witness_recheck_is_budgeted(tmp_path, capsys, answer, budget,
                                             message):
     rc, out, _ = run(capsys, "defect", "--json", *answer)

@@ -515,3 +515,43 @@ def test_long_denominator_in_a_stored_root_is_positioned(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     err = assert_one_line_error(capsys, "check", str(path))
     assert "denominator too long at column 9" in err
+
+
+def test_long_ring_literal_is_not_echoed_whole(capsys):
+    argv = ("connect", "--", f"{LONG}*t", "t")
+    err = assert_one_line_error(capsys, *argv)
+    assert len(err.encode()) < 300 and "at column 1" in err
+    rc, out, err = run(capsys, argv[0], "--json", *argv[1:])
+    assert rc == 1 and err == "" and out.count("\n") == 1
+    assert len(out.encode()) < 300
+    assert "at column 1" in json.loads(out)["error"]["message"]
+
+
+def test_long_rot_value_names_its_field(tmp_path, capsys):
+    enclosure = _answer(capsys, "rot", "--max-iter", "64", "--", ENCLOSED)
+    rational = _answer(capsys, "rot", TORSION)
+    for payload, field, what in ((enclosure, "lo", "enclosure lo"),
+                                 (enclosure, "hi", "enclosure hi"),
+                                 (rational, "value", "rot value")):
+        for raw in (f'"{LONG}"', f'"-1/{LONG}"'):
+            rc, out, err = _check_raw(tmp_path, capsys, payload, field, raw)
+            assert rc == 1 and "SchemaError" in err, (field, raw)
+            assert f"{what} has an integer of 5000 digits" in err
+            assert "set_int_max_str_digits" not in err
+
+
+def test_huge_root_of_a_stored_rational_ends_in_bounded_time(tmp_path, capsys):
+    rational = _answer(capsys, "rot", f"lift({_TREEPAIR}, 0)^2")
+    assert rational["kind"] == "rational"
+    # 4,000-digit coefficients, below the interpreter's conversion limit,
+    # with no common factor, walked 99 steps
+    big, den = str(10**3999 + 7), str(3**8383)
+    assert len(big) == len(den) == 4000
+    cert = dict(rational["certificate"], power=99, shift=1,
+                root=f"({big}-{big}*t)/{den}")
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps(dict(rational, value="1/99", certificate=cert)))
+    start = time.perf_counter()
+    err = assert_one_line_error(capsys, "check", str(path), "--max-den", "100")
+    assert "fails re-checking" in err
+    assert time.perf_counter() - start < 1

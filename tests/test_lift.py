@@ -270,6 +270,62 @@ def test_rot_keeps_no_intermediate_fraction_table(monkeypatch):
     assert len(kept) < 8 and len(steps) > 40
 
 
+def power_table_replay(f: LiftMap, res: RotRational) -> bool:
+    """The rational re-check through the q-th power table: F**q at the
+    root, then shift_roots of F**q - p must find a root."""
+    fq = power(f, res.q)
+    if fq.eval(res.root) != res.root + res.p:
+        return False
+    return fq.table.shift_roots(ZTau(res.p))[1] is not None
+
+
+def rational_certificates():
+    """The exact rots of small random lifts moved by -2..2, each with the
+    same rot stated with p shifted by 1 and with its root moved by 1/den."""
+    for seed in range(8):
+        for size in range(2, 7):
+            f = random_element(seed, size, "Lift")
+            for n in range(-2, 3):
+                g = f.translate(n)
+                r = rot(g, max_den=64, max_iter=64)
+                if not isinstance(r, RotRational):
+                    continue
+                yield g, r
+                yield g, RotRational(Fraction(r.p + 1, r.q), r.root)
+                yield g, RotRational(r.value, r.root + QTau(ONE, r.root.den))
+
+
+def test_rational_replay_matches_the_power_table():
+    verdicts = []
+    for f, r in rational_certificates():
+        verdict = verify_rot(f, r)
+        assert verdict == power_table_replay(f, r), (f, r)
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_rational_replay_builds_no_table(monkeypatch):
+    cases = [(f, r) for f, r in rational_certificates() if r.q > 1]
+    events = []
+    init, classify = PLMap.__init__, PLMap.shift_roots
+
+    def counting_init(self, xs, ys, ks):
+        events.append("table")
+        init(self, xs, ys, ks)
+
+    def counting_classify(self, s):
+        events.append("step")
+        return classify(self, s)
+
+    monkeypatch.setattr(PLMap, "__init__", counting_init)
+    monkeypatch.setattr(PLMap, "shift_roots", counting_classify)
+    verdicts = [verify_rot(f, r) for f, r in cases]
+    monkeypatch.undo()
+    assert events == []
+    assert verdicts == [power_table_replay(f, r) for f, r in cases]
+    assert True in verdicts and False in verdicts
+
+
 def test_enclosure_on_irrational_translation_like():
     # an element whose rot is irrational: conjugate of translation by tau
     f = LiftMap.translation(TAU)
