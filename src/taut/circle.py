@@ -7,11 +7,12 @@ that separates T_tau from arbitrary PL circle maps with tau-power slopes
 (every rotation satisfies the breakpoint and slope conditions, but only
 ring rotations preserve Z[tau]/Z).
 
-Products and inverses sweep the raw periodic extension of a table
-(_unrolled) on integer coefficients: the cut point is found and the one
-split breakpoint formed on coefficients, and a shift by a whole period
-moves only the .a coefficient, with the breakpoints reused as they are
-when the shift is 0.  _eval_lift is the one evaluation kernel of a lift
+A product is the one sweep of plmap._sweep, which reads the other
+factor's table in place as its periodic extension, from the piece that
+holds this map's first image, and moves the images once, by the integer
+that puts the first into [0, 1); an inverse is the same sweep of the
+identity against the swapped table.  No shifted copy of a table is made.
+_eval_lift is the one evaluation kernel of a lift
 (LiftMap.eval, CircleMap.eval and the rotation orbit walk): it holds
 x = num/den as integer coefficients through any number of steps, each
 an exact floor, a piece bisection and that piece's line, and builds one
@@ -29,10 +30,12 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import PLMap, _compose, _piece_index, _table_json, is_ftau
-from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_ratio, _floor, _through, tau_pow
+from .plmap import PLMap, _piece_index, _sweep, _table_json, is_ftau
+from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_ratio, _floor, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
+
+_UNIT = (ZERO, ONE)
 
 
 class CircleMap:
@@ -142,13 +145,11 @@ class CircleMap:
         if not isinstance(other, CircleMap):
             return NotImplemented
         t, o = self.table, other.table
-        gx, gy, gk = _unrolled(o.xs, o.ys, o.ks, self.v)
-        # the product's images start at gy[0], so shifting gy shifts them
-        return CircleMap(_compose(t.xs, t.ys, t.ks, gx, _into_period(gy), gk))
+        return CircleMap(_sweep(t.xs, t.ys, t.ks, o.xs, o.ys, o.ks,
+                                into_period=True))
 
     def inverse(self) -> CircleMap:
-        xs, ys, ks = _inverse_unrolled(self.table)
-        return CircleMap(PLMap(xs, _into_period(ys), ks))
+        return CircleMap(_inverse_table(self.table, into_period=True))
 
     # -- fixed sets ---------------------------------------------------------
 
@@ -192,15 +193,11 @@ def _check_lift_table(table: PLMap) -> None:
         raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
 
 
-def _shifted(zs, n: int) -> list:
-    """The ring elements zs moved by the integer n, on their .a coefficient."""
-    return [ZTau(z.a + n, z.b) for z in zs] if n else list(zs)
-
-
 def _into_period(ys):
-    """ys moved by the integer that puts ys[0] into [0, 1); ys itself if 0."""
+    """ys moved by the integer that puts ys[0] into [0, 1), on their .a
+    coefficient; ys itself if that integer is 0."""
     j = ys[0].floor()
-    return _shifted(ys, -j) if j else ys
+    return [ZTau(y.a - j, y.b) for y in ys] if j else ys
 
 
 def _circle_json(table: PLMap) -> dict:
@@ -239,34 +236,12 @@ def _eval_lift(table: PLMap, x: ZTau | QTau, steps: int = 1) -> ZTau | QTau:
     return y if num is x else QTau(y, den)
 
 
-def _unrolled(xs, ys, ks, a: ZTau) -> tuple[list, list, tuple]:
-    """Raw table of the periodic extension of a one-period lift on [a, a + 1].
-
-    The table f = (xs, ys, ks), given as tuples, must satisfy
-    f(x + 1) = f(x) + 1 across its period, i.e. domain and image both
-    have length one.  With n the integer that puts r = a - n in f's
-    domain, the result is f cut at r with its part left of r moved on by
-    one period, the whole moved by n; colinear neighbours are left
-    unmerged.  Lift and circle products and inverses sweep these
-    sequences directly, so that each builds only its own table.
-    """
-    n = _floor(a.a - xs[0].a, a.b - xs[0].b)
-    r = ZTau(a.a - n, a.b) if n else a
-    j = _piece_index(xs, r.a, r.b)
-    if r != xs[j]:
-        # split piece j at r, so that the cut falls on a breakpoint
-        ys = ys[:j + 1] + (_through(xs[j], ys[j], ks[j], r),) + ys[j + 1:]
-        xs = xs[:j + 1] + (r,) + xs[j + 1:]
-        ks = ks[:j + 1] + ks[j:]
-        j += 1
-    return (_shifted(xs[j:], n) + _shifted(xs[1:j + 1], n + 1),
-            _shifted(ys[j:], n) + _shifted(ys[1:j + 1], n + 1),
-            ks[j:] + ks[:j])
-
-
-def _inverse_unrolled(table: PLMap) -> tuple[list, list, tuple]:
-    """Raw table on [0, 1] of the inverse of the lift with this table."""
-    return _unrolled(table.ys, table.xs, tuple([-k for k in table.ks]), ZERO)
+def _inverse_table(table: PLMap, into_period: bool = False) -> PLMap:
+    """The table on [0, 1] of the inverse of the lift with this table: the
+    identity swept against the swapped table, read as its periodic
+    extension."""
+    return _sweep(_UNIT, _UNIT, (0,), table.ys, table.xs,
+                  tuple([-k for k in table.ks]), into_period=into_period)
 
 
 # -- tau-subdivision trees -------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree, _unrolled
+from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -31,7 +31,7 @@ from .lift import (
     rot_result_from_json,
     verify_rot,
 )
-from .plmap import (PLMap, _restricted, concat, conjugate, commutator, is_ftau,
+from .plmap import (Memo, PLMap, _sweep, concat, conjugate, commutator, is_ftau,
                     is_ftau_compact, power)
 from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_bool, json_int, tau_pow
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
@@ -142,14 +142,13 @@ def _embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
     """Circle map acting like the interval map g in the chart at center.
 
     This is g conjugated by the rotation by center, x -> G(x - center) +
-    center with G the periodic extension of g, built as one table: G cut
-    at -center, moved on by center.
+    center with G the periodic extension of g, built as one table: the
+    sweep of x -> x - center on [0, 1] against G, its images moved by
+    center and then into [0, 1).
     """
     t = CircleMap.from_interval_map(g).table
-    xs, ys, ks = _unrolled(t.xs, t.ys, t.ks, -center)
-    # the images move by center less the integer that puts them into [0, 1)
-    shift = center - (ys[0] + center).floor()
-    return CircleMap(PLMap([x + center for x in xs], [y + shift for y in ys], ks))
+    return CircleMap(_sweep((ZERO, ONE), (-center, ONE - center), (0,),
+                            t.xs, t.ys, t.ks, center, into_period=True))
 
 
 # -- interval matching --------------------------------------------------------
@@ -229,7 +228,9 @@ class TransitivityCertificate:
     expr: str | None = None
     pieces: dict[str, PLMap] = field(default_factory=dict)
 
-    def verify(self) -> None:
+    def verify(self, memo: Memo | None = None) -> None:
+        """Re-check by evaluation; expr is evaluated through memo, the one
+        its construction built the element with, or a fresh one."""
         _check_tuples(self.sources, self.targets)
         if not is_ftau(self.element):
             raise CertificateError("element does not fix 0 and 1 on [0, 1]")
@@ -241,7 +242,7 @@ class TransitivityCertificate:
         if self.expr is not None:
             from .expr import evaluate_str
 
-            if evaluate_str(self.expr, dict(self.pieces)) != self.element:
+            if evaluate_str(self.expr, self.pieces, memo) != self.element:
                 raise CertificateError("expression does not rebuild the element")
 
     def to_json(self) -> dict:
@@ -314,8 +315,13 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     f is a compactly supported element doing the transport, built from a
     padded connect_tuple g and a copy h of g's boundary behaviour; l
     pushes the support interval strictly above it, so l^-1 f^-1 l fixes
-    every source point and the commutator acts like f there.
+    every source point and the commutator acts like f there.  The element
+    is the certificate's own expression comm(l, f), evaluated through a
+    memo that this call makes and hands to the certificate's verify, so
+    the check makes none of its products again.
     """
+    from .expr import evaluate_str
+
     xs, ys = _check_tuples(xs, ys)
     lo_lim = min(xs[0], ys[0]) if xs else TAU
     hi_lim = max(xs[-1], ys[-1]) if xs else TAU
@@ -326,15 +332,18 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     f = g * h.inverse()
     i1, i2 = points_between(b, ONE, 2)
     l = connect_tuple((a, b), (i1, i2)).element
+    memo = Memo()
+    pieces = {"l": l, "f": f}
+    expr = "comm(l, f)"
     cert = TransitivityCertificate(
-        element=commutator(l, f),
+        element=evaluate_str(expr, pieces, memo),
         sources=xs,
         targets=ys,
         compact=True,
-        expr="comm(l, f)",
-        pieces={"l": l, "f": f},
+        expr=expr,
+        pieces=pieces,
     )
-    cert.verify()
+    cert.verify(memo)
     return cert
 
 
@@ -403,19 +412,23 @@ class FactorCertificate:
     u_expr: str = "g * f^-1 * comm(h2, h1)^-1"
     v_expr: str = "comm(h2, h1) * f"
 
-    def verify(self) -> None:
+    def verify(self, memo: Memo | None = None) -> None:
+        """Re-check by evaluation: u_expr, v_expr and comm(h2, h1) are
+        evaluated through one memo, the one the construction built u and v
+        with, or a fresh one."""
         from .expr import evaluate_str
 
+        memo = Memo() if memo is None else memo
         env = {"g": self.g, **self.pieces}
-        if evaluate_str(self.u_expr, dict(env)) != self.u:
+        if evaluate_str(self.u_expr, env, memo) != self.u:
             raise CertificateError("u expression does not rebuild u")
-        if evaluate_str(self.v_expr, dict(env)) != self.v:
+        if evaluate_str(self.v_expr, env, memo) != self.v:
             raise CertificateError("v expression does not rebuild v")
         if self.u * self.v != self.g:
             raise CertificateError("u * v differs from the factored element")
         if not self.u.fixes_neighborhood_of(self.x):
             raise CertificateError("u does not fix a neighbourhood of x")
-        h3 = commutator(self.pieces["h2"], self.pieces["h1"])
+        h3 = commutator(self.pieces["h2"], self.pieces["h1"], memo)
         for name, piece in list(self.pieces.items()) + [("comm(h2,h1)", h3)]:
             if not piece.fixes_neighborhood_of(self.y):
                 raise CertificateError(
@@ -457,16 +470,22 @@ class FactorCertificate:
 def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
                                  center: ZTau) -> PLMap:
     """Chart table of u on the closed arc [lo, hi] that u maps onto itself
-    fixing its endpoints; the arc and its image must avoid the center."""
+    fixing its endpoints; the arc and its image must avoid the center.
+
+    It is the sweep of the chart's translation [c, c + span] -> [a, a +
+    span] against u's lift, with c the chart point of lo and a = lo mod 1,
+    its images moved back into the chart and into [0, 1): so it starts at
+    c exactly when u moves lo by a whole number of turns.
+    """
     span = _reduce(hi - lo)
     a = _reduce(lo)
+    c = _chart(center, lo)
     t = u.table
-    xs, ys, ks = _restricted(*_unrolled(t.xs, t.ys, t.ks, a), a, a + span)
-    m = ys[0] - a
-    if m.b != 0:
+    out = _sweep((c, c + span), (a, a + span), (0,), t.xs, t.ys, t.ks, c - a,
+                 into_period=True)
+    if out.ys[0] != c:
         raise CertificateError("arc endpoint is not fixed")
-    shift = _chart(center, lo) - a
-    return PLMap([x + shift for x in xs], [y - m.a + shift for y in ys], ks)
+    return out
 
 
 def factor_local(g: CircleMap,
@@ -477,8 +496,13 @@ def factor_local(g: CircleMap,
     Follows the arc game: pick x moved by g and a spare point y, squeeze
     an arc I around x until I, I*g and {x, y} are suitably separated,
     transport I*g back with an element f fixing y, cancel the remaining
-    inner part of g*f^-1 on I by the commutator [h2, h1].
+    inner part of g*f^-1 on I by the commutator [h2, h1].  u and v are
+    the certificate's own expressions, evaluated through a memo that this
+    call makes, that already holds g*f^-1 and that is handed to the
+    certificate's verify: each distinct product is made once in the call.
     """
+    from .expr import evaluate_str
+
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
     x = None
@@ -514,7 +538,8 @@ def factor_local(g: CircleMap,
     f_chart = connect_tuple_derived(
         (a1, b1), (_chart(y, g.eval(lo)), _chart(y, g.eval(hi))))
     f = _embed_in_chart(f_chart.element, y)
-    w = g * f.inverse()
+    memo = Memo()
+    w = memo.mul(g, memo.inverse(f))
     if w.eval(lo) != lo or w.eval(hi) != hi:
         raise CertificateError("transport does not fix the arc endpoints")
     inner = _chart_restriction_fixed_arc(w, lo, hi, y)
@@ -526,12 +551,13 @@ def factor_local(g: CircleMap,
     t1, t2 = points_between(b1, top, 2)
     h2_chart = connect_tuple((eps, a1, b1, top), (eps, t1, t2, top)).element
     h2 = _embed_in_chart(h2_chart, y)
-    h3 = commutator(h2, h1)
-    u = w * h3.inverse()
-    v = h3 * f
-    cert = FactorCertificate(g=g, x=x, y=y, arc=arc, u=u, v=v,
-                             pieces={"f": f, "h1": h1, "h2": h2})
-    cert.verify()
+    pieces = {"f": f, "h1": h1, "h2": h2}
+    env = {"g": g, **pieces}
+    cert = FactorCertificate(g=g, x=x, y=y, arc=arc,
+                             u=evaluate_str(FactorCertificate.u_expr, env, memo),
+                             v=evaluate_str(FactorCertificate.v_expr, env, memo),
+                             pieces=pieces)
+    cert.verify(memo)
     return cert
 
 
@@ -549,10 +575,12 @@ class CommutatorCertificate:
     arc: tuple[ZTau, ZTau]
     expr: str = "g^-1 * conj(g, h)"
 
-    def verify(self) -> None:
+    def verify(self, memo: Memo | None = None) -> None:
+        """Re-check by evaluation; expr is evaluated through memo, the one
+        its construction built the result with, or a fresh one."""
         from .expr import evaluate_str
 
-        if evaluate_str(self.expr, {"g": self.g, "h": self.h}) != self.result:
+        if evaluate_str(self.expr, {"g": self.g, "h": self.h}, memo) != self.result:
             raise CertificateError("expression does not rebuild the element")
         if self.result.is_identity():
             raise CertificateError("commutator collapsed to the identity")
@@ -590,7 +618,12 @@ class CommutatorCertificate:
 def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
                      max_depth: int = DEFAULT_DEPTH) -> CommutatorCertificate:
     """k = [g, h] fixing a neighbourhood of x, h supported in an arc I with
-    I*g disjoint from I and x outside I and I*g."""
+    I*g disjoint from I and x outside I and I*g.  k is the certificate's
+    own expression g^-1 * conj(g, h), evaluated through a memo that this
+    call makes and hands to the certificate's verify, so the check makes
+    none of its products again."""
+    from .expr import evaluate_str
+
     if g.is_identity():
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
@@ -629,9 +662,10 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
     t = match_intervals(ZERO, ONE, a2, ONE)
     inner = conjugate(h0, t)
     h = _embed_in_chart(concat([PLMap.identity(ZERO, a2), inner]), hi)
-    k = commutator(g, h)
+    memo = Memo()
+    k = evaluate_str(CommutatorCertificate.expr, {"g": g, "h": h}, memo)
     cert = CommutatorCertificate(result=k, g=g, h=h, x=x, arc=arc)
-    cert.verify()
+    cert.verify(memo)
     return cert
 
 

@@ -42,7 +42,7 @@ from .lift import (
     scl_result_from_json,
     verify_rot,
 )
-from .plmap import PLMap, commutator, conjugate, is_ftau, power
+from .plmap import Memo, PLMap, commutator, conjugate, is_ftau, power
 from .ring import RingLiteralError, ZTau, json_int, read_ztau
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
@@ -94,11 +94,13 @@ Element = PLMap | CircleMap | LiftMap
 
 
 class _Scanner:
-    def __init__(self, text: str, env: dict[str, Element] | None) -> None:
+    def __init__(self, text: str, env: dict[str, Element] | None,
+                 memo: Memo | None) -> None:
         self.text = text
         self.pos = 0
         self.depth = 0
         self.env = dict(env or {})
+        self.memo = Memo() if memo is None else memo
 
     def error(self, message: str) -> ExprSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -182,10 +184,14 @@ class _Scanner:
         raise self.error("expected a ring literal")
 
 
-def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
+def evaluate_str(text: str, env: dict[str, Element] | None = None,
+                 memo: Memo | None = None) -> Element:
     """The element that an expression denotes; names are looked up in env,
-    which the expression's let bindings do not change."""
-    sc = _Scanner(text, env)
+    which the expression's let bindings do not change.  Products, inverses
+    (^-1), commutators and conjugates are made through memo, a fresh one
+    unless the caller hands on its own: a product already in it, of the
+    same operand objects in the same order, is not made again."""
+    sc = _Scanner(text, env, memo)
     while sc.take_word("let"):
         name = sc.read_name()
         if name in _KEYWORDS:
@@ -210,8 +216,7 @@ def _read_expr(sc: _Scanner) -> Element:
     out = _read_term(sc)
     while sc.peek() in ("*", "@"):
         sc.pos += 1
-        a, b = _promote_pair(out, _read_term(sc))
-        out = a * b
+        out = sc.memo.mul(*_promote_pair(out, _read_term(sc)))
     sc.depth -= 1
     return out
 
@@ -229,7 +234,7 @@ def _read_term(sc: _Scanner) -> Element:
             raise PowerBudgetExceeded(
                 f"power ^{k} of an element of size {size} exceeds the bound "
                 f"{MAX_POWER_WORK} on |k| * size in an expression")
-        out = out.inverse() if k == -1 else power(out, k, DEFAULT_PIECE_CAP)
+        out = sc.memo.inverse(out) if k == -1 else power(out, k, DEFAULT_PIECE_CAP)
     return out
 
 
@@ -254,7 +259,7 @@ def _read_atom(sc: _Scanner) -> Element:
             sc.take(",")
             b = _read_expr(sc)
             sc.take(")")
-            return make(*_promote_pair(a, b))
+            return make(*_promote_pair(a, b), sc.memo)
     if sc.take_word("lift"):
         sc.take("(")
         inner = _read_expr(sc)
@@ -413,7 +418,7 @@ def _load(text: str):
         raise SchemaError("payload must be an object with a 'kind'")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise SchemaError(f"unknown payload kind {kind!r}")
+        raise SchemaError(f"unknown payload kind {kind!r:.40}")
     # rot --json writes no schema; a payload that states one states this one
     if "schema" in obj and json_int(obj["schema"], "schema") != SCHEMA_VERSION:
         raise SchemaError(f"unknown schema {obj['schema']!r:.40}, expected "

@@ -2,7 +2,9 @@
 
 A LiftMap is a homeomorphism of the line commuting with x -> x + 1, fixed
 by its table on [0, 1]: table(1) = table(0) + 1, and table(0) may be any
-element of Z[tau].  Products and inverses compose tables directly.  The
+element of Z[tau].  A product is one sweep of this table against the
+other's, read in place as its periodic extension (plmap._sweep), and an
+inverse is the same sweep of the identity against the swapped table.  The
 circle map it lifts and its integer translation part n = floor(table(0))
 are read off the table, so the central integer translations are exactly
 the lifts whose table is x -> x + n; its JSON writes the base as its own
@@ -44,11 +46,10 @@ from .circle import (
     _check_lift_table,
     _circle_json,
     _eval_lift,
-    _inverse_unrolled,
-    _unrolled,
+    _inverse_table,
 )
 from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
-from .plmap import PLMap, _capped_mul, _compose
+from .plmap import PLMap, _capped_mul, _sweep
 from .ring import (
     ONE,
     QTau,
@@ -129,11 +130,10 @@ class LiftMap:
         if not isinstance(other, LiftMap):
             return NotImplemented
         t, o = self.table, other.table
-        return LiftMap(_compose(t.xs, t.ys, t.ks,
-                                *_unrolled(o.xs, o.ys, o.ks, t.ys[0])))
+        return LiftMap(_sweep(t.xs, t.ys, t.ks, o.xs, o.ys, o.ks))
 
     def inverse(self) -> LiftMap:
-        return LiftMap(PLMap(*_inverse_unrolled(self.table)))
+        return LiftMap(_inverse_table(self.table))
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
         """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""
@@ -274,7 +274,7 @@ def rot_result_from_json(obj: object) -> RotResult:
         return RotEnclosure(_json_fraction(obj["lo"], "enclosure lo"),
                             _json_fraction(obj["hi"], "enclosure hi"),
                             json_int(obj["iterations"], "iterations"))
-    raise SchemaError(f"unknown rotation result kind {kind!r}")
+    raise SchemaError(f"unknown rotation result kind {kind!r:.40}")
 
 
 # -- the rotation number ----------------------------------------------------

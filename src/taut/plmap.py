@@ -3,15 +3,18 @@
 A PLMap is an increasing PL bijection between two intervals with Z[tau]
 endpoints, stored as breakpoints xs, their images ys and per-piece slope
 exponents ks (piece i has slope tau**ks[i]).  Construction always checks
-the slope identities exactly, on the integer coefficients of each piece's
-run and rise, and merges colinear pieces, so equality of normalized tables
-is equality of maps.  A product is one sweep over both tables; lift and
-circle products sweep the other factor's periodic extension as raw
-sequences (circle._unrolled), so each product builds only its own table.
-Sweeps, cuts and evaluation work on the (a, b) integer coefficients of
-the breakpoints: comparisons take ring._sign of coefficient differences,
-and each point found on a piece is one ring._through, so every output
-breakpoint is exactly one ZTau with no intermediate ring objects.
+every piece, in one loop on the integer coefficients of its run and rise,
+and merges colinear pieces, so equality of normalized tables is equality
+of maps.  Every product, of interval, circle or lift maps, is one sweep
+(_sweep) that builds only its own table: a lift or circle product reads
+the other factor's table in place as its periodic extension, keeping a
+piece index and an integer shift, and an interval product is the same
+sweep that never leaves the other table.  Sweeps, cuts and evaluation
+work on the (a, b) integer coefficients of the breakpoints: comparisons
+take ring._sign of coefficient differences, and each point found on a
+piece is formed from coefficients, so every output breakpoint is exactly
+one ZTau with no intermediate ring objects.  A Memo lets one call make
+each distinct product and inverse of its words once.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _is_tau_multiple,
-                   _shifted_gap, _sign, _through, is_tau_power, json_int,
-                   tau_pow)
+from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _shifted_gap,
+                   _sign, _through, is_tau_power, json_int, tau_pow)
 
 
 def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
@@ -54,31 +56,39 @@ class PLMap:
         xs = tuple(xs)
         ys = tuple(ys)
         ks = tuple(ks)
-        if len(xs) < 2 or len(xs) != len(ys) or len(ks) != len(xs) - 1:
+        n = len(ks)
+        if len(xs) < 2 or len(xs) != len(ys) or n != len(xs) - 1:
             raise SchemaError("breakpoint table has inconsistent lengths")
         for v in xs + ys:
             if not isinstance(v, ZTau):
                 raise NotInRing(f"breakpoint {v!r} is not in Z[tau]")
-        for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
-            # dx = pa + pb*tau, dy = qa + qb*tau; dx > 0 and dy = tau**k * dx
-            # give dy > 0, so dy's sign matters only on rejection.  dy == 0 is
-            # rejected before tau_pow(k): from_raw bounds k only if dy != 0.
+        # One loop checks each piece and marks where colinear neighbours
+        # (the same exponent across a shared breakpoint) merge.  The run
+        # is dx = pa + pb*tau and the rise dy = qa + qb*tau; dx > 0 and
+        # dy = tau**k * dx give dy > 0, so dy's sign matters only on
+        # rejection.  dy == 0 is rejected before tau_pow(k): from_raw
+        # bounds k only if dy != 0.
+        keep = [0]
+        x0, y0 = xs[0], ys[0]
+        for i in range(n):
+            x1, y1, k = xs[i + 1], ys[i + 1], ks[i]
             pa, pb = x1.a - x0.a, x1.b - x0.b
-            qa, qb = y1.a - y0.a, y1.b - y0.b
-            if _sign(pa, pb) <= 0:
+            # dx > 0 needs _sign only when a coefficient is negative or both are 0
+            if (pa < 0 or pb < 0 or not (pa or pb)) and _sign(pa, pb) <= 0:
                 raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-            if not ((qa or qb) and _is_tau_multiple(qa, qb, k, pa, pb)):
+            qa, qb = y1.a - y0.a, y1.b - y0.b
+            t = tau_pow(k) if qa or qb else None
+            # dy = tau**k * dx, with tau**2 = 1 - tau
+            if t is None or qa != t.a * pa + t.b * pb or qb != t.a * pb + t.b * (pa - pb):
                 if _sign(qa, qb) <= 0:
                     raise NotIncreasing(f"table is not strictly increasing at piece {i}")
                 if is_tau_power(QTau(ZTau(qa, qb)) / QTau(ZTau(pa, pb))) is None:
                     raise NotTauPower(f"slope of piece {i} is no power of tau")
                 raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
-        # merge colinear neighbours: same exponent across a shared breakpoint
-        keep = [0]
-        for i in range(1, len(xs) - 1):
-            if ks[i - 1] != ks[i]:
+            if i and k != ks[i - 1]:
                 keep.append(i)
-        keep.append(len(xs) - 1)
+            x0, y0 = x1, y1
+        keep.append(n)
         if len(keep) < len(xs):
             # lists, not generators: tuple(genexpr) is built by resizing
             xs = tuple([xs[i] for i in keep])
@@ -193,7 +203,7 @@ class PLMap:
             raise DomainMismatch(
                 f"range [{self.ys[0]}, {self.ys[-1]}] does not match "
                 f"domain [{other.xs[0]}, {other.xs[-1]}]")
-        return _compose(self.xs, self.ys, self.ks, other.xs, other.ys, other.ks)
+        return _sweep(self.xs, self.ys, self.ks, other.xs, other.ys, other.ks)
 
     def inverse(self) -> PLMap:
         return PLMap(self.ys, self.xs, [-k for k in self.ks])
@@ -261,21 +271,70 @@ class IntervalSet:
                    for a, b in self.intervals)
 
 
-def _compose(fx, fy, fk, gx, gy, gk) -> PLMap:
-    """x -> g(f(x)) from raw tables in one sweep; f's image is g's domain."""
-    xs, ys, ks = [fx[0]], [gy[0]], []
-    i = j = 0
-    while i < len(fk):
-        ks.append(fk[i] + gk[j])
-        # the nearer of f's next image and g's next breakpoint ends the
-        # piece; a tie (c == 0) ends both
-        c = _cmp(fy[i + 1], gx[j + 1])
+def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
+           into_period: bool = False) -> PLMap:
+    """The table of x -> G(f(x)) + offset on f's domain, in one sweep.
+
+    f and g are raw tables.  G is g's table read in place as its periodic
+    extension, G(x + 1) = G(x) + 1, which needs g's domain and image to
+    have length one (a lift's table, or the swapped table of its inverse);
+    an interval map g, whose domain is f's image, is never left.  The
+    sweep starts on g's piece j moved by the integer n, the piece that
+    holds f's first image fy[0]; past g's last piece it goes on with the
+    first, moved one period further.  With into_period the images, offset
+    included, are moved by the integer that puts the first into [0, 1).
+
+    The nearer of f's next image and G's next breakpoint ends each piece,
+    a tie ends both.  Comparisons and each point found on a piece work on
+    the (a, b) coefficients, so every output breakpoint is one ZTau, and
+    a breakpoint of g whose image moves by nothing is used as it is.
+    """
+    u, g0 = fy[0], gx[0]
+    if u.a == g0.a and u.b == g0.b:
+        j = n = 0
+    else:
+        n = _floor(u.a - g0.a, u.b - g0.b)
+        j = _piece_index(gx, u.a - n, u.b)
+    # G's images on the current period, plus the offset, are g's images
+    # moved by sa + sb*tau
+    sa, sb = n + offset.a, offset.b
+    x, y, t = gx[j], gy[j], tau_pow(gk[j])
+    da, db = u.a - n - x.a, u.b - x.b
+    ya = y.a + sa + t.a * da + t.b * db
+    yb = y.b + sb + t.a * db + t.b * (da - db)
+    if into_period:
+        m = _floor(ya, yb)
+        sa -= m
+        ya -= m
+    xs, ys, ks = [fx[0]], [ZTau(ya, yb)], []
+    i, last, end = 0, len(gk), len(fk)
+    while i < end:
+        if j == last:
+            j, n, sa = 0, n + 1, sa + 1
+        kf, kg = fk[i], gk[j]
+        ks.append(kf + kg)
+        p, q = fy[i + 1], gx[j + 1]
+        c = _sign(p.a - q.a - n, p.b - q.b)
         if c <= 0:
             i += 1
+            xs.append(fx[i])
+        else:
+            # the point that f's piece i maps to G's breakpoint q + n: the
+            # line of slope tau**-kf through (fy[i], fx[i]) at q + n
+            x, y, t = fy[i], fx[i], tau_pow(-kf)
+            da, db = q.a + n - x.a, q.b - x.b
+            xs.append(ZTau(y.a + t.a * da + t.b * db,
+                           y.b + t.a * db + t.b * (da - db)))
         if c >= 0:
             j += 1
-        xs.append(fx[i] if c <= 0 else _through(fy[i], fx[i], -fk[i], gx[j]))
-        ys.append(gy[j] if c >= 0 else _through(gx[j], gy[j], gk[j], fy[i]))
+            y = gy[j]
+            ys.append(ZTau(y.a + sa, y.b + sb) if sa or sb else y)
+        else:
+            # f's image p, on G's piece j
+            x, y, t = gx[j], gy[j], tau_pow(kg)
+            da, db = p.a - n - x.a, p.b - x.b
+            ys.append(ZTau(y.a + sa + t.a * da + t.b * db,
+                           y.b + sb + t.a * db + t.b * (da - db)))
     return PLMap(xs, ys, ks)
 
 
@@ -361,14 +420,57 @@ def _capped_mul(a, b, piece_cap):
     return out
 
 
-def commutator(a, b):
-    """[a, b] = a^-1 b^-1 a b (right-action convention)."""
-    return a.inverse() * b.inverse() * a * b
+# The most pieces that the results held by one Memo may have in all.  A
+# construction and its own check hold a few hundred; past the bound a
+# product is still made, but not kept, so a long product from outside
+# does not hold every table on its way.
+MEMO_PIECES = 10_000
 
 
-def conjugate(a, b):
-    """a conjugated by b: b^-1 a b."""
-    return b.inverse() * a * b
+class Memo:
+    """The products and inverses made within one call, each made once.
+
+    An entry is keyed on its operation and the ids of its operands, in
+    order, and holds the operands, so no id is reused while the memo
+    lives.  A memo belongs to one call, which hands it on to the calls
+    that build and re-check the same words, and is dropped when it
+    returns: nothing is kept between calls.
+    """
+
+    __slots__ = ("_made", "_pieces")
+
+    def __init__(self) -> None:
+        self._made: dict = {}
+        self._pieces = 0
+
+    def mul(self, a, b):
+        key = ("*", id(a), id(b))
+        made = self._made.get(key)
+        return made[-1] if made else self._keep(key, (a, b, a * b))
+
+    def inverse(self, a):
+        key = ("^-1", id(a))
+        made = self._made.get(key)
+        return made[-1] if made else self._keep(key, (a, a.inverse()))
+
+    def _keep(self, key, made: tuple):
+        pieces = self._pieces + made[-1].num_pieces
+        if pieces <= MEMO_PIECES:
+            self._made[key], self._pieces = made, pieces
+        return made[-1]
+
+
+def commutator(a, b, memo: Memo | None = None):
+    """[a, b] = a^-1 b^-1 a b (right-action convention), its products and
+    inverses made through memo if one is given."""
+    m = Memo() if memo is None else memo
+    return m.mul(m.mul(m.mul(m.inverse(a), m.inverse(b)), a), b)
+
+
+def conjugate(a, b, memo: Memo | None = None):
+    """a conjugated by b: b^-1 a b, made through memo if one is given."""
+    m = Memo() if memo is None else memo
+    return m.mul(m.mul(m.inverse(b), a), b)
 
 
 # -- membership flavours -------------------------------------------------

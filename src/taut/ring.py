@@ -73,12 +73,6 @@ def _shifted_gap(x: ZTau, y: ZTau, s: ZTau) -> ZTau:
     return ZTau(y.a - x.a - s.a, y.b - x.b - s.b)
 
 
-def _is_tau_multiple(qa: int, qb: int, k: int, pa: int, pb: int) -> bool:
-    """Whether qa + qb*tau = tau**k * (pa + pb*tau), using tau**2 = 1 - tau."""
-    t = tau_pow(k)
-    return qa == t.a * pa + t.b * pb and qb == t.a * pb + t.b * (pa - pb)
-
-
 @total_ordering
 class ZTau:
     """The real number a + b*tau with arbitrary-precision integers a, b."""

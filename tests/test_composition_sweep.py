@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import CircleMap, _unrolled
+from taut.circle import CircleMap
 from taut.construct import _chart_restriction_fixed_arc, _embed_in_chart, random_element
 from taut.errors import NotFtau
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _piece_index, _restricted, concat, conjugate
+from taut.plmap import PLMap, _piece_index, _sweep, concat, conjugate
 from taut.ring import ONE, TAU, ZERO, ZTau, tau_pow
 
 
@@ -59,8 +59,10 @@ def reference_embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
     return conjugate(CircleMap.from_interval_map(g), CircleMap.rotation(center))
 
 
-def unroll(pl: PLMap, a: ZTau) -> PLMap:
-    return PLMap(*_unrolled(pl.xs, pl.ys, pl.ks, a))
+def unroll(pl: PLMap, a: ZTau, span: ZTau = ONE) -> PLMap:
+    """pl's periodic extension on [a, a + span]: the identity there swept
+    against pl."""
+    return _sweep((a, a + span), (a, a + span), (0,), pl.xs, pl.ys, pl.ks)
 
 
 def lift(c: CircleMap) -> LiftMap:
@@ -132,12 +134,10 @@ def test_unroll_matches_the_reference_window(g, data):
         assert table(unroll(pl, a)) == table(reference_window(pl, a, a + 1))
         assert table(unroll(pl.inverse(), a)) \
             == table(reference_window(pl.inverse(), a, a + 1))
-    # the restriction the factor construction takes of an unrolled table
+    # a window shorter than a period, as the factor construction sweeps
     a = bp + shift
     span = data.draw(st.sampled_from(pl.xs[1:]))
-    unrolled = _unrolled(pl.xs, pl.ys, pl.ks, a)
-    assert table(PLMap(*_restricted(*unrolled, a, a + span))) \
-        == table(reference_window(pl, a, a + span))
+    assert table(unroll(pl, a, span)) == table(reference_window(pl, a, a + span))
 
 
 @settings(max_examples=100, deadline=None)

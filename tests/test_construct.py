@@ -1,10 +1,15 @@
+import dataclasses
+import io
 import random
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from conftest import zt
 from taut.circle import CircleMap
+from taut.cli import main
 from taut.construct import (
     SplitMix64,
     arc_contains,
@@ -22,9 +27,12 @@ from taut.construct import (
     proximal_shrink_circle,
     random_element,
 )
-from taut.errors import BadTuple, IdentityInput
+from taut.errors import BadTuple, CertificateError, IdentityInput
+from taut.expr import evaluate_str, serialize
 from taut.lift import LiftMap, rot
-from taut.plmap import PLMap, is_ftau, is_ftau_compact
+from taut import plmap
+from taut.plmap import (Memo, PLMap, commutator, conjugate, is_ftau, is_ftau_compact,
+                        power)
 from taut.ring import ONE, QTau, TAU, ZERO, tau_pow
 
 T2 = tau_pow(2)
@@ -251,3 +259,99 @@ def test_points_between():
         assert (p - prev).sign() > 0
         prev = p
     assert (hi - prev).sign() > 0
+
+
+# -- work counts and the per-call memo ------------------------------------------
+
+def counting_products(monkeypatch) -> Counter:
+    """Count every product and inverse of interval, circle and lift maps."""
+    made = Counter()
+    for cls in (PLMap, CircleMap, LiftMap):
+        mul, inverse = cls.__mul__, cls.inverse
+
+        def counted_mul(a, b, mul=mul):
+            made["products"] += 1
+            return mul(a, b)
+
+        def counted_inverse(a, inverse=inverse):
+            made["inverses"] += 1
+            return inverse(a)
+
+        monkeypatch.setattr(cls, "__mul__", counted_mul)
+        monkeypatch.setattr(cls, "inverse", counted_inverse)
+    return made
+
+
+def check_file(path) -> None:
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", str(path)]) == 0
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch):
+    g = random_element(seed, 4, "T_tau")
+    made = counting_products(monkeypatch)
+    cert = factor_local(g)
+    # the derived connect: f, then comm(l, f) for the answer and its check
+    # alike; then g*f^-1, comm(h2, h1), u, v and the check's u*v
+    assert made == Counter(products=11, inverses=7)
+    path = tmp_path / "factor.json"
+    path.write_text(serialize(cert), encoding="utf-8")
+    # a check of the stored certificate makes every product itself, each
+    # time: u_expr whole, v_expr's last product and u*v
+    for _ in range(2):
+        made.clear()
+        check_file(path)
+        assert made == Counter(products=7, inverses=4)
+    made.clear()
+    connect_tuple_derived((T3, T2), (T2, TAU))
+    assert made == Counter(products=4, inverses=3)
+
+
+def test_a_shared_memo_keeps_the_order_of_operands():
+    a = random_element(3, 4, "T_tau")
+    b = random_element(11, 5, "T_tau")
+    assert a * b != b * a
+    env = {"a": a, "b": b}
+    memo = Memo()
+    ab = evaluate_str("a * b", env, memo)
+    assert evaluate_str("b * a", env, memo) == b * a != ab
+    assert evaluate_str("a * b", env, memo) is ab
+    comm_ab = evaluate_str("comm(a, b)", env, memo)
+    assert comm_ab == commutator(a, b)
+    assert evaluate_str("comm(b, a)", env, memo) == commutator(b, a) != comm_ab
+    assert evaluate_str("conj(a, b)", env, memo) == conjugate(a, b) \
+        != evaluate_str("conj(b, a)", env, memo)
+
+
+def test_a_memo_holds_tables_of_at_most_its_bound_in_pieces(monkeypatch):
+    monkeypatch.setattr(plmap, "MEMO_PIECES", 40)
+    h = LiftMap(random_element(283, 6, "Lift").table)
+    memo = Memo()
+    chain = evaluate_str(" * ".join(["h"] * 12), {"h": h}, memo)
+    assert chain == power(h, 12)
+    assert 0 < memo._pieces <= 40
+    # what it did not keep is made again, and comes out the same
+    assert evaluate_str(" * ".join(["h"] * 12), {"h": h}, memo) == chain
+
+
+def test_an_altered_factor_expression_still_fails(tmp_path):
+    cert = factor_local(random_element(5, 4, "T_tau"))
+    env = {"g": cert.g, **cert.pieces}
+    # with seed 5 comm(h2, h1) is no identity, and it does not commute with f
+    for field, text in (("u_expr", "g * f^-1"),
+                        ("u_expr", "g * f * comm(h2, h1)^-1"),
+                        ("v_expr", "f * comm(h2, h1)"),
+                        ("v_expr", "comm(h2, h1) * f^-1")):
+        bad = dataclasses.replace(cert, **{field: text})
+        # a fresh memo, and one that already holds the true u and v
+        full = Memo()
+        for expr in (cert.u_expr, cert.v_expr):
+            evaluate_str(expr, env, full)
+        for memo in (None, full):
+            with pytest.raises(CertificateError, match="does not rebuild"):
+                bad.verify(memo)
+        path = tmp_path / "bad.json"
+        path.write_text(serialize(bad), encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["check", str(path)]) == 1

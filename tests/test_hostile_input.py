@@ -78,6 +78,22 @@ def test_malformed_payloads_are_schema_errors(tmp_path, capsys):
         assert "SchemaError" in err
 
 
+def test_unknown_kinds_are_not_echoed_whole(tmp_path, capsys):
+    long_kind = "x" * 5000
+    for payload in ({"kind": long_kind},
+                    {"kind": "rational", "value": "1/2",
+                     "certificate": {"rot": {"kind": long_kind}}}):
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(payload))
+        err = assert_one_line_error(capsys, "check", str(path))
+        assert "SchemaError" in err and "kind 'xxxx" in err
+        assert len(err.encode()) < 300
+        rc, out, err = run(capsys, "check", "--json", str(path))
+        assert rc == 1 and err == ""
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+        assert len(out.encode()) < 300
+
+
 def test_v_keyed_map_literal_is_rejected(capsys):
     table = ('"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"a": "0"}, {"a": "1"}],'
              ' "ks": [0]')

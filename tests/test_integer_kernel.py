@@ -5,7 +5,10 @@ Evaluation, composition, restriction and unrolling now form each output
 breakpoint once from the (a, b) coefficients of their inputs.  The
 formulas below build the same values from ZTau and QTau arithmetic, one
 ring object per operation, as the kernels did before; they are kept here
-only as oracles.  A lift's walk of many steps, which keeps the point on
+only as oracles, and so is the integer-coefficient product that the
+one in-place sweep replaced: f swept against a copy of the other factor's
+periodic extension, cut at f's first image and shifted period by period.
+A lift's walk of many steps, which keeps the point on
 its coefficients throughout, is compared with the one-step formula
 iterated, and enclosures with that many reference steps.  Tables come from random F_tau, T_tau and lift elements,
 their inverses (negative slope exponents), lifts moved by whole periods,
@@ -19,14 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import _eval_lift, _unrolled
+from taut.circle import _eval_lift, _inverse_table
 from taut.construct import random_element
 from taut.errors import OutOfDomain
 from taut.expr import evaluate_str
 from taut import lift
 from taut.lift import LiftMap, RotEnclosure, rot_enclosure
-from taut.plmap import PLMap, _compose, _piece_index, _restricted, power
-from taut.ring import ZERO, QTau, ZTau, _as_qtau, tau_pow
+from taut.plmap import PLMap, _piece_index, _restricted, _sweep, power
+from taut.ring import ONE, ZERO, QTau, ZTau, _as_qtau, _cmp, _floor, _through, tau_pow
 
 
 # -- the ring-object formulas -------------------------------------------------
@@ -99,6 +102,59 @@ def reference_unrolled(xs, ys, ks, a) -> tuple:
     return ([x + n for x in xs[j:]] + [x + m for x in xs[1:j + 1]],
             [y + n for y in ys[j:]] + [y + m for y in ys[1:j + 1]],
             ks[j:] + ks[:j])
+
+
+# -- the product the in-place sweep replaced -----------------------------------
+
+def copied_compose(fx, fy, fk, gx, gy, gk) -> PLMap:
+    """x -> g(f(x)) from raw tables in one sweep; f's image is g's domain."""
+    xs, ys, ks = [fx[0]], [gy[0]], []
+    i = j = 0
+    while i < len(fk):
+        ks.append(fk[i] + gk[j])
+        c = _cmp(fy[i + 1], gx[j + 1])
+        if c <= 0:
+            i += 1
+        if c >= 0:
+            j += 1
+        xs.append(fx[i] if c <= 0 else _through(fy[i], fx[i], -fk[i], gx[j]))
+        ys.append(gy[j] if c >= 0 else _through(gx[j], gy[j], gk[j], fy[i]))
+    return PLMap(xs, ys, ks)
+
+
+def copied_shifted(zs, n: int) -> list:
+    return [ZTau(z.a + n, z.b) for z in zs] if n else list(zs)
+
+
+def copied_into_period(ys):
+    j = ys[0].floor()
+    return copied_shifted(ys, -j) if j else ys
+
+
+def copied_unrolled(xs, ys, ks, a: ZTau) -> tuple[list, list, tuple]:
+    """The raw table of a one-period table's periodic extension on [a, a + 1]."""
+    n = _floor(a.a - xs[0].a, a.b - xs[0].b)
+    r = ZTau(a.a - n, a.b) if n else a
+    j = _piece_index(xs, r.a, r.b)
+    if r != xs[j]:
+        ys = ys[:j + 1] + (_through(xs[j], ys[j], ks[j], r),) + ys[j + 1:]
+        xs = xs[:j + 1] + (r,) + xs[j + 1:]
+        ks = ks[:j + 1] + ks[j:]
+        j += 1
+    return (copied_shifted(xs[j:], n) + copied_shifted(xs[1:j + 1], n + 1),
+            copied_shifted(ys[j:], n) + copied_shifted(ys[1:j + 1], n + 1),
+            ks[j:] + ks[:j])
+
+
+def copied_lift_product(a: PLMap, b: PLMap, into_period: bool = False) -> PLMap:
+    gx, gy, gk = copied_unrolled(b.xs, b.ys, b.ks, a.ys[0])
+    return copied_compose(a.xs, a.ys, a.ks, gx,
+                          copied_into_period(gy) if into_period else gy, gk)
+
+
+def copied_lift_inverse(a: PLMap, into_period: bool = False) -> PLMap:
+    xs, ys, ks = copied_unrolled(a.ys, a.xs, tuple([-k for k in a.ks]), ZERO)
+    return PLMap(xs, copied_into_period(ys) if into_period else ys, ks)
 
 
 # -- tables ---------------------------------------------------------------------
@@ -269,17 +325,23 @@ def test_compose_matches_the_ring_formula(f, g):
         pairs += [(f, g), (g, f)]
     for a, b in pairs:
         raw = (a.xs, a.ys, a.ks, b.xs, b.ys, b.ks)
-        assert _compose(*raw) == reference_compose(*raw)
+        assert _sweep(*raw) == reference_compose(*raw)
 
 
 @settings(max_examples=100, deadline=None)
 @given(lift_tables(), lift_tables())
 def test_lift_products_match_the_ring_formula(f, g):
     for a, b in ((f, g), (g, f), (f, f)):
-        got = _compose(a.xs, a.ys, a.ks, *_unrolled(b.xs, b.ys, b.ks, a.ys[0]))
+        got = _sweep(a.xs, a.ys, a.ks, b.xs, b.ys, b.ks)
         want = reference_compose(a.xs, a.ys, a.ks,
                                  *reference_unrolled(b.xs, b.ys, b.ks, a.ys[0]))
         assert got == want
+
+
+def window(pl: PLMap, a: ZTau) -> PLMap:
+    """pl's periodic extension on [a, a + 1]: the identity there swept
+    against pl."""
+    return _sweep((a, a + 1), (a, a + 1), (0,), pl.xs, pl.ys, pl.ks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,11 +350,10 @@ def test_unrolled_matches_the_ring_formula(pl, data):
     bp = data.draw(st.sampled_from(pl.xs + pl.ys))
     for a in (bp + data.draw(shifts), data.draw(ring_points), pl.ys[0],
               pl.ys[0] + 5, pl.xs[0] - 4):
-        assert _unrolled(pl.xs, pl.ys, pl.ks, a) \
-            == reference_unrolled(pl.xs, pl.ys, pl.ks, a)
+        assert window(pl, a) == PLMap(*reference_unrolled(pl.xs, pl.ys, pl.ks, a))
         inv = pl.inverse()
-        assert _unrolled(inv.xs, inv.ys, inv.ks, a) \
-            == reference_unrolled(inv.xs, inv.ys, inv.ks, a)
+        assert window(inv, a) \
+            == PLMap(*reference_unrolled(inv.xs, inv.ys, inv.ks, a))
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,3 +382,89 @@ def test_the_big_tables_have_big_coefficients():
     for k in (-233, 199):
         table = hyperbolic_power(k).table
         assert bits(table) > 64 and any(s < 0 for s in table.ks)
+
+
+# -- the in-place sweep against the product it replaced ------------------------------
+
+def whole(pl: PLMap) -> tuple:
+    return pl.xs, pl.ys, pl.ks
+
+
+def moved(pl: PLMap, d) -> PLMap:
+    """pl with every image moved by d: still a lift table if pl is one."""
+    return PLMap(pl.xs, [y + d for y in pl.ys], pl.ks)
+
+
+def circle_tables():
+    """Tables of circle maps: images start in [0, 1)."""
+    circles = st.builds(lambda s, n: random_element(s, n, "T_tau").table, seeds, sizes)
+    rotations = st.builds(lambda a, b: moved(PLMap.identity(), ZTau(a, b)),
+                          small, small).map(lambda t: moved(t, -t.ys[0].floor()))
+    return st.one_of(circles, rotations).flatmap(
+        lambda t: st.sampled_from([t, copied_lift_inverse(t, True)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_tables(), lift_tables(), shifts, shifts)
+def test_lift_sweep_matches_the_copied_route(f, g, m, n):
+    """Lift products, with either factor's base value moved by -3..3."""
+    for a, b in ((moved(f, m), moved(g, n)), (moved(g, n), f), (f, moved(f, m))):
+        assert whole(_sweep(a.xs, a.ys, a.ks, b.xs, b.ys, b.ks)) \
+            == whole(copied_lift_product(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_tables(), lift_tables(), shifts, st.data())
+def test_sweep_cut_on_a_breakpoint_matches_the_copied_route(f, g, m, data):
+    """f's first image on one of g's breakpoints, a period or more away."""
+    bp = data.draw(st.sampled_from(g.xs))
+    a = moved(f, bp + m - f.ys[0])
+    assert a.ys[0] == bp + m
+    for b in (g, moved(g, m)):
+        assert whole(_sweep(a.xs, a.ys, a.ks, b.xs, b.ys, b.ks)) \
+            == whole(copied_lift_product(a, b))
+    # the identity on [bp, bp + 1] cuts there too
+    assert whole(_sweep((bp, bp + 1), (bp, bp + 1), (0,), g.xs, g.ys, g.ks)) \
+        == whole(PLMap(*copied_unrolled(g.xs, g.ys, g.ks, bp)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_tables(), circle_tables())
+def test_circle_sweep_matches_the_copied_route(f, g):
+    """Circle products, whose images are moved into [0, 1) when the first
+    falls outside it."""
+    for a, b in ((f, g), (g, f), (f, f)):
+        got = _sweep(a.xs, a.ys, a.ks, b.xs, b.ys, b.ks, into_period=True)
+        assert whole(got) == whole(copied_lift_product(a, b, into_period=True))
+        assert ZERO <= got.ys[0] < ONE
+
+
+def test_circle_sweep_moves_images_into_the_period():
+    tau = PLMap((ZERO, ONE), (ZTau(0, 1), ZTau(1, 1)), (0,))
+    t = random_element(7, 5, "T_tau").table
+    for a, b in ((tau, tau), (t, tau), (tau, t), (t, t)):
+        lifted = _sweep(a.xs, a.ys, a.ks, b.xs, b.ys, b.ks)
+        got = _sweep(a.xs, a.ys, a.ks, b.xs, b.ys, b.ks, into_period=True)
+        assert whole(got) == whole(copied_lift_product(a, b, into_period=True))
+        assert got == moved(lifted, -lifted.ys[0].floor())
+    assert _sweep(tau.xs, tau.ys, tau.ks, *whole(tau)).ys[0].floor() == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), tables())
+def test_interval_sweep_matches_the_copied_route(f, g):
+    pairs = [(f, f.inverse()), (f.inverse(), f), (f, PLMap.identity(f.ys[0], f.ys[-1]))]
+    if f.domain() == g.domain() == (f.ys[0], f.ys[-1]) == (g.ys[0], g.ys[-1]):
+        pairs += [(f, g), (g, f)]
+    for a, b in pairs:
+        raw = (a.xs, a.ys, a.ks, b.xs, b.ys, b.ks)
+        assert whole(_sweep(*raw)) == whole(copied_compose(*raw))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_tables(), circle_tables(), shifts)
+def test_inverse_sweep_matches_the_copied_route(f, c, m):
+    for t in (f, moved(f, m)):
+        assert whole(_inverse_table(t)) == whole(copied_lift_inverse(t))
+    assert whole(_inverse_table(c, into_period=True)) \
+        == whole(copied_lift_inverse(c, into_period=True))
