@@ -17,6 +17,10 @@ _eval_lift is the one evaluation kernel of a lift
 x = num/den as integer coefficients through any number of steps, each
 an exact floor, a piece bisection and that piece's line, and builds one
 ring element at the end.
+
+A tree pair is built from its trees' leaf exponents: a leaf of depth
+exponent e has length tau**e, so its partition of [0, 1] is the running
+sums of those lengths and each slope is the difference of two exponents.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import PLMap, _piece_index, _sweep, _table_json, is_ftau
-from .ring import ONE, QTau, ZERO, TAU, ZTau, _as_ratio, _floor, tau_pow
+from .plmap import (PLMap, _json_table, _piece_index, _sweep, _table_json,
+                    is_ftau)
+from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _floor, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
 
@@ -68,23 +73,18 @@ class CircleMap:
     def from_tree_pair(cls, p: SubdivisionTree, q: SubdivisionTree,
                        shift: int) -> CircleMap:
         """Map leaf i of p's partition onto leaf (i + shift) mod L of q's,
-        wrapping through 1."""
-        lcount = p.leaf_count()
-        if q.leaf_count() != lcount:
-            raise LeafCountMismatch(
-                f"{lcount} leaves versus {q.leaf_count()}")
+        wrapping through 1; both partitions come from the leaf exponents."""
+        pe, qe = p.leaf_exponents(), q.leaf_exponents()
+        lcount = len(pe)
+        if len(qe) != lcount:
+            raise LeafCountMismatch(f"{lcount} leaves versus {len(qe)}")
         shift %= lcount
-        pb = p.boundaries(ZERO, ONE)
-        qb = q.boundaries(ZERO, ONE)
-        pe = p.leaf_exponents()
-        qe = q.leaf_exponents()
-        ys = []
-        for i in range(lcount):
-            j = i + shift
-            ys.append(qb[j % lcount] + (1 if j >= lcount else 0))
-        ys.append(ys[0] + 1)
-        ks = [qe[(i + shift) % lcount] - pe[i] for i in range(lcount)]
-        return cls(PLMap(pb, ys, ks))
+        qb = _partition(ZERO, ONE, qe)
+        # q's leaves from the shifted one on, then the first ones and the
+        # period's end carried through 1
+        ys = qb[shift:lcount] + [ZTau(y.a + 1, y.b) for y in qb[:shift + 1]]
+        ks = [qk - pk for qk, pk in zip(qe[shift:] + qe[:shift], pe)]
+        return cls(PLMap(_partition(ZERO, ONE, pe), ys, ks))
 
     @classmethod
     def from_raw(cls, xs, ys, ks=None) -> CircleMap:
@@ -92,15 +92,7 @@ class CircleMap:
 
     @classmethod
     def from_json(cls, obj: object) -> CircleMap:
-        if not isinstance(obj, dict):
-            raise SchemaError("circle map payload must be an object")
-        g = cls(PLMap.from_json({k: v for k, v in obj.items() if k != "base"}))
-        stated = obj.get("base")
-        if stated is not None:
-            sv = ZTau.from_json(stated)
-            if g.v != sv - sv.floor():
-                raise SchemaError("stated base value disagrees with the table")
-        return g
+        return cls(_circle_table(obj))
 
     def to_json(self) -> dict:
         return _circle_json(self.table)
@@ -193,6 +185,26 @@ def _check_lift_table(table: PLMap) -> None:
         raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
 
 
+def _circle_table(obj: object, n: int = 0) -> PLMap:
+    """The table of a circle map payload moved by the integer that makes
+    floor(table(0)) = n: the one table read, and validated once, for the
+    circle map (n = 0) or one of its lifts."""
+    if not isinstance(obj, dict):
+        raise SchemaError("circle map payload must be an object")
+    xs, ys, ks = _json_table({k: v for k, v in obj.items() if k != "base"})
+    if ys and (j := n - ys[0].floor()):
+        ys = [ZTau(y.a + j, y.b) for y in ys]
+    table = PLMap(xs, ys, ks)
+    _check_lift_table(table)
+    stated = obj.get("base")
+    if stated is not None:
+        sv = ZTau.from_json(stated)
+        y0 = table.ys[0]
+        if ZTau(y0.a - n, y0.b) != sv - sv.floor():
+            raise SchemaError("stated base value disagrees with the table")
+    return table
+
+
 def _into_period(ys):
     """ys moved by the integer that puts ys[0] into [0, 1), on their .a
     coefficient; ys itself if that integer is 0."""
@@ -246,6 +258,18 @@ def _inverse_table(table: PLMap, into_period: bool = False) -> PLMap:
 
 # -- tau-subdivision trees -------------------------------------------------
 
+def _partition(lo: ZTau, hi: ZTau, exponents: list[int]) -> list[ZTau]:
+    """lo and the running sums lo + (hi - lo)*(tau**e0 + ... + tau**ei):
+    the endpoints of leaves of lengths (hi - lo)*tau**e.  Exact, as
+    tau**m = tau**(m+1) + tau**(m+2) makes a tree's leaf lengths sum to
+    its root's, so the last sum is hi."""
+    d = hi - lo
+    out = [lo]
+    for e in exponents:
+        out.append(out[-1] + d * tau_pow(e))
+    return out
+
+
 @dataclass(frozen=True)
 class SubdivisionTree:
     """Binary subdivision of an interval into (tau*l, tau**2*l) parts.
@@ -271,26 +295,24 @@ class SubdivisionTree:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
-
     def boundaries(self, lo: ZTau, hi: ZTau) -> list[ZTau]:
         """Endpoints of the leaf partition of [lo, hi], lo and hi included."""
-        if self.is_leaf:
-            return [lo, hi]
-        frac = TAU if self.wide_first else tau_pow(2)
-        mid = lo + frac * (hi - lo)
-        return self.left.boundaries(lo, mid)[:-1] + self.right.boundaries(mid, hi)
+        return _partition(lo, hi, self.leaf_exponents())
 
     def leaf_exponents(self) -> list[int]:
-        """Exponent e of each leaf length tau**e relative to the root length."""
-        if self.is_leaf:
-            return [0]
-        first, second = (1, 2) if self.wide_first else (2, 1)
-        return ([e + first for e in self.left.leaf_exponents()]
-                + [e + second for e in self.right.leaf_exponents()])
+        """Exponent e of each leaf length tau**e relative to the root
+        length, leaves from left to right."""
+        out = []
+        todo = [(self, 0)]
+        while todo:
+            node, e = todo.pop()
+            if node.is_leaf:
+                out.append(e)
+            else:
+                first, second = (1, 2) if node.wide_first else (2, 1)
+                todo.append((node.right, e + second))
+                todo.append((node.left, e + first))
+        return out
 
     def to_json(self):
         if self.is_leaf:

@@ -39,7 +39,8 @@ def _positive(text: str) -> int:
 
 
 @cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and the parser of each subcommand by name."""
     # every subcommand takes --json; the others only where they are read
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", action="store_true", dest="as_json",
@@ -54,53 +55,66 @@ def _build_parser() -> _Parser:
 
     p = _Parser(prog="taut", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
 
-    sp = sub.add_parser("eval", parents=[out],
-                        help="evaluate an element expression")
+    def command(name: str, parents: list, summary: str) -> _Parser:
+        commands[name] = sub.add_parser(name, parents=parents, help=summary)
+        return commands[name]
+
+    sp = command("eval", [out], "evaluate an element expression")
     sp.add_argument("expression")
 
-    sp = sub.add_parser("rot", parents=[out, budgets, cap],
-                        help="certified rotation number of a lift")
+    sp = command("rot", [out, budgets, cap],
+                 "certified rotation number of a lift")
     sp.add_argument("expression")
 
-    sp = sub.add_parser("scl", parents=[out, budgets, cap],
-                        help="stable commutator length of a lift")
+    sp = command("scl", [out, budgets, cap],
+                 "stable commutator length of a lift")
     sp.add_argument("expression")
 
-    sp = sub.add_parser("check", parents=[out, budgets, cap],
-                        help="re-validate an element, result or certificate")
+    sp = command("check", [out, budgets, cap],
+                 "re-validate an element, result or certificate")
     sp.add_argument("target", help="JSON file or element expression")
 
-    sp = sub.add_parser("connect", parents=[out],
-                        help="element carrying one ring tuple to another")
+    sp = command("connect", [out],
+                 "element carrying one ring tuple to another")
     sp.add_argument("sources", help="comma separated ring points")
     sp.add_argument("targets")
     sp.add_argument("--derived", action="store_true",
                     help="return a single-commutator certificate")
 
-    sp = sub.add_parser("factor", parents=[out],
-                        help="local factorization certificate of a circle element")
+    sp = command("factor", [out],
+                 "local factorization certificate of a circle element")
     sp.add_argument("expression")
     sp.add_argument("--depth", type=_positive, default=construct.DEFAULT_DEPTH,
                     help="search depth for constructive operations")
 
-    sp = sub.add_parser("defect", parents=[out, budgets, seed],
-                        help="defect witnesses for the rotation quasimorphism")
+    sp = command("defect", [out, budgets, seed],
+                 "defect witnesses for the rotation quasimorphism")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--search", action="store_true")
     sp.add_argument("--samples", type=int, default=50)
 
-    sp = sub.add_parser("random", parents=[out, seed],
-                        help="seeded random element")
+    sp = command("random", [out, seed], "seeded random element")
     sp.add_argument("--size", type=int, default=4)
     sp.add_argument("--flavor", choices=["F_tau", "T_tau", "Lift"],
                     default="T_tau")
-    return p
+    return p, commands
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    top, commands = _build_parser()
+    # A known command is read by its own parser, which the top level would
+    # hand it to; anything else (no argument, -h, an option first, an
+    # unknown command) by the top level, which writes those messages.
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        if sub is None:
+            args = top.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

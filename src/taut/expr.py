@@ -45,12 +45,10 @@ from .lift import (
 from .plmap import Memo, PLMap, commutator, conjugate, is_ftau, power
 from .ring import RingLiteralError, ZTau, json_int, read_ztau
 
-_KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
-             "treepair", "t"}
-
 # Deepest nesting of parentheses in an expression, and of brackets and
-# braces in a JSON payload, that is read; deeper input is rejected
-# before the recursive parsers could exhaust the interpreter's stack.
+# braces in each JSON value (an inline payload, or a file), that is read;
+# deeper input is rejected before the recursive parsers could exhaust the
+# interpreter's stack.
 MAX_NESTING = 100
 
 # Largest |k| read in a power e^k.  A power's pieces and coefficient bits
@@ -63,11 +61,14 @@ MAX_POWER = 10_000
 # Nested powers multiply their exponents past MAX_POWER: with E the
 # three-leaf tree pair (size 12), E^10000 reads 120,000 and (E^100)^100
 # 738,000, each about a second, while (E^1000)^1000 reads 7 * 10**8 and
-# would run for minutes.
+# would run for minutes.  A product chain a * b * c ... is bounded by the
+# same figure, on the sum over its products of both operands' sizes.
 MAX_POWER_WORK = 1_000_000
 
 _INT = re.compile(r"([+-]?)(\d*)")
 _NAME = re.compile(r"\w+")
+_BLANKS = re.compile(r"\s+")
+_DECODER = json.JSONDecoder()
 _BRACKET = re.compile(r"[][{}]")
 
 
@@ -88,7 +89,10 @@ def _check_json_nesting(text: str) -> None:
 # -- reading and evaluating ---------------------------------------------------
 #
 # The recursive-descent reader returns the element that each rule
-# denotes, so the first error in reading order is the one reported.
+# denotes, so the first error in reading order is the one reported.  It
+# reads each word once: an atom looks the word at the cursor up in
+# _ATOMS, and an inline JSON value is decoded once and its nesting
+# checked on its own text.
 
 Element = PLMap | CircleMap | LiftMap
 
@@ -108,8 +112,8 @@ class _Scanner:
         return ExprSyntaxError(message, line, col)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        if self.text[self.pos:self.pos + 1].isspace():
+            self.pos = _BLANKS.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip_ws()
@@ -120,20 +124,14 @@ class _Scanner:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def at_word(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text[self.pos:end] != word:
-            return False
-        return not (end < len(self.text)
-                    and (self.text[end].isalnum() or self.text[end] == "_"))
-
     def take_word(self, word: str) -> bool:
-        if self.at_word(word):
-            self.skip_ws()
-            self.pos += len(word)
-            return True
-        return False
+        """Pass the word at the cursor if it is word."""
+        self.skip_ws()
+        m = _NAME.match(self.text, self.pos)
+        if m is None or m.group() != word:
+            return False
+        self.pos = m.end()
+        return True
 
     def read_int(self) -> int:
         self.skip_ws()
@@ -158,16 +156,28 @@ class _Scanner:
         return m.group()
 
     def read_json(self) -> object:
+        """The JSON value at the cursor.  Its nesting is checked on its own
+        text, so a chain of values is scanned once in all; a value that
+        does not decode ends the reading, and is reported as too deep if
+        the rest of the text nests too deep."""
         self.skip_ws()
         try:
-            _check_json_nesting(self.text[self.pos:])
-            obj, end = json.JSONDecoder().raw_decode(self.text, self.pos)
-        except SchemaError as exc:
-            raise self.error(str(exc)) from exc
+            obj, end = _DECODER.raw_decode(self.text, self.pos)
         except json.JSONDecodeError as exc:
+            self.check_nesting(len(self.text))
             raise self.error(f"bad inline JSON: {exc.msg}") from exc
+        except RecursionError:  # the decoder's own bound, far past ours
+            raise self.error(f"JSON nests deeper than {MAX_NESTING} "
+                             "levels") from None
+        self.check_nesting(end)
         self.pos = end
         return obj
+
+    def check_nesting(self, end: int) -> None:
+        try:
+            _check_json_nesting(self.text[self.pos:end])
+        except SchemaError as exc:
+            raise self.error(str(exc)) from exc
 
     def read_ztau(self) -> ZTau:
         if self.peek():
@@ -212,11 +222,20 @@ def _read_expr(sc: _Scanner) -> Element:
     if sc.depth > MAX_NESTING:
         raise sc.error(f"expression nests deeper than {MAX_NESTING} levels")
     # fold a * b * c in this loop, so that a long product does not recurse
-    # once per factor
+    # once per factor; the chain's work is the sum of its products'
+    # operand sizes, bounded as a power's is
     out = _read_term(sc)
+    work = 0
     while sc.peek() in ("*", "@"):
         sc.pos += 1
-        out = sc.memo.mul(*_promote_pair(out, _read_term(sc)))
+        term = _read_term(sc)
+        work += _size(out) + _size(term)
+        if work > MAX_POWER_WORK:
+            raise PowerBudgetExceeded(
+                f"product chain of work {work} exceeds the bound "
+                f"{MAX_POWER_WORK} on the summed sizes of its factors in an "
+                "expression")
+        out = sc.memo.mul(*_promote_pair(out, term))
     sc.depth -= 1
     return out
 
@@ -245,58 +264,86 @@ def _size(element: Element) -> int:
 
 
 def _read_atom(sc: _Scanner) -> Element:
-    for word, make in (("rot", CircleMap.rotation),
-                       ("trans", LiftMap.translation)):
-        if sc.take_word(word):
-            sc.take("(")
-            angle = sc.read_ztau()
-            sc.take(")")
-            return make(angle)
-    for word, make in (("comm", commutator), ("conj", conjugate)):
-        if sc.take_word(word):
-            sc.take("(")
-            a = _read_expr(sc)
-            sc.take(",")
-            b = _read_expr(sc)
-            sc.take(")")
-            return make(*_promote_pair(a, b), sc.memo)
-    if sc.take_word("lift"):
-        sc.take("(")
-        inner = _read_expr(sc)
-        sc.take(",")
-        n = sc.read_int()
-        sc.take(")")
-        if isinstance(inner, PLMap):
-            inner = _to_circle(inner)
-        return LiftMap(inner.table).translate(n)
-    if sc.take_word("map"):
-        obj = sc.read_json()
-        is_circle = isinstance(obj, dict) and (
-            "base" in obj or obj.get("kind") == "circle")
-        try:
-            return (CircleMap.from_json(obj) if is_circle
-                    else PLMap.from_json(obj))
-        except SchemaError as exc:
-            raise sc.error(str(exc)) from exc
-    if sc.take_word("treepair"):
-        obj = sc.read_json()
-        if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
-            raise sc.error("treepair payload needs 'p' and 'q'")
-        p = SubdivisionTree.from_json(obj["p"])
-        q = SubdivisionTree.from_json(obj["q"])
-        shift = json_int(obj.get("shift", 0), "treepair shift")
-        return CircleMap.from_tree_pair(p, q, shift)
-    if sc.peek() == "(":
-        sc.take("(")
+    sc.skip_ws()
+    m = _NAME.match(sc.text, sc.pos)
+    if m is None:
+        if sc.peek() != "(":
+            raise sc.error("expected a name")
+        sc.pos += 1
         out = _read_expr(sc)
         sc.take(")")
         return out
-    name = sc.read_name()
-    if name in _KEYWORDS:
-        raise sc.error(f"{name!r} cannot be used as a name here")
-    if name not in sc.env:
-        raise ExprTypeError(f"unbound name {name!r}")
-    return sc.env[name]
+    sc.pos = m.end()
+    word = m.group()
+    read = _ATOMS.get(word)
+    if read is not None:
+        return read(sc)
+    if word in _KEYWORDS:
+        raise sc.error(f"{word!r} cannot be used as a name here")
+    if word not in sc.env:
+        raise ExprTypeError(f"unbound name {word!r}")
+    return sc.env[word]
+
+
+def _read_ring_call(sc: _Scanner, make) -> Element:
+    sc.take("(")
+    angle = sc.read_ztau()
+    sc.take(")")
+    return make(angle)
+
+
+def _read_pair_call(sc: _Scanner, make) -> Element:
+    sc.take("(")
+    a = _read_expr(sc)
+    sc.take(",")
+    b = _read_expr(sc)
+    sc.take(")")
+    return make(*_promote_pair(a, b), sc.memo)
+
+
+def _read_lift(sc: _Scanner) -> LiftMap:
+    sc.take("(")
+    inner = _read_expr(sc)
+    sc.take(",")
+    n = sc.read_int()
+    sc.take(")")
+    if isinstance(inner, PLMap):
+        inner = _to_circle(inner)
+    return LiftMap(inner.table).translate(n)
+
+
+def _read_map(sc: _Scanner) -> PLMap | CircleMap:
+    obj = sc.read_json()
+    is_circle = isinstance(obj, dict) and (
+        "base" in obj or obj.get("kind") == "circle")
+    try:
+        return CircleMap.from_json(obj) if is_circle else PLMap.from_json(obj)
+    except SchemaError as exc:
+        raise sc.error(str(exc)) from exc
+
+
+def _read_treepair(sc: _Scanner) -> CircleMap:
+    obj = sc.read_json()
+    if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
+        raise sc.error("treepair payload needs 'p' and 'q'")
+    p = SubdivisionTree.from_json(obj["p"])
+    q = SubdivisionTree.from_json(obj["q"])
+    shift = json_int(obj.get("shift", 0), "treepair shift")
+    return CircleMap.from_tree_pair(p, q, shift)
+
+
+# the reader of each atom that starts with a keyword, after the keyword;
+# the reader looks the word at the cursor up here once
+_ATOMS = {
+    "rot": lambda sc: _read_ring_call(sc, CircleMap.rotation),
+    "trans": lambda sc: _read_ring_call(sc, LiftMap.translation),
+    "comm": lambda sc: _read_pair_call(sc, commutator),
+    "conj": lambda sc: _read_pair_call(sc, conjugate),
+    "lift": _read_lift,
+    "map": _read_map,
+    "treepair": _read_treepair,
+}
+_KEYWORDS = {*_ATOMS, "let", "t"}
 
 
 def _promote_pair(a: Element, b: Element) -> tuple[Element, Element]:

@@ -45,6 +45,7 @@ from .circle import (
     CircleMap,
     _check_lift_table,
     _circle_json,
+    _circle_table,
     _eval_lift,
     _inverse_table,
 )
@@ -151,8 +152,12 @@ class LiftMap:
     def from_json(cls, obj: object) -> LiftMap:
         if not isinstance(obj, dict) or "base" not in obj:
             raise SchemaError("lift payload must carry a base table")
-        base = CircleMap.from_json(obj["base"])
-        return cls(base.table).translate(json_int(obj.get("n", 0), "lift n"))
+        # one table, the base's moved up by n; n is refused, if at all,
+        # after the table's own faults
+        n = obj.get("n", 0)
+        table = _circle_table(obj["base"], n if type(n) is int else 0)
+        json_int(n, "lift n")
+        return cls(table)
 
 
 # -- rotation number results ------------------------------------------------

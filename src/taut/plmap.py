@@ -105,48 +105,11 @@ class PLMap:
     @classmethod
     def from_raw(cls, xs, ys, ks=None) -> PLMap:
         """Validate an untrusted table; slope exponents are inferred if absent."""
-        xs = [_coerce_ring(x) for x in xs]
-        ys = [_coerce_ring(y) for y in ys]
-        if ks is None:
-            ks = []
-            for i in range(len(xs) - 1):
-                dx = xs[i + 1] - xs[i]
-                dy = ys[i + 1] - ys[i]
-                if dx.sign() <= 0 or dy.sign() <= 0:
-                    raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-                k = is_tau_power(QTau(dy) / QTau(dx))
-                if k is None:
-                    raise NotTauPower(f"slope of piece {i} is no power of tau")
-                ks.append(k)
-        ks = [json_int(k, "slope exponent") for k in ks]
-        # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
-        # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
-        # tau**k = dy/dx has phi**|k| <= H(dx)*H(dy).  A larger exponent
-        # cannot match, and is rejected before tau_pow builds a huge power.
-        for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
-            h = _height(x1 - x0) * _height(y1 - y0)
-            if h and abs(k) > 3 * h.bit_length() // 2 + 1:
-                raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
-        return cls(xs, ys, ks)
+        return cls(*_raw_table(xs, ys, ks))
 
     @classmethod
     def from_json(cls, obj: object) -> PLMap:
-        if not isinstance(obj, dict):
-            raise SchemaError("piecewise map payload must be an object")
-        unknown = set(obj) - {"xs", "ys", "ks", "kind", "schema"}
-        if unknown:
-            raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
-        try:
-            xs = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
-                  for v in obj["xs"]]
-            ys = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
-                  for v in obj["ys"]]
-            ks = obj.get("ks")
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad piecewise map payload: {exc}") from exc
-        if ks is not None and not isinstance(ks, list):
-            raise SchemaError("slope exponents 'ks' must be a list")
-        return cls.from_raw(xs, ys, ks)
+        return cls(*_json_table(obj))
 
     def to_json(self) -> dict:
         return _table_json(self.xs, self.ys, self.ks)
@@ -362,6 +325,65 @@ def _table_json(xs, ys, ks) -> dict:
     }
 
 
+def _raw_table(xs, ys, ks=None) -> tuple[list, list, list]:
+    """The lists xs, ys and ks of an untrusted table, read as ring
+    elements and integers and with its slope exponents bounded, for
+    PLMap.__init__ to validate; ks are inferred if None."""
+    if not all([type(x) is ZTau for x in xs]):
+        xs = [_coerce_ring(x) for x in xs]
+    if not all([type(y) is ZTau for y in ys]):
+        ys = [_coerce_ring(y) for y in ys]
+    if ks is None:
+        if len(xs) != len(ys):
+            raise SchemaError("breakpoint table has inconsistent lengths")
+        ks = []
+        for i in range(len(xs) - 1):
+            dx = xs[i + 1] - xs[i]
+            dy = ys[i + 1] - ys[i]
+            if dx.sign() <= 0 or dy.sign() <= 0:
+                raise NotIncreasing(f"table is not strictly increasing at piece {i}")
+            k = is_tau_power(QTau(dy) / QTau(dx))
+            if k is None:
+                raise NotTauPower(f"slope of piece {i} is no power of tau")
+            ks.append(k)
+    if not all([type(k) is int for k in ks]):
+        ks = [json_int(k, "slope exponent") for k in ks]
+    # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
+    # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
+    # tau**k = dy/dx has phi**|k| <= H(dx)*H(dy).  A larger exponent
+    # cannot match, and is rejected before tau_pow builds a huge power.
+    # A nonzero H(dx)*H(dy) is at least 1, which admits |k| <= 2.
+    for i, (k, x0, x1, y0, y1) in enumerate(zip(ks, xs, xs[1:], ys, ys[1:])):
+        if -3 < k < 3:
+            continue
+        h = ((abs(x1.a - x0.a) + 2 * abs(x1.b - x0.b))
+             * (abs(y1.a - y0.a) + 2 * abs(y1.b - y0.b)))
+        if h and abs(k) > 3 * h.bit_length() // 2 + 1:
+            raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
+    return xs, ys, ks
+
+
+def _json_table(obj: object) -> tuple[list, list, list]:
+    """The lists xs, ys and ks of a table payload, read as _raw_table
+    reads them."""
+    if not isinstance(obj, dict):
+        raise SchemaError("piecewise map payload must be an object")
+    unknown = obj.keys() - {"xs", "ys", "ks", "kind", "schema"}
+    if unknown:
+        raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
+    try:
+        xs = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
+              for v in obj["xs"]]
+        ys = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
+              for v in obj["ys"]]
+        ks = obj.get("ks")
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"bad piecewise map payload: {exc}") from exc
+    if ks is not None and not isinstance(ks, list):
+        raise SchemaError("slope exponents 'ks' must be a list")
+    return _raw_table(xs, ys, ks)
+
+
 def _coerce_ring(v) -> ZTau:
     if isinstance(v, ZTau):
         return v
@@ -372,10 +394,6 @@ def _coerce_ring(v) -> ZTau:
             raise NotInRing(f"{v} is not in Z[tau]")
         return v.num
     raise NotInRing(f"{v!r} is not in Z[tau]")
-
-
-def _height(z: ZTau) -> int:
-    return abs(z.a) + 2 * abs(z.b)
 
 
 def concat(parts: list[PLMap]) -> PLMap:
