@@ -92,7 +92,7 @@ class CircleMap:
 
     @classmethod
     def from_json(cls, obj: object) -> CircleMap:
-        return cls(_circle_table(obj))
+        return _from_circle_json(cls, obj)
 
     def to_json(self) -> dict:
         return _circle_json(self.table)
@@ -185,24 +185,24 @@ def _check_lift_table(table: PLMap) -> None:
         raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
 
 
-def _circle_table(obj: object, n: int = 0) -> PLMap:
-    """The table of a circle map payload moved by the integer that makes
-    floor(table(0)) = n: the one table read, and validated once, for the
-    circle map (n = 0) or one of its lifts."""
+def _from_circle_json(cls, obj: object, n: int = 0):
+    """cls, CircleMap or LiftMap, of a circle map payload's table moved by
+    the integer that makes floor(table(0)) = n: one table read, and
+    validated once, by cls's constructor, before the stated base value is
+    compared with it."""
     if not isinstance(obj, dict):
         raise SchemaError("circle map payload must be an object")
     xs, ys, ks = _json_table({k: v for k, v in obj.items() if k != "base"})
     if ys and (j := n - ys[0].floor()):
         ys = [ZTau(y.a + j, y.b) for y in ys]
-    table = PLMap(xs, ys, ks)
-    _check_lift_table(table)
+    g = cls(PLMap(xs, ys, ks))
     stated = obj.get("base")
     if stated is not None:
         sv = ZTau.from_json(stated)
-        y0 = table.ys[0]
+        y0 = g.table.ys[0]
         if ZTau(y0.a - n, y0.b) != sv - sv.floor():
             raise SchemaError("stated base value disagrees with the table")
-    return table
+    return g
 
 
 def _into_period(ys):

@@ -45,6 +45,9 @@ from .lift import (
 from .plmap import Memo, PLMap, commutator, conjugate, is_ftau, power
 from .ring import RingLiteralError, ZTau, json_int, read_ztau
 
+_KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
+             "treepair", "t"}
+
 # Deepest nesting of parentheses in an expression, and of brackets and
 # braces in each JSON value (an inline payload, or a file), that is read;
 # deeper input is rejected before the recursive parsers could exhaust the
@@ -90,9 +93,9 @@ def _check_json_nesting(text: str) -> None:
 #
 # The recursive-descent reader returns the element that each rule
 # denotes, so the first error in reading order is the one reported.  It
-# reads each word once: an atom looks the word at the cursor up in
-# _ATOMS, and an inline JSON value is decoded once and its nesting
-# checked on its own text.
+# reads each word once: an atom reads the word at the cursor and
+# dispatches on it, and an inline JSON value is decoded once and its
+# nesting checked on its own text.
 
 Element = PLMap | CircleMap | LiftMap
 
@@ -275,75 +278,52 @@ def _read_atom(sc: _Scanner) -> Element:
         return out
     sc.pos = m.end()
     word = m.group()
-    read = _ATOMS.get(word)
-    if read is not None:
-        return read(sc)
+    if word == "rot" or word == "trans":
+        sc.take("(")
+        angle = sc.read_ztau()
+        sc.take(")")
+        if word == "rot":
+            return CircleMap.rotation(angle)
+        return LiftMap.translation(angle)
+    if word == "comm" or word == "conj":
+        sc.take("(")
+        a = _read_expr(sc)
+        sc.take(",")
+        b = _read_expr(sc)
+        sc.take(")")
+        make = commutator if word == "comm" else conjugate
+        return make(*_promote_pair(a, b), sc.memo)
+    if word == "lift":
+        sc.take("(")
+        inner = _read_expr(sc)
+        sc.take(",")
+        n = sc.read_int()
+        sc.take(")")
+        if isinstance(inner, PLMap):
+            inner = _to_circle(inner)
+        return LiftMap(inner.table).translate(n)
+    if word == "map":
+        obj = sc.read_json()
+        is_circle = isinstance(obj, dict) and (
+            "base" in obj or obj.get("kind") == "circle")
+        try:
+            return (CircleMap.from_json(obj) if is_circle
+                    else PLMap.from_json(obj))
+        except SchemaError as exc:
+            raise sc.error(str(exc)) from exc
+    if word == "treepair":
+        obj = sc.read_json()
+        if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
+            raise sc.error("treepair payload needs 'p' and 'q'")
+        p = SubdivisionTree.from_json(obj["p"])
+        q = SubdivisionTree.from_json(obj["q"])
+        shift = json_int(obj.get("shift", 0), "treepair shift")
+        return CircleMap.from_tree_pair(p, q, shift)
     if word in _KEYWORDS:
         raise sc.error(f"{word!r} cannot be used as a name here")
     if word not in sc.env:
         raise ExprTypeError(f"unbound name {word!r}")
     return sc.env[word]
-
-
-def _read_ring_call(sc: _Scanner, make) -> Element:
-    sc.take("(")
-    angle = sc.read_ztau()
-    sc.take(")")
-    return make(angle)
-
-
-def _read_pair_call(sc: _Scanner, make) -> Element:
-    sc.take("(")
-    a = _read_expr(sc)
-    sc.take(",")
-    b = _read_expr(sc)
-    sc.take(")")
-    return make(*_promote_pair(a, b), sc.memo)
-
-
-def _read_lift(sc: _Scanner) -> LiftMap:
-    sc.take("(")
-    inner = _read_expr(sc)
-    sc.take(",")
-    n = sc.read_int()
-    sc.take(")")
-    if isinstance(inner, PLMap):
-        inner = _to_circle(inner)
-    return LiftMap(inner.table).translate(n)
-
-
-def _read_map(sc: _Scanner) -> PLMap | CircleMap:
-    obj = sc.read_json()
-    is_circle = isinstance(obj, dict) and (
-        "base" in obj or obj.get("kind") == "circle")
-    try:
-        return CircleMap.from_json(obj) if is_circle else PLMap.from_json(obj)
-    except SchemaError as exc:
-        raise sc.error(str(exc)) from exc
-
-
-def _read_treepair(sc: _Scanner) -> CircleMap:
-    obj = sc.read_json()
-    if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
-        raise sc.error("treepair payload needs 'p' and 'q'")
-    p = SubdivisionTree.from_json(obj["p"])
-    q = SubdivisionTree.from_json(obj["q"])
-    shift = json_int(obj.get("shift", 0), "treepair shift")
-    return CircleMap.from_tree_pair(p, q, shift)
-
-
-# the reader of each atom that starts with a keyword, after the keyword;
-# the reader looks the word at the cursor up here once
-_ATOMS = {
-    "rot": lambda sc: _read_ring_call(sc, CircleMap.rotation),
-    "trans": lambda sc: _read_ring_call(sc, LiftMap.translation),
-    "comm": lambda sc: _read_pair_call(sc, commutator),
-    "conj": lambda sc: _read_pair_call(sc, conjugate),
-    "lift": _read_lift,
-    "map": _read_map,
-    "treepair": _read_treepair,
-}
-_KEYWORDS = {*_ATOMS, "let", "t"}
 
 
 def _promote_pair(a: Element, b: Element) -> tuple[Element, Element]:

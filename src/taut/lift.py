@@ -45,8 +45,8 @@ from .circle import (
     CircleMap,
     _check_lift_table,
     _circle_json,
-    _circle_table,
     _eval_lift,
+    _from_circle_json,
     _inverse_table,
 )
 from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
@@ -155,9 +155,9 @@ class LiftMap:
         # one table, the base's moved up by n; n is refused, if at all,
         # after the table's own faults
         n = obj.get("n", 0)
-        table = _circle_table(obj["base"], n if type(n) is int else 0)
+        g = _from_circle_json(cls, obj["base"], n if type(n) is int else 0)
         json_int(n, "lift n")
-        return cls(table)
+        return g
 
 
 # -- rotation number results ------------------------------------------------

@@ -329,12 +329,10 @@ def _raw_table(xs, ys, ks=None) -> tuple[list, list, list]:
     """The lists xs, ys and ks of an untrusted table, read as ring
     elements and integers and with its slope exponents bounded, for
     PLMap.__init__ to validate; ks are inferred if None."""
-    if not all([type(x) is ZTau for x in xs]):
-        xs = [_coerce_ring(x) for x in xs]
-    if not all([type(y) is ZTau for y in ys]):
-        ys = [_coerce_ring(y) for y in ys]
+    xs = [_coerce_ring(x) for x in xs]
+    ys = [_coerce_ring(y) for y in ys]
     if ks is None:
-        if len(xs) != len(ys):
+        if len(ys) < len(xs):
             raise SchemaError("breakpoint table has inconsistent lengths")
         ks = []
         for i in range(len(xs) - 1):
@@ -346,8 +344,7 @@ def _raw_table(xs, ys, ks=None) -> tuple[list, list, list]:
             if k is None:
                 raise NotTauPower(f"slope of piece {i} is no power of tau")
             ks.append(k)
-    if not all([type(k) is int for k in ks]):
-        ks = [json_int(k, "slope exponent") for k in ks]
+    ks = [json_int(k, "slope exponent") for k in ks]
     # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
     # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
     # tau**k = dy/dx has phi**|k| <= H(dx)*H(dy).  A larger exponent

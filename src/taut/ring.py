@@ -173,19 +173,8 @@ class ZTau:
     def from_json(cls, obj: object) -> ZTau:
         if not isinstance(obj, dict) or not obj.keys() <= {"a", "b"}:
             raise SchemaError(f"bad ring element payload: {obj!r}")
-        a, b = obj.get("a", "0"), obj.get("b", "0")
-        # two decimal strings as to_json writes them, read by one int/str
-        # round trip; json_coeff reads or refuses anything else
-        if type(a) is str and type(b) is str:
-            try:
-                n, m = int(a), int(b)
-            except ValueError:
-                pass
-            else:
-                if str(n) == a and str(m) == b:
-                    return cls(n, m)
-        return cls(json_coeff(a, "ring coefficient"),
-                   json_coeff(b, "ring coefficient"))
+        return cls(json_coeff(obj.get("a", "0"), "ring coefficient"),
+                   json_coeff(obj.get("b", "0"), "ring coefficient"))
 
 
 ZERO = ZTau(0)

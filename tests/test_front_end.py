@@ -282,16 +282,21 @@ def test_loaders_match_the_old_route_on_benchmark_payloads(workload):
     assert sum(_check_answers(texts).values()) > 0
 
 
-@pytest.mark.parametrize("ys", [[{"a": "0"}], [{"a": "0"}, {"a": "1"}, {"a": "2"}]])
-def test_table_without_slopes_and_uneven_lengths_is_a_schema_error(
+@pytest.mark.parametrize("ys", [[0], [0, 1, 2], [1, 0, 2], [0, 2, 3], [0, 1, 2, 3]])
+def test_table_without_slopes_and_uneven_lengths_fails_as_a_table(
         ys, tmp_path, capsys):
-    # inferring the slopes indexed past the end of ys: a traceback
+    # fewer ys than xs: inferring the slopes indexed past the end of ys, a
+    # traceback; more ys still reach the inference and fail as they did
+    obj = {"kind": "plmap", "xs": [{"a": "0"}, {"a": "1"}],
+           "ys": [{"a": str(y)} for y in ys]}
+    if len(ys) < 2:
+        cls, msg = SchemaError, "breakpoint table has inconsistent lengths"
+    else:
+        cls, msg = _loaded(_old_plmap, obj)
     path = tmp_path / "map.json"
-    path.write_text(json.dumps({"kind": "plmap", "xs": [{"a": "0"}, {"a": "1"}],
-                                "ys": ys}))
+    path.write_text(json.dumps(obj))
     rc = cli.main(["check", str(path)])
-    assert rc == 1 and capsys.readouterr().err == (
-        "error (SchemaError): breakpoint table has inconsistent lengths\n")
+    assert rc == 1 and capsys.readouterr().err == f"error ({cls.__name__}): {msg}\n"
 
 
 def _one_piece(x1, y1, k):
