@@ -10,6 +10,7 @@ every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import floor
 
 from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from .errors import (
@@ -33,7 +34,8 @@ from .lift import (
 )
 from .plmap import (Memo, PLMap, _sweep, concat, conjugate, commutator, is_ftau,
                     is_ftau_compact, power)
-from .ring import ONE, QTau, ZERO, TAU, ZTau, is_tau_power, json_bool, json_int, tau_pow
+from .ring import (INV_TAU, LN_TAU, ONE, QTau, ZERO, TAU, ZTau, _ln, json_bool, json_int,
+                   tau_pow)
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
 
@@ -153,66 +155,41 @@ def _embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
 
 # -- interval matching --------------------------------------------------------
 
-def _two_scale_exponents(ell: ZTau) -> list[int]:
-    """Write a positive ring length as c*tau**k + d*tau**(k+1) with c, d >= 0
-    and return the exponent multiset, large parts first.
-
-    The rewrite tau**k = tau**(k+1) + tau**(k+2) pushes the coefficient
-    pair through a Fibonacci step whose expanding eigendirection carries
-    the (positive) value, so both coefficients become non-negative after
-    finitely many steps.
-    """
-    if ell.sign() <= 0:
-        raise BadTuple(f"length {ell} is not positive")
-    ca, cb = ell.a, ell.b
-    k = 0
-    budget = 4 * (abs(ca).bit_length() + abs(cb).bit_length()) + 64
-    while ca < 0 or cb < 0:
-        ca, cb = ca + cb, ca
-        k += 1
-        budget -= 1
-        if budget < 0:
-            raise SearchBudgetExceeded("two-scale decomposition ran away")
-    return [k] * ca + [k + 1] * cb
-
-
-def _split_largest(exps: list[int]) -> None:
-    i = exps.index(min(exps))
-    m = exps[i]
-    exps[i:i + 1] = [m + 1, m + 2]
-
-
 def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
-    """Increasing PL bijection [a, b] -> [c, d] inside the tau-slope groupoid.
+    """Increasing PL bijection [a, b] -> [c, d] inside the tau-slope
+    groupoid, of at most two pieces.
 
-    If the length ratio is a power of tau the map is linear.  Otherwise
-    both intervals are cut into pieces whose lengths are powers of tau
-    (two adjacent scales each) and pieces are matched one to one after
-    equalizing the counts by wide-first splits, largest piece first.
+    With ls = b - a and lt = d - c, let j be the one integer with
+    tau**(j+1) * ls < lt <= tau**j * ls.  If lt = tau**j * ls the map is
+    the one piece of slope tau**j.  Otherwise it has slope tau**(j+1) on
+    [a, a + x1] and tau**j on [a + x1, b], where x1 solves
+    tau**(j+1) * x1 + tau**j * (ls - x1) = lt:
+
+        x1 = tau**-2 * ls - tau**(-j-2) * lt = tau**(-j-2) * (m - lt)
+
+    with m = tau**j * ls.  x1 lies in Z[tau] because the slope gap
+    tau**j - tau**(j+1) = tau**(j+2) is a unit, and 0 < x1 < ls is the
+    choice of j.  The middle image is c + tau**(j+1) * x1 = c + (m - lt)/tau.
+
+    j starts at the float estimate log(lt/ls) / log(tau), which decides
+    nothing: m is then stepped exactly by the units tau and 1/tau until
+    both inequalities hold.
     """
-    la = b - a
-    lc = d - c
-    if la.sign() <= 0 or lc.sign() <= 0:
+    ls = b - a
+    lt = d - c
+    if ls.sign() <= 0 or lt.sign() <= 0:
         raise BadTuple("intervals must have positive length")
-    k = is_tau_power(QTau(lc) / QTau(la))
-    if k is not None:
-        return PLMap((a, b), (c, d), (k,))
-    src = _two_scale_exponents(la)
-    tgt = _two_scale_exponents(lc)
-    while len(src) < len(tgt):
-        _split_largest(src)
-    while len(tgt) < len(src):
-        _split_largest(tgt)
-    xs = [a]
-    for e in src:
-        xs.append(xs[-1] + tau_pow(e))
-    ys = [c]
-    for e in tgt:
-        ys.append(ys[-1] + tau_pow(e))
-    # cumulative sums reproduce the endpoints exactly by construction
-    xs[-1] = b
-    ys[-1] = d
-    return PLMap(xs, ys, [t - s for s, t in zip(src, tgt)])
+    j = floor((_ln(lt.a, lt.b) - _ln(ls.a, ls.b)) / LN_TAU)
+    m = tau_pow(j) * ls
+    while m < lt:
+        m, j = m * INV_TAU, j - 1
+    while m * TAU >= lt:
+        m, j = m * TAU, j + 1
+    if m == lt:
+        return PLMap((a, b), (c, d), (j,))
+    r = m - lt
+    return PLMap((a, a + tau_pow(-j - 2) * r, b), (c, c + r * INV_TAU, d),
+                 (j + 1, j))
 
 
 # -- tuple transitivity -------------------------------------------------------

@@ -65,7 +65,8 @@ MAX_POWER = 10_000
 # three-leaf tree pair (size 12), E^10000 reads 120,000 and (E^100)^100
 # 738,000, each about a second, while (E^1000)^1000 reads 7 * 10**8 and
 # would run for minutes.  A product chain a * b * c ... is bounded by the
-# same figure, on the sum over its products of both operands' sizes.
+# same figure, on the sum over its products of both operands' sizes, and
+# so is each comm(a, b) and conj(a, b), on size(a) + size(b).
 MAX_POWER_WORK = 1_000_000
 
 _INT = re.compile(r"([+-]?)(\d*)")
@@ -291,6 +292,11 @@ def _read_atom(sc: _Scanner) -> Element:
         sc.take(",")
         b = _read_expr(sc)
         sc.take(")")
+        work = _size(a) + _size(b)
+        if work > MAX_POWER_WORK:
+            raise PowerBudgetExceeded(
+                f"{word} of work {work} exceeds the bound {MAX_POWER_WORK} "
+                "on the summed sizes of its operands in an expression")
         make = commutator if word == "comm" else conjugate
         return make(*_promote_pair(a, b), sc.memo)
     if word == "lift":

@@ -12,13 +12,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 from .errors import NonPositive, NotInRing, SchemaError
 
 # 2*tau = sqrt(5) - 1, and 5 is not a perfect square, which keeps the
 # exact sign and floor comparisons below strict.
 TAU_FLOAT = (5 ** 0.5 - 1) / 2
+LN_TAU = log(TAU_FLOAT)
 
 
 def _isign(n: int) -> int:
@@ -52,6 +53,24 @@ def _floor(a: int, b: int, den: int = 1) -> int:
         return a // den
     m = isqrt(5 * b * b) if b > 0 else -isqrt(5 * b * b) - 1
     return (2 * a - b + m) // (2 * den)
+
+
+def _ln(a: int, b: int) -> float:
+    """Natural log of the positive a + b*tau, to float precision.
+
+    An estimate only, which callers confirm or correct exactly.  With
+    u = 2a - b, the number is (u + b*sqrt(5))/2 and its conjugate
+    (u - b*sqrt(5))/2.  The larger of the two in absolute value is
+    (|u| + |b|*sqrt(5))/2, read from the top bits of |u| and |b| without
+    cancellation; the smaller is the norm a**2 - a*b - b**2 over it.
+    """
+    u = 2 * a - b
+    p, q = abs(u), abs(b)
+    s = max(max(p, q).bit_length() - 64, 0)
+    big = log((p >> s) + (q >> s) * 5 ** 0.5) + (s - 1) * log(2)
+    if u >= 0 and b >= 0:
+        return big
+    return log(abs(a * a - a * b - b * b)) - big
 
 
 def _through(x0: ZTau, y0: ZTau, k: int, x: ZTau, den: int = 1) -> ZTau:
@@ -355,34 +374,21 @@ def _as_ratio(x: object) -> tuple[ZTau, int]:
 def is_tau_power(x: QTau | ZTau | int) -> int | None:
     """Return k with x = tau**k, or None.
 
-    Clears denominators and rejects non-units by the integer norm, then
-    walks the value into the window (tau, 1] by exact unit multiplications.
-    The step count is capped by a bit-length bound; the cap is generous
-    and only guards against bugs, not against correct inputs.
+    The units of Z[tau] are +-tau**k, so a positive x is a power of tau
+    exactly when it lies in Z[tau] (denominator 1) and has norm +-1.
+    Then |b| = F(|k|) for the Fibonacci numbers F, so |k| grows with the
+    bit length of |b|: k is read off the estimate _ln(x) / ln(tau),
+    whose error is far below 1/2, and confirmed by one exact comparison
+    with tau_pow(k).
     """
     x = _as_qtau(x)
     if x.sign() <= 0:
         raise NonPositive("tau powers are positive")
-    n = x.num.norm()
-    d2 = x.den * x.den
-    if n != d2 and n != -d2:
+    z = x.num
+    if x.den != 1 or abs(z.norm()) != 1:
         return None
-    cap = 2 * (x.num.a.bit_length() + x.num.b.bit_length()
-               + x.den.bit_length()) + 16
-    k = 0
-    one = QTau(ONE)
-    qtau = QTau(TAU)
-    qinv = QTau(INV_TAU)
-    for _ in range(cap):
-        if x > one:
-            x = x * qtau
-            k += 1
-        elif x <= qtau:
-            x = x * qinv
-            k -= 1
-        else:
-            break
-    return -k if x == one else None
+    k = round(_ln(z.a, z.b) / LN_TAU)
+    return k if tau_pow(k) == z else None
 
 
 def ztau_str(z: ZTau) -> str:

@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import zt
 from taut.circle import CircleMap
@@ -33,7 +35,7 @@ from taut.lift import LiftMap, rot
 from taut import plmap
 from taut.plmap import (Memo, PLMap, commutator, conjugate, is_ftau, is_ftau_compact,
                         power)
-from taut.ring import ONE, QTau, TAU, ZERO, tau_pow
+from taut.ring import ONE, QTau, TAU, ZERO, ZTau, is_tau_power, tau_pow
 
 T2 = tau_pow(2)
 T3 = tau_pow(3)
@@ -72,6 +74,125 @@ def test_match_intervals_composes():
         bc = match_intervals(pool[c], pool[d], pool[e], pool[f])
         comp = ab * bc
         assert comp.xs[0] == pool[a] and comp.ys[-1] == pool[f]
+
+
+# -- the two-scale construction, kept as the reference ------------------------
+
+def _two_scale_counts(ell: ZTau) -> tuple[int, int, int]:
+    """(k, c, d) with ell = c*tau**k + d*tau**(k+1) and c, d >= 0.
+
+    tau**k = tau**(k+1) + tau**(k+2) steps the coefficient pair through
+    the Fibonacci map, whose expanding direction carries the positive
+    value, so both coefficients turn non-negative after finitely many
+    steps.
+    """
+    ca, cb = ell.a, ell.b
+    k = 0
+    while ca < 0 or cb < 0:
+        ca, cb = ca + cb, ca
+        k += 1
+    return k, ca, cb
+
+
+def _split_largest(exps: list[int]) -> None:
+    i = exps.index(min(exps))
+    m = exps[i]
+    exps[i:i + 1] = [m + 1, m + 2]
+
+
+def two_scale_match(a, b, c, d) -> PLMap:
+    """The former match_intervals: both gaps cut into c + d pieces of two
+    adjacent tau-power lengths, the counts equalized by splitting the
+    largest piece, and the pieces matched one to one."""
+    k = is_tau_power(QTau(d - c) / QTau(b - a))
+    if k is not None:
+        return PLMap((a, b), (c, d), (k,))
+    exps = []
+    for ell in (b - a, d - c):
+        k, ca, cb = _two_scale_counts(ell)
+        exps.append([k] * ca + [k + 1] * cb)
+    src, tgt = exps
+    while len(src) < len(tgt):
+        _split_largest(src)
+    while len(tgt) < len(src):
+        _split_largest(tgt)
+    xs, ys = [a], [c]
+    for e in src:
+        xs.append(xs[-1] + tau_pow(e))
+    for e in tgt:
+        ys.append(ys[-1] + tau_pow(e))
+    xs[-1], ys[-1] = b, d
+    return PLMap(xs, ys, [t - s for s, t in zip(src, tgt)])
+
+
+REFERENCE_PIECES = 400  # the reference is built only up to this many pieces
+
+
+def _ring(bound):
+    return st.builds(ZTau, st.integers(-bound, bound), st.integers(-bound, bound))
+
+
+@st.composite
+def ring_interval(draw):
+    """An interval of Z[tau] with small or 1,000-digit coefficients, its
+    length sometimes scaled by a power of tau."""
+    bound = draw(st.sampled_from([10, 10**6, 10**1000]))
+    lo, length = draw(_ring(bound)), draw(_ring(bound))
+    assume(length.sign() != 0)
+    length = abs(length) * tau_pow(draw(st.sampled_from([0, 0, 7, -7, 300, -300])))
+    return lo, lo + length
+
+
+def _check_match(a, b, c, d) -> PLMap:
+    m = match_intervals(a, b, c, d)
+    ls, lt = b - a, d - c
+    assert m.num_pieces <= 2
+    assert (m.xs[0], m.xs[-1], m.ys[0], m.ys[-1]) == (a, b, c, d)
+    assert m.eval(a) == QTau(c) and m.eval(b) == QTau(d)
+    j = m.ks[-1]
+    if m.num_pieces == 1:
+        assert lt == tau_pow(j) * ls
+    else:
+        assert m.ks == (j + 1, j)
+        assert tau_pow(j + 1) * ls < lt < tau_pow(j) * ls
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_interval(), ring_interval())
+def test_match_intervals_has_at_most_two_pieces(src, tgt):
+    m = _check_match(*src, *tgt)
+    counts = [sum(_two_scale_counts(b - a)[1:]) for a, b in (src, tgt)]
+    if max(counts) <= REFERENCE_PIECES:
+        ref = two_scale_match(*src, *tgt)
+        assert m.num_pieces <= ref.num_pieces
+        assert ref.domain() == m.domain() and ref.ys[-1] == m.ys[-1]
+
+
+def test_match_intervals_agrees_with_the_reference_on_preference_points():
+    pool = sorted(set(preference_points(5)))
+    gaps = [(x, y) for i, x in enumerate(pool) for y in pool[i + 1:]]
+    rng = random.Random(19)
+    for _ in range(300):
+        src, tgt = rng.choice(gaps), rng.choice(gaps)
+        m = _check_match(*src, *tgt)
+        assert m.num_pieces <= two_scale_match(*src, *tgt).num_pieces
+
+
+def test_match_intervals_of_far_apart_scales_is_immediate():
+    # 2*tau**18000 has 3,760-digit coefficients: the two-scale cut would
+    # need about 10**3760 pieces, the stepping 18,000 exact comparisons
+    x = 2 * tau_pow(18000)
+    for args in ((ZERO, x, ZERO, TAU), (ZERO, TAU, ZERO, x), (x, ONE, TAU, ONE)):
+        m = _check_match(*args)
+        assert m.num_pieces == 2
+    assert match_intervals(ZERO, x, ZERO, TAU).ks == (-17997, -17998)
+
+
+def test_match_intervals_rejects_empty_intervals():
+    for args in ((ONE, ZERO, ZERO, ONE), (ZERO, ONE, TAU, TAU)):
+        with pytest.raises(BadTuple):
+            match_intervals(*args)
 
 
 def test_connect_tuple_examples():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from taut.cli import main
 from taut.construct import commutator_trick, random_element
 from taut.expr import MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str
-from taut.ring import ZERO
+from taut.ring import ZERO, tau_pow, ztau_literal
 
 
 def run(capsys, *argv):
@@ -571,3 +571,58 @@ def test_huge_root_of_a_stored_rational_ends_in_bounded_time(tmp_path, capsys):
     err = assert_one_line_error(capsys, "check", str(path), "--max-den", "100")
     assert "fails re-checking" in err
     assert time.perf_counter() - start < 1
+
+
+# 2*tau**18000, a point of (0, 1) written with 3,760-digit coefficients
+FAR_POINT = ztau_literal(2 * tau_pow(18000))
+
+
+@pytest.mark.parametrize("point", ["10000000000-16180339887*t", FAR_POINT],
+                         ids=["ten-digit-coefficients", "two-tau-to-the-18000"])
+def test_connect_of_a_point_far_from_its_target_is_bounded(tmp_path, capsys, point):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "connect", "--json", "--", point, "t")
+    assert rc == 0 and err == ""
+    path = tmp_path / "connect.json"
+    path.write_text(out)
+    assert run(capsys, "check", str(path))[0] == 0
+    assert time.perf_counter() - start < 3
+    # each of the two gaps is matched by at most two pieces
+    assert len(json.loads(out)["element"]["ks"]) <= 4
+
+
+def test_derived_connect_of_a_far_point_ends_in_an_exit_code(capsys):
+    rc, out, err = run(capsys, "connect", "--derived", "--", FAR_POINT, "t")
+    assert rc in (0, 2) and (rc == 0) == (err == "")
+
+
+def test_inferred_slope_of_a_huge_tau_power_is_read_at_once(capsys):
+    # one piece of slope tau**-20000: [0, tau**20000] -> [0, 1], no "ks"
+    end = tau_pow(20000)
+    table = json.dumps({"xs": [{"a": "0"}, {"a": str(end.a), "b": str(end.b)}],
+                        "ys": [{"a": "0"}, {"a": "1"}]})
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "eval", f"map {table}")
+    assert time.perf_counter() - start < 1
+    assert rc == 0 and out.startswith("interval element")
+
+
+_COMM_G = ('treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
+           '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 0}')
+_COMM_C = ('treepair {"p": ["s+", "leaf", ["s-", "leaf", "leaf"]], '
+           '"q": ["s+", ["s+", "leaf", "leaf"], "leaf"], "shift": 1}')
+
+
+@pytest.mark.parametrize("word, last", [("comm", "let c = comm(c, g); " * 5 + "c"),
+                                        ("conj", "conj(c, c)")])
+def test_nested_commutators_are_bounded_by_their_work(capsys, word, last):
+    # each level multiplies the size about fourfold: 9 levels give about
+    # 860,000 coefficient bits, 14 levels would give hundreds of millions
+    text = (f"let g = {_COMM_G}; let c = {_COMM_C}; "
+            + "let c = comm(c, g); " * 9 + last)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "eval", text)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert "PowerBudgetExceeded" in err and str(MAX_POWER_WORK) in err
+    assert f"{word} of work" in err

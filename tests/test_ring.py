@@ -1,17 +1,23 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import decimal_value, zt
 from taut.errors import NonPositive, NotInRing
 from taut.ring import (
+    INV_TAU,
+    LN_TAU,
     ONE,
     QTau,
     TAU,
     ZERO,
     ZTau,
+    _ln,
     is_tau_power,
     parse_qtau,
     parse_ztau,
@@ -130,9 +136,33 @@ def test_floor():
         assert (x - n - 1).sign() < 0
 
 
+def walk_tau_power(x):
+    """The former is_tau_power, kept as the oracle: reject non-units by
+    the norm, then walk the value into (tau, 1] by exact multiplications
+    with tau and 1/tau, counting the steps."""
+    x = QTau(x) if not isinstance(x, QTau) else x
+    n = x.num.norm()
+    d2 = x.den * x.den
+    if n != d2 and n != -d2:
+        return None
+    k = 0
+    one, qtau, qinv = QTau(ONE), QTau(TAU), QTau(INV_TAU)
+    while True:
+        if x > one:
+            x, k = x * qtau, k + 1
+        elif x <= qtau:
+            x, k = x * qinv, k - 1
+        else:
+            break
+    return -k if x == one else None
+
+
 def test_is_tau_power_round_trip():
     for k in range(-40, 41):
         assert is_tau_power(tau_pow(k)) == k
+    for k in (-20000, -4097, 4096, 20001):
+        assert is_tau_power(tau_pow(k)) == k
+        assert is_tau_power(QTau(tau_pow(k)) / QTau(tau_pow(3))) == k - 3
 
 
 def test_is_tau_power_rejects():
@@ -149,6 +179,39 @@ def test_is_tau_power_rejects():
     assert rejected > 900
     with pytest.raises(NonPositive):
         is_tau_power(zt(-1))
+    # y / y' has norm 1 but is no unit of Z[tau]: 11 splits in Z[tau]
+    y = zt(1, 3)
+    ratio = QTau(y) / QTau(y.conj())
+    assert abs(ratio.num.norm()) == ratio.den ** 2 and ratio.den == 11
+    assert is_tau_power(abs(ratio)) is None
+
+
+def _positive_quotients():
+    units = st.builds(tau_pow, st.integers(-3000, 3000))
+    small = st.builds(zt, st.integers(-50, 50), st.integers(-50, 50))
+    return st.one_of(
+        units.map(QTau),
+        st.tuples(units, units).map(lambda p: QTau(p[0]) / QTau(p[1])),
+        st.tuples(units, small).map(lambda p: QTau(p[0] * p[1])),
+        st.tuples(units, st.integers(2, 9)).map(lambda p: QTau(p[0], p[1])),
+        st.tuples(units, units, small).map(
+            lambda p: QTau(p[0] + p[1] * p[2])),
+    ).filter(lambda q: q.sign() != 0).map(abs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positive_quotients())
+def test_is_tau_power_agrees_with_the_walk(x):
+    assert is_tau_power(x) == walk_tau_power(x)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2, -2, 5, -17, 400, -400, 18000])
+@pytest.mark.parametrize("c", [ONE, TAU, zt(3), zt(2, 5), zt(7, -4)])
+def test_ln_estimate_is_close(k, c):
+    # ln(c * tau**k) = ln(c) + k*ln(tau); c * tau**k has large
+    # coefficients and a small (k > 0) or large (k < 0) value
+    z = c * tau_pow(k)
+    assert abs(_ln(z.a, z.b) - (math.log(float(c)) + k * LN_TAU)) < 1e-9 * (1 + abs(k))
 
 
 def test_qtau_division():
