@@ -10,7 +10,6 @@ every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor
 
 from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     CertificateError,
     IdentityInput,
     NoRoomInTarget,
+    PowerBudgetExceeded,
     SchemaError,
     SearchBudgetExceeded,
 )
@@ -32,9 +32,9 @@ from .lift import (
     rot_result_from_json,
     verify_rot,
 )
-from .plmap import (Memo, PLMap, _sweep, concat, conjugate, commutator, is_ftau,
-                    is_ftau_compact, power)
-from .ring import (INV_TAU, LN_TAU, ONE, QTau, ZERO, TAU, ZTau, _ln, json_bool, json_int,
+from .plmap import (MAX_POWER, Memo, PLMap, _sweep, concat, conjugate, commutator,
+                    is_ftau, is_ftau_compact, power)
+from .ring import (INV_TAU, ONE, QTau, ZERO, TAU, ZTau, json_bool, json_int, tau_exponent,
                    tau_pow)
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
@@ -103,15 +103,10 @@ def points_between(lo: ZTau, hi: ZTau, count: int) -> list[ZTau]:
 
 
 def first_power_below(limit: ZTau) -> int:
-    """Smallest m >= 1 with tau**m < limit (limit must be positive)."""
+    """Smallest m with tau**m < limit, for 0 < limit <= 1 (so m >= 1)."""
     if limit.sign() <= 0:
         raise NoRoomInTarget(f"no powers of tau below {limit}")
-    m = 1
-    while (limit - tau_pow(m)).sign() <= 0:
-        m += 1
-        if m > 4096:
-            raise SearchBudgetExceeded("power search ran away")
-    return m
+    return tau_exponent(limit)[0] + 1
 
 
 # -- circle arcs --------------------------------------------------------------
@@ -130,6 +125,17 @@ def arc_contains(lo: ZTau, hi: ZTau, x: ZTau) -> bool:
 def arcs_disjoint(a: tuple[ZTau, ZTau], b: tuple[ZTau, ZTau]) -> bool:
     return not (arc_contains(*a, b[0]) or arc_contains(*a, b[1])
                 or arc_contains(*b, a[0]) or arc_contains(*b, a[1]))
+
+
+def _arc_around(g: CircleMap, center: ZTau, first: int, fits, what: str):
+    """The widest arc (lo, hi) = center -+ tau**m, m = first, ..., 63, for
+    which fits(lo, hi, (g(lo), g(hi))) holds; SearchBudgetExceeded if none."""
+    for m in range(first, 64):
+        r = tau_pow(m)
+        lo, hi = _reduce(center - r), _reduce(center + r)
+        if fits(lo, hi, (g.eval(lo), g.eval(hi))):
+            return lo, hi
+    raise SearchBudgetExceeded(what)
 
 
 def _chart(center: ZTau, w: ZTau) -> ZTau:
@@ -169,22 +175,14 @@ def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
 
     with m = tau**j * ls.  x1 lies in Z[tau] because the slope gap
     tau**j - tau**(j+1) = tau**(j+2) is a unit, and 0 < x1 < ls is the
-    choice of j.  The middle image is c + tau**(j+1) * x1 = c + (m - lt)/tau.
-
-    j starts at the float estimate log(lt/ls) / log(tau), which decides
-    nothing: m is then stepped exactly by the units tau and 1/tau until
-    both inequalities hold.
+    choice of j.  The middle image is c + tau**(j+1) * x1 = c + (m - lt)/tau,
+    and j and m are ring.tau_exponent(lt, ls).
     """
     ls = b - a
     lt = d - c
     if ls.sign() <= 0 or lt.sign() <= 0:
         raise BadTuple("intervals must have positive length")
-    j = floor((_ln(lt.a, lt.b) - _ln(ls.a, ls.b)) / LN_TAU)
-    m = tau_pow(j) * ls
-    while m < lt:
-        m, j = m * INV_TAU, j - 1
-    while m * TAU >= lt:
-        m, j = m * TAU, j + 1
+    j, m = tau_exponent(lt, ls)
     if m == lt:
         return PLMap((a, b), (c, d), (j,))
     r = m - lt
@@ -482,34 +480,16 @@ def factor_local(g: CircleMap,
 
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
-    x = None
-    for cand in circle_points(max_depth):
-        if g.eval(cand) != cand:
-            x = cand
-            break
+    x = next((c for c in circle_points(max_depth) if g.eval(c) != c), None)
     if x is None:
         raise SearchBudgetExceeded("no moved ring point found")
     xg = g.eval(x)
-    y = None
-    for cand in circle_points(max_depth):
-        if cand != x and cand != xg:
-            y = cand
-            break
-    assert y is not None
-    arc = None
-    for m in range(3, 64):
-        r = tau_pow(m)
-        lo = _reduce(x - r)
-        hi = _reduce(x + r)
-        ig = (g.eval(lo), g.eval(hi))
-        if (not arc_contains(lo, hi, y)
-                and not arc_contains(*ig, x)
-                and not arc_contains(*ig, y)):
-            arc = (lo, hi)
-            break
-    if arc is None:
-        raise SearchBudgetExceeded("no separating arc found")
-    lo, hi = arc
+    y = next((c for c in circle_points(max_depth) if c != x and c != xg), None)
+    if y is None:
+        raise SearchBudgetExceeded("no spare ring point found")
+    arc = lo, hi = _arc_around(g, x, 3, lambda lo, hi, ig: not (
+        arc_contains(lo, hi, y) or arc_contains(*ig, x) or arc_contains(*ig, y)),
+        "no separating arc found")
     a1 = _chart(y, lo)
     b1 = _chart(y, hi)
     f_chart = connect_tuple_derived(
@@ -612,20 +592,9 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
             break
     if w is None:
         raise SearchBudgetExceeded("no usable moved point found")
-    arc = None
-    for m in range(2, 64):
-        r = tau_pow(m)
-        lo = _reduce(w - r)
-        hi = _reduce(w + r)
-        ig = (g.eval(lo), g.eval(hi))
-        if (arcs_disjoint((lo, hi), ig)
-                and not arc_contains(lo, hi, x)
-                and not arc_contains(*ig, x)):
-            arc = (lo, hi)
-            break
-    if arc is None:
-        raise SearchBudgetExceeded("no displaced arc found")
-    lo, hi = arc
+    arc = lo, hi = _arc_around(g, w, 2, lambda lo, hi, ig: arcs_disjoint((lo, hi), ig)
+                               and not (arc_contains(lo, hi, x) or arc_contains(*ig, x)),
+                               "no displaced arc found")
     h0 = None
     for tries in range(64):
         cand = random_element(seed + tries, 3, "F_tau")
@@ -713,6 +682,9 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN,
     as n grows, so delta = |rot(g*h)| approaches the defect bound 1."""
     if n < 1:
         raise BadTuple("need n >= 1")
+    if n > MAX_POWER:
+        raise PowerBudgetExceeded(f"n = {n} exceeds the bound {MAX_POWER} "
+                                  "on the power g^n of a defect witness")
     g = power(LiftMap(standard_push_map().table), -n, DEFAULT_PIECE_CAP)
     rho = LiftMap(CircleMap.rotation(tau_pow(2)).table)
     h = conjugate(g, rho)

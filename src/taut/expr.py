@@ -42,7 +42,7 @@ from .lift import (
     scl_result_from_json,
     verify_rot,
 )
-from .plmap import Memo, PLMap, commutator, conjugate, is_ftau, power
+from .plmap import MAX_POWER, Memo, PLMap, commutator, conjugate, is_ftau, power
 from .ring import RingLiteralError, ZTau, json_int, read_ztau
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
@@ -53,11 +53,6 @@ _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
 # deeper input is rejected before the recursive parsers could exhaust the
 # interpreter's stack.
 MAX_NESTING = 100
-
-# Largest |k| read in a power e^k.  A power's pieces and coefficient bits
-# both grow with k, so a larger exponent is rejected before any product
-# is built.
-MAX_POWER = 10_000
 
 # Largest |k| * size(e) read in a power e^k, where size(e) is the total
 # bit length of e's breakpoint coefficients, checked before any product.

@@ -32,7 +32,7 @@ from .errors import (
     SlopeMismatch,
 )
 from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _shifted_gap,
-                   _sign, _through, is_tau_power, json_int, tau_pow)
+                   _sign, _through, json_int, tau_exponent, tau_pow)
 
 
 def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
@@ -82,7 +82,8 @@ class PLMap:
             if t is None or qa != t.a * pa + t.b * pb or qb != t.a * pb + t.b * (pa - pb):
                 if _sign(qa, qb) <= 0:
                     raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-                if is_tau_power(QTau(ZTau(qa, qb)) / QTau(ZTau(pa, pb))) is None:
+                dy = ZTau(qa, qb)
+                if tau_exponent(dy, ZTau(pa, pb))[1] != dy:
                     raise NotTauPower(f"slope of piece {i} is no power of tau")
                 raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
             if i and k != ks[i - 1]:
@@ -340,8 +341,8 @@ def _raw_table(xs, ys, ks=None) -> tuple[list, list, list]:
             dy = ys[i + 1] - ys[i]
             if dx.sign() <= 0 or dy.sign() <= 0:
                 raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-            k = is_tau_power(QTau(dy) / QTau(dx))
-            if k is None:
+            k, m = tau_exponent(dy, dx)
+            if m != dy:
                 raise NotTauPower(f"slope of piece {i} is no power of tau")
             ks.append(k)
     ks = [json_int(k, "slope exponent") for k in ks]
@@ -410,6 +411,12 @@ def concat(parts: list[PLMap]) -> PLMap:
 
 
 # -- group words, shared by interval, circle and lift elements ---------
+
+# Largest |k| that a caller asks power for: e^k in an expression and the
+# n of a defect witness.  A power's pieces and coefficient bits both grow
+# with k, so a larger exponent is rejected before any product is built.
+MAX_POWER = 10_000
+
 
 def power(el, k: int, piece_cap: int | None = None):
     """el**k by exact repeated composition; k = 0 gives the identity."""

@@ -10,9 +10,10 @@ never decide anything.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, isqrt, log
+from math import floor, gcd, isqrt, log, log10
 
 from .errors import NonPositive, NotInRing, SchemaError
 
@@ -186,7 +187,10 @@ class ZTau:
         return self.a + self.b * TAU_FLOAT
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b)}
+        try:
+            return {"a": str(self.a), "b": str(self.b)}
+        except ValueError:  # past the interpreter's digit limit
+            raise _too_long(self) from None
 
     @classmethod
     def from_json(cls, obj: object) -> ZTau:
@@ -371,44 +375,65 @@ def _as_ratio(x: object) -> tuple[ZTau, int]:
     return q.num, q.den
 
 
-def is_tau_power(x: QTau | ZTau | int) -> int | None:
-    """Return k with x = tau**k, or None.
+def tau_exponent(x: ZTau, y: ZTau = ONE) -> tuple[int, ZTau]:
+    """The one j with tau**(j+1) * y < x <= tau**j * y, and m = tau**j * y,
+    for positive x and y: the search for a power of tau in the ring.
 
-    The units of Z[tau] are +-tau**k, so a positive x is a power of tau
-    exactly when it lies in Z[tau] (denominator 1) and has norm +-1.
-    Then |b| = F(|k|) for the Fibonacci numbers F, so |k| grows with the
-    bit length of |b|: k is read off the estimate _ln(x) / ln(tau),
-    whose error is far below 1/2, and confirmed by one exact comparison
-    with tau_pow(k).
+    j starts at the estimate (_ln(x) - _ln(y)) / ln(tau), which decides
+    nothing: m is then stepped exactly by the units tau and 1/tau until
+    both inequalities hold.
     """
-    x = _as_qtau(x)
-    if x.sign() <= 0:
+    if x.sign() <= 0 or y.sign() <= 0:
         raise NonPositive("tau powers are positive")
-    z = x.num
-    if x.den != 1 or abs(z.norm()) != 1:
-        return None
-    k = round(_ln(z.a, z.b) / LN_TAU)
-    return k if tau_pow(k) == z else None
+    j = floor((_ln(x.a, x.b) - _ln(y.a, y.b)) / LN_TAU)
+    m = tau_pow(j) * y
+    while m < x:
+        m, j = m * INV_TAU, j - 1
+    while m * TAU >= x:
+        m, j = m * TAU, j + 1
+    return j, m
+
+
+def is_tau_power(x: QTau | ZTau | int) -> int | None:
+    """Return k with x = tau**k, or None: with x = num/den, the k of
+    tau_exponent(num, den) when its m = tau**k * den is num itself."""
+    x = _as_qtau(x)
+    k, m = tau_exponent(x.num, ZTau(x.den))
+    return k if m == x.num else None
+
+
+def _too_long(z: ZTau) -> ValueError:
+    """The error of writing z past the interpreter's digit limit."""
+    n = max(abs(z.a), abs(z.b))
+    d = int(n.bit_length() * log10(2))  # n has d or d + 1 digits
+    return ValueError(f"coefficient of {d + (n >= 10 ** d)} digits is too long to "
+                      f"write: the limit is {sys.get_int_max_str_digits()} digits")
 
 
 def ztau_str(z: ZTau) -> str:
     """Compact human form: '0', 't', '1-t', '-1+2*t', '3'."""
-    if z.b == 0:
-        return str(z.a)
-    if z.b == 1:
-        t = "t"
-    elif z.b == -1:
-        t = "-t"
-    else:
-        t = f"{z.b}*t"
-    if z.a == 0:
-        return t
-    return f"{z.a}+{t}" if not t.startswith("-") else f"{z.a}{t}"
+    try:
+        if z.b == 0:
+            return str(z.a)
+        if z.b == 1:
+            t = "t"
+        elif z.b == -1:
+            t = "-t"
+        else:
+            t = f"{z.b}*t"
+        if z.a == 0:
+            return t
+        return f"{z.a}+{t}" if not t.startswith("-") else f"{z.a}{t}"
+    except ValueError:  # past the interpreter's digit limit
+        raise _too_long(z) from None
 
 
 def ztau_literal(z: ZTau) -> str:
     """Explicit canonical form 'a+b*t' used in serialized payloads."""
-    return f"{z.a}{z.b:+}*t"
+    try:
+        return f"{z.a}{z.b:+}*t"
+    except ValueError:  # past the interpreter's digit limit
+        raise _too_long(z) from None
 
 
 def qtau_str(q: QTau) -> str:

@@ -22,6 +22,7 @@ from taut.construct import (
     defect_witness,
     defect_witness_search,
     factor_local,
+    first_power_below,
     match_intervals,
     points_between,
     preference_points,
@@ -29,7 +30,7 @@ from taut.construct import (
     proximal_shrink_circle,
     random_element,
 )
-from taut.errors import BadTuple, CertificateError, IdentityInput
+from taut.errors import BadTuple, CertificateError, IdentityInput, NoRoomInTarget
 from taut.expr import evaluate_str, serialize
 from taut.lift import LiftMap, rot
 from taut import plmap
@@ -187,6 +188,15 @@ def test_match_intervals_of_far_apart_scales_is_immediate():
         m = _check_match(*args)
         assert m.num_pieces == 2
     assert match_intervals(ZERO, x, ZERO, TAU).ks == (-17997, -17998)
+
+
+def test_first_power_below_far_points():
+    assert first_power_below(ONE) == 1 and first_power_below(TAU) == 2
+    assert first_power_below(T2 + tau_pow(5)) == 2
+    # below tau**4096, where the former walk gave up
+    assert first_power_below(2 * tau_pow(18000)) == 17999
+    with pytest.raises(NoRoomInTarget):
+        first_power_below(ZERO)
 
 
 def test_match_intervals_rejects_empty_intervals():

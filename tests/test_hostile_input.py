@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taut.cli import main
-from taut.construct import commutator_trick, random_element
-from taut.expr import MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str
+from taut.construct import commutator_trick, connect_tuple, random_element
+from taut.expr import (MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str,
+                       to_expression)
 from taut.ring import ZERO, tau_pow, ztau_literal
 
 
@@ -592,8 +593,61 @@ def test_connect_of_a_point_far_from_its_target_is_bounded(tmp_path, capsys, poi
 
 
 def test_derived_connect_of_a_far_point_ends_in_an_exit_code(capsys):
+    # the human answer is certified; its --json tables hold coefficients
+    # of about 7,500 digits, past the limit on writing an integer
+    start = time.perf_counter()
     rc, out, err = run(capsys, "connect", "--derived", "--", FAR_POINT, "t")
-    assert rc in (0, 2) and (rc == 0) == (err == "")
+    assert time.perf_counter() - start < 1
+    assert rc == 0 and err == "" and out.startswith("verified commutator element")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "connect", "--derived", "--json", "--", FAR_POINT, "t")
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and err == ""
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("coefficient of ") and "the limit is 4300 digits" in message
+
+
+def test_derived_connect_below_tau_to_the_4096_is_certified(tmp_path, capsys):
+    # the former power walk gave up past tau**4096 with "power search ran away"
+    point = ztau_literal(2 * tau_pow(4100))
+    rc, out, err = run(capsys, "connect", "--derived", "--json", "--", point, "t")
+    assert rc == 0 and err == ""
+    path = tmp_path / "derived.json"
+    path.write_text(out)
+    assert run(capsys, "check", str(path)) == (0, "ok: connect-cert validated\n", "")
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["human", "json"])
+def test_answer_past_the_digit_limit_is_a_one_line_error(capsys, flag):
+    # g**2 has coefficients of about 5,000 digits
+    g = connect_tuple((2 * tau_pow(12000),), (tau_pow(1),)).element
+    rc, out, err = run(capsys, "eval", *flag, f"({to_expression(g)})^2")
+    assert rc == 1
+    if flag:
+        assert err == "" and json.loads(out)["error"]["type"] == "ValueError"
+        message = json.loads(out)["error"]["message"]
+    else:
+        assert out == "" and err.count("\n") == 1
+        message = err.removeprefix("error (ValueError): ").rstrip("\n")
+    assert message == ("coefficient of 5015 digits is too long to write: "
+                       "the limit is 4300 digits")
+
+
+def test_factor_without_a_spare_point_ends_in_exit_2(capsys):
+    # depth 1 offers the points 0 and t, which rot(t) maps onto each other
+    rc, out, err = run(capsys, "factor", "--depth", "1", "rot(t)")
+    assert rc == 2 and out == ""
+    assert err == "error (SearchBudgetExceeded): no spare ring point found\n"
+
+
+@pytest.mark.parametrize("n", [MAX_POWER + 1, 10 ** 9])
+def test_defect_power_is_bounded(capsys, n):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "defect", "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err == (f"error (PowerBudgetExceeded): n = {n} exceeds the bound "
+                   f"{MAX_POWER} on the power g^n of a defect witness\n")
 
 
 def test_inferred_slope_of_a_huge_tau_power_is_read_at_once(capsys):

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import decimal_value, zt
@@ -22,6 +22,8 @@ from taut.ring import (
     parse_qtau,
     parse_ztau,
     qtau_literal,
+    qtau_str,
+    tau_exponent,
     tau_pow,
     ztau_literal,
     ztau_str,
@@ -212,6 +214,69 @@ def test_ln_estimate_is_close(k, c):
     # coefficients and a small (k > 0) or large (k < 0) value
     z = c * tau_pow(k)
     assert abs(_ln(z.a, z.b) - (math.log(float(c)) + k * LN_TAU)) < 1e-9 * (1 + abs(k))
+
+
+def walk_first_power_below(limit):
+    """The former construct.first_power_below, kept as the oracle: the
+    smallest m >= 1 with tau**m < limit, found by stepping m = 1, 2, ...;
+    None past 4,096 steps, where it gave up."""
+    m = 1
+    while (limit - tau_pow(m)).sign() <= 0:
+        m += 1
+        if m > 4096:
+            return None
+    return m
+
+
+@st.composite
+def positive_ring_elements(draw):
+    """A positive ring element with 2- to 1,000-digit coefficients, or a
+    unit tau**+-3000 (or nearer) times a small ring element."""
+    if draw(st.booleans()):
+        bound = 10 ** draw(st.integers(2, 1000))
+        z = zt(draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound)))
+    else:
+        z = (tau_pow(draw(st.integers(-3000, 3000)))
+             * zt(draw(st.integers(-50, 50)), draw(st.integers(-50, 50))))
+    assume(z.sign() != 0)
+    return abs(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_ring_elements(), st.one_of(st.just(ONE), positive_ring_elements()))
+def test_tau_exponent_brackets_x_between_powers_of_tau(x, y):
+    j, m = tau_exponent(x, y)
+    assert m == tau_pow(j) * y
+    assert tau_pow(j + 1) * y < x <= m
+    walked = walk_first_power_below(x)
+    if walked is not None:
+        assert walked == max(tau_exponent(x)[0] + 1, 1)
+
+
+def test_tau_exponent_of_powers_and_far_points():
+    for k in (-20000, -1, 0, 1, 4096, 4097, 20000):
+        assert tau_exponent(tau_pow(k)) == (k, tau_pow(k))
+        assert tau_exponent(tau_pow(k), TAU) == (k - 1, tau_pow(k))
+    # 2 lies in (tau**-1, tau**-2], so 2*tau**18000 in (tau**17999, tau**17998]
+    assert tau_exponent(2 * tau_pow(18000))[0] == 17998
+    for x, y in ((ZERO, ONE), (ONE, ZERO), (zt(-1), ONE), (ONE, zt(0, -1))):
+        with pytest.raises(NonPositive):
+            tau_exponent(x, y)
+
+
+@pytest.mark.parametrize("write", [ztau_str, ztau_literal, ZTau.to_json,
+                                   lambda z: qtau_str(QTau(z, 3)),
+                                   lambda z: qtau_literal(QTau(z, 3))])
+@pytest.mark.parametrize("z", [zt(10 ** 5000 + 1, 7), zt(3, -10 ** 4999),
+                               2 * tau_pow(24000)])
+def test_writing_past_the_digit_limit_names_the_size(write, z):
+    n = max(abs(z.a), abs(z.b))
+    with pytest.raises(ValueError) as info:
+        write(z)
+    digits = int(str(info.value).split()[2])
+    assert 10 ** (digits - 1) <= n < 10 ** digits
+    assert str(info.value) == (f"coefficient of {digits} digits is too long to "
+                               "write: the limit is 4300 digits")
 
 
 def test_qtau_division():
