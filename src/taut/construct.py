@@ -128,9 +128,18 @@ def arcs_disjoint(a: tuple[ZTau, ZTau], b: tuple[ZTau, ZTau]) -> bool:
 
 
 def _arc_around(g: CircleMap, center: ZTau, first: int, fits, what: str):
-    """The widest arc (lo, hi) = center -+ tau**m, m = first, ..., 63, for
-    which fits(lo, hi, (g(lo), g(hi))) holds; SearchBudgetExceeded if none."""
-    for m in range(first, 64):
+    """The widest arc (lo, hi) = center -+ tau**m for which fits(lo, hi,
+    (g(lo), g(hi))) holds, trying m = first, ..., 63 and then, for a far
+    smaller displacement, m = s, ..., s + 63 with s = max(64, j + 3), where
+    tau**(j+1) < min(d, 1 - d) <= tau**j and d = g(center) - center mod 1
+    (nonzero, as center is a moved point); SearchBudgetExceeded if none."""
+    def radii():
+        yield from range(first, 64)
+        d = _reduce(g.eval(center) - center)
+        s = max(64, tau_exponent(min(d, ONE - d))[0] + 3)
+        yield from range(s, s + 64)
+
+    for m in radii():
         r = tau_pow(m)
         lo, hi = _reduce(center - r), _reduce(center + r)
         if fits(lo, hi, (g.eval(lo), g.eval(hi))):

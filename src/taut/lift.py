@@ -22,10 +22,15 @@ certified:
   0 walks to F^N(0) through the powers F^q the descent already holds,
   largest q first (Ostrowski's numeration by the convergents'
   denominators), squaring the largest only while SQUARE_COST times its
-  pieces is below the steps a square saves; rot_enclosure starts from F
-  alone.  Each run of steps through one F^q is one call of the lift
-  kernel circle._eval_lift, which walks on integer coefficients and
-  builds one ring element at its end.
+  pieces is below the steps a square saves.  rot_enclosure first walks 0
+  under F alone, at most pieces(F) steps: a lift commutes with
+  x -> x + 1, so the orbit of 0 first meets itself modulo 1 at an
+  integer, and if F^P(0) = m then F^N(0) = F^r(0) + t*m with N = t*P + r,
+  read off the points walked with no table built; otherwise the walk
+  goes on from the point reached through the squares of F.  Each run of
+  steps through one F^q is one call of the lift kernel circle._eval_lift,
+  which walks on integer coefficients and builds one ring element at its
+  end.
 
 scl is |rot|/2: the commutator subgroup of the lifted group has index
 two and carries scl = |rot|/2 by Bavard duality (the rotation number
@@ -336,41 +341,62 @@ def rot_enclosure(f: LiftMap, iterations: int,
     """rot(f) in [p/N, (p+1)/N], N = iterations and p = floor(F^N(0)).
 
     G = F^N - p is increasing of degree one with 0 <= G(0) < 1, so
-    p <= N rot(f) <= p + 1.  F^N(0) is reached through the commuting
-    squares f, f**2, f**4, ..., built while the last costs less to
-    square than the steps the next would save, and within the piece cap:
-    the orbit walk of rot, started from f alone.
+    p <= N rot(f) <= p + 1.  0 first walks under F alone, for at most
+    f.num_pieces steps.  If F^P(0) is an integer m, then F^N(0) =
+    F^r(0) + t*m with N = t*P + r, read off the points walked, with no
+    table built.  No cycle is missed: F is a bijection commuting with
+    x -> x + 1, so x_k = x_i + m with x_j = F^j(0) and m an integer
+    forces x_(k-i) = m, and the orbit of 0 first meets itself modulo 1 at
+    an integer.  Otherwise the walk goes on from the point reached
+    through the commuting squares f, f**2, f**4, ..., built while the
+    last costs less to square than the steps the next would save, and
+    within the piece cap: the orbit walk of rot, started from f alone.
+    An orbit that never returns pays only for the probe's pieces(F)
+    single steps, about half a square of F under the SQUARE_COST model.
     """
-    return _orbit_enclosure({1: f}, iterations, piece_cap)
+    table, orbit = f.table, [ZERO]
+    for period in range(1, min(f.num_pieces, iterations) + 1):
+        x = _eval_lift(table, orbit[-1])
+        if x.b == 0:
+            t, r = divmod(iterations, period)
+            return _enclosure(orbit[r].floor() + t * x.a, iterations)
+        orbit.append(x)
+    return _orbit_enclosure({1: f}, iterations, piece_cap,
+                            orbit[-1], len(orbit) - 1)
+
+
+def _enclosure(p: int, iterations: int) -> RotEnclosure:
+    return RotEnclosure(Fraction(p, iterations), Fraction(p + 1, iterations),
+                        iterations)
 
 
 def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
-                     piece_cap: int) -> RotEnclosure:
-    """rot_enclosure from the tables powers[q] = F**q, with powers[1] = F.
+                     piece_cap: int, x: ZTau = ZERO,
+                     done: int = 0) -> RotEnclosure:
+    """rot_enclosure from the tables powers[q] = F**q, with powers[1] = F,
+    and the point x = F^done(0).
 
     The largest table F**q is squared while SQUARE_COST times its pieces
-    is below N // (2q), within the piece cap; then 0 walks N greedily,
-    largest q first, N // q steps of F**q and the remainder through the
-    smaller q, each run of steps one call of the lift kernel
-    circle._eval_lift on integer coefficients.  F^N(0) is one exact
-    point, so every route to it gives the same p.
+    is below R // (2q), R = N - done the steps left, within the piece
+    cap; then x walks R greedily, largest q first, R // q steps of F**q
+    and the remainder through the smaller q, each run of steps one call
+    of the lift kernel circle._eval_lift on integer coefficients.  F^N(0)
+    is one exact point, so every route to it gives the same p.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    rest = iterations - done
     q = max(powers)
-    while SQUARE_COST * powers[q].num_pieces < iterations // (2 * q):
+    while SQUARE_COST * powers[q].num_pieces < rest // (2 * q):
         try:
             powers[2 * q] = _capped_mul(powers[q], powers[q], piece_cap)
         except PowerBudgetExceeded:
             break
         q *= 2
-    x, rest = ZERO, iterations
     for q in sorted(powers, reverse=True):
         steps, rest = divmod(rest, q)
         x = _eval_lift(powers[q].table, x, steps)
-    p = x.floor()
-    return RotEnclosure(Fraction(p, iterations), Fraction(p + 1, iterations),
-                        iterations)
+    return _enclosure(x.floor(), iterations)
 
 
 def verify_rot(f: LiftMap, res: RotResult, *, max_den: int = DEFAULT_MAX_DEN,

@@ -640,6 +640,46 @@ def test_factor_without_a_spare_point_ends_in_exit_2(capsys):
     assert err == "error (SearchBudgetExceeded): no spare ring point found\n"
 
 
+# rotations by tau**70 and tau**18000 move every arc of radius tau**2 to
+# tau**63 by far less than its radius; the arc search then starts from
+# the displacement
+NEAR_ROTATIONS = {k: f"rot({ztau_literal(tau_pow(k))})" for k in (70, 18000)}
+
+
+def test_factor_of_a_rotation_by_tau_to_the_70_is_certified(tmp_path, capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "factor", "--json", "--", NEAR_ROTATIONS[70])
+    assert time.perf_counter() - start < 1
+    assert rc == 0 and err == ""
+    path = tmp_path / "factor.json"
+    path.write_text(out)
+    assert run(capsys, "check", str(path)) == (0, "ok: factor-cert validated\n", "")
+
+
+def test_factor_of_a_rotation_by_tau_to_the_18000_ends_in_an_exit_code(capsys):
+    # the human answer is certified; its --json arc holds coefficients of
+    # about 7,500 digits, past the limit on writing an integer
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "factor", "--", NEAR_ROTATIONS[18000])
+    assert time.perf_counter() - start < 3
+    assert rc == 0 and err == "" and out.startswith("verified factorization")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "factor", "--json", "--", NEAR_ROTATIONS[18000])
+    assert time.perf_counter() - start < 3
+    assert rc == 1 and err == ""
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("coefficient of ") and "the limit is 4300 digits" in message
+
+
+@pytest.mark.parametrize("k, bound", [(70, 0.5), (18000, 2)])
+def test_commutator_trick_of_a_rotation_near_the_identity(k, bound):
+    g = evaluate_str(NEAR_ROTATIONS[k])
+    start = time.perf_counter()
+    cert = commutator_trick(g, ZERO)
+    assert time.perf_counter() - start < bound
+    assert cert.g == g
+
+
 @pytest.mark.parametrize("n", [MAX_POWER + 1, 10 ** 9])
 def test_defect_power_is_bounded(capsys, n):
     start = time.perf_counter()

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import _eval_lift, _inverse_table
+from taut.circle import CircleMap, SubdivisionTree, _eval_lift, _inverse_table
 from taut.construct import random_element
 from taut.errors import OutOfDomain
 from taut.expr import evaluate_str
@@ -289,13 +289,15 @@ def test_lift_walk_on_big_coefficients(k):
             assert_same(_eval_lift(table, y, steps), reference_walk(table, y, steps))
 
 
-@pytest.mark.parametrize("f", [
-    hyperbolic_power(1),
-    random_element(283, 6, "Lift"),
-    random_element(41, 4, "Lift").translate(-3).inverse(),
+# 0 is periodic under the first element, so its walks take the cycle
+# route; the orbit of 0 never returns to an integer under the other two
+@pytest.mark.parametrize("f, returns", [
+    pytest.param(hyperbolic_power(1), True, id="f0"),
+    pytest.param(random_element(283, 6, "Lift"), False, id="f1"),
+    pytest.param(random_element(41, 4, "Lift").translate(-3).inverse(), False, id="f2"),
 ])
-def test_enclosure_walk_matches_reference_steps(f, monkeypatch):
-    """rot_enclosure(f, N), whatever squares its rule builds, is the
+def test_enclosure_walk_matches_reference_steps(f, returns, monkeypatch):
+    """rot_enclosure(f, N), whatever route or squares it takes, is the
     enclosure from N reference steps of 0, for every N up to 700."""
     squares = []
     mul = lift._capped_mul
@@ -306,7 +308,77 @@ def test_enclosure_walk_matches_reference_steps(f, monkeypatch):
         x = reference_eval_lift(f.table, x)
         p = x.floor()
         assert rot_enclosure(f, n) == RotEnclosure(Fraction(p, n), Fraction(p + 1, n), n)
-    assert squares  # the walks went through squares, not single steps only
+    if returns:
+        assert not squares  # F^N(0) was read off the cycle of 0
+    else:
+        assert squares  # the walks went through squares, not single steps only
+
+
+trees = st.recursive(
+    st.just(SubdivisionTree.leaf()),
+    lambda sub: st.builds(SubdivisionTree.split, sub, sub, st.booleans()),
+    max_leaves=6)
+conjugators = st.builds(lambda s, n: random_element(s, n, "Lift"), seeds, sizes)
+
+
+@st.composite
+def periodic_lifts(draw):
+    """A lifted periodic tree pair (p = q, shift s), moved by n and
+    conjugated by a random lift, or its inverse or square.  Each leaf
+    returns to itself after P = L / gcd(s, L) steps with slope 1, so F^P is
+    a translation by an integer and 0 returns to an integer."""
+    tree = draw(trees)
+    s = draw(st.integers(min_value=0, max_value=len(tree.leaf_exponents()) - 1))
+    f = LiftMap(CircleMap.from_tree_pair(tree, tree, s).table).translate(draw(shifts))
+    h = draw(conjugators)
+    f = h.inverse() * f * h
+    return draw(st.sampled_from([f, f.inverse(), f * f]))
+
+
+def conjugated_rotations():
+    alphas = st.builds(ZTau, small, small.filter(bool))
+    return st.builds(lambda a, h: h.inverse() * LiftMap.translation(a) * h,
+                     alphas, conjugators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(periodic_lifts(), conjugated_rotations(), conjugators), st.data())
+def test_enclosure_cycle_route_matches_reference_steps(f, data):
+    """rot_enclosure(f, N) is the enclosure from N reference steps of 0:
+    at N = 1 and N <= pieces(F); if 0 first returns to an integer at a
+    step P <= pieces(F), at some N <= P and N = tP - 1, tP and tP + 1;
+    otherwise past the probe, up to N = 300."""
+    pieces = f.num_pieces
+    ns = {1, pieces, data.draw(st.integers(min_value=1, max_value=pieces))}
+    orbit = [ZERO]
+    for _ in range(pieces):
+        orbit.append(reference_eval_lift(f.table, orbit[-1]))
+    period = next((k for k in range(1, pieces + 1) if orbit[k].b == 0), None)
+    if period is None:
+        ns |= {pieces + 1, data.draw(st.integers(min_value=1, max_value=300))}
+    else:
+        t = data.draw(st.integers(min_value=1, max_value=40))
+        ns |= {data.draw(st.integers(min_value=1, max_value=period)),
+               t * period - 1, t * period, t * period + 1} - {0}
+    while len(orbit) <= max(ns):
+        orbit.append(reference_eval_lift(f.table, orbit[-1]))
+    for n in sorted(ns):
+        p = orbit[n].floor()
+        assert rot_enclosure(f, n) == RotEnclosure(Fraction(p, n), Fraction(p + 1, n), n)
+
+
+def test_periodic_orbit_of_0_builds_no_table(monkeypatch):
+    # rot 1/2: 0 returns to an integer after 2 of the element's 3 pieces
+    f = evaluate_str(HYPERBOLIC)
+    squares, steps = [], []
+    mul, walk = lift._capped_mul, lift._eval_lift
+    monkeypatch.setattr(lift, "_capped_mul",
+                        lambda a, b, cap: squares.append(a) or mul(a, b, cap))
+    monkeypatch.setattr(lift, "_eval_lift",
+                        lambda *args: steps.append(args) or walk(*args))
+    res = rot_enclosure(f, 10 ** 9)
+    assert (res.lo, res.hi) == (Fraction(1, 2), Fraction(10 ** 9 // 2 + 1, 10 ** 9))
+    assert not squares and len(steps) <= f.num_pieces
 
 
 def test_eval_reads_ints_and_fractions_as_quotients():
