@@ -19,18 +19,22 @@ certified:
 * otherwise the answer degrades to the sound enclosure [p/N, (p+1)/N]
   with p = floor(F^N(0)), from the one exact orbit point F^N(0): its
   width is exactly 1/N, and N is always the iteration count asked for.
-  0 walks to F^N(0) through the powers F^q the descent already holds,
-  largest q first (Ostrowski's numeration by the convergents'
-  denominators), squaring the largest only while SQUARE_COST times its
-  pieces is below the steps a square saves.  rot_enclosure first walks 0
-  under F alone, at most pieces(F) steps: a lift commutes with
+  rot_enclosure reads F^N(0) by one of three routes.  The cycle: 0 walks
+  under F alone, at most pieces(F) steps; a lift commutes with
   x -> x + 1, so the orbit of 0 first meets itself modulo 1 at an
   integer, and if F^P(0) = m then F^N(0) = F^r(0) + t*m with N = t*P + r,
-  read off the points walked with no table built; otherwise the walk
-  goes on from the point reached through the squares of F.  Each run of
-  steps through one F^q is one call of the lift kernel circle._eval_lift,
-  which walks on integer coefficients and builds one ring element at its
-  end.
+  read off the points walked with no table built.  The fixed point: if
+  rot's descent, bounded by pieces(F), proves rot = p/q, the orbit of 0
+  under G = F^q - p moves monotonically towards the fixed point r of G
+  nearest 0 (Poincare), so F^N(0) - t*p lies between F^s(G^k(0)) and
+  F^s(r) for N = t*q + s and every k <= t, and a few steps of G fix its
+  floor.  The walk: otherwise 0 walks on through the powers F^q the
+  descent holds, largest q first (Ostrowski's numeration by the
+  convergents' denominators), squaring the largest only while
+  SQUARE_COST times its pieces is below the steps a square saves.  Each
+  run of steps through one F^q is one call of the lift kernel
+  circle._eval_lift, which walks on integer coefficients and builds one
+  ring element at its end.
 
 scl is |rot|/2: the commutator subgroup of the lifted group has index
 two and carries scl = |rot|/2 by Bavard duality (the rotation number
@@ -62,6 +66,7 @@ from .ring import (
     ZERO,
     ZTau,
     _as_qtau,
+    _sign,
     json_bool,
     json_int,
     qtau_literal,
@@ -294,46 +299,72 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         piece_cap: int = DEFAULT_PIECE_CAP) -> RotResult:
     if f.is_translation():
         return RotTranslation(f.translation_amount())
-    # integer window first: rot lies in (v - 1, v + 1) with v = f(0),
-    # so in (n - 1, n + 2)
+    res, powers, whole = _descent(f, max_den, piece_cap)
+    if res is not None:
+        return res
+    if not whole or max_den < f.num_pieces:
+        # rot_enclosure probes the cycle of 0 and descends to pieces(F)
+        return rot_enclosure(f, max_iter, piece_cap)
+    return _orbit_enclosure(powers, max_iter, piece_cap)
+
+
+def _descent(f: LiftMap, max_den: int, piece_cap: int,
+             steps: int | None = None
+             ) -> tuple[RotRational | None, dict[int, LiftMap], bool]:
+    """The Stern-Brocot descent of rot for a lift that is no translation:
+    (the rational rot found or None, the tables powers[q] = F**q, whether
+    the bound q_lo + q_hi <= max_den ended it).
+
+    The integer window comes first: rot lies in (v - 1, v + 1) with
+    v = f(0), so in (n - 1, n + 2).  The descent then runs inside
+    (window, window + 1), each step one mediant table and one exact sign
+    trichotomy of shift_roots.  A table that the next step displaces
+    again on the same side is an intermediate fraction of that run, and
+    is dropped, so powers holds the convergents and the last bracket
+    (Ostrowski's numeration uses just these), and F**q of a rational
+    p/q.  The piece cap ends the descent, and so, with steps given, does
+    the mediant that would bring the cost of the mediants, SQUARE_COST
+    times their operands' pieces, to the steps left: the orbit walk's own
+    rule for squares.
+    """
     n = f.n
     window = n + 1
     for m in (n, n + 1):
         sign, root = f.table.shift_roots(ZTau(m))
         if root is not None:
-            return RotRational(Fraction(m), root)
+            return RotRational(Fraction(m), root), {1: f}, True
         if sign < 0:
             window = m - 1
             break
-    # Stern-Brocot descent inside (window, window + 1).  powers[q] is F**q
-    # for the fractions the orbit below can use: a table that the next
-    # step displaces again on the same side is an intermediate fraction
-    # of that run, and is dropped, so what stays are the convergents and
-    # the last bracket (Ostrowski's numeration uses just these).
     p_lo, q_lo = window, 1
     p_hi, q_hi = window + 1, 1
     powers = {1: f}
     side = 0
-    if max_den >= 2:
-        while q_lo + q_hi <= max_den:
-            try:
-                f_med = _capped_mul(powers[q_lo], powers[q_hi], piece_cap)
-            except PowerBudgetExceeded:
-                break
-            p_med = p_lo + p_hi
-            q_med = q_lo + q_hi
-            sign, root = f_med.table.shift_roots(ZTau(p_med))
-            if root is not None:
-                return RotRational(Fraction(p_med, q_med), root)
-            if sign == side:
-                del powers[q_lo if side > 0 else q_hi]
-            side = sign
+    while q_lo + q_hi <= max_den:
+        lo, hi = powers[q_lo], powers[q_hi]
+        if steps is not None:
+            steps -= SQUARE_COST * (lo.num_pieces + hi.num_pieces)
+            if steps <= 0:
+                return None, powers, False
+        try:
+            f_med = _capped_mul(lo, hi, piece_cap)
+        except PowerBudgetExceeded:
+            return None, powers, False
+        p_med = p_lo + p_hi
+        q_med = q_lo + q_hi
+        sign, root = f_med.table.shift_roots(ZTau(p_med))
+        if root is not None:
             powers[q_med] = f_med
-            if side > 0:
-                p_lo, q_lo = p_med, q_med
-            else:
-                p_hi, q_hi = p_med, q_med
-    return _orbit_enclosure(powers, max_iter, piece_cap)
+            return RotRational(Fraction(p_med, q_med), root), powers, True
+        if sign == side:
+            del powers[q_lo if side > 0 else q_hi]
+        side = sign
+        powers[q_med] = f_med
+        if side > 0:
+            p_lo, q_lo = p_med, q_med
+        else:
+            p_hi, q_hi = p_med, q_med
+    return None, powers, True
 
 
 def rot_enclosure(f: LiftMap, iterations: int,
@@ -341,19 +372,36 @@ def rot_enclosure(f: LiftMap, iterations: int,
     """rot(f) in [p/N, (p+1)/N], N = iterations and p = floor(F^N(0)).
 
     G = F^N - p is increasing of degree one with 0 <= G(0) < 1, so
-    p <= N rot(f) <= p + 1.  0 first walks under F alone, for at most
-    f.num_pieces steps.  If F^P(0) is an integer m, then F^N(0) =
-    F^r(0) + t*m with N = t*P + r, read off the points walked, with no
-    table built.  No cycle is missed: F is a bijection commuting with
-    x -> x + 1, so x_k = x_i + m with x_j = F^j(0) and m an integer
-    forces x_(k-i) = m, and the orbit of 0 first meets itself modulo 1 at
-    an integer.  Otherwise the walk goes on from the point reached
-    through the commuting squares f, f**2, f**4, ..., built while the
-    last costs less to square than the steps the next would save, and
-    within the piece cap: the orbit walk of rot, started from f alone.
-    An orbit that never returns pays only for the probe's pieces(F)
-    single steps, about half a square of F under the SQUARE_COST model.
+    p <= N rot(f) <= p + 1.  F^N(0) is one exact point, so each of the
+    three routes below gives the same p.
+
+    The cycle: 0 first walks under F alone, for at most f.num_pieces
+    steps.  If F^P(0) is an integer m, then F^N(0) = F^r(0) + t*m with
+    N = t*P + r, read off the points walked, with no table built.  No
+    cycle is missed: F is a bijection commuting with x -> x + 1, so
+    x_k = x_i + m with x_j = F^j(0) and m an integer forces x_(k-i) = m,
+    and the orbit of 0 first meets itself modulo 1 at an integer.
+
+    The fixed point: otherwise rot's descent runs, bounded by
+    q_lo + q_hi <= f.num_pieces and by the cost of its mediants against
+    the steps left.  If it proves rot = p/q, then G = F^q - p has fixed
+    points, and with N = t*q + s, F^N(0) = F^s(G^t(0)) + t*p.  Let
+    sigma = sign G(0), which is not 0 as 0 did not return, and r the
+    fixed point of G nearest 0 on that side.  G(x) - x has the sign
+    sigma between 0 and r, so G^k(0) moves monotonically towards r and
+    never reaches it (Poincare; de Melo-van Strien, One-Dimensional
+    Dynamics, ch. I); F^s is increasing, so for every k <= t
+    F^s(G^k(0)) <= F^N(0) - t*p < F^s(r) when sigma > 0, and
+    F^s(r) < F^N(0) - t*p <= F^s(G^k(0)) when sigma < 0.  G walks at
+    most f.num_pieces steps until both ends fix one floor.
+
+    The walk: with no rational proved or no floor fixed, 0 goes on from
+    the point the probe reached through the descent's tables and the
+    commuting squares of the largest, built while it costs less to
+    square than the steps the next would save, and within the piece cap.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
     table, orbit = f.table, [ZERO]
     for period in range(1, min(f.num_pieces, iterations) + 1):
         x = _eval_lift(table, orbit[-1])
@@ -361,8 +409,38 @@ def rot_enclosure(f: LiftMap, iterations: int,
             t, r = divmod(iterations, period)
             return _enclosure(orbit[r].floor() + t * x.a, iterations)
         orbit.append(x)
-    return _orbit_enclosure({1: f}, iterations, piece_cap,
-                            orbit[-1], len(orbit) - 1)
+    done = len(orbit) - 1
+    if done == iterations:
+        return _enclosure(orbit[-1].floor(), iterations)
+    res, powers, _ = _descent(f, f.num_pieces, piece_cap, iterations - done)
+    if res is not None:
+        p = _fixed_point_floor(f, powers[res.q], res.p, res.q, iterations,
+                               orbit[res.q])
+        if p is not None:
+            return _enclosure(p, iterations)
+    return _orbit_enclosure(powers, iterations, piece_cap, orbit[-1], done)
+
+
+def _fixed_point_floor(f: LiftMap, fq: LiftMap, p: int, q: int,
+                       iterations: int, fq0: ZTau) -> int | None:
+    """floor(F^N(0)) for rot(f) = p/q, from fq = F**q and fq0 = F^q(0),
+    or None if f.num_pieces steps of G = F**q - p leave it open: the
+    fixed point route of rot_enclosure."""
+    t, s = divmod(iterations, q)
+    r = fq.table.nearest_shift_root(ZTau(p), _sign(fq0.a - p, fq0.b))
+    # F^s(r) is a fixed point of G too, so no integer (else G(0) = 0 and
+    # 0 would have returned): once F^s(G^k(0)) has its floor, so has
+    # every point between them, F^N(0) - t*p among them
+    bound = _eval_lift(f.table, r, s).floor()
+    y = ZERO
+    for k in range(min(t, f.num_pieces) + 1):
+        if k:
+            y = _eval_lift(fq.table, y)
+            y = ZTau(y.a - p, y.b)
+        a = _eval_lift(f.table, y, s).floor()
+        if a == bound or k == t:
+            return a + t * p
+    return None
 
 
 def _enclosure(p: int, iterations: int) -> RotEnclosure:

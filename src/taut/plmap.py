@@ -31,8 +31,8 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _shifted_gap,
-                   _sign, _through, json_int, tau_exponent, tau_pow)
+from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign, _through,
+                   json_int, tau_exponent, tau_pow)
 
 
 def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
@@ -201,25 +201,44 @@ class PLMap:
         an exact root, or (sign of d, None) when d has one sign throughout.
         The root is a flat piece's left end, else a breakpoint, else the
         crossing inside a piece, in that order of preference."""
-        vals = [_shifted_gap(x, y, s) for x, y in zip(self.xs, self.ys)]
-        for i, k in enumerate(self.ks):
-            if k == 0 and not vals[i]:
-                return 0, QTau(self.xs[i])
-        for i, v in enumerate(vals):
-            if not v:
-                return 0, QTau(self.xs[i])
-        signs = [v.sign() for v in vals]
-        if len(set(signs)) == 1:
-            return signs[0], None
-        for i in range(len(self.ks)):
-            if signs[i] * signs[i + 1] < 0:
-                k = self.ks[i]
-                # d is linear and non-constant on the piece (k = 0 would make
-                # the endpoint values equal), so the root is the exact quotient
-                root = (QTau(self.xs[i] * tau_pow(k) - self.ys[i] + s)
-                        / QTau(tau_pow(k) - ONE))
-                return 0, root
-        raise AssertionError("sign pattern without a crossing")
+        xs, ks = self.xs, self.ks
+        signs = _gap_signs(xs, self.ys, s)
+        if 0 in signs:
+            i = next((i for i, k in enumerate(ks) if k == 0 and not signs[i]),
+                     signs.index(0))
+            return 0, QTau(xs[i])
+        first = signs[0]
+        for i, c in enumerate(signs):
+            if c != first:
+                return 0, self._crossing(i - 1, s)
+        return first, None
+
+    def nearest_shift_root(self, s: ZTau, side: int) -> QTau:
+        """For a lift's table, with d(x) = self(x) - x - s of sign side at
+        0 and vanishing somewhere: the zero of d on the line nearest 0 on
+        that side.  d is periodic, so that is the first zero in (0, 1]
+        for side > 0, and the last in [0, 1) moved down by 1 for side < 0;
+        one sign pass finds it, and a flat zero piece gives its near end."""
+        signs = _gap_signs(self.xs, self.ys, s)
+        if side > 0:
+            i = next(i for i, c in enumerate(signs) if c <= 0)
+            return QTau(self.xs[i]) if not signs[i] else self._crossing(i - 1, s)
+        i = next(i for i in reversed(range(len(signs))) if signs[i] >= 0)
+        root = QTau(self.xs[i]) if not signs[i] else self._crossing(i, s)
+        return root - 1
+
+    def _crossing(self, i: int, s: ZTau) -> QTau:
+        """The zero of self(x) - x - s inside piece i, where it changes
+        sign: d is linear and non-constant there (k = 0 would make the
+        endpoint values equal), so the root is the exact quotient."""
+        t = tau_pow(self.ks[i])
+        return QTau(self.xs[i] * t - self.ys[i] + s) / QTau(t - ONE)
+
+
+def _gap_signs(xs, ys, s: ZTau) -> list[int]:
+    """The sign of y - x - s at each breakpoint, on coefficient differences."""
+    sa, sb = s.a, s.b
+    return [_sign(y.a - x.a - sa, y.b - x.b - sb) for x, y in zip(xs, ys)]
 
 
 @dataclass(frozen=True)

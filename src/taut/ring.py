@@ -88,11 +88,6 @@ def _through(x0: ZTau, y0: ZTau, k: int, x: ZTau, den: int = 1) -> ZTau:
                 y0.b * den + ta * db + tb * (da - db))
 
 
-def _shifted_gap(x: ZTau, y: ZTau, s: ZTau) -> ZTau:
-    """y - x - s, built as one ring element."""
-    return ZTau(y.a - x.a - s.a, y.b - x.b - s.b)
-
-
 @total_ordering
 class ZTau:
     """The real number a + b*tau with arbitrary-precision integers a, b."""

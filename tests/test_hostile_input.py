@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taut import lift
 from taut.cli import main
 from taut.construct import commutator_trick, connect_tuple, random_element
 from taut.expr import (MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str,
                        to_expression)
-from taut.ring import ZERO, tau_pow, ztau_literal
+from taut.lift import LiftMap, rot_enclosure
+from taut.plmap import conjugate
+from taut.ring import TAU, ZERO, tau_pow, ztau_literal
 
 
 def run(capsys, *argv):
@@ -720,3 +723,43 @@ def test_nested_commutators_are_bounded_by_their_work(capsys, word, last):
     assert rc == 2 and out == "" and err.count("\n") == 1
     assert "PowerBudgetExceeded" in err and str(MAX_POWER_WORK) in err
     assert f"{word} of work" in err
+
+
+@pytest.fixture(scope="module")
+def big_conjugated_rotation():
+    """conj(lift(rot(tau), 0), H) with H of 300 leaves: 491 pieces, rot
+    irrational."""
+    return conjugate(LiftMap.translation(TAU), random_element(11, 300, "Lift"))
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+def test_enclosure_of_a_big_conjugated_rotation_is_bounded(big_conjugated_rotation, n,
+                                                           monkeypatch):
+    # past the probe's pieces(F) steps, the descent builds no mediant that
+    # costs more than the steps left: F*F would cost 2 * 982 > 509 of them
+    f = big_conjugated_rotation
+    assert f.num_pieces == 491
+    products = []
+    mul = lift._capped_mul
+    monkeypatch.setattr(lift, "_capped_mul",
+                        lambda a, b, cap: products.append(a) or mul(a, b, cap))
+    start = time.perf_counter()
+    rot_enclosure(f, n)
+    assert time.perf_counter() - start < 0.1
+    assert not products
+
+
+def test_rot_and_check_of_a_lift_whose_orbit_never_returns_are_bounded(tmp_path, capsys):
+    # rot = -1, and 0 never returns to an integer: a stored enclosure at
+    # 10,000 iterations is re-checked off the fixed point of F + 1
+    g = random_element(131, 6, "Lift")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "rot", "--max-den", "1", "--json", "--", to_expression(g))
+    assert rc == 0 and err == ""
+    answer = tmp_path / "rot.json"
+    answer.write_text(out)
+    assert run(capsys, "check", str(answer)) == (0, "ok: rot-result validated\n", "")
+    stored = tmp_path / "enclosure.json"
+    stored.write_text(json.dumps(rot_enclosure(g, 10 ** 4).to_json(g)))
+    assert run(capsys, "check", str(stored)) == (0, "ok: rot-result validated\n", "")
+    assert time.perf_counter() - start < 1

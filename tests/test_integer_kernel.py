@@ -8,11 +8,14 @@ ring object per operation, as the kernels did before; they are kept here
 only as oracles, and so is the integer-coefficient product that the
 one in-place sweep replaced: f swept against a copy of the other factor's
 periodic extension, cut at f's first image and shifted period by period.
-A lift's walk of many steps, which keeps the point on
-its coefficients throughout, is compared with the one-step formula
-iterated, and enclosures with that many reference steps.  Tables come from random F_tau, T_tau and lift elements,
-their inverses (negative slope exponents), lifts moved by whole periods,
-and powers of hyperbolic lifts, whose breakpoints have large coefficients.
+A lift's walk of many steps, which keeps the point on its coefficients
+throughout, is compared with the one-step formula iterated, and
+enclosures, by whatever route, with that many reference steps;
+shift_roots, which reads signs off coefficient differences, is compared
+with the ring-object body it replaced.  Tables come from random F_tau,
+T_tau and lift elements, their inverses (negative slope exponents), lifts
+moved by whole periods, and powers of hyperbolic lifts, whose breakpoints
+have large coefficients.
 """
 
 from fractions import Fraction
@@ -259,6 +262,38 @@ def test_lift_eval_matches_the_ring_formula(table, data):
         assert_same(_eval_lift(table, x), reference_eval_lift(table, x))
 
 
+def reference_shift_roots(pl: PLMap, s: ZTau) -> tuple:
+    """PLMap.shift_roots as it was: one ring element per breakpoint."""
+    vals = [y - x - s for x, y in zip(pl.xs, pl.ys)]
+    for i, k in enumerate(pl.ks):
+        if k == 0 and not vals[i]:
+            return 0, QTau(pl.xs[i])
+    for i, v in enumerate(vals):
+        if not v:
+            return 0, QTau(pl.xs[i])
+    signs = [v.sign() for v in vals]
+    if len(set(signs)) == 1:
+        return signs[0], None
+    for i in range(len(pl.ks)):
+        if signs[i] * signs[i + 1] < 0:
+            k = pl.ks[i]
+            return 0, (QTau(pl.xs[i] * tau_pow(k) - pl.ys[i] + s)
+                       / QTau(tau_pow(k) - ONE))
+    raise AssertionError("sign pattern without a crossing")
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_shift_roots_matches_the_ring_formula(pl, data):
+    """Shifts that put a root on a breakpoint or a flat piece, inside a
+    piece, nowhere, or anywhere."""
+    gaps = [y - x for x, y in zip(pl.xs, pl.ys)]
+    i = data.draw(st.integers(min_value=0, max_value=pl.num_pieces - 1))
+    for s in (ZERO, gaps[i], gaps[i] + (gaps[i + 1] - gaps[i]) * tau_pow(2),
+              ZTau(gaps[i].floor() + data.draw(shifts)), data.draw(ring_points)):
+        assert pl.shift_roots(s) == reference_shift_roots(pl, s)
+
+
 def reference_walk(table: PLMap, x, steps: int):
     """reference_eval_lift iterated steps times."""
     if not isinstance(x, ZTau):
@@ -379,6 +414,121 @@ def test_periodic_orbit_of_0_builds_no_table(monkeypatch):
     res = rot_enclosure(f, 10 ** 9)
     assert (res.lo, res.hi) == (Fraction(1, 2), Fraction(10 ** 9 // 2 + 1, 10 ** 9))
     assert not squares and len(steps) <= f.num_pieces
+
+
+# -- the fixed point route --------------------------------------------------------
+
+LEAF = SubdivisionTree.leaf()
+
+
+def split_leaves(tree, which, wide_first: bool, start: int = 0):
+    """tree with its leaves numbered in which (from start) split in two,
+    wide part first or not, and its leaf count."""
+    if tree.is_leaf:
+        if start in which:
+            return SubdivisionTree.split(LEAF, LEAF, wide_first), 1
+        return tree, 1
+    left, m = split_leaves(tree.left, which, wide_first, start)
+    right, k = split_leaves(tree.right, which, wide_first, start + m)
+    return SubdivisionTree.split(left, right, tree.wide_first), m + k
+
+
+def bumped_lift(tree, which, wide_first: bool, s: int, n: int, h: LiftMap) -> LiftMap:
+    """The periodic tree pair (tree, tree, s) after an F_tau element that
+    splits the leaves in which one way in its domain and the other in its
+    image, moved by n and conjugated by h: it still carries each leaf of
+    tree s places on, so rot = s/L + n, and 0's orbit only tends to a
+    periodic one.  With s = 0 it is a lifted F_tau element with flat
+    fixed intervals, rot = n."""
+    ta, _ = split_leaves(tree, which, wide_first)
+    tb, _ = split_leaves(tree, which, not wide_first)
+    bump = LiftMap(CircleMap.from_tree_pair(ta, tb, 0).table)
+    body = LiftMap(CircleMap.from_tree_pair(tree, tree, s).table) * bump
+    return h.inverse() * body.translate(n) * h
+
+
+@st.composite
+def rational_lifts(draw):
+    """bumped_lift of random trees, bumps, shifts and conjugators, or its
+    inverse: G(0) takes either sign."""
+    tree = draw(trees)
+    leaves = len(tree.leaf_exponents())
+    which = draw(st.sets(st.integers(min_value=0, max_value=leaves - 1),
+                         min_size=1, max_size=2))
+    s = draw(st.integers(min_value=0, max_value=leaves - 1))
+    f = bumped_lift(tree, which, draw(st.booleans()), s, draw(shifts),
+                    draw(conjugators))
+    return draw(st.sampled_from([f, f.inverse()]))
+
+
+def assert_nearest_zero(table: PLMap, p: int, side: int, r):
+    """r is a zero of d(x) = F(x) - x - p, F the lift with this table, on
+    side of 0, and d has the sign side at 0 and at every breakpoint of its
+    periodic extension between 0 and r: d is linear between breakpoints,
+    so no zero lies nearer 0."""
+    assert reference_eval_lift(table, r) == r + p
+    assert 0 < r <= 1 if side > 0 else -1 <= r < 0
+    for x, y in zip(table.xs, table.ys):
+        if (x < r) if side > 0 else (x - 1 > r):
+            assert (y - x - p).sign() == side
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_lifts(), st.data())
+def test_enclosure_fixed_point_route_matches_reference_steps(f, data):
+    """rot_enclosure(f, N) is the enclosure from N reference steps of 0 at
+    some N <= 700 and, when the descent proves rot = p/q, at N = tq - 1,
+    tq and tq + 1, and it is the orbit walk's enclosure at N = 10**4; the
+    fixed point the route reads is the zero of G(x) - x nearest 0."""
+    res, powers, _ = lift._descent(f, f.num_pieces, lift.DEFAULT_PIECE_CAP)
+    ns = set(data.draw(st.lists(st.integers(min_value=1, max_value=700),
+                                min_size=6, max_size=6)))
+    if res is not None:
+        fq = powers[res.q].table
+        side = (reference_eval_lift(fq, ZERO) - res.p).sign()
+        if side:
+            assert_nearest_zero(fq, res.p, side, fq.nearest_shift_root(ZTau(res.p), side))
+        tq = res.q * data.draw(st.integers(min_value=1, max_value=700 // res.q))
+        ns |= {tq - 1, tq, tq + 1} - {0}
+    orbit = [ZERO]
+    while len(orbit) <= max(ns):
+        orbit.append(reference_eval_lift(f.table, orbit[-1]))
+    for n in sorted(ns):
+        p = orbit[n].floor()
+        assert rot_enclosure(f, n) == RotEnclosure(Fraction(p, n), Fraction(p + 1, n), n)
+    n = 10 ** 4
+    assert rot_enclosure(f, n) == lift._orbit_enclosure({1: f}, n, lift.DEFAULT_PIECE_CAP)
+
+
+T3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF, False), LEAF, True)
+ROUTE_LIFTS = {
+    # rot 1/3 and -1/3, whose G(0) is below and above 0
+    "hyperbolic": bumped_lift(T3, {0}, True, 1, 0, random_element(5, 3, "Lift")),
+    # rot 0 with flat fixed intervals
+    "flat": bumped_lift(T3, {0, 2}, True, 0, 0, random_element(5, 3, "Lift")),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_LIFTS)
+@pytest.mark.parametrize("inverse", [False, True])
+def test_rational_orbit_that_never_returns_builds_no_square(name, inverse, monkeypatch):
+    """0 never returns to an integer, yet the enclosure is read off the
+    fixed point of G within pieces(F) steps of G: no square is built and
+    the orbit walk is never reached."""
+    f = ROUTE_LIFTS[name].inverse() if inverse else ROUTE_LIFTS[name]
+    want = {n: lift._orbit_enclosure({1: f}, n, lift.DEFAULT_PIECE_CAP)
+            for n in (256, 10 ** 4)}
+    monkeypatch.setattr(lift, "_orbit_enclosure", None)
+    for n, enclosure in want.items():
+        assert rot_enclosure(f, n) == enclosure
+
+
+@pytest.mark.parametrize("f", [ROUTE_LIFTS["hyperbolic"], random_element(283, 6, "Lift")],
+                         ids=["rational", "irrational"])
+@pytest.mark.parametrize("n", [0, -1, -10 ** 4])
+def test_enclosure_of_no_iterations_is_refused(f, n):
+    with pytest.raises(ValueError, match="^iterations must be positive$"):
+        rot_enclosure(f, n)
 
 
 def test_eval_reads_ints_and_fractions_as_quotients():

@@ -270,6 +270,22 @@ def test_rot_keeps_no_intermediate_fraction_table(monkeypatch):
     assert len(kept) < 8 and len(steps) > 40
 
 
+def test_rot_below_pieces_takes_its_enclosure_off_the_cycle(monkeypatch):
+    """max_den = 1 ends rot's descent before q reaches pieces(F), so its
+    enclosure comes from rot_enclosure, which reads F^N(0) off the cycle
+    of 0 (rot 1/2, period 2) with no table built."""
+    f = evaluate_str(H)
+    squares = []
+    mul = lift._capped_mul
+    monkeypatch.setattr(lift, "_capped_mul",
+                        lambda a, b, cap: squares.append(a) or mul(a, b, cap))
+    r = rot(f, max_den=1)
+    monkeypatch.undo()
+    assert not squares
+    assert r.kind == "enclosure" and r == rot_enclosure(f, DEFAULT_MAX_ITER)
+    assert (r.lo, r.hi) == (Fraction(1, 2), Fraction(5001, 10000))
+
+
 def power_table_replay(f: LiftMap, res: RotRational) -> bool:
     """The rational re-check through the q-th power table: F**q at the
     root, then shift_roots of F**q - p must find a root."""
