@@ -45,9 +45,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", action="store_true", dest="as_json",
                      help="machine readable output")
-    budgets = argparse.ArgumentParser(add_help=False)
+    den = argparse.ArgumentParser(add_help=False)
+    den.add_argument("--max-den", type=_positive, default=DEFAULT_MAX_DEN)
+    budgets = argparse.ArgumentParser(parents=[den], add_help=False)
     budgets.add_argument("--max-iter", type=_positive, default=DEFAULT_MAX_ITER)
-    budgets.add_argument("--max-den", type=_positive, default=DEFAULT_MAX_DEN)
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument("--piece-cap", type=_positive, default=DEFAULT_PIECE_CAP)
     seed = argparse.ArgumentParser(add_help=False)
@@ -89,7 +90,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--depth", type=_positive, default=construct.DEFAULT_DEPTH,
                     help="search depth for constructive operations")
 
-    sp = command("defect", [out, budgets, seed],
+    sp = command("defect", [out, den, seed],
                  "defect witnesses for the rotation quasimorphism")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--search", action="store_true")
@@ -218,12 +219,10 @@ def _dispatch(args) -> int:
 
     if cmd == "defect":
         if args.search:
-            wit = construct.defect_witness_search(
-                args.samples, args.seed, max_den=args.max_den,
-                max_iter=args.max_iter)
+            wit = construct.defect_witness_search(args.samples, args.seed,
+                                                  max_den=args.max_den)
         else:
-            wit = construct.defect_witness(args.n, max_den=args.max_den,
-                                           max_iter=args.max_iter)
+            wit = construct.defect_witness(args.n, max_den=args.max_den)
         if args.as_json:
             print(expr.serialize(wit))
         else:

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .lift import (
     DEFAULT_MAX_DEN,
-    DEFAULT_MAX_ITER,
     DefectDelta,
     LiftMap,
     RotResult,
@@ -684,8 +683,7 @@ class DefectWitness:
             raise SchemaError(f"bad defect witness: {exc}") from exc
 
 
-def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN,
-                   max_iter: int = DEFAULT_MAX_ITER) -> DefectWitness:
+def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN) -> DefectWitness:
     """Deterministic family: g pulls everything towards 0, h is g conjugated
     by the rotation tau**2; both have rot 0, and rot(g*h) drifts towards -1
     as n grows, so delta = |rot(g*h)| approaches the defect bound 1."""
@@ -697,15 +695,14 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN,
     g = power(LiftMap(standard_push_map().table), -n, DEFAULT_PIECE_CAP)
     rho = LiftMap(CircleMap.rotation(tau_pow(2)).table)
     h = conjugate(g, rho)
-    d = defect_delta(g, h, max_den=max_den, max_iter=max_iter)
+    d = defect_delta(g, h, max_den=max_den)
     if not d.is_exact:
         raise BudgetExceeded("product rotation number not certified in budget")
     return DefectWitness(g=g, h=h, delta=d.exact, rots=d.rots, n=n)
 
 
 def defect_witness_search(samples: int, seed: int, *, size: int = 4,
-                          max_den: int = DEFAULT_MAX_DEN,
-                          max_iter: int = DEFAULT_MAX_ITER) -> DefectWitness:
+                          max_den: int = DEFAULT_MAX_DEN) -> DefectWitness:
     """Seeded random search keeping the best exactly-certified delta."""
     rng = SplitMix64(seed)
     best: DefectWitness | None = None
@@ -714,10 +711,7 @@ def defect_witness_search(samples: int, seed: int, *, size: int = 4,
         sh = rng.next64()
         g = random_element(sg, size, "Lift")
         h = random_element(sh, size, "Lift")
-        try:
-            d = defect_delta(g, h, max_den=max_den, max_iter=max_iter)
-        except BudgetExceeded:
-            continue
+        d = defect_delta(g, h, max_den=max_den)
         if not d.is_exact:
             continue
         if best is None or d.exact > best.delta:

@@ -19,22 +19,22 @@ certified:
 * otherwise the answer degrades to the sound enclosure [p/N, (p+1)/N]
   with p = floor(F^N(0)), from the one exact orbit point F^N(0): its
   width is exactly 1/N, and N is always the iteration count asked for.
-  rot_enclosure reads F^N(0) by one of three routes.  The cycle: 0 walks
-  under F alone, at most pieces(F) steps; a lift commutes with
-  x -> x + 1, so the orbit of 0 first meets itself modulo 1 at an
-  integer, and if F^P(0) = m then F^N(0) = F^r(0) + t*m with N = t*P + r,
-  read off the points walked with no table built.  The fixed point: if
-  rot's descent, bounded by pieces(F), proves rot = p/q, the orbit of 0
-  under G = F^q - p moves monotonically towards the fixed point r of G
-  nearest 0 (Poincare), so F^N(0) - t*p lies between F^s(G^k(0)) and
-  F^s(r) for N = t*q + s and every k <= t, and a few steps of G fix its
-  floor.  The walk: otherwise 0 walks on through the powers F^q the
-  descent holds, largest q first (Ostrowski's numeration by the
-  convergents' denominators), squaring the largest only while
-  SQUARE_COST times its pieces is below the steps a square saves.  Each
-  run of steps through one F^q is one call of the lift kernel
-  circle._eval_lift, which walks on integer coefficients and builds one
-  ring element at its end.
+  rot and rot_enclosure share one resumable descent, _Descent: rot's
+  enclosure goes on from where rot's descent stopped, and reads F^N(0)
+  by one of three routes.  The cycle: unless the descent's bracket
+  already rules it out, 0 walks under F alone, at most pieces(F) steps;
+  a lift commutes with x -> x + 1, so the orbit of 0 first meets itself
+  modulo 1 at an integer, and if F^P(0) = m then F^N(0) = F^r(0) + t*m
+  with N = t*P + r.  The fixed point: if the descent, resumed up to
+  pieces(F), proves rot = p/q, the orbit of 0 under G = F^q - p moves
+  monotonically towards the fixed point r of G nearest 0 (Poincare), so
+  F^N(0) - t*p lies between F^s(G^k(0)) and F^s(r) for N = t*q + s and
+  every k <= t, and a few steps of G fix its floor.  The walk: otherwise
+  0 walks on through the powers F^q the descent holds, largest q first
+  (Ostrowski's numeration by the convergents' denominators), squaring
+  the largest only while SQUARE_COST times its pieces is below the steps
+  a square saves, each run through one F^q one call of the lift kernel
+  circle._eval_lift, on integer coefficients.
 
 scl is |rot|/2: the commutator subgroup of the lifted group has index
 two and carries scl = |rot|/2 by Bavard duality (the rotation number
@@ -297,74 +297,85 @@ def rot_result_from_json(obj: object) -> RotResult:
 def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
         max_iter: int = DEFAULT_MAX_ITER,
         piece_cap: int = DEFAULT_PIECE_CAP) -> RotResult:
+    """The certified rotation number of f, from one Stern-Brocot descent.
+
+    A translation is its exact amount.  Otherwise the descent runs while
+    q_lo + q_hi <= max_den, and a rational p/q it proves is the answer.
+    If it proves none, the enclosure at N = max_iter resumes the same
+    descent, on its tables, up to pieces(F): its cycle probe is skipped
+    once q_lo + q_hi > pieces(F), since rot lies strictly between the
+    Farey neighbours p_lo/q_lo and p_hi/q_hi, and every fraction there has
+    denominator at least q_lo + q_hi, while a cycle of 0 of period
+    P <= pieces(F) would make rot = F^P(0)/P.  At the default budgets the
+    descent passes pieces(F), so the enclosure walks on its tables at once.
+    """
     if f.is_translation():
         return RotTranslation(f.translation_amount())
-    res, powers, whole = _descent(f, max_den, piece_cap)
-    if res is not None:
-        return res
-    if not whole or max_den < f.num_pieces:
-        # rot_enclosure probes the cycle of 0 and descends to pieces(F)
-        return rot_enclosure(f, max_iter, piece_cap)
-    return _orbit_enclosure(powers, max_iter, piece_cap)
+    d = _Descent(f, piece_cap)
+    return d.run(max_den) or _enclose(d, max_iter)
 
 
-def _descent(f: LiftMap, max_den: int, piece_cap: int,
-             steps: int | None = None
-             ) -> tuple[RotRational | None, dict[int, LiftMap], bool]:
-    """The Stern-Brocot descent of rot for a lift that is no translation:
-    (the rational rot found or None, the tables powers[q] = F**q, whether
-    the bound q_lo + q_hi <= max_den ended it).
+class _Descent:
+    """rot's Stern-Brocot descent for a lift that is no translation, kept
+    between runs: the tables powers[q] = F**q, the bracket
+    p_lo/q_lo < rot < p_hi/q_hi, its last side and whether the cap ended it.
 
-    The integer window comes first: rot lies in (v - 1, v + 1) with
-    v = f(0), so in (n - 1, n + 2).  The descent then runs inside
+    The first run reads the integer window: rot lies in (v - 1, v + 1)
+    with v = f(0), so in (n - 1, n + 2).  The descent then runs inside
     (window, window + 1), each step one mediant table and one exact sign
     trichotomy of shift_roots.  A table that the next step displaces
     again on the same side is an intermediate fraction of that run, and
     is dropped, so powers holds the convergents and the last bracket
     (Ostrowski's numeration uses just these), and F**q of a rational
-    p/q.  The piece cap ends the descent, and so, with steps given, does
-    the mediant that would bring the cost of the mediants, SQUARE_COST
-    times their operands' pieces, to the steps left: the orbit walk's own
-    rule for squares.
+    p/q.  The piece cap ends the descent for good; with steps given, the
+    mediant that would bring the cost of the run's mediants, SQUARE_COST
+    times their operands' pieces, to steps ends the run: the orbit walk's
+    own rule for squares.
     """
-    n = f.n
-    window = n + 1
-    for m in (n, n + 1):
-        sign, root = f.table.shift_roots(ZTau(m))
-        if root is not None:
-            return RotRational(Fraction(m), root), {1: f}, True
-        if sign < 0:
-            window = m - 1
-            break
-    p_lo, q_lo = window, 1
-    p_hi, q_hi = window + 1, 1
-    powers = {1: f}
-    side = 0
-    while q_lo + q_hi <= max_den:
-        lo, hi = powers[q_lo], powers[q_hi]
-        if steps is not None:
-            steps -= SQUARE_COST * (lo.num_pieces + hi.num_pieces)
-            if steps <= 0:
-                return None, powers, False
-        try:
-            f_med = _capped_mul(lo, hi, piece_cap)
-        except PowerBudgetExceeded:
-            return None, powers, False
-        p_med = p_lo + p_hi
-        q_med = q_lo + q_hi
-        sign, root = f_med.table.shift_roots(ZTau(p_med))
-        if root is not None:
+
+    def __init__(self, f: LiftMap, piece_cap: int) -> None:
+        self.f, self.piece_cap, self.powers = f, piece_cap, {1: f}
+        self.p_lo = self.q_lo = self.p_hi = self.q_hi = 0  # no window yet
+        self.side, self.capped = 0, False
+
+    def run(self, max_den: int, steps: int | None = None) -> RotRational | None:
+        """Go on while q_lo + q_hi <= max_den: the rational rot proved, or None."""
+        f, powers = self.f, self.powers
+        if not self.q_lo:
+            window = f.n + 1
+            for m in (f.n, f.n + 1):
+                sign, root = f.table.shift_roots(ZTau(m))
+                if root is not None:
+                    return RotRational(Fraction(m), root)
+                if sign < 0:
+                    window = m - 1
+                    break
+            self.p_lo, self.q_lo, self.p_hi, self.q_hi = window, 1, window + 1, 1
+        while not self.capped and self.q_lo + self.q_hi <= max_den:
+            lo, hi = powers[self.q_lo], powers[self.q_hi]
+            if steps is not None:
+                steps -= SQUARE_COST * (lo.num_pieces + hi.num_pieces)
+                if steps <= 0:
+                    return None
+            try:
+                f_med = _capped_mul(lo, hi, self.piece_cap)
+            except PowerBudgetExceeded:
+                self.capped = True
+                return None
+            p_med, q_med = self.p_lo + self.p_hi, self.q_lo + self.q_hi
+            sign, root = f_med.table.shift_roots(ZTau(p_med))
+            if root is not None:
+                powers[q_med] = f_med
+                return RotRational(Fraction(p_med, q_med), root)
+            if sign == self.side:
+                del powers[self.q_lo if sign > 0 else self.q_hi]
+            self.side = sign
             powers[q_med] = f_med
-            return RotRational(Fraction(p_med, q_med), root), powers, True
-        if sign == side:
-            del powers[q_lo if side > 0 else q_hi]
-        side = sign
-        powers[q_med] = f_med
-        if side > 0:
-            p_lo, q_lo = p_med, q_med
-        else:
-            p_hi, q_hi = p_med, q_med
-    return None, powers, True
+            if sign > 0:
+                self.p_lo, self.q_lo = p_med, q_med
+            else:
+                self.p_hi, self.q_hi = p_med, q_med
+        return None
 
 
 def rot_enclosure(f: LiftMap, iterations: int,
@@ -382,28 +393,35 @@ def rot_enclosure(f: LiftMap, iterations: int,
     x_k = x_i + m with x_j = F^j(0) and m an integer forces x_(k-i) = m,
     and the orbit of 0 first meets itself modulo 1 at an integer.
 
-    The fixed point: otherwise rot's descent runs, bounded by
-    q_lo + q_hi <= f.num_pieces and by the cost of its mediants against
-    the steps left.  If it proves rot = p/q, then G = F^q - p has fixed
-    points, and with N = t*q + s, F^N(0) = F^s(G^t(0)) + t*p.  Let
-    sigma = sign G(0), which is not 0 as 0 did not return, and r the
-    fixed point of G nearest 0 on that side.  G(x) - x has the sign
-    sigma between 0 and r, so G^k(0) moves monotonically towards r and
-    never reaches it (Poincare; de Melo-van Strien, One-Dimensional
-    Dynamics, ch. I); F^s is increasing, so for every k <= t
-    F^s(G^k(0)) <= F^N(0) - t*p < F^s(r) when sigma > 0, and
-    F^s(r) < F^N(0) - t*p <= F^s(G^k(0)) when sigma < 0.  G walks at
-    most f.num_pieces steps until both ends fix one floor.
+    The fixed point: otherwise the descent runs (under rot, resumes),
+    bounded by q_lo + q_hi <= f.num_pieces and by the cost of its mediants
+    against the steps left.  If it proves rot = p/q, then G = F^q - p has
+    fixed points, and with N = t*q + s, F^N(0) = F^s(G^t(0)) + t*p.  Let
+    sigma = sign G(0), which is not 0 as 0 did not return, and r the fixed
+    point of G nearest 0 on that side.  G(x) - x has the sign sigma between
+    0 and r, so G^k(0) moves monotonically towards r and never reaches it
+    (Poincare; de Melo-van Strien, One-Dimensional Dynamics, ch. I); F^s is
+    increasing, so for every k <= t F^s(G^k(0)) <= F^N(0) - t*p < F^s(r)
+    when sigma > 0, and F^s(r) < F^N(0) - t*p <= F^s(G^k(0)) when sigma < 0.
+    G walks at most f.num_pieces steps until both ends fix one floor.
 
     The walk: with no rational proved or no floor fixed, 0 goes on from
     the point the probe reached through the descent's tables and the
     commuting squares of the largest, built while it costs less to
     square than the steps the next would save, and within the piece cap.
     """
+    return _enclose(_Descent(f, piece_cap), iterations)
+
+
+def _enclose(d: _Descent, iterations: int) -> RotEnclosure:
+    """rot_enclosure on d, which it resumes up to pieces(F), with no probe
+    once d's bracket has q_lo + q_hi > pieces(F) (see rot)."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    f = d.f
+    probe = f.num_pieces if d.q_lo + d.q_hi <= f.num_pieces else 0
     table, orbit = f.table, [ZERO]
-    for period in range(1, min(f.num_pieces, iterations) + 1):
+    for period in range(1, min(probe, iterations) + 1):
         x = _eval_lift(table, orbit[-1])
         if x.b == 0:
             t, r = divmod(iterations, period)
@@ -412,13 +430,13 @@ def rot_enclosure(f: LiftMap, iterations: int,
     done = len(orbit) - 1
     if done == iterations:
         return _enclosure(orbit[-1].floor(), iterations)
-    res, powers, _ = _descent(f, f.num_pieces, piece_cap, iterations - done)
+    res = d.run(f.num_pieces, iterations - done)
     if res is not None:
-        p = _fixed_point_floor(f, powers[res.q], res.p, res.q, iterations,
+        p = _fixed_point_floor(f, d.powers[res.q], res.p, res.q, iterations,
                                orbit[res.q])
         if p is not None:
             return _enclosure(p, iterations)
-    return _orbit_enclosure(powers, iterations, piece_cap, orbit[-1], done)
+    return _orbit_enclosure(d.powers, iterations, d.piece_cap, orbit[-1], done)
 
 
 def _fixed_point_floor(f: LiftMap, fq: LiftMap, p: int, q: int,

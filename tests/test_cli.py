@@ -98,7 +98,7 @@ def test_usage_error_is_exit_3(capsys):
     for argv in (["rot", "trans(t)", "--max-iter", "0"],
                  ["scl", "trans(t)", "--max-den", "-1"],
                  ["check", "rot(t)", "--piece-cap", "0"],
-                 ["defect", "--max-iter", "0"],
+                 ["defect", "--max-den", "0"],
                  ["factor", "rot(t)", "--depth", "0"]):
         rc, _, err = run(capsys, *argv)
         assert rc == 3 and "budgets must be positive" in err, argv
@@ -112,7 +112,7 @@ KEPT_OPTIONS = {
     "rot": (["trans(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
     "scl": (["trans(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
     "check": (["rot(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
-    "defect": ([], {"--max-iter", "--max-den", "--seed"}),
+    "defect": ([], {"--max-den", "--seed"}),
     "factor": (["rot(t)"], {"--depth"}),
     "random": ([], {"--seed"}),
     "connect": (["1-t", "t"], set()),

@@ -480,7 +480,8 @@ def test_enclosure_fixed_point_route_matches_reference_steps(f, data):
     some N <= 700 and, when the descent proves rot = p/q, at N = tq - 1,
     tq and tq + 1, and it is the orbit walk's enclosure at N = 10**4; the
     fixed point the route reads is the zero of G(x) - x nearest 0."""
-    res, powers, _ = lift._descent(f, f.num_pieces, lift.DEFAULT_PIECE_CAP)
+    descent = lift._Descent(f, lift.DEFAULT_PIECE_CAP)
+    res, powers = descent.run(f.num_pieces), descent.powers
     ns = set(data.draw(st.lists(st.integers(min_value=1, max_value=700),
                                 min_size=6, max_size=6)))
     if res is not None:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -208,18 +209,24 @@ H = ('lift(treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
 def test_rot_enclosures_match_the_squares_only_orbit():
     """rot reaches F^N(0) through the tables its descent built; over the
     random-lift family, its enclosures must be the squares-only
-    rot_enclosure's, also when a small piece cap stops the descent early."""
-    enclosures = capped = 0
+    rot_enclosure's, also when a small piece cap stops the descent early
+    or max_den stops it below pieces(F), where the enclosure resumes it."""
+    enclosures = capped = below = 0
     for k in range(80):
         f = random_element(k, 3 + k % 4, "Lift")
-        for max_den, max_iter in ((64, 64), (1000, 10000), (30, 777)):
+        pieces = f.num_pieces
+        budgets = [(64, 64), (1000, 10000), (30, 777),
+                   *((d, 777) for d in (1, 2, pieces - 1, pieces))]
+        for max_den, max_iter in budgets:
             for cap in (DEFAULT_PIECE_CAP, 2 * f.num_pieces + 1):
                 r = rot(f, max_den=max_den, max_iter=max_iter, piece_cap=cap)
                 if r.kind == "enclosure":
-                    assert r == rot_enclosure(f, max_iter), (k, max_den, max_iter, cap)
+                    assert r == rot_enclosure(f, max_iter) == lift._orbit_enclosure(
+                        {1: f}, max_iter, DEFAULT_PIECE_CAP), (k, max_den, max_iter, cap)
                     enclosures += 1
                     capped += cap < DEFAULT_PIECE_CAP
-    assert enclosures >= 10 and capped >= 10
+                    below += max_den < pieces
+    assert enclosures >= 10 and capped >= 10 and below >= 10
 
 
 def test_rot_builds_no_table_after_its_descent(monkeypatch):
@@ -252,17 +259,17 @@ def test_rot_keeps_no_intermediate_fraction_table(monkeypatch):
     stay alive for the orbit walk."""
     f = evaluate_str(f"conj(lift(rot(13-21*t), 0), {H})")  # tau**8
     kept, steps = [], []
-    walk, classify = lift._orbit_enclosure, PLMap.shift_roots
+    enclose, classify = lift._enclose, PLMap.shift_roots
 
-    def spy_walk(powers, iterations, piece_cap):
-        kept.extend(powers)
-        return walk(powers, iterations, piece_cap)
+    def spy_enclose(descent, iterations):
+        kept.extend(descent.powers)
+        return enclose(descent, iterations)
 
     def counting_classify(self, s):
         steps.append(s)
         return classify(self, s)
 
-    monkeypatch.setattr(lift, "_orbit_enclosure", spy_walk)
+    monkeypatch.setattr(lift, "_enclose", spy_enclose)
     monkeypatch.setattr(PLMap, "shift_roots", counting_classify)
     r = rot(f)
     monkeypatch.undo()
@@ -272,8 +279,8 @@ def test_rot_keeps_no_intermediate_fraction_table(monkeypatch):
 
 def test_rot_below_pieces_takes_its_enclosure_off_the_cycle(monkeypatch):
     """max_den = 1 ends rot's descent before q reaches pieces(F), so its
-    enclosure comes from rot_enclosure, which reads F^N(0) off the cycle
-    of 0 (rot 1/2, period 2) with no table built."""
+    enclosure probes the cycle of 0 and reads F^N(0) off it (rot 1/2,
+    period 2) with no table built."""
     f = evaluate_str(H)
     squares = []
     mul = lift._capped_mul
@@ -284,6 +291,56 @@ def test_rot_below_pieces_takes_its_enclosure_off_the_cycle(monkeypatch):
     assert not squares
     assert r.kind == "enclosure" and r == rot_enclosure(f, DEFAULT_MAX_ITER)
     assert (r.lo, r.hi) == (Fraction(1, 2), Fraction(5001, 10000))
+
+
+def test_rot_below_pieces_resumes_its_descent(monkeypatch):
+    """rot = 13/21 and pieces(F) = 6: max_den = k <= 5 stops rot's descent
+    below pieces(F), and its enclosure goes on from there, so it builds
+    the products and classifies the shifts of rot_enclosure alone."""
+    f = random_element(18, 6, "Lift")
+    assert f.num_pieces == 6 and rot(f, max_den=21).value == Fraction(13, 21)
+
+    def work(answer):
+        counts = Counter()
+        mul, classify = lift._capped_mul, PLMap.shift_roots
+        monkeypatch.setattr(lift, "_capped_mul", lambda a, b, cap:
+                            counts.update(["products"]) or mul(a, b, cap))
+        monkeypatch.setattr(PLMap, "shift_roots", lambda self, s:
+                            counts.update(["shift_roots"]) or classify(self, s))
+        r = answer()
+        monkeypatch.undo()
+        return r, counts
+
+    want = work(lambda: rot_enclosure(f, DEFAULT_MAX_ITER))
+    assert want[0].kind == "enclosure"
+    for k in range(1, 6):
+        assert work(lambda: rot(f, max_den=k)) == want, k
+
+
+def test_rot_runs_no_probe_after_a_descent_past_pieces(monkeypatch):
+    """At the default budgets rot's descent on an irrational rot passes
+    pieces(F), where no cycle of 0 can be, so its enclosure evaluates F
+    only in the walk: one run of steps from 0 per table it holds."""
+    f = evaluate_str(f"conj(lift(rot(13-21*t), 0), {H})")
+    runs, walks = [], []
+    evaluate, walk = lift._eval_lift, lift._orbit_enclosure
+
+    def spy_eval(table, x, steps=1):
+        runs.append(steps)
+        return evaluate(table, x, steps)
+
+    def spy_walk(powers, *args):
+        walks.append((powers, args))
+        return walk(powers, *args)
+
+    monkeypatch.setattr(lift, "_eval_lift", spy_eval)
+    monkeypatch.setattr(lift, "_orbit_enclosure", spy_walk)
+    r = rot(f)
+    monkeypatch.undo()
+    assert r.kind == "enclosure" and r == rot_enclosure(f, DEFAULT_MAX_ITER)
+    [(powers, args)] = walks
+    assert args == (DEFAULT_MAX_ITER, DEFAULT_PIECE_CAP, ZERO, 0)
+    assert len(runs) == len(powers)
 
 
 def power_table_replay(f: LiftMap, res: RotRational) -> bool:
