@@ -25,8 +25,6 @@ sums of those lengths and each slope is the difference of two exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegreeNotOne,
     LeafCountMismatch,
@@ -36,6 +34,7 @@ from .errors import (
 )
 from .plmap import (PLMap, _json_table, _piece_index, _sweep, _table_json,
                     is_ftau)
+from .record import Record, _set
 from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _floor, tau_pow
 
 DEFAULT_PIECE_CAP = 100_000
@@ -270,17 +269,21 @@ def _partition(lo: ZTau, hi: ZTau, exponents: list[int]) -> list[ZTau]:
     return out
 
 
-@dataclass(frozen=True)
-class SubdivisionTree:
+class SubdivisionTree(Record):
     """Binary subdivision of an interval into (tau*l, tau**2*l) parts.
 
     wide_first picks which part comes first: True gives (tau*l, tau**2*l),
     False gives (tau**2*l, tau*l).  Leaves carry no data.
     """
 
-    left: SubdivisionTree | None = None
-    right: SubdivisionTree | None = None
-    wide_first: bool = True
+    __slots__ = ("left", "right", "wide_first")
+
+    def __init__(self, left: SubdivisionTree | None = None,
+                 right: SubdivisionTree | None = None,
+                 wide_first: bool = True) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "wide_first", wide_first)
 
     @classmethod
     def leaf(cls) -> SubdivisionTree:

@@ -9,8 +9,6 @@ every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
 from .errors import (
     BadTuple,
@@ -27,12 +25,13 @@ from .lift import (
     DefectDelta,
     LiftMap,
     RotResult,
-    defect_delta,
+    exact_defect_delta,
     rot_result_from_json,
     verify_rot,
 )
 from .plmap import (MAX_POWER, Memo, PLMap, _sweep, concat, conjugate, commutator,
                     is_ftau, is_ftau_compact, power)
+from .record import Record, _set
 from .ring import (INV_TAU, ONE, QTau, ZERO, TAU, ZTau, json_bool, json_int, tau_exponent,
                    tau_pow)
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
@@ -200,16 +199,22 @@ def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
 
 # -- tuple transitivity -------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitivityCertificate:
-    """An element mapping sources to targets, re-checkable by evaluation."""
+class TransitivityCertificate(Record):
+    """An element mapping sources to targets, re-checkable by evaluation;
+    pieces is a fresh dict when not given."""
 
-    element: PLMap
-    sources: tuple[ZTau, ...]
-    targets: tuple[ZTau, ...]
-    compact: bool = False
-    expr: str | None = None
-    pieces: dict[str, PLMap] = field(default_factory=dict)
+    __slots__ = ("element", "sources", "targets", "compact", "expr", "pieces")
+
+    def __init__(self, element: PLMap, sources: tuple[ZTau, ...],
+                 targets: tuple[ZTau, ...], compact: bool = False,
+                 expr: str | None = None,
+                 pieces: dict[str, PLMap] | None = None) -> None:
+        _set(self, "element", element)
+        _set(self, "sources", sources)
+        _set(self, "targets", targets)
+        _set(self, "compact", compact)
+        _set(self, "expr", expr)
+        _set(self, "pieces", {} if pieces is None else pieces)
 
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by evaluation; expr is evaluated through memo, the one
@@ -380,20 +385,29 @@ def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau],
 
 # -- local factorization --------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorCertificate:
+# the expressions of u and v that factor_local builds them by
+FACTOR_U_EXPR = "g * f^-1 * comm(h2, h1)^-1"
+FACTOR_V_EXPR = "comm(h2, h1) * f"
+
+
+class FactorCertificate(Record):
     """g = u * v with u fixing a neighbourhood of x and v built from pieces
     fixing a neighbourhood of y (v = comm(h2, h1) * f)."""
 
-    g: CircleMap
-    x: ZTau
-    y: ZTau
-    arc: tuple[ZTau, ZTau]
-    u: CircleMap
-    v: CircleMap
-    pieces: dict[str, CircleMap]
-    u_expr: str = "g * f^-1 * comm(h2, h1)^-1"
-    v_expr: str = "comm(h2, h1) * f"
+    __slots__ = ("g", "x", "y", "arc", "u", "v", "pieces", "u_expr", "v_expr")
+
+    def __init__(self, g: CircleMap, x: ZTau, y: ZTau, arc: tuple[ZTau, ZTau],
+                 u: CircleMap, v: CircleMap, pieces: dict[str, CircleMap],
+                 u_expr: str = FACTOR_U_EXPR, v_expr: str = FACTOR_V_EXPR) -> None:
+        _set(self, "g", g)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "arc", arc)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "pieces", pieces)
+        _set(self, "u_expr", u_expr)
+        _set(self, "v_expr", v_expr)
 
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by evaluation: u_expr, v_expr and comm(h2, h1) are
@@ -519,8 +533,8 @@ def factor_local(g: CircleMap,
     pieces = {"f": f, "h1": h1, "h2": h2}
     env = {"g": g, **pieces}
     cert = FactorCertificate(g=g, x=x, y=y, arc=arc,
-                             u=evaluate_str(FactorCertificate.u_expr, env, memo),
-                             v=evaluate_str(FactorCertificate.v_expr, env, memo),
+                             u=evaluate_str(FACTOR_U_EXPR, env, memo),
+                             v=evaluate_str(FACTOR_V_EXPR, env, memo),
                              pieces=pieces)
     cert.verify(memo)
     return cert
@@ -528,17 +542,24 @@ def factor_local(g: CircleMap,
 
 # -- the two-conjugates commutator -----------------------------------------------
 
-@dataclass(frozen=True)
-class CommutatorCertificate:
+# the expression of the commutator that commutator_trick builds it by
+COMMUTATOR_EXPR = "g^-1 * conj(g, h)"
+
+
+class CommutatorCertificate(Record):
     """k = [g, h] with supp(h) inside an arc displaced off itself by g, so
     k is a product of two conjugates of g^(+-1) and fixes x nearby."""
 
-    result: CircleMap
-    g: CircleMap
-    h: CircleMap
-    x: ZTau
-    arc: tuple[ZTau, ZTau]
-    expr: str = "g^-1 * conj(g, h)"
+    __slots__ = ("result", "g", "h", "x", "arc", "expr")
+
+    def __init__(self, result: CircleMap, g: CircleMap, h: CircleMap, x: ZTau,
+                 arc: tuple[ZTau, ZTau], expr: str = COMMUTATOR_EXPR) -> None:
+        _set(self, "result", result)
+        _set(self, "g", g)
+        _set(self, "h", h)
+        _set(self, "x", x)
+        _set(self, "arc", arc)
+        _set(self, "expr", expr)
 
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by evaluation; expr is evaluated through memo, the one
@@ -617,7 +638,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
     inner = conjugate(h0, t)
     h = _embed_in_chart(concat([PLMap.identity(ZERO, a2), inner]), hi)
     memo = Memo()
-    k = evaluate_str(CommutatorCertificate.expr, {"g": g, "h": h}, memo)
+    k = evaluate_str(COMMUTATOR_EXPR, {"g": g, "h": h}, memo)
     cert = CommutatorCertificate(result=k, g=g, h=h, x=x, arc=arc)
     cert.verify(memo)
     return cert
@@ -632,16 +653,20 @@ def standard_push_map() -> CircleMap:
         PLMap((ZERO, t2, ONE), (ZERO, TAU, ONE), (-1, 1)))
 
 
-@dataclass(frozen=True)
-class DefectWitness:
+class DefectWitness(Record):
     """Pair (g, h) with exact rotation numbers witnessing a lower bound for
     the defect of rot."""
 
-    g: LiftMap
-    h: LiftMap
-    delta: QTau
-    rots: tuple[RotResult, RotResult, RotResult]
-    n: int | None = None
+    __slots__ = ("g", "h", "delta", "rots", "n")
+
+    def __init__(self, g: LiftMap, h: LiftMap, delta: QTau,
+                 rots: tuple[RotResult, RotResult, RotResult],
+                 n: int | None = None) -> None:
+        _set(self, "g", g)
+        _set(self, "h", h)
+        _set(self, "delta", delta)
+        _set(self, "rots", rots)
+        _set(self, "n", n)
 
     def verify(self, *, max_den: int = DEFAULT_MAX_DEN) -> None:
         """Replay the stored rots of g, h and g*h through verify_rot, each q
@@ -695,8 +720,8 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN) -> DefectWitness:
     g = power(LiftMap(standard_push_map().table), -n, DEFAULT_PIECE_CAP)
     rho = LiftMap(CircleMap.rotation(tau_pow(2)).table)
     h = conjugate(g, rho)
-    d = defect_delta(g, h, max_den=max_den)
-    if not d.is_exact:
+    d = exact_defect_delta(g, h, max_den=max_den)
+    if d is None:
         raise BudgetExceeded("product rotation number not certified in budget")
     return DefectWitness(g=g, h=h, delta=d.exact, rots=d.rots, n=n)
 
@@ -711,8 +736,8 @@ def defect_witness_search(samples: int, seed: int, *, size: int = 4,
         sh = rng.next64()
         g = random_element(sg, size, "Lift")
         h = random_element(sh, size, "Lift")
-        d = defect_delta(g, h, max_den=max_den)
-        if not d.is_exact:
+        d = exact_defect_delta(g, h, max_den=max_den)
+        if d is None:
             continue
         if best is None or d.exact > best.delta:
             best = DefectWitness(g=g, h=h, delta=d.exact, rots=d.rots)

@@ -46,7 +46,6 @@ group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import (
@@ -60,6 +59,7 @@ from .circle import (
 )
 from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
 from .plmap import PLMap, _capped_mul, _sweep
+from .record import Record, _set
 from .ring import (
     ONE,
     QTau,
@@ -89,15 +89,15 @@ DEFAULT_MAX_DEN = 1_000
 SQUARE_COST = 2
 
 
-@dataclass(frozen=True)
-class LiftMap:
+class LiftMap(Record):
     """The lift fixed by its table on [0, 1]: table(1) = table(0) + 1, and
     table(0) may be any ring element."""
 
-    table: PLMap
+    __slots__ = ("table",)
 
-    def __post_init__(self) -> None:
-        _check_lift_table(self.table)
+    def __init__(self, table: PLMap) -> None:
+        _check_lift_table(table)
+        _set(self, "table", table)
 
     @classmethod
     def identity(cls) -> LiftMap:
@@ -121,7 +121,7 @@ class LiftMap:
 
     def translate(self, j: int) -> LiftMap:
         if not j:
-            return self  # frozen, so sharing it is safe
+            return self  # immutable, so sharing it is safe
         t = self.table
         return LiftMap(PLMap(t.xs, [y + j for y in t.ys], t.ks))
 
@@ -172,14 +172,15 @@ class LiftMap:
 
 # -- rotation number results ------------------------------------------------
 
-@dataclass(frozen=True)
-class RotRational:
+class RotRational(Record):
     """rot = value exactly; f**q has an exact fixed point modulo the shift p."""
 
-    value: Fraction
-    root: QTau
-
+    __slots__ = ("value", "root")
     kind = "rational"
+
+    def __init__(self, value: Fraction, root: QTau) -> None:
+        _set(self, "value", value)
+        _set(self, "root", root)
 
     @property
     def p(self) -> int:
@@ -201,13 +202,14 @@ class RotRational:
                 "certificate": cert}
 
 
-@dataclass(frozen=True)
-class RotTranslation:
+class RotTranslation(Record):
     """The element is a translation; rot is its exact amount in Z[tau]."""
 
-    value: ZTau
-
+    __slots__ = ("value",)
     kind = "ztau"
+
+    def __init__(self, value: ZTau) -> None:
+        _set(self, "value", value)
 
     def approx(self) -> float:
         return float(self.value)
@@ -220,15 +222,16 @@ class RotTranslation:
                 "certificate": cert}
 
 
-@dataclass(frozen=True)
-class RotEnclosure:
+class RotEnclosure(Record):
     """lo <= rot <= hi with hi - lo == 1/iterations, endpoints rational."""
 
-    lo: Fraction
-    hi: Fraction
-    iterations: int
-
+    __slots__ = ("lo", "hi", "iterations")
     kind = "enclosure"
+
+    def __init__(self, lo: Fraction, hi: Fraction, iterations: int) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "iterations", iterations)
 
     def approx(self) -> float:
         return float(self.lo + self.hi) / 2
@@ -309,10 +312,16 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
     P <= pieces(F) would make rot = F^P(0)/P.  At the default budgets the
     descent passes pieces(F), so the enclosure walks on its tables at once.
     """
-    if f.is_translation():
-        return RotTranslation(f.translation_amount())
     d = _Descent(f, piece_cap)
-    return d.run(max_den) or _enclose(d, max_iter)
+    return _exact_rot(d, max_den) or _enclose(d, max_iter)
+
+
+def _exact_rot(d: _Descent, max_den: int) -> RotTranslation | RotRational | None:
+    """rot(d.f) if it is exact within max_den, from d, else None: rot's
+    route to every answer but an enclosure."""
+    if d.f.is_translation():
+        return RotTranslation(d.f.translation_amount())
+    return d.run(max_den)
 
 
 class _Descent:
@@ -519,8 +528,7 @@ def verify_rot(f: LiftMap, res: RotResult, *, max_den: int = DEFAULT_MAX_DEN,
 
 # -- stable commutator length ------------------------------------------------
 
-@dataclass(frozen=True)
-class SclResult:
+class SclResult(Record):
     """scl = |rot|/2, derived from the rotation result that certifies it.
 
     A translation by alpha gives the exact value |alpha|/2 (kind
@@ -528,7 +536,10 @@ class SclResult:
     rot gives the enclosure lo <= scl <= hi of |rot|/2.
     """
 
-    rot: RotResult
+    __slots__ = ("rot",)
+
+    def __init__(self, rot: RotResult) -> None:
+        _set(self, "rot", rot)
 
     @property
     def kind(self) -> str:
@@ -603,12 +614,15 @@ def _abs_interval(lo, hi):
 
 # -- the defect of rot -------------------------------------------------------
 
-@dataclass(frozen=True)
-class DefectDelta:
+class DefectDelta(Record):
     """|rot(f) + rot(g) - rot(fg)|; None unless all three rots are exact."""
 
-    exact: QTau | None
-    rots: tuple[RotResult, RotResult, RotResult]
+    __slots__ = ("exact", "rots")
+
+    def __init__(self, exact: QTau | None,
+                 rots: tuple[RotResult, RotResult, RotResult]) -> None:
+        _set(self, "exact", exact)
+        _set(self, "rots", rots)
 
     @property
     def is_exact(self) -> bool:
@@ -627,3 +641,14 @@ def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
                  piece_cap: int = DEFAULT_PIECE_CAP) -> DefectDelta:
     opts = {"max_den": max_den, "max_iter": max_iter, "piece_cap": piece_cap}
     return DefectDelta.of((rot(f, **opts), rot(g, **opts), rot(f * g, **opts)))
+
+
+def exact_defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
+                       piece_cap: int = DEFAULT_PIECE_CAP) -> DefectDelta | None:
+    """defect_delta(f, g) if all three rots are exact within max_den, else
+    None: it stops at the first rot that is not, with no enclosure built
+    and neither the later rots nor, before rot(fg), f*g made."""
+    rf = _exact_rot(_Descent(f, piece_cap), max_den)
+    rg = rf and _exact_rot(_Descent(g, piece_cap), max_den)
+    rfg = rg and _exact_rot(_Descent(f * g, piece_cap), max_den)
+    return rfg and DefectDelta.of((rf, rg, rfg))

@@ -19,8 +19,6 @@ each distinct product and inverse of its words once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DomainMismatch,
     NotInRing,
@@ -31,6 +29,7 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
+from .record import Record, _set
 from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign, _through,
                    json_int, tau_exponent, tau_pow)
 
@@ -241,9 +240,11 @@ def _gap_signs(xs, ys, s: ZTau) -> list[int]:
     return [_sign(y.a - x.a - sa, y.b - x.b - sb) for x, y in zip(xs, ys)]
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    intervals: tuple[tuple[ZTau, ZTau], ...]
+class IntervalSet(Record):
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[tuple[ZTau, ZTau], ...]) -> None:
+        _set(self, "intervals", intervals)
 
     def is_empty(self) -> bool:
         return not self.intervals

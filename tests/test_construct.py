@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import random
 from collections import Counter
@@ -13,6 +12,7 @@ from conftest import zt
 from taut.circle import CircleMap
 from taut.cli import main
 from taut.construct import (
+    FactorCertificate,
     SplitMix64,
     arc_contains,
     arcs_disjoint,
@@ -474,7 +474,9 @@ def test_an_altered_factor_expression_still_fails(tmp_path):
                         ("u_expr", "g * f * comm(h2, h1)^-1"),
                         ("v_expr", "f * comm(h2, h1)"),
                         ("v_expr", "comm(h2, h1) * f^-1")):
-        bad = dataclasses.replace(cert, **{field: text})
+        exprs = {"u_expr": cert.u_expr, "v_expr": cert.v_expr, field: text}
+        bad = FactorCertificate(cert.g, cert.x, cert.y, cert.arc, cert.u, cert.v,
+                                cert.pieces, **exprs)
         # a fresh memo, and one that already holds the true u and v
         full = Memo()
         for expr in (cert.u_expr, cert.v_expr):
