@@ -37,8 +37,6 @@ from .plmap import (PLMap, _json_table, _piece_index, _sweep, _table_json,
 from .record import Record, _set
 from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _floor, tau_pow
 
-DEFAULT_PIECE_CAP = 100_000
-
 _UNIT = (ZERO, ONE)
 
 

@@ -10,9 +10,10 @@ import argparse
 import os
 import sys
 from functools import cache
+from math import isfinite
 
 from . import construct, expr
-from .circle import DEFAULT_PIECE_CAP, CircleMap
+from .circle import CircleMap
 from .errors import BudgetError, TautError
 from .lift import DEFAULT_MAX_DEN, DEFAULT_MAX_ITER, LiftMap, rot, scl
 from .plmap import PLMap
@@ -49,8 +50,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     den.add_argument("--max-den", type=_positive, default=DEFAULT_MAX_DEN)
     budgets = argparse.ArgumentParser(parents=[den], add_help=False)
     budgets.add_argument("--max-iter", type=_positive, default=DEFAULT_MAX_ITER)
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--piece-cap", type=_positive, default=DEFAULT_PIECE_CAP)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
 
@@ -65,15 +64,15 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp = command("eval", [out], "evaluate an element expression")
     sp.add_argument("expression")
 
-    sp = command("rot", [out, budgets, cap],
+    sp = command("rot", [out, budgets],
                  "certified rotation number of a lift")
     sp.add_argument("expression")
 
-    sp = command("scl", [out, budgets, cap],
+    sp = command("scl", [out, budgets],
                  "stable commutator length of a lift")
     sp.add_argument("expression")
 
-    sp = command("check", [out, budgets, cap],
+    sp = command("check", [out, budgets],
                  "re-validate an element, result or certificate")
     sp.add_argument("target", help="JSON file or element expression")
 
@@ -94,7 +93,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                  "defect witnesses for the rotation quasimorphism")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--search", action="store_true")
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_positive, default=50)
 
     sp = command("random", [out, seed], "seeded random element")
     sp.add_argument("--size", type=int, default=4)
@@ -139,8 +138,7 @@ def _emit_error(args, exc: Exception, kind: str) -> None:
 
 
 def _budget_kwargs(args) -> dict:
-    return {"max_den": args.max_den, "max_iter": args.max_iter,
-            "piece_cap": args.piece_cap}
+    return {"max_den": args.max_den, "max_iter": args.max_iter}
 
 
 def _as_lift(element) -> LiftMap:
@@ -184,7 +182,10 @@ def _dispatch(args) -> int:
         elif res.kind == "ztau":
             print(f"{ztau_str(res.value)} (exact, translation)")
         elif res.kind == "ztau-half":
-            print(f"({ztau_str(abs(res.rot.value))})/2 = {res.approx():.10f} (exact)")
+            # past the float range, the exact value alone
+            approx = res.approx()
+            shown = f" = {approx:.10f}" if isfinite(approx) else ""
+            print(f"({ztau_str(abs(res.rot.value))})/2{shown} (exact)")
         else:
             print(f"{res.value} (exact{', certified' if cmd == 'rot' else ''})")
         return 0

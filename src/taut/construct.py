@@ -9,7 +9,7 @@ every platform.
 
 from __future__ import annotations
 
-from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
+from .circle import CircleMap, SubdivisionTree
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -357,8 +357,7 @@ def proximal_shrink(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau]) -> PLMap:
     return f
 
 
-def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau],
-                           max_depth: int = DEFAULT_DEPTH) -> CircleMap:
+def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau]) -> CircleMap:
     """T_tau element carrying the closed arc j into the open arc i.
 
     Works in the chart at a ring point away from both arcs; such a point
@@ -366,7 +365,7 @@ def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau],
     circle when the target has points to spare).
     """
     z = None
-    for cand in circle_points(max_depth):
+    for cand in circle_points():
         if not arc_contains(*j, cand) and not arc_contains(*i, cand):
             z = cand
             break
@@ -601,8 +600,7 @@ class CommutatorCertificate(Record):
             raise SchemaError(f"bad commutator certificate: {exc}") from exc
 
 
-def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
-                     max_depth: int = DEFAULT_DEPTH) -> CommutatorCertificate:
+def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertificate:
     """k = [g, h] fixing a neighbourhood of x, h supported in an arc I with
     I*g disjoint from I and x outside I and I*g.  k is the certificate's
     own expression g^-1 * conj(g, h), evaluated through a memo that this
@@ -614,7 +612,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0,
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
     w = None
-    for cand in circle_points(max_depth):
+    for cand in circle_points():
         img = g.eval(cand)
         if img != cand and cand != x and img != x:
             w = cand
@@ -717,7 +715,7 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN) -> DefectWitness:
     if n > MAX_POWER:
         raise PowerBudgetExceeded(f"n = {n} exceeds the bound {MAX_POWER} "
                                   "on the power g^n of a defect witness")
-    g = power(LiftMap(standard_push_map().table), -n, DEFAULT_PIECE_CAP)
+    g = power(LiftMap(standard_push_map().table), -n)
     rho = LiftMap(CircleMap.rotation(tau_pow(2)).table)
     h = conjugate(g, rho)
     d = exact_defect_delta(g, h, max_den=max_den)

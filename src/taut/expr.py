@@ -27,7 +27,7 @@ import re
 from itertools import accumulate
 
 from . import construct
-from .circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
+from .circle import CircleMap, SubdivisionTree
 from .errors import (
     ExprSyntaxError,
     ExprTypeError,
@@ -252,7 +252,7 @@ def _read_term(sc: _Scanner) -> Element:
             raise PowerBudgetExceeded(
                 f"power ^{k} of an element of size {size} exceeds the bound "
                 f"{MAX_POWER_WORK} on |k| * size in an expression")
-        out = sc.memo.inverse(out) if k == -1 else power(out, k, DEFAULT_PIECE_CAP)
+        out = sc.memo.inverse(out) if k == -1 else power(out, k)
     return out
 
 
@@ -466,7 +466,7 @@ def deserialize(text: str):
 
 def check_payload(text: str, budgets: dict) -> dict:
     """Load and re-check a serialized payload within the work budgets
-    (max_den, max_iter, piece_cap); returns the `taut check` message."""
+    (max_den, max_iter); returns the `taut check` message."""
     obj, value, check = _load(text)
     return check(value, obj, budgets)
 

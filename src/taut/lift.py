@@ -49,7 +49,6 @@ import re
 from fractions import Fraction
 
 from .circle import (
-    DEFAULT_PIECE_CAP,
     CircleMap,
     _check_lift_table,
     _circle_json,
@@ -298,8 +297,7 @@ def rot_result_from_json(obj: object) -> RotResult:
 # -- the rotation number ----------------------------------------------------
 
 def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
-        max_iter: int = DEFAULT_MAX_ITER,
-        piece_cap: int = DEFAULT_PIECE_CAP) -> RotResult:
+        max_iter: int = DEFAULT_MAX_ITER) -> RotResult:
     """The certified rotation number of f, from one Stern-Brocot descent.
 
     A translation is its exact amount.  Otherwise the descent runs while
@@ -311,8 +309,13 @@ def rot(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
     denominator at least q_lo + q_hi, while a cycle of 0 of period
     P <= pieces(F) would make rot = F^P(0)/P.  At the default budgets the
     descent passes pieces(F), so the enclosure walks on its tables at once.
+
+    The two budgets bound every table: a mediant F**q has
+    q <= max(max_den, pieces(F)), so at most that many times pieces(F)
+    pieces, and a square is built only below max_iter // 2 pieces.
+    plmap.MAX_PIECES is the one piece bound behind them.
     """
-    d = _Descent(f, piece_cap)
+    d = _Descent(f)
     return _exact_rot(d, max_den) or _enclose(d, max_iter)
 
 
@@ -327,7 +330,8 @@ def _exact_rot(d: _Descent, max_den: int) -> RotTranslation | RotRational | None
 class _Descent:
     """rot's Stern-Brocot descent for a lift that is no translation, kept
     between runs: the tables powers[q] = F**q, the bracket
-    p_lo/q_lo < rot < p_hi/q_hi, its last side and whether the cap ended it.
+    p_lo/q_lo < rot < p_hi/q_hi, its last side and whether
+    plmap.MAX_PIECES ended it.
 
     The first run reads the integer window: rot lies in (v - 1, v + 1)
     with v = f(0), so in (n - 1, n + 2).  The descent then runs inside
@@ -336,14 +340,14 @@ class _Descent:
     again on the same side is an intermediate fraction of that run, and
     is dropped, so powers holds the convergents and the last bracket
     (Ostrowski's numeration uses just these), and F**q of a rational
-    p/q.  The piece cap ends the descent for good; with steps given, the
-    mediant that would bring the cost of the run's mediants, SQUARE_COST
-    times their operands' pieces, to steps ends the run: the orbit walk's
-    own rule for squares.
+    p/q.  A mediant past MAX_PIECES ends the descent for good; with steps
+    given, the mediant that would bring the cost of the run's mediants,
+    SQUARE_COST times their operands' pieces, to steps ends the run: the
+    orbit walk's own rule for squares.
     """
 
-    def __init__(self, f: LiftMap, piece_cap: int) -> None:
-        self.f, self.piece_cap, self.powers = f, piece_cap, {1: f}
+    def __init__(self, f: LiftMap) -> None:
+        self.f, self.powers = f, {1: f}
         self.p_lo = self.q_lo = self.p_hi = self.q_hi = 0  # no window yet
         self.side, self.capped = 0, False
 
@@ -367,7 +371,7 @@ class _Descent:
                 if steps <= 0:
                     return None
             try:
-                f_med = _capped_mul(lo, hi, self.piece_cap)
+                f_med = _capped_mul(lo, hi)
             except PowerBudgetExceeded:
                 self.capped = True
                 return None
@@ -387,8 +391,7 @@ class _Descent:
         return None
 
 
-def rot_enclosure(f: LiftMap, iterations: int,
-                  piece_cap: int = DEFAULT_PIECE_CAP) -> RotEnclosure:
+def rot_enclosure(f: LiftMap, iterations: int) -> RotEnclosure:
     """rot(f) in [p/N, (p+1)/N], N = iterations and p = floor(F^N(0)).
 
     G = F^N - p is increasing of degree one with 0 <= G(0) < 1, so
@@ -417,9 +420,9 @@ def rot_enclosure(f: LiftMap, iterations: int,
     The walk: with no rational proved or no floor fixed, 0 goes on from
     the point the probe reached through the descent's tables and the
     commuting squares of the largest, built while it costs less to
-    square than the steps the next would save, and within the piece cap.
+    square than the steps the next would save, and within MAX_PIECES.
     """
-    return _enclose(_Descent(f, piece_cap), iterations)
+    return _enclose(_Descent(f), iterations)
 
 
 def _enclose(d: _Descent, iterations: int) -> RotEnclosure:
@@ -445,7 +448,7 @@ def _enclose(d: _Descent, iterations: int) -> RotEnclosure:
                                orbit[res.q])
         if p is not None:
             return _enclosure(p, iterations)
-    return _orbit_enclosure(d.powers, iterations, d.piece_cap, orbit[-1], done)
+    return _orbit_enclosure(d.powers, iterations, orbit[-1], done)
 
 
 def _fixed_point_floor(f: LiftMap, fq: LiftMap, p: int, q: int,
@@ -476,14 +479,13 @@ def _enclosure(p: int, iterations: int) -> RotEnclosure:
 
 
 def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
-                     piece_cap: int, x: ZTau = ZERO,
-                     done: int = 0) -> RotEnclosure:
+                     x: ZTau = ZERO, done: int = 0) -> RotEnclosure:
     """rot_enclosure from the tables powers[q] = F**q, with powers[1] = F,
     and the point x = F^done(0).
 
     The largest table F**q is squared while SQUARE_COST times its pieces
-    is below R // (2q), R = N - done the steps left, within the piece
-    cap; then x walks R greedily, largest q first, R // q steps of F**q
+    is below R // (2q), R = N - done the steps left, within MAX_PIECES;
+    then x walks R greedily, largest q first, R // q steps of F**q
     and the remainder through the smaller q, each run of steps one call
     of the lift kernel circle._eval_lift on integer coefficients.  F^N(0)
     is one exact point, so every route to it gives the same p.
@@ -494,7 +496,7 @@ def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
     q = max(powers)
     while SQUARE_COST * powers[q].num_pieces < rest // (2 * q):
         try:
-            powers[2 * q] = _capped_mul(powers[q], powers[q], piece_cap)
+            powers[2 * q] = _capped_mul(powers[q], powers[q])
         except PowerBudgetExceeded:
             break
         q *= 2
@@ -505,8 +507,7 @@ def _orbit_enclosure(powers: dict[int, LiftMap], iterations: int,
 
 
 def verify_rot(f: LiftMap, res: RotResult, *, max_den: int = DEFAULT_MAX_DEN,
-               max_iter: int = DEFAULT_MAX_ITER,
-               piece_cap: int = DEFAULT_PIECE_CAP) -> bool:
+               max_iter: int = DEFAULT_MAX_ITER) -> bool:
     """Re-check a stored rot result against its element within rot's budgets:
     the one re-check of a stored rot, a defect witness's included.  A
     rational p/q is the one identity F^q(root) = root + p, which proves
@@ -523,7 +524,7 @@ def verify_rot(f: LiftMap, res: RotResult, *, max_den: int = DEFAULT_MAX_DEN,
     if res.iterations > max_iter:
         raise BudgetExceeded(f"stored enclosure has {res.iterations} iterations, "
                              f"more than the max_iter budget of {max_iter}")
-    return rot_enclosure(f, res.iterations, piece_cap) == res
+    return rot_enclosure(f, res.iterations) == res
 
 
 # -- stable commutator length ------------------------------------------------
@@ -597,10 +598,8 @@ def scl_result_from_json(obj: object) -> SclResult:
 
 
 def scl(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
-        max_iter: int = DEFAULT_MAX_ITER,
-        piece_cap: int = DEFAULT_PIECE_CAP) -> SclResult:
-    return SclResult(rot(f, max_den=max_den, max_iter=max_iter,
-                         piece_cap=piece_cap))
+        max_iter: int = DEFAULT_MAX_ITER) -> SclResult:
+    return SclResult(rot(f, max_den=max_den, max_iter=max_iter))
 
 
 def _abs_interval(lo, hi):
@@ -637,18 +636,17 @@ class DefectDelta(Record):
 
 
 def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 piece_cap: int = DEFAULT_PIECE_CAP) -> DefectDelta:
-    opts = {"max_den": max_den, "max_iter": max_iter, "piece_cap": piece_cap}
+                 max_iter: int = DEFAULT_MAX_ITER) -> DefectDelta:
+    opts = {"max_den": max_den, "max_iter": max_iter}
     return DefectDelta.of((rot(f, **opts), rot(g, **opts), rot(f * g, **opts)))
 
 
-def exact_defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
-                       piece_cap: int = DEFAULT_PIECE_CAP) -> DefectDelta | None:
+def exact_defect_delta(f: LiftMap, g: LiftMap, *,
+                       max_den: int = DEFAULT_MAX_DEN) -> DefectDelta | None:
     """defect_delta(f, g) if all three rots are exact within max_den, else
     None: it stops at the first rot that is not, with no enclosure built
     and neither the later rots nor, before rot(fg), f*g made."""
-    rf = _exact_rot(_Descent(f, piece_cap), max_den)
-    rg = rf and _exact_rot(_Descent(g, piece_cap), max_den)
-    rfg = rg and _exact_rot(_Descent(f * g, piece_cap), max_den)
+    rf = _exact_rot(_Descent(f), max_den)
+    rg = rf and _exact_rot(_Descent(g), max_den)
+    rfg = rg and _exact_rot(_Descent(f * g), max_den)
     return rfg and DefectDelta.of((rf, rg, rfg))

@@ -438,7 +438,13 @@ def concat(parts: list[PLMap]) -> PLMap:
 MAX_POWER = 10_000
 
 
-def power(el, k: int, piece_cap: int | None = None):
+# The most pieces a power, or a table of the rotation pipeline, may have.
+# max_den and max_iter bound those tables well below it (see lift.rot);
+# this is the backstop against a table that outgrows memory.
+MAX_PIECES = 100_000
+
+
+def power(el, k: int):
     """el**k by exact repeated composition; k = 0 gives the identity."""
     if k == 0:
         return el * el.inverse()
@@ -447,18 +453,18 @@ def power(el, k: int, piece_cap: int | None = None):
     out = None
     while k:
         if k & 1:
-            out = base if out is None else _capped_mul(out, base, piece_cap)
+            out = base if out is None else _capped_mul(out, base)
         k >>= 1
         if k:
-            base = _capped_mul(base, base, piece_cap)
+            base = _capped_mul(base, base)
     return out
 
 
-def _capped_mul(a, b, piece_cap):
+def _capped_mul(a, b):
     out = a * b
-    if piece_cap is not None and out.num_pieces > piece_cap:
+    if out.num_pieces > MAX_PIECES:
         raise PowerBudgetExceeded(
-            f"{out.num_pieces} pieces exceed the configured cap {piece_cap}")
+            f"{out.num_pieces} pieces exceed the bound {MAX_PIECES}")
     return out
 
 

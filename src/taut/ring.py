@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import floor, gcd, isqrt, log, log10
+from math import floor, gcd, inf, isqrt, log, log10
 
 from .errors import NonPositive, NotInRing, SchemaError
 
@@ -54,6 +54,22 @@ def _floor(a: int, b: int, den: int = 1) -> int:
         return a // den
     m = isqrt(5 * b * b) if b > 0 else -isqrt(5 * b * b) - 1
     return (2 * a - b + m) // (2 * den)
+
+
+def _float(a: int, b: int, den: int = 1) -> float:
+    """(a + b*tau) / den for den > 0 as a float, inf past the float range.
+
+    The norm of a + b*tau is a nonzero integer and its conjugate is at
+    most |a| + 2|b|, so a nonzero |a + b*tau| >= 1/(|a| + 2|b|): reading
+    b*sqrt(5) to 2**-k past that bound leaves 64 good bits however much
+    2a - b and b*sqrt(5) cancel, and one integer division rounds them.
+    """
+    k = (abs(a) + 2 * abs(b)).bit_length() + 64 if b else 0
+    s = isqrt(5 * b * b << 2 * k)
+    try:
+        return (((2 * a - b) << k) + (s if b > 0 else -s)) / (den << (k + 1))
+    except OverflowError:
+        return _sign(a, b) * inf
 
 
 def _ln(a: int, b: int) -> float:
@@ -179,7 +195,7 @@ class ZTau:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return self.a + self.b * TAU_FLOAT
+        return _float(self.a, self.b)
 
     def to_json(self) -> dict:
         try:
@@ -335,7 +351,7 @@ class QTau:
         return self.num
 
     def __float__(self) -> float:
-        return float(self.num) / self.den
+        return _float(self.num.a, self.num.b, self.den)
 
     @classmethod
     def from_json(cls, obj: object) -> QTau:

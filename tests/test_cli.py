@@ -33,6 +33,17 @@ def test_scl_golden_json(capsys):
     assert payload["value"] == "(0+1*t)/2"
 
 
+def test_scl_human_line_of_a_tiny_and_a_huge_translation(capsys):
+    # tau**60 / 2 is about 1.4e-13, once printed as -0.0000610352
+    rc, out, _ = run(capsys, "scl", "--", "trans(956722026041-1548008755920*t)")
+    assert rc == 0
+    assert out == "(956722026041-1548008755920*t)/2 = 0.0000000000 (exact)\n"
+    # past the float range, the exact value alone
+    big = "1" + "0" * 400
+    rc, out, err = run(capsys, "scl", "--", f"trans({big})")
+    assert (rc, out, err) == (0, f"({big})/2 (exact)\n", "")
+
+
 def test_rot_human(capsys):
     rc, out, _ = run(capsys, "rot", TORSION_LIFT)
     assert rc == 0
@@ -97,7 +108,9 @@ def test_usage_error_is_exit_3(capsys):
     assert rc2 == 3
     for argv in (["rot", "trans(t)", "--max-iter", "0"],
                  ["scl", "trans(t)", "--max-den", "-1"],
-                 ["check", "rot(t)", "--piece-cap", "0"],
+                 ["check", "rot(t)", "--max-iter", "0"],
+                 ["defect", "--search", "--samples", "0"],
+                 ["defect", "--search", "--samples", "-2"],
                  ["defect", "--max-den", "0"],
                  ["factor", "rot(t)", "--depth", "0"]):
         rc, _, err = run(capsys, *argv)
@@ -109,9 +122,9 @@ def test_usage_error_is_exit_3(capsys):
 # the options each subcommand reads, with a positional argument it needs
 KEPT_OPTIONS = {
     "eval": (["rot(t)"], set()),
-    "rot": (["trans(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
-    "scl": (["trans(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
-    "check": (["rot(t)"], {"--max-iter", "--max-den", "--piece-cap"}),
+    "rot": (["trans(t)"], {"--max-iter", "--max-den"}),
+    "scl": (["trans(t)"], {"--max-iter", "--max-den"}),
+    "check": (["rot(t)"], {"--max-iter", "--max-den"}),
     "defect": ([], {"--max-den", "--seed"}),
     "factor": (["rot(t)"], {"--depth"}),
     "random": ([], {"--seed"}),

@@ -337,7 +337,7 @@ def test_enclosure_walk_matches_reference_steps(f, returns, monkeypatch):
     squares = []
     mul = lift._capped_mul
     monkeypatch.setattr(lift, "_capped_mul",
-                        lambda a, b, cap: squares.append(a) or mul(a, b, cap))
+                        lambda a, b: squares.append(a) or mul(a, b))
     x = ZERO
     for n in range(1, 701):
         x = reference_eval_lift(f.table, x)
@@ -408,7 +408,7 @@ def test_periodic_orbit_of_0_builds_no_table(monkeypatch):
     squares, steps = [], []
     mul, walk = lift._capped_mul, lift._eval_lift
     monkeypatch.setattr(lift, "_capped_mul",
-                        lambda a, b, cap: squares.append(a) or mul(a, b, cap))
+                        lambda a, b: squares.append(a) or mul(a, b))
     monkeypatch.setattr(lift, "_eval_lift",
                         lambda *args: steps.append(args) or walk(*args))
     res = rot_enclosure(f, 10 ** 9)
@@ -480,7 +480,7 @@ def test_enclosure_fixed_point_route_matches_reference_steps(f, data):
     some N <= 700 and, when the descent proves rot = p/q, at N = tq - 1,
     tq and tq + 1, and it is the orbit walk's enclosure at N = 10**4; the
     fixed point the route reads is the zero of G(x) - x nearest 0."""
-    descent = lift._Descent(f, lift.DEFAULT_PIECE_CAP)
+    descent = lift._Descent(f)
     res, powers = descent.run(f.num_pieces), descent.powers
     ns = set(data.draw(st.lists(st.integers(min_value=1, max_value=700),
                                 min_size=6, max_size=6)))
@@ -498,7 +498,7 @@ def test_enclosure_fixed_point_route_matches_reference_steps(f, data):
         p = orbit[n].floor()
         assert rot_enclosure(f, n) == RotEnclosure(Fraction(p, n), Fraction(p + 1, n), n)
     n = 10 ** 4
-    assert rot_enclosure(f, n) == lift._orbit_enclosure({1: f}, n, lift.DEFAULT_PIECE_CAP)
+    assert rot_enclosure(f, n) == lift._orbit_enclosure({1: f}, n)
 
 
 T3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF, False), LEAF, True)
@@ -517,8 +517,7 @@ def test_rational_orbit_that_never_returns_builds_no_square(name, inverse, monke
     fixed point of G within pieces(F) steps of G: no square is built and
     the orbit walk is never reached."""
     f = ROUTE_LIFTS[name].inverse() if inverse else ROUTE_LIFTS[name]
-    want = {n: lift._orbit_enclosure({1: f}, n, lift.DEFAULT_PIECE_CAP)
-            for n in (256, 10 ** 4)}
+    want = {n: lift._orbit_enclosure({1: f}, n) for n in (256, 10 ** 4)}
     monkeypatch.setattr(lift, "_orbit_enclosure", None)
     for n, enclosure in want.items():
         assert rot_enclosure(f, n) == enclosure

@@ -2,13 +2,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import zt
-from taut import lift
-from taut.circle import DEFAULT_PIECE_CAP, CircleMap, SubdivisionTree
+from taut import lift, plmap
+from taut.circle import CircleMap, SubdivisionTree
 from taut.construct import random_element
+from taut.errors import PowerBudgetExceeded
 from taut.expr import evaluate_str
 from taut.lift import (
     DEFAULT_MAX_ITER,
@@ -23,7 +25,7 @@ from taut.lift import (
     verify_rot,
 )
 from taut.plmap import PLMap, conjugate, power
-from taut.ring import ONE, QTau, TAU, ZERO, ZTau
+from taut.ring import ONE, QTau, TAU, ZERO, ZTau, tau_pow
 
 LEAF = SubdivisionTree.leaf()
 CARET3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF), LEAF)
@@ -193,12 +195,14 @@ def test_enclosure_is_the_poincare_interval_of_one_orbit(seed, size, n, big_n):
         assert (v - as_qtau(e.lo)).sign() >= 0 and (as_qtau(e.hi) - v).sign() >= 0
 
 
-def test_enclosure_keeps_its_iterations_at_a_tight_piece_cap():
+def test_enclosure_keeps_its_iterations_at_a_tight_piece_cap(monkeypatch):
     f = random_element(7, 4, "Lift")
     assert f.num_pieces > 1
-    e = rot_enclosure(f, 300, piece_cap=1)
+    want = rot_enclosure(f, 300)
+    monkeypatch.setattr(plmap, "MAX_PIECES", 1)
+    e = rot_enclosure(f, 300)
     assert e.iterations == 300
-    assert e == rot_enclosure(f, 300)
+    assert e == want
 
 
 # a lift whose table is no rotation, conjugating the rotations below
@@ -206,27 +210,80 @@ H = ('lift(treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
      '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 1}, 0)')
 
 
-def test_rot_enclosures_match_the_squares_only_orbit():
+def test_rot_enclosures_match_the_squares_only_orbit(monkeypatch):
     """rot reaches F^N(0) through the tables its descent built; over the
     random-lift family, its enclosures must be the squares-only
-    rot_enclosure's, also when a small piece cap stops the descent early
+    rot_enclosure's, also when a small piece bound stops the descent early
     or max_den stops it below pieces(F), where the enclosure resumes it."""
     enclosures = capped = below = 0
+    bound = plmap.MAX_PIECES
     for k in range(80):
         f = random_element(k, 3 + k % 4, "Lift")
         pieces = f.num_pieces
         budgets = [(64, 64), (1000, 10000), (30, 777),
                    *((d, 777) for d in (1, 2, pieces - 1, pieces))]
         for max_den, max_iter in budgets:
-            for cap in (DEFAULT_PIECE_CAP, 2 * f.num_pieces + 1):
-                r = rot(f, max_den=max_den, max_iter=max_iter, piece_cap=cap)
+            for cap in (bound, 2 * f.num_pieces + 1):
+                with monkeypatch.context() as m:
+                    m.setattr(plmap, "MAX_PIECES", cap)
+                    r = rot(f, max_den=max_den, max_iter=max_iter)
                 if r.kind == "enclosure":
                     assert r == rot_enclosure(f, max_iter) == lift._orbit_enclosure(
-                        {1: f}, max_iter, DEFAULT_PIECE_CAP), (k, max_den, max_iter, cap)
+                        {1: f}, max_iter), (k, max_den, max_iter, cap)
                     enclosures += 1
-                    capped += cap < DEFAULT_PIECE_CAP
+                    capped += cap < bound
                     below += max_den < pieces
     assert enclosures >= 10 and capped >= 10 and below >= 10
+
+
+# (max_den, max_iter): the defaults, both small, and max_den below pieces(F)
+TABLE_BUDGETS = [(1000, 10 ** 4), (64, 64), (1, 777), (3, 256)]
+
+
+def test_max_den_and_max_iter_bound_every_table(monkeypatch):
+    """A mediant F**q has q <= max(max_den, pieces(F)), so at most that
+    many times pieces(F) pieces, and a square is built only below
+    max_iter // 2 pieces: through rot, rot_enclosure and verify_rot, no
+    product outgrows the two together, so plmap.MAX_PIECES is a backstop."""
+    sizes = []
+    mul = lift._capped_mul
+
+    def spy(a, b):
+        out = mul(a, b)
+        sizes.append(out.num_pieces)
+        return out
+
+    monkeypatch.setattr(lift, "_capped_mul", spy)
+    lifts = [random_element(k, 3 + k % 5, "Lift") for k in range(30)]
+    lifts += [conjugate(LiftMap.translation(tau_pow(k)), random_element(k, 5, "Lift"))
+              for k in (1, 3, 8, 14)]
+    products = 0
+    for f in lifts:
+        pieces = f.num_pieces
+        for max_den, max_iter in TABLE_BUDGETS:
+            sizes.clear()
+            r = rot(f, max_den=max_den, max_iter=max_iter)
+            assert rot_enclosure(f, max_iter).iterations == max_iter
+            assert verify_rot(f, r, max_den=max_den, max_iter=max_iter)
+            bound = max(max_den, pieces) * pieces + max_iter // 2
+            assert max(sizes, default=0) <= bound, (f, max_den, max_iter)
+            products += len(sizes)
+    assert products > 500
+
+
+def test_a_small_piece_bound_still_gives_the_enclosure(monkeypatch):
+    """rot(f) = 13/21 with pieces(F) = 6: a bound of 6 pieces stops the
+    descent at its first mediant, so rot gives rot_enclosure's enclosure,
+    which holds 13/21, and power builds no F**21."""
+    f = random_element(18, 6, "Lift")
+    assert rot(f).value == Fraction(13, 21)
+    want = rot_enclosure(f, DEFAULT_MAX_ITER)
+    monkeypatch.setattr(plmap, "MAX_PIECES", f.num_pieces)
+    r = rot(f)
+    assert r.kind == "enclosure" and r == want == rot_enclosure(f, DEFAULT_MAX_ITER)
+    assert r.lo <= Fraction(13, 21) <= r.hi
+    with pytest.raises(PowerBudgetExceeded):
+        power(f, 21)
 
 
 def test_rot_builds_no_table_after_its_descent(monkeypatch):
@@ -285,7 +342,7 @@ def test_rot_below_pieces_takes_its_enclosure_off_the_cycle(monkeypatch):
     squares = []
     mul = lift._capped_mul
     monkeypatch.setattr(lift, "_capped_mul",
-                        lambda a, b, cap: squares.append(a) or mul(a, b, cap))
+                        lambda a, b: squares.append(a) or mul(a, b))
     r = rot(f, max_den=1)
     monkeypatch.undo()
     assert not squares
@@ -303,8 +360,8 @@ def test_rot_below_pieces_resumes_its_descent(monkeypatch):
     def work(answer):
         counts = Counter()
         mul, classify = lift._capped_mul, PLMap.shift_roots
-        monkeypatch.setattr(lift, "_capped_mul", lambda a, b, cap:
-                            counts.update(["products"]) or mul(a, b, cap))
+        monkeypatch.setattr(lift, "_capped_mul", lambda a, b:
+                            counts.update(["products"]) or mul(a, b))
         monkeypatch.setattr(PLMap, "shift_roots", lambda self, s:
                             counts.update(["shift_roots"]) or classify(self, s))
         r = answer()
@@ -339,7 +396,7 @@ def test_rot_runs_no_probe_after_a_descent_past_pieces(monkeypatch):
     monkeypatch.undo()
     assert r.kind == "enclosure" and r == rot_enclosure(f, DEFAULT_MAX_ITER)
     [(powers, args)] = walks
-    assert args == (DEFAULT_MAX_ITER, DEFAULT_PIECE_CAP, ZERO, 0)
+    assert args == (DEFAULT_MAX_ITER, ZERO, 0)
     assert len(runs) == len(powers)
 
 

@@ -346,3 +346,55 @@ def test_as_ztau_guard():
     with pytest.raises(NotInRing):
         QTau(1, 2).as_ztau()
     assert QTau(zt(4, 2), 2).as_ztau() == zt(2, 1)
+
+
+def fraction_value(x: QTau, digits: int) -> Fraction:
+    """(a + b*tau) / den with sqrt(5) read to `digits` decimals."""
+    scale = 10 ** digits
+    tau = (Fraction(math.isqrt(5 * scale * scale), scale) - 1) / 2
+    return (x.num.a + x.num.b * tau) / x.den
+
+
+@pytest.mark.parametrize("k", [60, -60, 200, -200, 1000])
+def test_float_of_a_tau_power_does_not_cancel(k):
+    # a + b*tau for tau**60 cancels 2**-13 of a and b*tau: 0.0000610352 once
+    z = tau_pow(k)
+    assert float(z) == float(QTau(z)) > 0
+    assert math.isclose(float(z), float(fraction_value(QTau(z), 600)), rel_tol=2 ** -51)
+    assert math.isclose(float(z), math.exp(k * LN_TAU), rel_tol=1e-12)
+
+
+def test_float_of_halves_and_values_past_the_float_range():
+    assert f"{float(QTau(TAU, 2)):.10f}" == "0.3090169944"
+    assert f"{float(QTau(zt(-1, 2), 2)):.10f}" == "0.1180339887"
+    assert float(zt(10 ** 400)) == math.inf
+    assert float(zt(-(10 ** 400), 3)) == -math.inf
+    assert float(QTau(zt(10 ** 400, 1), 3)) == math.inf
+    assert float(QTau(ONE, 10 ** 400)) == 0.0
+    assert float(ZERO) == 0.0
+
+
+@st.composite
+def near_cancelling_quotients(draw):
+    """a + b*tau with a and b up to 2**300, often tau**k times a small
+    factor plus a small shift, where a and b*tau nearly cancel."""
+    big = st.integers(min_value=-2 ** 300, max_value=2 ** 300)
+    if draw(st.booleans()):
+        num = zt(draw(big), draw(big))
+    else:
+        z = tau_pow(draw(st.integers(min_value=-600, max_value=600)))
+        c = draw(st.integers(min_value=-9, max_value=9))
+        num = zt(c * z.a + draw(st.integers(-3, 3)), c * z.b + draw(st.integers(-3, 3)))
+    return QTau(num, draw(st.integers(min_value=1, max_value=2 ** 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_cancelling_quotients())
+def test_float_matches_a_high_precision_fraction(x):
+    digits = 2 * len(str(max(abs(x.num.a), abs(x.num.b), 1))) + 40
+    want = float(fraction_value(x, digits))
+    if x.num == ZERO:
+        assert float(x) == 0.0
+    else:
+        assert math.isclose(float(x), want, rel_tol=2 ** -51)
+        assert (float(x) > 0) == (x.sign() > 0)
