@@ -20,7 +20,8 @@ ring element at the end.
 
 A tree pair is built from its trees' leaf exponents: a leaf of depth
 exponent e has length tau**e, so its partition of [0, 1] is the running
-sums of those lengths and each slope is the difference of two exponents.
+sums of those lengths, kept on integer coefficients, and each slope is
+the difference of two exponents.  Every tree shares one leaf record.
 """
 
 from __future__ import annotations
@@ -257,13 +258,20 @@ def _inverse_table(table: PLMap, into_period: bool = False) -> PLMap:
 
 def _partition(lo: ZTau, hi: ZTau, exponents: list[int]) -> list[ZTau]:
     """lo and the running sums lo + (hi - lo)*(tau**e0 + ... + tau**ei):
-    the endpoints of leaves of lengths (hi - lo)*tau**e.  Exact, as
-    tau**m = tau**(m+1) + tau**(m+2) makes a tree's leaf lengths sum to
-    its root's, so the last sum is hi."""
-    d = hi - lo
+    the endpoints of leaves of lengths (hi - lo)*tau**e.  The sums are
+    kept as integer coefficients, each term (hi - lo)*tau**e formed on
+    those of tau**e, so each endpoint is one ZTau.  Exact, as tau**m =
+    tau**(m+1) + tau**(m+2) makes a tree's leaf lengths sum to its
+    root's, so the last sum is hi."""
+    da, db = hi.a - lo.a, hi.b - lo.b
+    a, b = lo.a, lo.b
     out = [lo]
     for e in exponents:
-        out.append(out[-1] + d * tau_pow(e))
+        t = tau_pow(e)
+        # (da + db*tau) * tau**e, with tau**2 = 1 - tau
+        a += t.a * da + t.b * db
+        b += t.a * db + t.b * (da - db)
+        out.append(ZTau(a, b))
     return out
 
 
@@ -285,7 +293,7 @@ class SubdivisionTree(Record):
 
     @classmethod
     def leaf(cls) -> SubdivisionTree:
-        return cls()
+        return _LEAF
 
     @classmethod
     def split(cls, left: SubdivisionTree, right: SubdivisionTree,
@@ -323,10 +331,17 @@ class SubdivisionTree(Record):
 
     @classmethod
     def from_json(cls, obj: object) -> SubdivisionTree:
+        """The tree of a payload: the shared leaf at each "leaf", and one
+        record per split node."""
         if obj == "leaf":
-            return cls.leaf()
+            return _LEAF
         if (isinstance(obj, list) and len(obj) == 3
                 and obj[0] in ("s+", "s-")):
-            return cls.split(cls.from_json(obj[1]), cls.from_json(obj[2]),
-                             obj[0] == "s+")
+            return cls(cls.from_json(obj[1]), cls.from_json(obj[2]),
+                       obj[0] == "s+")
         raise SchemaError(f"bad subdivision tree payload: {obj!r}")
+
+
+# Every leaf is this one record: a leaf carries no data, and a record
+# refuses assignment, so one leaf is shared by every tree.
+_LEAF = SubdivisionTree()

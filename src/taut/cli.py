@@ -182,9 +182,10 @@ def _dispatch(args) -> int:
         elif res.kind == "ztau":
             print(f"{ztau_str(res.value)} (exact, translation)")
         elif res.kind == "ztau-half":
+            # ten significant digits, so a tiny value keeps its exponent;
             # past the float range, the exact value alone
             approx = res.approx()
-            shown = f" = {approx:.10f}" if isfinite(approx) else ""
+            shown = f" = {approx:.10g}" if isfinite(approx) else ""
             print(f"({ztau_str(abs(res.rot.value))})/2{shown} (exact)")
         else:
             print(f"{res.value} (exact{', certified' if cmd == 'rot' else ''})")

@@ -122,7 +122,7 @@ class LiftMap(Record):
         if not j:
             return self  # immutable, so sharing it is safe
         t = self.table
-        return LiftMap(PLMap(t.xs, [y + j for y in t.ys], t.ks))
+        return LiftMap(PLMap(t.xs, [ZTau(y.a + j, y.b) for y in t.ys], t.ks))
 
     def is_translation(self) -> bool:
         return self.table.ks == (0,)

@@ -9,12 +9,16 @@ of maps.  Every product, of interval, circle or lift maps, is one sweep
 (_sweep) that builds only its own table: a lift or circle product reads
 the other factor's table in place as its periodic extension, keeping a
 piece index and an integer shift, and an interval product is the same
-sweep that never leaves the other table.  Sweeps, cuts and evaluation
-work on the (a, b) integer coefficients of the breakpoints: comparisons
-take ring._sign of coefficient differences, and each point found on a
-piece is formed from coefficients, so every output breakpoint is exactly
-one ZTau with no intermediate ring objects.  A Memo lets one call make
-each distinct product and inverse of its words once.
+sweep that never leaves the other table.  A sweep writes a breakpoint
+only where the slope exponent changes, so its table reaches the
+per-piece check with nothing to merge; the merge is for the other
+constructors (tables read from JSON, restrictions, concatenations).
+Sweeps, cuts and evaluation work on the (a, b) integer coefficients of
+the breakpoints: comparisons take ring._sign of coefficient differences,
+and each point found on a piece is formed from coefficients, so every
+output breakpoint is exactly one ZTau with no intermediate ring objects.
+A Memo lets one call make each distinct product and inverse of its words
+once.
 """
 
 from __future__ import annotations
@@ -269,9 +273,13 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
     included, are moved by the integer that puts the first into [0, 1).
 
     The nearer of f's next image and G's next breakpoint ends each piece,
-    a tie ends both.  Comparisons and each point found on a piece work on
-    the (a, b) coefficients, so every output breakpoint is one ZTau, and
-    a breakpoint of g whose image moves by nothing is used as it is.
+    a tie ends both.  Every such end is compared, but a breakpoint is
+    written only where the slope exponent of the next piece differs, and
+    at the end: the table comes out with no colinear neighbours, so
+    PLMap.__init__ has nothing to merge.  Comparisons and each point
+    written work on the (a, b) coefficients, so every output breakpoint
+    is one ZTau, and a breakpoint of g whose image moves by nothing is
+    used as it is.
     """
     u, g0 = fy[0], gx[0]
     if u.a == g0.a and u.b == g0.b:
@@ -292,33 +300,41 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
         ya -= m
     xs, ys, ks = [fx[0]], [ZTau(ya, yb)], []
     i, last, end = 0, len(gk), len(fk)
-    while i < end:
+    k = fk[0] + gk[j]
+    while True:
         if j == last:
             j, n, sa = 0, n + 1, sa + 1
-        kf, kg = fk[i], gk[j]
-        ks.append(kf + kg)
         p, q = fy[i + 1], gx[j + 1]
         c = _sign(p.a - q.a - n, p.b - q.b)
+        i1 = i + 1 if c <= 0 else i
+        j1 = j + 1 if c >= 0 else j
+        if i1 < end:
+            k1 = fk[i1] + gk[0 if j1 == last else j1]
+            if k1 == k:
+                i, j = i1, j1
+                continue
+        ks.append(k)
         if c <= 0:
-            i += 1
-            xs.append(fx[i])
+            xs.append(fx[i1])
         else:
             # the point that f's piece i maps to G's breakpoint q + n: the
-            # line of slope tau**-kf through (fy[i], fx[i]) at q + n
-            x, y, t = fy[i], fx[i], tau_pow(-kf)
+            # line of slope tau**-fk[i] through (fy[i], fx[i]) at q + n
+            x, y, t = fy[i], fx[i], tau_pow(-fk[i])
             da, db = q.a + n - x.a, q.b - x.b
             xs.append(ZTau(y.a + t.a * da + t.b * db,
                            y.b + t.a * db + t.b * (da - db)))
         if c >= 0:
-            j += 1
-            y = gy[j]
+            y = gy[j1]
             ys.append(ZTau(y.a + sa, y.b + sb) if sa or sb else y)
         else:
             # f's image p, on G's piece j
-            x, y, t = gx[j], gy[j], tau_pow(kg)
+            x, y, t = gx[j], gy[j], tau_pow(gk[j])
             da, db = p.a - n - x.a, p.b - x.b
             ys.append(ZTau(y.a + sa + t.a * da + t.b * db,
                            y.b + sb + t.a * db + t.b * (da - db)))
+        if i1 == end:
+            break
+        i, j, k = i1, j1, k1
     return PLMap(xs, ys, ks)
 
 

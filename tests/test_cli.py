@@ -34,10 +34,15 @@ def test_scl_golden_json(capsys):
 
 
 def test_scl_human_line_of_a_tiny_and_a_huge_translation(capsys):
-    # tau**60 / 2 is about 1.4e-13, once printed as -0.0000610352
+    # tau**60 / 2 is about 1.4e-13, once printed as -0.0000610352 and
+    # then, with ten decimals, as 0.0000000000
     rc, out, _ = run(capsys, "scl", "--", "trans(956722026041-1548008755920*t)")
     assert rc == 0
-    assert out == "(956722026041-1548008755920*t)/2 = 0.0000000000 (exact)\n"
+    assert out == "(956722026041-1548008755920*t)/2 = 1.444480187e-13 (exact)\n"
+    # ten significant digits read the golden values as ten decimals did
+    for expression, line in (("trans(t)", "(t)/2 = 0.3090169944 (exact)\n"),
+                             ("trans(-1+2*t)", "(-1+2*t)/2 = 0.1180339887 (exact)\n")):
+        assert run(capsys, "scl", "--", expression)[:2] == (0, line)
     # past the float range, the exact value alone
     big = "1" + "0" * 400
     rc, out, err = run(capsys, "scl", "--", f"trans({big})")

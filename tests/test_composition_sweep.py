@@ -3,8 +3,10 @@ it replaced.
 
 The reference product collects self's breakpoints and the preimages of
 other's, sorts them and evaluates both maps at each; the reference window
-unrolls a periodic table onto [lo, hi] one integer shift at a time.  Both
-are kept here only as oracles.  Every comparison is of whole tables
+unrolls a periodic table onto [lo, hi] one integer shift at a time; the
+reference sweep writes the end of every piece it compares and leaves
+PLMap to merge colinear neighbours.  All three are kept here only as
+oracles.  Every comparison is of whole tables
 (breakpoints, images and slope exponents), of lifts as well as of circle
 maps, so the integer part that a circle product drops is compared too.
 """
@@ -17,8 +19,8 @@ from taut.circle import CircleMap
 from taut.construct import _chart_restriction_fixed_arc, _embed_in_chart, random_element
 from taut.errors import NotFtau
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _piece_index, _sweep, concat, conjugate
-from taut.ring import ONE, TAU, ZERO, ZTau, tau_pow
+from taut.plmap import PLMap, _piece_index, _sweep, concat, conjugate, power
+from taut.ring import ONE, TAU, ZERO, ZTau, _floor, _sign, tau_pow
 
 
 def reference_mul(f: PLMap, g: PLMap) -> PLMap:
@@ -57,6 +59,71 @@ def reference_lift_inverse(a: PLMap) -> PLMap:
 def reference_embed_in_chart(g: PLMap, center: ZTau) -> CircleMap:
     """g conjugated by the rotation by center: two products and an inverse."""
     return conjugate(CircleMap.from_interval_map(g), CircleMap.rotation(center))
+
+
+def reference_sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
+                    into_period: bool = False) -> PLMap:
+    """_sweep as it wrote every end of a piece, each a breakpoint, for
+    PLMap.__init__ to merge the colinear ones."""
+    u, g0 = fy[0], gx[0]
+    if u.a == g0.a and u.b == g0.b:
+        j = n = 0
+    else:
+        n = _floor(u.a - g0.a, u.b - g0.b)
+        j = _piece_index(gx, u.a - n, u.b)
+    sa, sb = n + offset.a, offset.b
+    x, y, t = gx[j], gy[j], tau_pow(gk[j])
+    da, db = u.a - n - x.a, u.b - x.b
+    ya = y.a + sa + t.a * da + t.b * db
+    yb = y.b + sb + t.a * db + t.b * (da - db)
+    if into_period:
+        m = _floor(ya, yb)
+        sa -= m
+        ya -= m
+    xs, ys, ks = [fx[0]], [ZTau(ya, yb)], []
+    i, last, end = 0, len(gk), len(fk)
+    while i < end:
+        if j == last:
+            j, n, sa = 0, n + 1, sa + 1
+        kf, kg = fk[i], gk[j]
+        ks.append(kf + kg)
+        p, q = fy[i + 1], gx[j + 1]
+        c = _sign(p.a - q.a - n, p.b - q.b)
+        if c <= 0:
+            i += 1
+            xs.append(fx[i])
+        else:
+            x, y, t = fy[i], fx[i], tau_pow(-kf)
+            da, db = q.a + n - x.a, q.b - x.b
+            xs.append(ZTau(y.a + t.a * da + t.b * db,
+                           y.b + t.a * db + t.b * (da - db)))
+        if c >= 0:
+            j += 1
+            y = gy[j]
+            ys.append(ZTau(y.a + sa, y.b + sb) if sa or sb else y)
+        else:
+            x, y, t = gx[j], gy[j], tau_pow(kg)
+            da, db = p.a - n - x.a, p.b - x.b
+            ys.append(ZTau(y.a + sa + t.a * da + t.b * db,
+                           y.b + sb + t.a * db + t.b * (da - db)))
+    return PLMap(xs, ys, ks)
+
+
+def sweep_as_written(*args, **kwargs) -> tuple[PLMap, tuple]:
+    """_sweep's table and the slope exponents it handed PLMap.__init__,
+    before any merge."""
+    written = []
+    init = PLMap.__init__
+
+    def spy(self, xs, ys, ks):
+        written.append(tuple(ks))
+        init(self, xs, ys, ks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLMap, "__init__", spy)
+        out = _sweep(*args, **kwargs)
+    assert len(written) == 1
+    return out, written[0]
 
 
 def unroll(pl: PLMap, a: ZTau, span: ZTau = ONE) -> PLMap:
@@ -230,3 +297,62 @@ def test_each_product_builds_one_table(monkeypatch):
         built.clear()
         assert _embed_in_chart(f, center) == embedded[center]
         assert len(built) == 1, center
+
+
+def lifts():
+    """Random lifts, their inverses, squares and cubes, and conjugates."""
+    base = st.builds(lambda s, n: random_element(s, n, "Lift"), seeds, sizes)
+    return st.one_of(base, base.map(LiftMap.inverse),
+                     st.builds(power, base, st.integers(2, 3)),
+                     st.builds(conjugate, base, base))
+
+
+def sweeps_of_lifts(a: LiftMap, b: LiftMap) -> list:
+    """The sweeps of a * b, of the circle product of their tables, and of
+    both inverses, with and without into_period."""
+    t, o = a.table, b.table
+    out = [((t.xs, t.ys, t.ks, o.xs, o.ys, o.ks), {}),
+           ((t.xs, t.ys, t.ks, o.xs, o.ys, o.ks), {"into_period": True})]
+    for m in (t, o):
+        swapped = (m.ys, m.xs, tuple(-k for k in m.ks))
+        out.append((((ZERO, ONE), (ZERO, ONE), (0,), *swapped), {}))
+        out.append((((ZERO, ONE), (ZERO, ONE), (0,), *swapped), {"into_period": True}))
+    return out
+
+
+def assert_sweep_matches_the_reference(args, kwargs):
+    out, written = sweep_as_written(*args, **kwargs)
+    assert table(out) == table(reference_sweep(*args, **kwargs))
+    # every breakpoint written is a change of slope exponent: nothing to merge
+    assert written == out.ks
+    assert all(k0 != k1 for k0, k1 in zip(written, written[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifts(), lifts())
+def test_sweep_of_lifts_matches_the_reference_sweep(a, b):
+    for args, kwargs in sweeps_of_lifts(a, b):
+        assert_sweep_matches_the_reference(args, kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_maps(), circle_maps())
+def test_sweep_of_circle_maps_matches_the_reference_sweep(f, g):
+    for a, b in ((f, g), (f, f.inverse()), (f, f)):
+        for args, kwargs in sweeps_of_lifts(lift(a), lift(b)):
+            assert_sweep_matches_the_reference(args, kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_maps(), interval_maps(), ring_points, st.data())
+def test_sweep_of_interval_maps_and_charts_matches_the_reference_sweep(f, g, center,
+                                                                       data):
+    for a, b in ((f, g), (f, f.inverse()), (f * g, g.inverse()), (f, f)):
+        assert_sweep_matches_the_reference((a.xs, a.ys, a.ks, b.xs, b.ys, b.ks), {})
+    # the chart embedding's sweep: an offset, and images moved into [0, 1)
+    on = data.draw(st.sampled_from(g.xs + g.ys)) + data.draw(st.integers(-2, 2))
+    t = CircleMap.from_interval_map(g).table
+    for c in (center, on, -on, ZERO):
+        args = ((ZERO, ONE), (-c, ONE - c), (0,), t.xs, t.ys, t.ks, c)
+        assert_sweep_matches_the_reference(args, {"into_period": True})
+        assert_sweep_matches_the_reference(args, {})

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taut import cli, expr
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap, SubdivisionTree, _partition
 from taut.errors import BudgetError, SchemaError, TautError
 from taut.expr import MAX_POWER_WORK, evaluate_str
 from taut.lift import LiftMap
@@ -126,6 +126,62 @@ def test_tree_pairs_match_the_recursive_partition(p, q, shift):
     ys.append(ys[0] + 1)
     ks = [qe[(i + s) % lcount] - pe[i] for i in range(lcount)]
     assert CircleMap.from_tree_pair(p, q, shift) == CircleMap(PLMap(pb, ys, ks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=12), points, points)
+def test_partition_is_the_ring_running_sum(exponents, lo, hi):
+    # any exponents, not just a tree's, on any interval that boundaries passes
+    sums = [lo]
+    for e in exponents:
+        sums.append(sums[-1] + (hi - lo) * tau_pow(e))
+    assert _partition(lo, hi, exponents) == sums
+
+
+def _tree_of(payload):
+    """The tree of a well-formed payload, built by leaf() and split()."""
+    if payload == "leaf":
+        return SubdivisionTree.leaf()
+    tag, left, right = payload
+    return SubdivisionTree.split(_tree_of(left), _tree_of(right), tag == "s+")
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_tree_from_json_matches_leaf_and_split(tree):
+    payload = tree.to_json()
+    read = SubdivisionTree.from_json(payload)
+    built = _tree_of(payload)
+    assert read == built == tree
+    assert repr(read) == repr(built) == repr(tree)
+    assert read.leaf_exponents() == tree.leaf_exponents()
+    assert read.to_json() == payload
+
+
+def test_the_shared_leaf_refuses_assignment():
+    leaf = SubdivisionTree.from_json("leaf")
+    assert leaf is SubdivisionTree.leaf()
+    for name in ("left", "right", "wide_first"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(leaf, name, leaf)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(leaf, name)
+    assert repr(leaf) == "SubdivisionTree(left=None, right=None, wide_first=True)"
+    assert leaf.is_leaf and leaf.leaf_exponents() == [0]
+
+
+@pytest.mark.parametrize("payload, bad", [
+    ("Leaf", "'Leaf'"),
+    (None, "None"),
+    (["s+", "leaf"], "['s+', 'leaf']"),
+    (["s*", "leaf", "leaf"], "['s*', 'leaf', 'leaf']"),
+    (["s+", "leaf", ["s-", "leaf", 3]], "3"),
+    (["s-", {"p": "leaf"}, "leaf"], "{'p': 'leaf'}"),
+])
+def test_a_malformed_tree_keeps_its_message(payload, bad):
+    with pytest.raises(SchemaError) as info:
+        SubdivisionTree.from_json(payload)
+    assert str(info.value) == f"bad subdivision tree payload: {bad}"
 
 
 # -- payloads ---------------------------------------------------------------------
