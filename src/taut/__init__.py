@@ -37,7 +37,6 @@ from .lift import (
     verify_rot,
 )
 from .plmap import (
-    IntervalSet,
     PLMap,
     commutator,
     conjugate,

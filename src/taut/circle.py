@@ -18,6 +18,11 @@ x = num/den as integer coefficients through any number of steps, each
 an exact floor, a piece bisection and that piece's line, and builds one
 ring element at the end.
 
+A point is fixed on the circle where the table moves it by 0 or by one
+turn, so the fixed neighbourhoods are read by plmap's one fixed-piece
+scan, _fixed_pieces, with gaps (0, 1); the wrap at 0 = 1 is a fixed
+first piece together with a fixed last one.
+
 A tree pair is built from its trees' leaf exponents: a leaf of depth
 exponent e has length tau**e, so its partition of [0, 1] is the running
 sums of those lengths, kept on integer coefficients, and each slope is
@@ -33,10 +38,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import (PLMap, _json_table, _piece_index, _sweep, _table_json,
-                    is_ftau)
+from .plmap import (PLMap, _fixed_pieces, _json_table, _piece_index, _sweep,
+                    _table_json, is_ftau)
 from .record import Record, _set
-from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _floor, tau_pow
+from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, tau_pow
 
 _UNIT = (ZERO, ONE)
 
@@ -143,35 +148,15 @@ class CircleMap:
 
     # -- fixed sets ---------------------------------------------------------
 
-    def fixed_segments(self) -> list[tuple[ZTau, ZTau]]:
-        """Maximal pointwise-fixed closed sub-intervals of [0, 1] (the circle
-        gluing at 0 = 1 is left to the callers)."""
-        tb = self.table
-        segs: list[tuple[ZTau, ZTau]] = []
-        for i, k in enumerate(tb.ks):
-            if k != 0:
-                continue
-            d = tb.ys[i] - tb.xs[i]
-            if d.b == 0 and d.a in (0, 1):
-                if segs and segs[-1][1] == tb.xs[i]:
-                    segs[-1] = (segs[-1][0], tb.xs[i + 1])
-                else:
-                    segs.append((tb.xs[i], tb.xs[i + 1]))
-        return segs
-
     def fixes_neighborhood_of(self, x: ZTau) -> bool:
+        """Whether x lies inside a fixed interval: one of the table's
+        pieces that moves by 0 or by one turn, or, at 0 = 1, a first
+        piece and a last one that both are fixed."""
         x = x - x.floor()
-        segs = self.fixed_segments()
-        if len(segs) == 1 and segs[0] == (ZERO, ONE):
-            return True
-        for lo, hi in segs:
-            if (x - lo).sign() > 0 and (hi - x).sign() > 0:
-                return True
+        segs = _fixed_pieces(self.table, (0, 1))
         if not x:
-            left = any(hi == ONE and (ONE - lo).sign() > 0 for lo, hi in segs)
-            right = any(lo == ZERO and hi.sign() > 0 for lo, hi in segs)
-            return left and right
-        return False
+            return bool(segs) and segs[0][0] == ZERO and segs[-1][1] == ONE
+        return any(_cmp(x, lo) > 0 and _cmp(hi, x) > 0 for lo, hi in segs)
 
 
 def _check_lift_table(table: PLMap) -> None:

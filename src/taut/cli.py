@@ -86,8 +86,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp = command("factor", [out],
                  "local factorization certificate of a circle element")
     sp.add_argument("expression")
-    sp.add_argument("--depth", type=_positive, default=construct.DEFAULT_DEPTH,
-                    help="search depth for constructive operations")
 
     sp = command("defect", [out, den, seed],
                  "defect witnesses for the rotation quasimorphism")
@@ -210,7 +208,7 @@ def _dispatch(args) -> int:
 
     if cmd == "factor":
         element = _as_lift(expr.evaluate_str(args.expression)).base
-        cert = construct.factor_local(element, max_depth=args.depth)
+        cert = construct.factor_local(element)
         if args.as_json:
             print(expr.serialize(cert))
         else:

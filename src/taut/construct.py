@@ -29,8 +29,8 @@ from .lift import (
     rot_result_from_json,
     verify_rot,
 )
-from .plmap import (MAX_POWER, Memo, PLMap, _sweep, concat, conjugate, commutator,
-                    is_ftau, is_ftau_compact, power)
+from .plmap import (MAX_PIECES, MAX_POWER, Memo, PLMap, _sweep, concat, conjugate,
+                    commutator, is_ftau, is_ftau_compact, power)
 from .record import Record, _set
 from .ring import (INV_TAU, ONE, QTau, ZERO, TAU, ZTau, json_bool, json_int, tau_exponent,
                    tau_pow)
@@ -68,15 +68,16 @@ class SplitMix64:
 DEFAULT_DEPTH = 12  # subdivision depth of the point searches
 
 
-def preference_points(max_depth: int = DEFAULT_DEPTH):
-    """Interior subdivision points of [0, 1], by depth then by value.
+def preference_points():
+    """The 2**DEFAULT_DEPTH - 1 interior subdivision points of [0, 1] to
+    depth DEFAULT_DEPTH, by depth then by value.
 
     Depth d refines the depth-(d-1) partition with one wide-first split
     per part, so the mesh shrinks geometrically and the enumeration is
     dense in (0, 1).
     """
     pts = [ZERO, ONE]
-    for _ in range(max_depth):
+    for _ in range(DEFAULT_DEPTH):
         mids = [pts[i] + TAU * (pts[i + 1] - pts[i])
                 for i in range(len(pts) - 1)]
         yield from mids
@@ -87,9 +88,9 @@ def preference_points(max_depth: int = DEFAULT_DEPTH):
         pts = merged
 
 
-def circle_points(max_depth: int = DEFAULT_DEPTH):
+def circle_points():
     yield ZERO
-    yield from preference_points(max_depth)
+    yield from preference_points()
 
 
 def points_between(lo: ZTau, hi: ZTau, count: int) -> list[ZTau]:
@@ -484,8 +485,7 @@ def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
     return out
 
 
-def factor_local(g: CircleMap,
-                 max_depth: int = DEFAULT_DEPTH) -> FactorCertificate:
+def factor_local(g: CircleMap) -> FactorCertificate:
     """Split g != id as u * v with u in the neighbourhood-stabilizer of a
     point x and v a product of commutator material fixing a point y.
 
@@ -501,13 +501,12 @@ def factor_local(g: CircleMap,
 
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
-    x = next((c for c in circle_points(max_depth) if g.eval(c) != c), None)
+    x = next((c for c in circle_points() if g.eval(c) != c), None)
     if x is None:
         raise SearchBudgetExceeded("no moved ring point found")
     xg = g.eval(x)
-    y = next((c for c in circle_points(max_depth) if c != x and c != xg), None)
-    if y is None:
-        raise SearchBudgetExceeded("no spare ring point found")
+    # of the 4,096 points, y has to avoid only x and g(x)
+    y = next(c for c in circle_points() if c != x and c != xg)
     arc = lo, hi = _arc_around(g, x, 3, lambda lo, hi, ig: not (
         arc_contains(lo, hi, y) or arc_contains(*ig, x) or arc_contains(*ig, y)),
         "no separating arc found")
@@ -757,9 +756,14 @@ def _random_tree(rng: SplitMix64, leaves: int) -> SubdivisionTree:
 
 def random_element(seed: int, size: int, flavor: str = "T_tau"):
     """Deterministic element from a SplitMix64 stream: two subdivision trees
-    with `size` leaves, plus a shift (and an integer part for lifts)."""
+    with `size` leaves, plus a shift (and an integer part for lifts).  Its
+    table has `size` pieces before merging, so a size past the piece bound
+    is rejected before any tree is drawn."""
     if size < 1:
         raise BadTuple("size must be at least 1")
+    if size > MAX_PIECES:
+        raise PowerBudgetExceeded(
+            f"size {size} exceeds the bound {MAX_PIECES} on pieces")
     rng = SplitMix64(seed)
     p = _random_tree(rng, size)
     q = _random_tree(rng, size)

@@ -13,10 +13,14 @@ sweep that never leaves the other table.  A sweep writes a breakpoint
 only where the slope exponent changes, so its table reaches the
 per-piece check with nothing to merge; the merge is for the other
 constructors (tables read from JSON, restrictions, concatenations).
-Sweeps, cuts and evaluation work on the (a, b) integer coefficients of
-the breakpoints: comparisons take ring._sign of coefficient differences,
-and each point found on a piece is formed from coefficients, so every
-output breakpoint is exactly one ZTau with no intermediate ring objects.
+So no table has two neighbouring pieces of equal exponent, and one scan,
+_fixed_pieces, reads every maximal fixed interval off single pieces: the
+support of an interval map and the fixed neighbourhoods of a circle map
+are built on it.  Sweeps, cuts and evaluation work on the (a, b) integer
+coefficients of the breakpoints: comparisons take ring._sign of
+coefficient differences, and each point found on a piece is formed from
+coefficients, so every output breakpoint is exactly one ZTau with no
+intermediate ring objects.
 A Memo lets one call make each distinct product and inverse of its words
 once.
 """
@@ -33,7 +37,6 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .record import Record, _set
 from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign, _through,
                    json_int, tau_exponent, tau_pow)
 
@@ -180,24 +183,18 @@ class PLMap:
 
     # -- dynamics -----------------------------------------------------
 
-    def support(self) -> IntervalSet:
-        """Closure of the moved set, from the maximal pointwise-fixed pieces."""
-        fixed = []
-        for i, k in enumerate(self.ks):
-            if k == 0 and self.ys[i] == self.xs[i]:
-                if fixed and fixed[-1][1] == self.xs[i]:
-                    fixed[-1] = (fixed[-1][0], self.xs[i + 1])
-                else:
-                    fixed.append((self.xs[i], self.xs[i + 1]))
+    def support(self) -> tuple[tuple[ZTau, ZTau], ...]:
+        """Closure of the moved set: the closed intervals between the
+        pointwise-fixed pieces, in order."""
         out = []
         cur = self.xs[0]
-        for lo, hi in fixed:
-            if (lo - cur).sign() > 0:
+        for lo, hi in _fixed_pieces(self, (0,)):
+            if lo != cur:
                 out.append((cur, lo))
             cur = hi
-        if (self.xs[-1] - cur).sign() > 0:
+        if cur != self.xs[-1]:
             out.append((cur, self.xs[-1]))
-        return IntervalSet(tuple(out))
+        return tuple(out)
 
     def shift_roots(self, s: ZTau) -> tuple[int, QTau | None]:
         """Where d(x) = self(x) - x - s vanishes on the domain: (0, root) with
@@ -244,19 +241,15 @@ def _gap_signs(xs, ys, s: ZTau) -> list[int]:
     return [_sign(y.a - x.a - sa, y.b - x.b - sb) for x, y in zip(xs, ys)]
 
 
-class IntervalSet(Record):
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: tuple[tuple[ZTau, ZTau], ...]) -> None:
-        _set(self, "intervals", intervals)
-
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def inside(self, lo: ZTau, hi: ZTau, strict: bool = False) -> bool:
-        cmp = 1 if strict else 0
-        return all((a - lo).sign() >= cmp and (hi - b).sign() >= cmp
-                   for a, b in self.intervals)
+def _fixed_pieces(g: PLMap, gaps: tuple[int, ...]) -> list[tuple[ZTau, ZTau]]:
+    """The pieces (lo, hi) of g's table with slope exponent 0 and gap
+    y - x an integer in gaps, in order: (0,) for an interval map, (0, 1)
+    for a circle map's table, whose images start in [0, 1).  Each is a
+    maximal fixed interval, as no table has two neighbouring pieces of
+    equal exponent: PLMap.__init__ merges them and _sweep writes none."""
+    xs, ys = g.xs, g.ys
+    return [(xs[i], xs[i + 1]) for i, k in enumerate(g.ks)
+            if not k and ys[i].b == xs[i].b and ys[i].a - xs[i].a in gaps]
 
 
 def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
@@ -548,10 +541,10 @@ def is_ftau(g: PLMap) -> bool:
 
 def is_ftau_compact(g: PLMap) -> bool:
     """In F_tau with support closure strictly inside (0, 1)."""
-    if not is_ftau(g):
-        return False
-    return g.support().inside(ZERO, ONE, strict=True)
+    s = g.support()
+    return is_ftau(g) and (not s or (s[0][0].sign() > 0 and _cmp(s[-1][1], ONE) < 0))
 
 
 def is_supported_in(g: PLMap, lo: ZTau, hi: ZTau) -> bool:
-    return g.support().inside(lo, hi)
+    s = g.support()
+    return not s or (_cmp(s[0][0], lo) >= 0 and _cmp(hi, s[-1][1]) >= 0)

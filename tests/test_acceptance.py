@@ -7,6 +7,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -195,7 +196,7 @@ def test_criterion_7_group_closure_and_laws():
 
 def test_criterion_8_constructive_certificates():
     watch = Stopwatch(600)
-    pool = sorted(set(preference_points(8)))
+    pool = sorted(set(islice(preference_points(), 2**8 - 1)))
     rng = random.Random(800)
     budget_failures = 0
     for trial in range(200):

@@ -116,8 +116,7 @@ def test_usage_error_is_exit_3(capsys):
                  ["check", "rot(t)", "--max-iter", "0"],
                  ["defect", "--search", "--samples", "0"],
                  ["defect", "--search", "--samples", "-2"],
-                 ["defect", "--max-den", "0"],
-                 ["factor", "rot(t)", "--depth", "0"]):
+                 ["defect", "--max-den", "0"]):
         rc, _, err = run(capsys, *argv)
         assert rc == 3 and "budgets must be positive" in err, argv
     rc, _, err = run(capsys, "rot", "trans(t)", "--max-iter", "x")
@@ -131,7 +130,7 @@ KEPT_OPTIONS = {
     "scl": (["trans(t)"], {"--max-iter", "--max-den"}),
     "check": (["rot(t)"], {"--max-iter", "--max-den"}),
     "defect": ([], {"--max-den", "--seed"}),
-    "factor": (["rot(t)"], {"--depth"}),
+    "factor": (["rot(t)"], set()),
     "random": ([], {"--seed"}),
     "connect": (["1-t", "t"], set()),
 }

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,7 +45,7 @@ T3 = tau_pow(3)
 
 def seeded_points(seed, count, depth=8):
     """Sample increasing tuples out of the depth-limited preference points."""
-    pool = sorted(set(preference_points(depth)))
+    pool = sorted(set(islice(preference_points(), 2**depth - 1)))
     rng = random.Random(seed)
     idx = sorted(rng.sample(range(len(pool)), count))
     return tuple(pool[i] for i in idx)
@@ -66,7 +67,7 @@ def test_match_intervals_two_scale_case():
 
 def test_match_intervals_composes():
     rng = random.Random(41)
-    pool = sorted(set(preference_points(6)))
+    pool = sorted(set(islice(preference_points(), 2**6 - 1)))
     for _ in range(25):
         a, b = sorted(rng.sample(range(len(pool)), 2))
         c, d = sorted(rng.sample(range(len(pool)), 2))
@@ -171,7 +172,7 @@ def test_match_intervals_has_at_most_two_pieces(src, tgt):
 
 
 def test_match_intervals_agrees_with_the_reference_on_preference_points():
-    pool = sorted(set(preference_points(5)))
+    pool = sorted(set(islice(preference_points(), 2**5 - 1)))
     gaps = [(x, y) for i, x in enumerate(pool) for y in pool[i + 1:]]
     rng = random.Random(19)
     for _ in range(300):

@@ -15,7 +15,7 @@ from taut.construct import commutator_trick, connect_tuple, random_element
 from taut.expr import (MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str,
                        to_expression)
 from taut.lift import LiftMap, rot_enclosure
-from taut.plmap import conjugate
+from taut.plmap import MAX_PIECES, conjugate
 from taut.ring import TAU, ZERO, tau_pow, ztau_literal
 
 
@@ -636,13 +636,6 @@ def test_answer_past_the_digit_limit_is_a_one_line_error(capsys, flag):
                        "the limit is 4300 digits")
 
 
-def test_factor_without_a_spare_point_ends_in_exit_2(capsys):
-    # depth 1 offers the points 0 and t, which rot(t) maps onto each other
-    rc, out, err = run(capsys, "factor", "--depth", "1", "rot(t)")
-    assert rc == 2 and out == ""
-    assert err == "error (SearchBudgetExceeded): no spare ring point found\n"
-
-
 # rotations by tau**70 and tau**18000 move every arc of radius tau**2 to
 # tau**63 by far less than its radius; the arc search then starts from
 # the displacement
@@ -691,6 +684,18 @@ def test_defect_power_is_bounded(capsys, n):
     assert rc == 2 and out == "" and err.count("\n") == 1
     assert err == (f"error (PowerBudgetExceeded): n = {n} exceeds the bound "
                    f"{MAX_POWER} on the power g^n of a defect witness\n")
+
+
+@pytest.mark.parametrize("size", [MAX_PIECES + 1, 10 ** 9])
+def test_random_size_is_bounded(capsys, size):
+    # a size-L element has L pieces before merging; past the piece bound
+    # it is rejected before any tree is drawn
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "random", "--size", str(size), "--flavor", "Lift")
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2 and out == ""
+    assert err == (f"error (PowerBudgetExceeded): size {size} exceeds the "
+                   f"bound {MAX_PIECES} on pieces\n")
 
 
 def test_inferred_slope_of_a_huge_tau_power_is_read_at_once(capsys):

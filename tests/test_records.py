@@ -45,7 +45,7 @@ from taut.lift import (
     rot,
     scl,
 )
-from taut.plmap import IntervalSet, PLMap
+from taut.plmap import PLMap
 from taut.ring import ONE, QTau, TAU, ZERO, ZTau, tau_pow
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -71,7 +71,6 @@ RECORDS = [
      Fraction(-1, 3)),
     (SclResult, {"rot": _ROTS[0]}, {}, _ROTS[1]),
     (DefectDelta, {"exact": QTau(ONE), "rots": _ROTS}, {}, None),
-    (IntervalSet, {"intervals": ((ZERO, TAU),)}, {}, ()),
     (SubdivisionTree, {}, {"left": None, "right": None, "wide_first": True}, _LEAF),
     (TransitivityCertificate,
      {"element": PLMap.identity(), "sources": (TAU,), "targets": (TAU,)},
@@ -96,8 +95,8 @@ def _hashable(fields) -> bool:
     return not any(isinstance(v, dict) for v in fields.values())
 
 
-def test_twelve_records():
-    assert len({r[0] for r in RECORDS}) == 12
+def test_eleven_records():
+    assert len({r[0] for r in RECORDS}) == 11
 
 
 @pytest.mark.parametrize("cls, required, defaults, other", RECORDS, ids=_ids(RECORDS))
@@ -163,8 +162,6 @@ def test_record_reprs():
     leaf = "SubdivisionTree(left=None, right=None, wide_first=True)"
     assert (repr(SubdivisionTree.split(_LEAF, _LEAF, False))
             == f"SubdivisionTree(left={leaf}, right={leaf}, wide_first=False)")
-    assert (repr(IntervalSet(((ZERO, TAU),)))
-            == "IntervalSet(intervals=((ZTau(0, 0), ZTau(0, 1)),))")
     assert repr(_T) == "LiftMap(CircleMap(v=t, pieces=1), n=0)"
     assert (repr(TransitivityCertificate(PLMap.identity(), (), ()))
             == "TransitivityCertificate(element=PLMap([0, 1] -> [0, 1], ks=[0]), "
