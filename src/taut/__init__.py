@@ -5,7 +5,7 @@ operation, rotation number certificate and stable commutator length in
 this package is exact or comes with a sound rational enclosure.
 """
 
-from .circle import CircleMap, SubdivisionTree
+from .circle import CircleMap
 from .construct import (
     CommutatorCertificate,
     DefectWitness,

@@ -26,7 +26,8 @@ first piece together with a fixed last one.
 A tree pair is built from its trees' leaf exponents: a leaf of depth
 exponent e has length tau**e, so its partition of [0, 1] is the running
 sums of those lengths, kept on integer coefficients, and each slope is
-the difference of two exponents.  Every tree shares one leaf record.
+the difference of two exponents.  A tree payload is read straight into
+its leaf exponents, in one pre-order walk.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .errors import (
     DegreeNotOne,
     LeafCountMismatch,
     NotFtau,
+    PowerBudgetExceeded,
     SchemaError,
     ValidationError,
 )
-from .plmap import (PLMap, _fixed_pieces, _json_table, _piece_index, _sweep,
-                    _table_json, is_ftau)
-from .record import Record, _set
+from .plmap import (MAX_PIECES, PLMap, _fixed_pieces, _json_table, _piece_index,
+                    _sweep, _table_json, is_ftau)
 from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, tau_pow
 
 _UNIT = (ZERO, ONE)
@@ -73,21 +74,19 @@ class CircleMap:
         return cls(g)
 
     @classmethod
-    def from_tree_pair(cls, p: SubdivisionTree, q: SubdivisionTree,
-                       shift: int) -> CircleMap:
-        """Map leaf i of p's partition onto leaf (i + shift) mod L of q's,
-        wrapping through 1; both partitions come from the leaf exponents."""
-        pe, qe = p.leaf_exponents(), q.leaf_exponents()
+    def from_tree_pair(cls, pe: list[int], qe: list[int], shift: int) -> CircleMap:
+        """Map leaf i of the partition with leaf exponents pe onto leaf
+        (i + shift) mod L of qe's, wrapping through 1."""
         lcount = len(pe)
         if len(qe) != lcount:
             raise LeafCountMismatch(f"{lcount} leaves versus {len(qe)}")
         shift %= lcount
-        qb = _partition(ZERO, ONE, qe)
+        qb = _partition(qe)
         # q's leaves from the shifted one on, then the first ones and the
         # period's end carried through 1
         ys = qb[shift:lcount] + [ZTau(y.a + 1, y.b) for y in qb[:shift + 1]]
         ks = [qk - pk for qk, pk in zip(qe[shift:] + qe[:shift], pe)]
-        return cls(PLMap(_partition(ZERO, ONE, pe), ys, ks))
+        return cls(PLMap(_partition(pe), ys, ks))
 
     @classmethod
     def from_raw(cls, xs, ys, ks=None) -> CircleMap:
@@ -241,92 +240,46 @@ def _inverse_table(table: PLMap, into_period: bool = False) -> PLMap:
 
 # -- tau-subdivision trees -------------------------------------------------
 
-def _partition(lo: ZTau, hi: ZTau, exponents: list[int]) -> list[ZTau]:
-    """lo and the running sums lo + (hi - lo)*(tau**e0 + ... + tau**ei):
-    the endpoints of leaves of lengths (hi - lo)*tau**e.  The sums are
-    kept as integer coefficients, each term (hi - lo)*tau**e formed on
-    those of tau**e, so each endpoint is one ZTau.  Exact, as tau**m =
-    tau**(m+1) + tau**(m+2) makes a tree's leaf lengths sum to its
-    root's, so the last sum is hi."""
-    da, db = hi.a - lo.a, hi.b - lo.b
-    a, b = lo.a, lo.b
-    out = [lo]
+def _partition(exponents: list[int]) -> list[ZTau]:
+    """0 and the running sums tau**e0 + ... + tau**ei: the endpoints in
+    [0, 1] of leaves of lengths tau**e, each one ZTau of the summed
+    integer coefficients of those powers.  Exact, as tau**m = tau**(m+1)
+    + tau**(m+2) makes a tree's leaf lengths sum to its root's, so the
+    last sum is 1."""
+    a = b = 0
+    out = [ZERO]
     for e in exponents:
         t = tau_pow(e)
-        # (da + db*tau) * tau**e, with tau**2 = 1 - tau
-        a += t.a * da + t.b * db
-        b += t.a * db + t.b * (da - db)
+        a += t.a
+        b += t.b
         out.append(ZTau(a, b))
     return out
 
 
-class SubdivisionTree(Record):
-    """Binary subdivision of an interval into (tau*l, tau**2*l) parts.
+def leaf_exponents(tree: object) -> list[int]:
+    """The exponent e of each leaf length tau**e of a tree payload, leaves
+    from left to right, read in one pre-order walk.
 
-    wide_first picks which part comes first: True gives (tau*l, tau**2*l),
-    False gives (tau**2*l, tau*l).  Leaves carry no data.
+    A payload is "leaf" or [tag, left, right], where tag "s+" puts the
+    wide part first (exponents +1, then +2) and "s-" the narrow one (+2,
+    then +1).  The first malformed node in pre-order is a SchemaError
+    naming that node, and a tree of more than MAX_PIECES leaves is
+    PowerBudgetExceeded as the leaf past the bound is reached.
     """
-
-    __slots__ = ("left", "right", "wide_first")
-
-    def __init__(self, left: SubdivisionTree | None = None,
-                 right: SubdivisionTree | None = None,
-                 wide_first: bool = True) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "wide_first", wide_first)
-
-    @classmethod
-    def leaf(cls) -> SubdivisionTree:
-        return _LEAF
-
-    @classmethod
-    def split(cls, left: SubdivisionTree, right: SubdivisionTree,
-              wide_first: bool = True) -> SubdivisionTree:
-        return cls(left, right, wide_first)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def boundaries(self, lo: ZTau, hi: ZTau) -> list[ZTau]:
-        """Endpoints of the leaf partition of [lo, hi], lo and hi included."""
-        return _partition(lo, hi, self.leaf_exponents())
-
-    def leaf_exponents(self) -> list[int]:
-        """Exponent e of each leaf length tau**e relative to the root
-        length, leaves from left to right."""
-        out = []
-        todo = [(self, 0)]
-        while todo:
-            node, e = todo.pop()
-            if node.is_leaf:
-                out.append(e)
-            else:
-                first, second = (1, 2) if node.wide_first else (2, 1)
-                todo.append((node.right, e + second))
-                todo.append((node.left, e + first))
-        return out
-
-    def to_json(self):
-        if self.is_leaf:
-            return "leaf"
-        tag = "s+" if self.wide_first else "s-"
-        return [tag, self.left.to_json(), self.right.to_json()]
-
-    @classmethod
-    def from_json(cls, obj: object) -> SubdivisionTree:
-        """The tree of a payload: the shared leaf at each "leaf", and one
-        record per split node."""
-        if obj == "leaf":
-            return _LEAF
-        if (isinstance(obj, list) and len(obj) == 3
-                and obj[0] in ("s+", "s-")):
-            return cls(cls.from_json(obj[1]), cls.from_json(obj[2]),
-                       obj[0] == "s+")
-        raise SchemaError(f"bad subdivision tree payload: {obj!r}")
-
-
-# Every leaf is this one record: a leaf carries no data, and a record
-# refuses assignment, so one leaf is shared by every tree.
-_LEAF = SubdivisionTree()
+    out = []
+    todo = [(tree, 0)]
+    while todo:
+        node, e = todo.pop()
+        if node == "leaf":
+            if len(out) == MAX_PIECES:
+                raise PowerBudgetExceeded(
+                    f"a tree of more than {MAX_PIECES} leaves exceeds the "
+                    "bound on pieces")
+            out.append(e)
+        elif isinstance(node, list) and len(node) == 3 and node[0] in ("s+", "s-"):
+            first, second = (1, 2) if node[0] == "s+" else (2, 1)
+            todo.append((node[2], e + second))
+            todo.append((node[1], e + first))
+        else:
+            raise SchemaError(f"bad subdivision tree payload: {node!r}")
+    return out

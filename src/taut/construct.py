@@ -9,7 +9,9 @@ every platform.
 
 from __future__ import annotations
 
-from .circle import CircleMap, SubdivisionTree
+from itertools import chain
+
+from .circle import CircleMap
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -91,6 +93,18 @@ def preference_points():
 def circle_points():
     yield ZERO
     yield from preference_points()
+
+
+def _piece_points(g: CircleMap):
+    """x0 + tau*(x1 - x0), then x0 + tau**2*(x1 - x0), for each piece
+    [x0, x1] of g's table in turn: where g moves none of the circle
+    points, a point that it moves is read off its own table, inside the
+    first piece that moves one of these."""
+    xs = g.table.xs
+    for x0, x1 in zip(xs, xs[1:]):
+        d = x1 - x0
+        yield x0 + TAU * d
+        yield x0 + tau_pow(2) * d
 
 
 def points_between(lo: ZTau, hi: ZTau, count: int) -> list[ZTau]:
@@ -501,7 +515,8 @@ def factor_local(g: CircleMap) -> FactorCertificate:
 
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
-    x = next((c for c in circle_points() if g.eval(c) != c), None)
+    x = next((c for c in chain(circle_points(), _piece_points(g)) if g.eval(c) != c),
+             None)
     if x is None:
         raise SearchBudgetExceeded("no moved ring point found")
     xg = g.eval(x)
@@ -611,7 +626,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
     w = None
-    for cand in circle_points():
+    for cand in chain(circle_points(), _piece_points(g)):
         img = g.eval(cand)
         if img != cand and cand != x and img != x:
             w = cand
@@ -745,35 +760,38 @@ def defect_witness_search(samples: int, seed: int, *, size: int = 4,
 
 # -- seeded random elements --------------------------------------------------------
 
-def _random_tree(rng: SplitMix64, leaves: int) -> SubdivisionTree:
+def _random_exponents(rng: SplitMix64, leaves: int) -> list[int]:
+    """The leaf exponents of a random tree with this many leaves: a split
+    draws the size of its left part, its left and right subtrees, and
+    last its s+/s- bit, which adds 1 and 2, or 2 and 1, to the exponents
+    of its two parts."""
     if leaves == 1:
-        return SubdivisionTree.leaf()
+        return [0]
     left = 1 + rng.below(leaves - 1)
-    return SubdivisionTree.split(_random_tree(rng, left),
-                                 _random_tree(rng, leaves - left),
-                                 rng.bit())
+    pe = _random_exponents(rng, left)
+    qe = _random_exponents(rng, leaves - left)
+    first, second = (1, 2) if rng.bit() else (2, 1)
+    return [e + first for e in pe] + [e + second for e in qe]
 
 
 def random_element(seed: int, size: int, flavor: str = "T_tau"):
-    """Deterministic element from a SplitMix64 stream: two subdivision trees
-    with `size` leaves, plus a shift (and an integer part for lifts).  Its
-    table has `size` pieces before merging, so a size past the piece bound
-    is rejected before any tree is drawn."""
+    """Deterministic element from a SplitMix64 stream: the leaf exponents
+    of two random trees with `size` leaves, plus a shift (and an integer
+    part for lifts); an F_tau element is their shift-0 table.  Its table
+    has `size` pieces before merging, so a size past the piece bound is
+    rejected before any tree is drawn."""
     if size < 1:
         raise BadTuple("size must be at least 1")
     if size > MAX_PIECES:
         raise PowerBudgetExceeded(
             f"size {size} exceeds the bound {MAX_PIECES} on pieces")
     rng = SplitMix64(seed)
-    p = _random_tree(rng, size)
-    q = _random_tree(rng, size)
+    pe = _random_exponents(rng, size)
+    qe = _random_exponents(rng, size)
     if flavor == "F_tau":
-        pb = p.boundaries(ZERO, ONE)
-        qb = q.boundaries(ZERO, ONE)
-        ks = [te - se for se, te in zip(p.leaf_exponents(), q.leaf_exponents())]
-        return PLMap(pb, qb, ks)
+        return CircleMap.from_tree_pair(pe, qe, 0).table
     shift = rng.below(size) if size > 1 else 0
-    out = CircleMap.from_tree_pair(p, q, shift)
+    out = CircleMap.from_tree_pair(pe, qe, shift)
     if flavor == "T_tau":
         return out
     if flavor == "Lift":

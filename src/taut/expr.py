@@ -27,7 +27,7 @@ import re
 from itertools import accumulate
 
 from . import construct
-from .circle import CircleMap, SubdivisionTree
+from .circle import CircleMap, leaf_exponents
 from .errors import (
     ExprSyntaxError,
     ExprTypeError,
@@ -316,10 +316,10 @@ def _read_atom(sc: _Scanner) -> Element:
         obj = sc.read_json()
         if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
             raise sc.error("treepair payload needs 'p' and 'q'")
-        p = SubdivisionTree.from_json(obj["p"])
-        q = SubdivisionTree.from_json(obj["q"])
+        pe = leaf_exponents(obj["p"])
+        qe = leaf_exponents(obj["q"])
         shift = json_int(obj.get("shift", 0), "treepair shift")
-        return CircleMap.from_tree_pair(p, q, shift)
+        return CircleMap.from_tree_pair(pe, qe, shift)
     if word in _KEYWORDS:
         raise sc.error(f"{word!r} cannot be used as a name here")
     if word not in sc.env:

@@ -12,7 +12,7 @@ from itertools import islice
 import pytest
 
 from conftest import decimal_value, zt
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap
 from taut.cli import main
 from taut.construct import (
     SplitMix64,
@@ -36,8 +36,7 @@ from taut.lift import (
 from taut.plmap import conjugate, is_ftau_compact, power
 from taut.ring import ONE, QTau, TAU, ZERO, is_tau_power, tau_pow
 
-LEAF = SubdivisionTree.leaf()
-CARET3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF), LEAF)
+CARET3 = [2, 3, 2]   # the leaf exponents of ["s+", ["s+", "leaf", "leaf"], "leaf"]
 TORSION = CircleMap.from_tree_pair(CARET3, CARET3, 1)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import zt
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap, _partition, leaf_exponents
 from taut.construct import random_element
 from taut.errors import (
     DegreeNotOne,
@@ -18,8 +18,7 @@ from taut.ring import ONE, QTau, TAU, ZERO, tau_pow
 T2 = tau_pow(2)
 T3 = tau_pow(3)
 
-LEAF = SubdivisionTree.leaf()
-CARET3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF), LEAF)
+CARET3 = [2, 3, 2]   # the leaf exponents of ["s+", ["s+", "leaf", "leaf"], "leaf"]
 TORSION = CircleMap.from_tree_pair(CARET3, CARET3, 1)
 CONNECT = PLMap((ZERO, TAU, ONE), (ZERO, T2, ONE), (1, -1))
 
@@ -49,23 +48,24 @@ def test_torsion_element_table():
 
 def test_tree_pair_cases():
     assert CircleMap.from_tree_pair(CARET3, CARET3, 0).is_identity()
-    other = SubdivisionTree.split(LEAF, SubdivisionTree.split(LEAF, LEAF))
+    other = leaf_exponents(["s+", "leaf", ["s+", "leaf", "leaf"]])
+    assert other == [1, 3, 4]
     fixed0 = CircleMap.from_tree_pair(CARET3, other, 0)
     assert fixed0.v == ZERO
-    pb = CARET3.boundaries(ZERO, ONE)
-    qb = other.boundaries(ZERO, ONE)
-    ks = [t - s for s, t in zip(CARET3.leaf_exponents(), other.leaf_exponents())]
-    assert fixed0 == CircleMap.from_interval_map(PLMap(pb, qb, ks))
+    assert _partition(CARET3) == [ZERO, T2, TAU, ONE]
+    assert _partition(other) == [ZERO, TAU, TAU + T3, ONE]
+    ks = [t - s for s, t in zip(CARET3, other)]
+    assert fixed0 == CircleMap.from_interval_map(
+        PLMap(_partition(CARET3), _partition(other), ks))
     with pytest.raises(LeafCountMismatch):
-        CircleMap.from_tree_pair(CARET3, LEAF, 0)
+        CircleMap.from_tree_pair(CARET3, [0], 0)
 
 
 def test_both_caret_orientations():
-    narrow = SubdivisionTree.split(LEAF, LEAF, wide_first=False)
-    assert narrow.boundaries(ZERO, ONE) == [ZERO, T2, ONE]
-    assert narrow.leaf_exponents() == [2, 1]
-    wide = SubdivisionTree.split(LEAF, LEAF)
-    assert wide.boundaries(ZERO, ONE) == [ZERO, TAU, ONE]
+    narrow = leaf_exponents(["s-", "leaf", "leaf"])
+    assert narrow == [2, 1] and _partition(narrow) == [ZERO, T2, ONE]
+    wide = leaf_exponents(["s+", "leaf", "leaf"])
+    assert wide == [1, 2] and _partition(wide) == [ZERO, TAU, ONE]
     c = CircleMap.from_tree_pair(wide, narrow, 0)
     assert c.eval(TAU) == QTau(T2)
 
@@ -118,12 +118,12 @@ def test_closure_random():
 
 
 def test_torsion_order_divides_leaf_count():
-    from taut.construct import SplitMix64, _random_tree
+    from taut.construct import SplitMix64, _random_exponents
 
     rng = random.Random(23)
     for _ in range(30):
         size = rng.randrange(2, 6)
-        tree = _random_tree(SplitMix64(rng.randrange(2**63)), size)
+        tree = _random_exponents(SplitMix64(rng.randrange(2**63)), size)
         s = rng.randrange(size)
         c = CircleMap.from_tree_pair(tree, tree, s)
         assert power(c, size).is_identity()
@@ -131,9 +131,10 @@ def test_torsion_order_divides_leaf_count():
 
 def test_tree_pair_torsion_power():
     for size, s in ((3, 1), (4, 3), (5, 2)):
-        tree = SubdivisionTree.leaf()
+        tree = "leaf"
         for _ in range(size - 1):
-            tree = SubdivisionTree.split(tree, LEAF)
+            tree = ["s+", tree, "leaf"]
+        tree = leaf_exponents(tree)
         c = CircleMap.from_tree_pair(tree, tree, s)
         assert power(c, size).is_identity()
 
@@ -150,7 +151,7 @@ def test_fixed_segments_and_neighborhoods():
     assert not CircleMap.rotation(TAU).fixes_neighborhood_of(ZERO)
 
 
-def test_subdivision_tree_json_round_trip():
-    payload = CARET3.to_json()
-    assert payload == ["s+", ["s+", "leaf", "leaf"], "leaf"]
-    assert SubdivisionTree.from_json(payload) == CARET3
+def test_subdivision_tree_json_reads_into_leaf_exponents():
+    assert leaf_exponents(["s+", ["s+", "leaf", "leaf"], "leaf"]) == CARET3
+    assert leaf_exponents("leaf") == [0]
+    assert leaf_exponents(["s-", ["s+", "leaf", "leaf"], "leaf"]) == [3, 4, 1]

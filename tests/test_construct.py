@@ -17,6 +17,7 @@ from taut.construct import (
     SplitMix64,
     arc_contains,
     arcs_disjoint,
+    circle_points,
     commutator_trick,
     connect_tuple,
     connect_tuple_derived,
@@ -35,8 +36,8 @@ from taut.errors import BadTuple, CertificateError, IdentityInput, NoRoomInTarge
 from taut.expr import evaluate_str, serialize
 from taut.lift import LiftMap, rot
 from taut import plmap
-from taut.plmap import (Memo, PLMap, commutator, conjugate, is_ftau, is_ftau_compact,
-                        power)
+from taut.plmap import (Memo, PLMap, commutator, concat, conjugate, is_ftau,
+                        is_ftau_compact, power)
 from taut.ring import ONE, QTau, TAU, ZERO, ZTau, is_tau_power, tau_pow
 
 T2 = tau_pow(2)
@@ -291,10 +292,33 @@ def test_factor_local_rotation():
         assert p.fixes_neighborhood_of(cert.y)
 
 
+def _moving_no_circle_point() -> CircleMap:
+    """random_element(7, 4, "F_tau") conjugated into (tau**30, tau**29) and
+    padded with identities: it moves none of the 4,096 circle points."""
+    a, b = tau_pow(30), tau_pow(29)
+    inner = conjugate(random_element(7, 4, "F_tau"), match_intervals(ZERO, ONE, a, b))
+    return CircleMap.from_interval_map(
+        concat([PLMap.identity(ZERO, a), inner, PLMap.identity(b, ONE)]))
+
+
+def test_a_moved_point_is_read_off_the_table(tmp_path):
+    g = _moving_no_circle_point()
+    assert all(g.eval(c) == c for c in circle_points())
+    cert = factor_local(g)
+    a, b = tau_pow(30), tau_pow(29)
+    assert (cert.x - a).sign() > 0 and (b - cert.x).sign() > 0
+    path = tmp_path / "factor.json"
+    path.write_text(serialize(cert))
+    check_file(path)
+    comm = commutator_trick(g, TAU)
+    assert comm.result.fixes_neighborhood_of(TAU)
+    path = tmp_path / "comm.json"
+    path.write_text(serialize(comm))
+    check_file(path)
+
+
 def test_factor_local_torsion():
-    from taut.circle import SubdivisionTree
-    leaf = SubdivisionTree.leaf()
-    tree = SubdivisionTree.split(SubdivisionTree.split(leaf, leaf), leaf)
+    tree = [2, 3, 2]   # the leaf exponents of ["s+", ["s+", "leaf", "leaf"], "leaf"]
     tor = CircleMap.from_tree_pair(tree, tree, 1)
     cert = factor_local(tor)
     cert.verify()
@@ -374,6 +398,61 @@ def test_random_element_determinism_and_validity():
     for seed in range(200):
         g = random_element(seed, 1 + seed % 6, "T_tau")
         CircleMap.from_json(g.to_json())
+
+
+# the generator as it was when a tree was one record per node, kept as the
+# oracle of the exponent-list generator: a leaf is None, a split node
+# (left, right, wide_first), drawn in the order split size, left subtree,
+# right subtree, s+/s- bit
+
+
+def _record_tree(rng: SplitMix64, leaves: int):
+    if leaves == 1:
+        return None
+    left = 1 + rng.below(leaves - 1)
+    return (_record_tree(rng, left), _record_tree(rng, leaves - left), rng.bit())
+
+
+def _record_exponents(tree, e: int = 0) -> list[int]:
+    if tree is None:
+        return [e]
+    left, right, wide_first = tree
+    first, second = (1, 2) if wide_first else (2, 1)
+    return _record_exponents(left, e + first) + _record_exponents(right, e + second)
+
+
+def _record_partition(exponents: list[int]) -> list[ZTau]:
+    out = [ZERO]
+    for e in exponents:
+        out.append(out[-1] + tau_pow(e))
+    return out
+
+
+def _record_random_element(seed: int, size: int, flavor: str):
+    rng = SplitMix64(seed)
+    pe = _record_exponents(_record_tree(rng, size))
+    qe = _record_exponents(_record_tree(rng, size))
+    pb, qb = _record_partition(pe), _record_partition(qe)
+    if flavor == "F_tau":
+        return PLMap(pb, qb, [te - se for se, te in zip(pe, qe)])
+    shift = rng.below(size) if size > 1 else 0
+    ys = qb[shift:size] + [y + 1 for y in qb[:shift + 1]]
+    ks = [qk - pk for qk, pk in zip(qe[shift:] + qe[:shift], pe)]
+    out = CircleMap(PLMap(pb, ys, ks))
+    if flavor == "T_tau":
+        return out
+    return LiftMap(out.table).translate(rng.below(5) - 2)
+
+
+def test_random_element_matches_the_record_generator():
+    for seed in range(480):
+        for size in range(1, 9):
+            for flavor in ("F_tau", "T_tau", "Lift"):
+                got = random_element(seed, size, flavor)
+                want = _record_random_element(seed, size, flavor)
+                assert type(got) is type(want) and got == want, (seed, size, flavor)
+                if seed % 40 == 0:
+                    assert serialize(got) == serialize(want)
 
 
 def test_splitmix_reference_values():

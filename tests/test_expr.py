@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap, leaf_exponents
 from taut.construct import connect_tuple, random_element
 from taut.errors import (
     ExprSyntaxError,
@@ -31,7 +31,7 @@ def _grammar_corpus():
     library builds for it directly."""
     r = CircleMap.rotation(TAU)
     s = CircleMap.rotation(ONE - TAU)
-    tree = SubdivisionTree.from_json(["s+", ["s+", "leaf", "leaf"], "leaf"])
+    tree = leaf_exponents(["s+", ["s+", "leaf", "leaf"], "leaf"])
     torsion = CircleMap.from_tree_pair(tree, tree, 1)
     lift_r = LiftMap(r.table)
     corpus = [

@@ -18,7 +18,7 @@ from itertools import islice
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap
 from taut.construct import (_embed_in_chart, commutator_trick, connect_tuple_derived,
                             factor_local, match_intervals, preference_points,
                             random_element)
@@ -220,9 +220,8 @@ def test_circle_and_lift_tables_have_no_colinear_neighbours(c, d, seed, size):
     tree = random_element(seed, size, "T_tau")
     assert_normalized(tree)
     assert_normalized(random_element(seed, size, "F_tau"))
-    caret = SubdivisionTree.leaf()
-    for _ in range(size):
-        caret = SubdivisionTree.split(caret, SubdivisionTree.leaf())
+    # the left comb of size + 1 leaves, exponents size, size + 1, size, ..., 2
+    caret = [size, *range(size + 1, 1, -1)]
     # equal trees give the identity, from size + 1 pieces of exponent 0
     assert CircleMap.from_tree_pair(caret, caret, 0).table == PLMap.identity()
 

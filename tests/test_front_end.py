@@ -2,8 +2,8 @@
 
 Each reader of command lines, expression words, tree pairs and payloads
 reads its input once; the routes it replaced are kept here as oracles:
-the top-level argparse route of `main`, the recursive tree partition and
-the loaders that validated a table before moving it.
+the top-level argparse route of `main`, the recursive tree reader and
+tree partition and the loaders that validated a table before moving it.
 """
 
 import io
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taut import cli, expr
-from taut.circle import CircleMap, SubdivisionTree, _partition
+from taut.circle import CircleMap, _partition, leaf_exponents
 from taut.errors import BudgetError, SchemaError, TautError
 from taut.expr import MAX_POWER_WORK, evaluate_str
 from taut.lift import LiftMap
@@ -89,85 +89,133 @@ def test_main_reads_sys_argv_by_default(monkeypatch):
 
 # -- tree pairs -----------------------------------------------------------------
 
+def _recursive_tree(obj):
+    """A tree payload read as the recursive reader that leaf_exponents
+    replaces read it, one node per split: None for a leaf, else the triple
+    (left, right, wide_first).  Its error is the reader's own."""
+    if obj == "leaf":
+        return None
+    if isinstance(obj, list) and len(obj) == 3 and obj[0] in ("s+", "s-"):
+        return (_recursive_tree(obj[1]), _recursive_tree(obj[2]), obj[0] == "s+")
+    raise SchemaError(f"bad subdivision tree payload: {obj!r}")
+
+
+def _recursive_exponents(tree, e=0):
+    """The leaf exponents of a _recursive_tree, leaves from left to right."""
+    if tree is None:
+        return [e]
+    left, right, wide_first = tree
+    first, second = (1, 2) if wide_first else (2, 1)
+    return _recursive_exponents(left, e + first) + _recursive_exponents(right, e + second)
+
+
 def _recursive_boundaries(tree, lo, hi):
     """The partition as it was built: one split of [lo, hi] per node."""
-    if tree.is_leaf:
+    if tree is None:
         return [lo, hi]
-    mid = lo + (TAU if tree.wide_first else tau_pow(2)) * (hi - lo)
-    return (_recursive_boundaries(tree.left, lo, mid)[:-1]
-            + _recursive_boundaries(tree.right, mid, hi))
+    left, right, wide_first = tree
+    mid = lo + (TAU if wide_first else tau_pow(2)) * (hi - lo)
+    return (_recursive_boundaries(left, lo, mid)[:-1]
+            + _recursive_boundaries(right, mid, hi))
 
 
 trees = st.recursive(
-    st.just(SubdivisionTree.leaf()),
-    lambda sub: st.builds(SubdivisionTree.split, sub, sub, st.booleans()),
+    st.just("leaf"),
+    lambda sub: st.tuples(st.sampled_from(["s+", "s-"]), sub, sub).map(list),
     max_leaves=12)
-points = st.builds(ZTau, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+bad_nodes = st.one_of(
+    st.sampled_from(["Leaf", "", "s+", None, True, 0, 3, 2.5, [], {},
+                     {"p": "leaf"}, ("s+", "leaf", "leaf")]),
+    st.tuples(st.sampled_from(["s*", "S+", "+", None, 1, ["s+"]]), trees, trees).map(list),
+    st.lists(trees, max_size=1).map(lambda sub: ["s-", *sub]),
+    st.lists(trees, min_size=3, max_size=4).map(lambda sub: ["s+", *sub]))
+
+
+def _is_triple(obj) -> bool:
+    """Whether obj has two subtrees to walk into, whatever its tag."""
+    return isinstance(obj, list) and len(obj) == 3
+
+
+def _with_node(payload, index: int, node):
+    """payload with its node number index, in pre-order, replaced by node."""
+    count = -1
+
+    def walk(obj):
+        nonlocal count
+        count += 1
+        if count == index:
+            return node
+        if not _is_triple(obj):
+            return obj
+        return [obj[0], walk(obj[1]), walk(obj[2])]
+
+    return walk(payload)
 
 
 @settings(max_examples=200, deadline=None)
-@given(trees, points, points)
-def test_boundaries_match_the_recursive_partition(tree, lo, hi):
-    assert tree.boundaries(lo, hi) == _recursive_boundaries(tree, lo, hi)
+@given(trees)
+def test_boundaries_match_the_recursive_partition(tree):
+    expected = _recursive_boundaries(_recursive_tree(tree), ZTau(0), ZTau(1))
+    assert _partition(leaf_exponents(tree)) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(trees, trees, st.integers(-20, 20))
 def test_tree_pairs_match_the_recursive_partition(p, q, shift):
-    pe, qe = p.leaf_exponents(), q.leaf_exponents()
+    pe, qe = leaf_exponents(p), leaf_exponents(q)
     if len(pe) != len(qe):
         return
     lcount = len(pe)
-    pb = _recursive_boundaries(p, ZTau(0), ZTau(1))
-    qb = _recursive_boundaries(q, ZTau(0), ZTau(1))
+    pb = _recursive_boundaries(_recursive_tree(p), ZTau(0), ZTau(1))
+    qb = _recursive_boundaries(_recursive_tree(q), ZTau(0), ZTau(1))
     s = shift % lcount
     ys = [qb[(i + s) % lcount] + (1 if i + s >= lcount else 0)
           for i in range(lcount)]
     ys.append(ys[0] + 1)
     ks = [qe[(i + s) % lcount] - pe[i] for i in range(lcount)]
-    assert CircleMap.from_tree_pair(p, q, shift) == CircleMap(PLMap(pb, ys, ks))
+    assert CircleMap.from_tree_pair(pe, qe, shift) == CircleMap(PLMap(pb, ys, ks))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-40, 40), max_size=12), points, points)
-def test_partition_is_the_ring_running_sum(exponents, lo, hi):
-    # any exponents, not just a tree's, on any interval that boundaries passes
-    sums = [lo]
+@given(st.lists(st.integers(-40, 40), max_size=12))
+def test_partition_is_the_ring_running_sum(exponents):
+    # any exponents, not just a tree's
+    sums = [ZTau(0)]
     for e in exponents:
-        sums.append(sums[-1] + (hi - lo) * tau_pow(e))
-    assert _partition(lo, hi, exponents) == sums
-
-
-def _tree_of(payload):
-    """The tree of a well-formed payload, built by leaf() and split()."""
-    if payload == "leaf":
-        return SubdivisionTree.leaf()
-    tag, left, right = payload
-    return SubdivisionTree.split(_tree_of(left), _tree_of(right), tag == "s+")
+        sums.append(sums[-1] + tau_pow(e))
+    assert _partition(exponents) == sums
 
 
 @settings(max_examples=200, deadline=None)
 @given(trees)
 def test_tree_from_json_matches_leaf_and_split(tree):
-    payload = tree.to_json()
-    read = SubdivisionTree.from_json(payload)
-    built = _tree_of(payload)
-    assert read == built == tree
-    assert repr(read) == repr(built) == repr(tree)
-    assert read.leaf_exponents() == tree.leaf_exponents()
-    assert read.to_json() == payload
+    assert leaf_exponents(tree) == _recursive_exponents(_recursive_tree(tree))
 
 
-def test_the_shared_leaf_refuses_assignment():
-    leaf = SubdivisionTree.from_json("leaf")
-    assert leaf is SubdivisionTree.leaf()
-    for name in ("left", "right", "wide_first"):
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
-            setattr(leaf, name, leaf)
-        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
-            delattr(leaf, name)
-    assert repr(leaf) == "SubdivisionTree(left=None, right=None, wide_first=True)"
-    assert leaf.is_leaf and leaf.leaf_exponents() == [0]
+def _outcome_of(read, payload):
+    try:
+        return read(payload)
+    except TautError as exc:
+        return type(exc), str(exc)
+
+
+def _node_count(payload) -> int:
+    if not _is_triple(payload):
+        return 1
+    return 1 + _node_count(payload[1]) + _node_count(payload[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.lists(bad_nodes, min_size=1, max_size=2), st.data())
+def test_a_tree_with_bad_nodes_fails_as_the_recursive_reader(tree, bad, data):
+    # one bad node, or two, so the first in pre-order is the one named
+    payload = tree
+    for node in bad:
+        index = data.draw(st.integers(0, _node_count(payload) - 1))
+        payload = _with_node(payload, index, node)
+    got = _outcome_of(leaf_exponents, payload)
+    assert got == _outcome_of(lambda t: _recursive_exponents(_recursive_tree(t)), payload)
+    assert got[0] is SchemaError
 
 
 @pytest.mark.parametrize("payload, bad", [
@@ -180,7 +228,7 @@ def test_the_shared_leaf_refuses_assignment():
 ])
 def test_a_malformed_tree_keeps_its_message(payload, bad):
     with pytest.raises(SchemaError) as info:
-        SubdivisionTree.from_json(payload)
+        leaf_exponents(payload)
     assert str(info.value) == f"bad subdivision tree payload: {bad}"
 
 

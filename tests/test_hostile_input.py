@@ -3,15 +3,18 @@
 import json
 import os
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut import lift
+from taut import circle, lift
+from taut.circle import leaf_exponents
 from taut.cli import main
 from taut.construct import commutator_trick, connect_tuple, random_element
+from taut.errors import PowerBudgetExceeded
 from taut.expr import (MAX_NESTING, MAX_POWER, MAX_POWER_WORK, _size, evaluate_str,
                        to_expression)
 from taut.lift import LiftMap, rot_enclosure
@@ -696,6 +699,39 @@ def test_random_size_is_bounded(capsys, size):
     assert rc == 2 and out == ""
     assert err == (f"error (PowerBudgetExceeded): size {size} exceeds the "
                    f"bound {MAX_PIECES} on pieces\n")
+
+
+@cache
+def _balanced_tree(leaves: int):
+    """A tree payload with this many leaves, split as evenly as may be;
+    equal subtrees are one list, so it is built in O(log leaves)."""
+    if leaves == 1:
+        return "leaf"
+    return ["s+", _balanced_tree(leaves // 2), _balanced_tree(leaves - leaves // 2)]
+
+
+def test_a_tree_past_the_piece_bound_is_refused(capsys, monkeypatch):
+    # 2**17 leaves per tree once made a 131,072-piece table in about 3 s;
+    # now the reader stops at the leaf past the bound
+    tree = _balanced_tree(2 ** 17)
+    start = time.process_time()
+    with pytest.raises(PowerBudgetExceeded) as info:
+        leaf_exponents(tree)
+    assert time.process_time() - start < 1
+    assert str(info.value) == (f"a tree of more than {MAX_PIECES} leaves exceeds "
+                               "the bound on pieces")
+    # the command line ends in exit 2 before any partition is built
+    def no_partition(exponents):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(circle, "_partition", no_partition)
+    text = "lift(treepair " + json.dumps({"p": tree, "q": tree, "shift": 1}) + ", 0)"
+    rc, out, err = run(capsys, "eval", text)
+    assert rc == 2 and out == "" and err == f"error (PowerBudgetExceeded): {info.value}\n"
+    # the bound itself is read, and one leaf more is not
+    assert len(leaf_exponents(_balanced_tree(MAX_PIECES))) == MAX_PIECES
+    with pytest.raises(PowerBudgetExceeded):
+        leaf_exponents(_balanced_tree(MAX_PIECES + 1))
 
 
 def test_inferred_slope_of_a_huge_tau_power_is_read_at_once(capsys):

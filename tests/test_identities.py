@@ -16,7 +16,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap
 from taut.construct import random_element
 from taut.lift import LiftMap, rot, scl
 from taut.plmap import conjugate, power
@@ -61,11 +61,9 @@ def conj_rotations():
         st.integers(min_value=-2, max_value=2), conjugators)
 
 
-def comb(leaves: int) -> SubdivisionTree:
-    tree = SubdivisionTree.leaf()
-    for _ in range(leaves - 1):
-        tree = SubdivisionTree.split(tree, SubdivisionTree.leaf())
-    return tree
+def comb(leaves: int) -> list[int]:
+    """The leaf exponents of the left comb ["s+", ["s+", ..., "leaf"], "leaf"]."""
+    return [leaves - 1, *range(leaves, 1, -1)] if leaves > 1 else [0]
 
 
 def periodic_times_ftau():

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import CircleMap, SubdivisionTree, _eval_lift, _inverse_table
+from taut.circle import CircleMap, _eval_lift, _inverse_table, leaf_exponents
 from taut.construct import random_element
 from taut.errors import OutOfDomain
 from taut.expr import evaluate_str
@@ -349,10 +349,11 @@ def test_enclosure_walk_matches_reference_steps(f, returns, monkeypatch):
         assert squares  # the walks went through squares, not single steps only
 
 
+# trees as their leaf exponents, drawn as payloads
 trees = st.recursive(
-    st.just(SubdivisionTree.leaf()),
-    lambda sub: st.builds(SubdivisionTree.split, sub, sub, st.booleans()),
-    max_leaves=6)
+    st.just("leaf"),
+    lambda sub: st.tuples(st.sampled_from(["s+", "s-"]), sub, sub).map(list),
+    max_leaves=6).map(leaf_exponents)
 conjugators = st.builds(lambda s, n: random_element(s, n, "Lift"), seeds, sizes)
 
 
@@ -363,7 +364,7 @@ def periodic_lifts(draw):
     returns to itself after P = L / gcd(s, L) steps with slope 1, so F^P is
     a translation by an integer and 0 returns to an integer."""
     tree = draw(trees)
-    s = draw(st.integers(min_value=0, max_value=len(tree.leaf_exponents()) - 1))
+    s = draw(st.integers(min_value=0, max_value=len(tree) - 1))
     f = LiftMap(CircleMap.from_tree_pair(tree, tree, s).table).translate(draw(shifts))
     h = draw(conjugators)
     f = h.inverse() * f * h
@@ -418,19 +419,14 @@ def test_periodic_orbit_of_0_builds_no_table(monkeypatch):
 
 # -- the fixed point route --------------------------------------------------------
 
-LEAF = SubdivisionTree.leaf()
-
-
-def split_leaves(tree, which, wide_first: bool, start: int = 0):
-    """tree with its leaves numbered in which (from start) split in two,
-    wide part first or not, and its leaf count."""
-    if tree.is_leaf:
-        if start in which:
-            return SubdivisionTree.split(LEAF, LEAF, wide_first), 1
-        return tree, 1
-    left, m = split_leaves(tree.left, which, wide_first, start)
-    right, k = split_leaves(tree.right, which, wide_first, start + m)
-    return SubdivisionTree.split(left, right, tree.wide_first), m + k
+def split_leaves(tree: list[int], which, wide_first: bool) -> list[int]:
+    """The leaf exponents of tree with its leaves numbered in which split
+    in two, wide part first or not."""
+    first, second = (1, 2) if wide_first else (2, 1)
+    out = []
+    for i, e in enumerate(tree):
+        out += [e + first, e + second] if i in which else [e]
+    return out
 
 
 def bumped_lift(tree, which, wide_first: bool, s: int, n: int, h: LiftMap) -> LiftMap:
@@ -440,8 +436,8 @@ def bumped_lift(tree, which, wide_first: bool, s: int, n: int, h: LiftMap) -> Li
     tree s places on, so rot = s/L + n, and 0's orbit only tends to a
     periodic one.  With s = 0 it is a lifted F_tau element with flat
     fixed intervals, rot = n."""
-    ta, _ = split_leaves(tree, which, wide_first)
-    tb, _ = split_leaves(tree, which, not wide_first)
+    ta = split_leaves(tree, which, wide_first)
+    tb = split_leaves(tree, which, not wide_first)
     bump = LiftMap(CircleMap.from_tree_pair(ta, tb, 0).table)
     body = LiftMap(CircleMap.from_tree_pair(tree, tree, s).table) * bump
     return h.inverse() * body.translate(n) * h
@@ -452,7 +448,7 @@ def rational_lifts(draw):
     """bumped_lift of random trees, bumps, shifts and conjugators, or its
     inverse: G(0) takes either sign."""
     tree = draw(trees)
-    leaves = len(tree.leaf_exponents())
+    leaves = len(tree)
     which = draw(st.sets(st.integers(min_value=0, max_value=leaves - 1),
                          min_size=1, max_size=2))
     s = draw(st.integers(min_value=0, max_value=leaves - 1))
@@ -501,7 +497,7 @@ def test_enclosure_fixed_point_route_matches_reference_steps(f, data):
     assert rot_enclosure(f, n) == lift._orbit_enclosure({1: f}, n)
 
 
-T3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF, False), LEAF, True)
+T3 = leaf_exponents(["s+", ["s-", "leaf", "leaf"], "leaf"])
 ROUTE_LIFTS = {
     # rot 1/3 and -1/3, whose G(0) is below and above 0
     "hyperbolic": bumped_lift(T3, {0}, True, 1, 0, random_element(5, 3, "Lift")),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import zt
 from taut import lift, plmap
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap
 from taut.construct import random_element
 from taut.errors import PowerBudgetExceeded
 from taut.expr import evaluate_str
@@ -27,8 +27,7 @@ from taut.lift import (
 from taut.plmap import PLMap, conjugate, power
 from taut.ring import ONE, QTau, TAU, ZERO, ZTau, tau_pow
 
-LEAF = SubdivisionTree.leaf()
-CARET3 = SubdivisionTree.split(SubdivisionTree.split(LEAF, LEAF), LEAF)
+CARET3 = [2, 3, 2]   # the leaf exponents of ["s+", ["s+", "leaf", "leaf"], "leaf"]
 TORSION = CircleMap.from_tree_pair(CARET3, CARET3, 1)
 LC = LiftMap(TORSION.table)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from taut import lift
-from taut.circle import CircleMap, SubdivisionTree
+from taut.circle import CircleMap
 from taut.construct import (
     COMMUTATOR_EXPR,
     FACTOR_U_EXPR,
@@ -46,6 +46,7 @@ from taut.lift import (
     scl,
 )
 from taut.plmap import PLMap
+from taut.record import Record
 from taut.ring import ONE, QTau, TAU, ZERO, ZTau, tau_pow
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,7 +60,6 @@ _T = LiftMap.translation(TAU)
 _ROTS = (RotTranslation(TAU), RotRational(Fraction(1, 3), QTau(ZERO)),
          RotTranslation(ZTau(1)))
 _C = CircleMap.rotation(TAU)
-_LEAF = SubdivisionTree()
 
 # class, its required fields in order, its defaults, and another value
 # of its first field
@@ -71,7 +71,6 @@ RECORDS = [
      Fraction(-1, 3)),
     (SclResult, {"rot": _ROTS[0]}, {}, _ROTS[1]),
     (DefectDelta, {"exact": QTau(ONE), "rots": _ROTS}, {}, None),
-    (SubdivisionTree, {}, {"left": None, "right": None, "wide_first": True}, _LEAF),
     (TransitivityCertificate,
      {"element": PLMap.identity(), "sources": (TAU,), "targets": (TAU,)},
      {"compact": False, "expr": None, "pieces": {}}, _T.table),
@@ -95,8 +94,9 @@ def _hashable(fields) -> bool:
     return not any(isinstance(v, dict) for v in fields.values())
 
 
-def test_eleven_records():
-    assert len({r[0] for r in RECORDS}) == 11
+def test_ten_records():
+    assert len({r[0] for r in RECORDS}) == 10
+    assert {r[0] for r in RECORDS} == set(Record.__subclasses__())
 
 
 @pytest.mark.parametrize("cls, required, defaults, other", RECORDS, ids=_ids(RECORDS))
@@ -159,9 +159,6 @@ def test_record_reprs():
             == "RotEnclosure(lo=Fraction(0, 1), hi=Fraction(1, 3), iterations=3)")
     assert (repr(SclResult(RotRational(Fraction(1, 3), QTau(ZERO))))
             == "SclResult(rot=RotRational(value=Fraction(1, 3), root=QTau(ZTau(0, 0), 1)))")
-    leaf = "SubdivisionTree(left=None, right=None, wide_first=True)"
-    assert (repr(SubdivisionTree.split(_LEAF, _LEAF, False))
-            == f"SubdivisionTree(left={leaf}, right={leaf}, wide_first=False)")
     assert repr(_T) == "LiftMap(CircleMap(v=t, pieces=1), n=0)"
     assert (repr(TransitivityCertificate(PLMap.identity(), (), ()))
             == "TransitivityCertificate(element=PLMap([0, 1] -> [0, 1], ks=[0]), "
