@@ -89,10 +89,6 @@ class CircleMap:
         return cls(PLMap(_partition(pe), ys, ks))
 
     @classmethod
-    def from_raw(cls, xs, ys, ks=None) -> CircleMap:
-        return cls(PLMap.from_raw(xs, ys, ks))
-
-    @classmethod
     def from_json(cls, obj: object) -> CircleMap:
         return _from_circle_json(cls, obj)
 

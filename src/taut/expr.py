@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from itertools import accumulate
 
 from . import construct
@@ -69,6 +70,7 @@ _NAME = re.compile(r"\w+")
 _BLANKS = re.compile(r"\s+")
 _DECODER = json.JSONDecoder()
 _BRACKET = re.compile(r"[][{}]")
+_LONG_INT = f"integer too long (more than {sys.get_int_max_str_digits()} digits)"
 
 
 def _check_json_nesting(text: str) -> None:
@@ -162,9 +164,9 @@ class _Scanner:
         self.skip_ws()
         try:
             obj, end = _DECODER.raw_decode(self.text, self.pos)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long
             self.check_nesting(len(self.text))
-            raise self.error(f"bad inline JSON: {exc.msg}") from exc
+            raise self.error(f"bad inline JSON: {getattr(exc, 'msg', _LONG_INT)}") from exc
         except RecursionError:  # the decoder's own bound, far past ours
             raise self.error(f"JSON nests deeper than {MAX_NESTING} "
                              "levels") from None
@@ -440,8 +442,8 @@ def _load(text: str):
     _check_json_nesting(text)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long
+        raise SchemaError(f"not valid JSON: {getattr(exc, 'msg', _LONG_INT)}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("payload must be an object with a 'kind'")
     kind = obj["kind"]

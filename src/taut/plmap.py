@@ -72,7 +72,7 @@ class PLMap:
         # (the same exponent across a shared breakpoint) merge.  The run
         # is dx = pa + pb*tau and the rise dy = qa + qb*tau; dx > 0 and
         # dy = tau**k * dx give dy > 0, so dy's sign matters only on
-        # rejection.  dy == 0 is rejected before tau_pow(k): from_raw
+        # rejection.  dy == 0 is rejected before tau_pow(k): _json_table
         # bounds k only if dy != 0.
         keep = [0]
         x0, y0 = xs[0], ys[0]
@@ -108,11 +108,6 @@ class PLMap:
     @classmethod
     def identity(cls, lo: ZTau = ZERO, hi: ZTau = ONE) -> PLMap:
         return cls((lo, hi), (lo, hi), (0,))
-
-    @classmethod
-    def from_raw(cls, xs, ys, ks=None) -> PLMap:
-        """Validate an untrusted table; slope exponents are inferred if absent."""
-        return cls(*_raw_table(xs, ys, ks))
 
     @classmethod
     def from_json(cls, obj: object) -> PLMap:
@@ -355,25 +350,23 @@ def _table_json(xs, ys, ks) -> dict:
     }
 
 
-def _raw_table(xs, ys, ks=None) -> tuple[list, list, list]:
-    """The lists xs, ys and ks of an untrusted table, read as ring
-    elements and integers and with its slope exponents bounded, for
-    PLMap.__init__ to validate; ks are inferred if None."""
-    xs = [_coerce_ring(x) for x in xs]
-    ys = [_coerce_ring(y) for y in ys]
-    if ks is None:
-        if len(ys) < len(xs):
-            raise SchemaError("breakpoint table has inconsistent lengths")
-        ks = []
-        for i in range(len(xs) - 1):
-            dx = xs[i + 1] - xs[i]
-            dy = ys[i + 1] - ys[i]
-            if dx.sign() <= 0 or dy.sign() <= 0:
-                raise NotIncreasing(f"table is not strictly increasing at piece {i}")
-            k, m = tau_exponent(dy, dx)
-            if m != dy:
-                raise NotTauPower(f"slope of piece {i} is no power of tau")
-            ks.append(k)
+def _json_table(obj: object) -> tuple[list, list, list]:
+    """The lists xs, ys and ks of a table payload, for PLMap.__init__ to
+    validate: breakpoints read as ring elements and stated slope exponents
+    as JSON integers, each bounded by the height of its piece."""
+    if not isinstance(obj, dict):
+        raise SchemaError("piecewise map payload must be an object")
+    unknown = obj.keys() - {"xs", "ys", "ks", "kind", "schema"}
+    if unknown:
+        raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
+    try:
+        xs = [ZTau.from_json(v) for v in obj["xs"]]
+        ys = [ZTau.from_json(v) for v in obj["ys"]]
+        ks = obj["ks"]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"bad piecewise map payload: {exc}") from exc
+    if not isinstance(ks, list):
+        raise SchemaError("slope exponents 'ks' must be a list")
     ks = [json_int(k, "slope exponent") for k in ks]
     # Both embeddings of a nonzero a + b*tau lie in [1/H, H] with
     # H = |a| + 2|b|, as its norm is a nonzero integer; so a slope
@@ -388,39 +381,6 @@ def _raw_table(xs, ys, ks=None) -> tuple[list, list, list]:
         if h and abs(k) > 3 * h.bit_length() // 2 + 1:
             raise SlopeMismatch(f"piece {i} does not have slope tau**{k}")
     return xs, ys, ks
-
-
-def _json_table(obj: object) -> tuple[list, list, list]:
-    """The lists xs, ys and ks of a table payload, read as _raw_table
-    reads them."""
-    if not isinstance(obj, dict):
-        raise SchemaError("piecewise map payload must be an object")
-    unknown = obj.keys() - {"xs", "ys", "ks", "kind", "schema"}
-    if unknown:
-        raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
-    try:
-        xs = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
-              for v in obj["xs"]]
-        ys = [ZTau.from_json(v) if "a" in v else QTau.from_json(v)
-              for v in obj["ys"]]
-        ks = obj.get("ks")
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad piecewise map payload: {exc}") from exc
-    if ks is not None and not isinstance(ks, list):
-        raise SchemaError("slope exponents 'ks' must be a list")
-    return _raw_table(xs, ys, ks)
-
-
-def _coerce_ring(v) -> ZTau:
-    if isinstance(v, ZTau):
-        return v
-    if isinstance(v, int):
-        return ZTau(v)
-    if isinstance(v, QTau):
-        if v.den != 1:
-            raise NotInRing(f"{v} is not in Z[tau]")
-        return v.num
-    raise NotInRing(f"{v!r} is not in Z[tau]")
 
 
 def concat(parts: list[PLMap]) -> PLMap:

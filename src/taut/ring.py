@@ -218,7 +218,7 @@ INV_TAU = ZTau(1, 1)
 
 
 # Real tables use few, small exponents; the bound keeps the memory of
-# hostile ones (up to PLMap.from_raw's height bound) finite.
+# hostile ones (up to the table reader's height bound) finite.
 TAU_POW_CACHE = 1024
 
 
@@ -352,13 +352,6 @@ class QTau:
 
     def __float__(self) -> float:
         return _float(self.num.a, self.num.b, self.den)
-
-    @classmethod
-    def from_json(cls, obj: object) -> QTau:
-        if not isinstance(obj, dict) or set(obj) - {"num", "den"}:
-            raise SchemaError(f"bad quotient payload: {obj!r}")
-        return cls(ZTau.from_json(obj.get("num", {})),
-                   json_coeff(obj.get("den", "1"), "quotient denominator"))
 
 
 def _maybe_qtau(x: object) -> QTau | None:

@@ -11,8 +11,9 @@ from taut.errors import (
     NotFtau,
     NotInRing,
     NotTauPower,
+    SchemaError,
 )
-from taut.plmap import PLMap, commutator, power
+from taut.plmap import PLMap, _table_json, commutator, power
 from taut.ring import ONE, QTau, TAU, ZERO, tau_pow
 
 T2 = tau_pow(2)
@@ -74,13 +75,19 @@ def test_validate_raw():
     raw = TORSION.to_json()
     assert CircleMap.from_json(raw) == TORSION
     with pytest.raises(NotTauPower):
-        CircleMap.from_raw([ZERO, ONE], [ZERO, zt(2)], None)
+        CircleMap.from_json(_table_json([ZERO, ONE], [ZERO, zt(2)], [0]))
     with pytest.raises(DegreeNotOne):
         # valid tau-slope table on [0,1] climbing by 2 instead of 1
-        CircleMap.from_raw([ZERO, TAU, ONE], [ZERO, zt(1, 1), zt(2)], [-2, 0])
+        CircleMap.from_json(_table_json([ZERO, TAU, ONE], [ZERO, zt(1, 1), zt(2)],
+                                        [-2, 0]))
     # degree check needs the table first: build ys = x + 1/2 via quotients
     with pytest.raises(NotInRing):
-        CircleMap.from_raw([QTau(0), QTau(1)], [QTau(1, 2), QTau(3, 2)], [0])
+        CircleMap(PLMap([QTau(0), QTau(1)], [QTau(1, 2), QTau(3, 2)], [0]))
+    # and a payload's breakpoints are ring elements, never quotients
+    half = {"num": {"a": "1"}, "den": 2}
+    with pytest.raises(SchemaError, match="bad ring element payload"):
+        CircleMap.from_json({"xs": [{"a": "0"}, {"a": "1"}], "ys": [half, half],
+                             "ks": [0]})
 
 
 def test_group_ops():

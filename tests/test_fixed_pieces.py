@@ -185,13 +185,12 @@ def split_table(t: PLMap) -> tuple[list, list, list]:
 
 
 def assert_rebuilt_normalized(cls, g, t: PLMap) -> None:
-    """Tables written with colinear neighbours, read through from_raw and
-    from_json with and without their exponents, come out as g."""
+    """Tables written with colinear neighbours, built by PLMap and read
+    through from_json with their exponents stated, come out as g."""
     xs, ys, ks = split_table(t)
-    payload = _table_json(xs, ys, ks)
-    inferred = {"xs": payload["xs"], "ys": payload["ys"]}
-    for h in (cls.from_raw(xs, ys, ks), cls.from_raw(xs, ys),
-              cls.from_json(payload), cls.from_json(inferred)):
+    table = PLMap(xs, ys, ks)
+    for h in (table if cls is PLMap else cls(table),
+              cls.from_json(_table_json(xs, ys, ks))):
         assert_normalized(h)
         assert h == g
 

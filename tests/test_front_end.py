@@ -4,6 +4,11 @@ Each reader of command lines, expression words, tree pairs and payloads
 reads its input once; the routes it replaced are kept here as oracles:
 the top-level argparse route of `main`, the recursive tree reader and
 tree partition and the loaders that validated a table before moving it.
+The old loaders also read quotient breakpoints, inferred the exponents
+of a table without "ks" and routed a breakpoint without "a" to the
+quotient reader; the one table reader takes ring elements and stated
+exponents only, so it matches them on every other payload, and those
+three forms are tested on their own.
 """
 
 import io
@@ -19,10 +24,10 @@ from hypothesis import strategies as st
 
 from taut import cli, expr
 from taut.circle import CircleMap, _partition, leaf_exponents
-from taut.errors import BudgetError, SchemaError, TautError
+from taut.errors import BudgetError, NotInRing, SchemaError, TautError
 from taut.expr import MAX_POWER_WORK, evaluate_str
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _coerce_ring
+from taut.plmap import PLMap
 from taut.ring import QTau, TAU, ZTau, is_tau_power, json_coeff, json_int, tau_pow
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -248,14 +253,26 @@ def _old_qtau(obj):
                 json_coeff(obj.get("den", "1"), "quotient denominator"))
 
 
+def _old_coerce_ring(v):
+    if isinstance(v, ZTau):
+        return v
+    if isinstance(v, int):
+        return ZTau(v)
+    if isinstance(v, QTau):
+        if v.den != 1:
+            raise NotInRing(f"{v} is not in Z[tau]")
+        return v.num
+    raise NotInRing(f"{v!r} is not in Z[tau]")
+
+
 def _old_from_raw(xs, ys, ks=None):
     from taut.errors import NotIncreasing, NotTauPower, SlopeMismatch
 
     def height(z):
         return abs(z.a) + 2 * abs(z.b)
 
-    xs = [_coerce_ring(x) for x in xs]
-    ys = [_coerce_ring(y) for y in ys]
+    xs = [_old_coerce_ring(x) for x in xs]
+    ys = [_old_coerce_ring(y) for y in ys]
     if ks is None:
         ks = []
         for i in range(len(xs) - 1):
@@ -389,18 +406,15 @@ def test_loaders_match_the_old_route_on_benchmark_payloads(workload):
 @pytest.mark.parametrize("ys", [[0], [0, 1, 2], [1, 0, 2], [0, 2, 3], [0, 1, 2, 3]])
 def test_table_without_slopes_and_uneven_lengths_fails_as_a_table(
         ys, tmp_path, capsys):
-    # fewer ys than xs: inferring the slopes indexed past the end of ys, a
-    # traceback; more ys still reach the inference and fail as they did
+    # exponents are stated, never inferred: whatever its ys, a table
+    # without "ks" is a schema error, before any slope is looked at
     obj = {"kind": "plmap", "xs": [{"a": "0"}, {"a": "1"}],
            "ys": [{"a": str(y)} for y in ys]}
-    if len(ys) < 2:
-        cls, msg = SchemaError, "breakpoint table has inconsistent lengths"
-    else:
-        cls, msg = _loaded(_old_plmap, obj)
     path = tmp_path / "map.json"
     path.write_text(json.dumps(obj))
     rc = cli.main(["check", str(path)])
-    assert rc == 1 and capsys.readouterr().err == f"error ({cls.__name__}): {msg}\n"
+    assert rc == 1 and capsys.readouterr().err == (
+        "error (SchemaError): bad piecewise map payload: 'ks'\n")
 
 
 def _one_piece(x1, y1, k):
@@ -416,9 +430,23 @@ def test_hostile_coefficients_fail_as_before(value):
     for obj in ({"a": value}, {"b": value}, {"a": "1", "b": value},
                 {"a": value, "b": "x"}):
         _same_as_old(ZTau.from_json, _old_ztau, obj)
+        if "a" not in obj:
+            continue  # the old table reader took it for a quotient
         table = _one_piece({"a": "1"}, {"a": "1"}, 0)
         table["ys"][1] = obj
         _same_as_old(PLMap.from_json, _old_plmap, table)
+
+
+@pytest.mark.parametrize("value", HOSTILE_COEFFICIENTS, ids=repr)
+def test_a_breakpoint_without_a_is_a_ring_element(value):
+    # as {"a": "0", "b": value} was read, where the old reader took
+    # {"b": value} for a quotient
+    for place in ("xs", "ys"):
+        table = _one_piece({"a": "1"}, {"a": "1"}, 0)
+        table[place][1] = {"b": value}
+        written = _one_piece({"a": "1"}, {"a": "1"}, 0)
+        written[place][1] = {"a": "0", "b": value}
+        assert _loaded(PLMap.from_json, table) == _loaded(_old_plmap, written)
 
 
 def test_json_integers_are_still_ring_coefficients():
@@ -463,14 +491,68 @@ def test_slope_bound_edge_fails_as_before(rise, k):
                                                     {"a": "6", "b": "1"}],
               "ks": [0], "base": {"a": "-2", "b": "1"}}, "n": -4},
     {"base": {"xs": [{"a": "0"}, {"a": "1"}], "ys": [], "ks": [0]}, "n": 1},
-    {"base": {"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"num": {"a": "1"},
-                                                     "den": 2}], "ks": []}},
     {"base": [], "n": 0}, {"n": 0}, [],
-], ids=range(10))
+], ids=[*range(6), *range(7, 10)])  # case 6, a quotient, is refused below
 def test_lift_payload_faults_fail_as_before(obj):
     _same_as_old(LiftMap.from_json, _old_lift, obj)
     if isinstance(obj, dict) and "base" in obj:
         _same_as_old(CircleMap.from_json, _old_circle, obj["base"])
+
+
+def _connect_payload(x1):
+    """The F_tau element through (tau, tau**2), of slopes tau and 1/tau,
+    with x1 written for its breakpoint tau."""
+    return {"xs": [{"a": "0"}, x1, {"a": "1"}],
+            "ys": [{"a": "0"}, {"a": "1", "b": "-1"}, {"a": "1"}], "ks": [1, -1]}
+
+
+def _read_everywhere(table, tmp_path):
+    """The outcomes of eval map, as an interval and as a circle payload,
+    and of taut check on a plmap, a circle and a lift file of table."""
+    circle = dict(table, kind="circle")
+    outcomes = [_outcome(cli.main, ["eval", "map " + json.dumps(obj)])
+                for obj in (table, circle)]
+    for obj in (dict(table, kind="plmap"), circle,
+                {"kind": "lift", "base": table, "n": 0}):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        outcomes.append(_outcome(cli.main, ["check", str(path)]))
+    return outcomes
+
+
+def test_a_breakpoint_of_b_alone_reads_as_tau(tmp_path):
+    table = _connect_payload({"b": "1"})
+    assert PLMap.from_json(table) == PLMap(
+        [ZTau(0), TAU, ZTau(1)], [ZTau(0), tau_pow(2), ZTau(1)], [1, -1])
+    written = _read_everywhere(_connect_payload({"a": "0", "b": "1"}), tmp_path)
+    assert _read_everywhere(table, tmp_path) == written
+    assert [code for code, _, _ in written] == [0] * 5
+
+
+@pytest.mark.parametrize("x1, message", [
+    (None, "bad ring element payload: None"),
+    ([1], "bad ring element payload: [1]"),
+    ({"num": {"a": "2"}, "den": 2},
+     "bad ring element payload: {'num': {'a': '2'}, 'den': 2}"),
+    ({"num": {"a": "1"}, "den": 0},
+     "bad ring element payload: {'num': {'a': '1'}, 'den': 0}"),
+    ("no ks", "bad piecewise map payload: 'ks'"),
+], ids=["null", "list", "quotient", "zero-den", "no-ks"])
+def test_quotients_and_tables_without_ks_are_schema_errors(x1, message, tmp_path):
+    # a quotient breakpoint, even one in the ring, and a table without
+    # its exponents were read once; null was refused with a TypeError's
+    # text, [1] as a quotient, and a zero denominator ended in
+    # ZeroDivisionError
+    if x1 == "no ks":
+        table = _connect_payload({"b": "1"})
+        del table["ks"]
+    else:
+        table = _connect_payload(x1)
+    outcomes = _read_everywhere(table, tmp_path)
+    for code, out, err in outcomes[:2]:
+        assert code == 1 and out == ""
+        assert err.startswith(f"error (ExprSyntaxError): {message} (line 1, column ")
+    assert outcomes[2:] == [(1, "", f"error (SchemaError): {message}\n")] * 3
 
 
 # -- expression text ---------------------------------------------------------------

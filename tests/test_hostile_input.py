@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import time
 from functools import cache
 from pathlib import Path
@@ -237,18 +238,21 @@ def _map(x):
 
 
 def test_ring_coefficients_are_read_exactly_or_rejected(tmp_path, capsys):
-    # a decimal string, as written, or a JSON integer
-    for good in ('{"a": "1"}', '{"a": 1}', '{"num": {"a": "2"}, "den": 2}',
-                 '{"num": {"a": "-2"}, "den": "-2"}'):
+    # a decimal string, as written, or a JSON integer; a ring element,
+    # never a quotient, even one whose value is in the ring
+    for good in ('{"a": "1"}', '{"a": 1}', '{"a": "1", "b": 0}',
+                 '{"b": "0", "a": 1}'):
         assert run(capsys, "eval", "map " + _map(good))[0] == 0
     path = tmp_path / "map.json"
     for bad in ('{"a": 1.9}', '{"a": true}', '{"a": 1e400}', '{"a": "1.0"}',
                 '{"a": "+1"}', '{"a": null}', '{"b": [1], "a": "1"}',
                 '{"a": "' + "9" * 5000 + '"}',
+                '{"num": {"a": "2"}, "den": 2}',
+                '{"num": {"a": "-2"}, "den": "-2"}',
                 '{"num": {"a": "2"}, "den": 2.7}',
                 '{"num": {"a": "2"}, "den": "2/1"}'):
         err = assert_one_line_error(capsys, "eval", "map " + _map(bad))
-        assert "ring coefficient" in err or "quotient denominator" in err
+        assert "ring coefficient" in err or "bad ring element payload" in err
         path.write_text('{"kind": "plmap", ' + _map(bad)[1:])
         assert "SchemaError" in assert_one_line_error(capsys, "check", str(path))
 
@@ -520,6 +524,31 @@ def test_long_integer_in_an_expression_is_a_syntax_error(capsys, argv, column):
     assert rc == 1 and json.loads(out)["error"]["type"] == "ExprSyntaxError"
 
 
+def _long_json_integers(tmp_path):
+    """A JSON integer of LONG's digits where each reader of JSON meets it:
+    an inline map coefficient, a tree pair's shift and a lift file's n."""
+    yield (["eval", "map " + _map(f'{{"a": {LONG}}}')], "ExprSyntaxError",
+           "bad inline JSON: {} (line 1, column 5)")
+    yield (["eval", f'treepair {{"p": "leaf", "q": "leaf", "shift": {LONG}}}'],
+           "ExprSyntaxError", "bad inline JSON: {} (line 1, column 10)")
+    path = tmp_path / "lift.json"
+    path.write_text('{"kind": "lift", "base": ' + _map('{"a": "1"}') + f', "n": {LONG}}}')
+    yield ["check", str(path)], "SchemaError", "not valid JSON: {}"
+
+
+def test_long_json_integer_is_named_as_such(tmp_path, capsys):
+    too_long = f"integer too long (more than {sys.get_int_max_str_digits()} digits)"
+    for argv, kind, message in _long_json_integers(tmp_path):
+        message = message.format(too_long)
+        err = assert_one_line_error(capsys, *argv)
+        assert err == f"error ({kind}): {message}\n"
+        rc, out, err = run(capsys, argv[0], "--json", *argv[1:])
+        assert rc == 1 and err == ""
+        assert json.loads(out)["error"] == {"kind": "domain", "message": message,
+                                            "type": kind}
+        assert "set_int_max_str_digits" not in out
+
+
 def test_long_integer_in_a_ring_literal_is_positioned(capsys):
     err = assert_one_line_error(capsys, "connect", "--", f"{LONG}*t", "t")
     assert "bad ring literal" in err and "at column 1" in err
@@ -734,15 +763,24 @@ def test_a_tree_past_the_piece_bound_is_refused(capsys, monkeypatch):
         leaf_exponents(_balanced_tree(MAX_PIECES + 1))
 
 
-def test_inferred_slope_of_a_huge_tau_power_is_read_at_once(capsys):
-    # one piece of slope tau**-20000: [0, tau**20000] -> [0, 1], no "ks"
+def test_a_stated_slope_of_a_huge_tau_power_is_read_at_once(tmp_path, capsys):
+    # one piece of slope tau**-20000: [0, tau**20000] -> [0, 1]
     end = tau_pow(20000)
-    table = json.dumps({"xs": [{"a": "0"}, {"a": str(end.a), "b": str(end.b)}],
-                        "ys": [{"a": "0"}, {"a": "1"}]})
+    table = {"xs": [{"a": "0"}, {"a": str(end.a), "b": str(end.b)}],
+             "ys": [{"a": "0"}, {"a": "1"}], "ks": [-20000]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(dict(table, kind="plmap")))
     start = time.perf_counter()
-    rc, out, _ = run(capsys, "eval", f"map {table}")
-    assert time.perf_counter() - start < 1
+    rc, out, _ = run(capsys, "eval", f"map {json.dumps(table)}")
     assert rc == 0 and out.startswith("interval element")
+    assert run(capsys, "check", str(path))[0] == 0
+    assert time.perf_counter() - start < 1
+    # with its exponent left out, the table is refused, not searched
+    del table["ks"]
+    start = time.perf_counter()
+    err = assert_one_line_error(capsys, "eval", f"map {json.dumps(table)}")
+    assert "bad piecewise map payload: 'ks'" in err
+    assert time.perf_counter() - start < 1
 
 
 _COMM_G = ('treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '

@@ -33,10 +33,12 @@ CONNECT = PLMap((ZERO, TAU, ONE), (ZERO, T2, ONE), (1, -1))
 
 
 def test_validate_connect_map():
-    g = PLMap.from_raw([ZERO, TAU, ONE], [ZERO, T2, ONE], [1, -1])
+    g = PLMap([ZERO, TAU, ONE], [ZERO, T2, ONE], [1, -1])
     assert g.num_pieces == 2
-    inferred = PLMap.from_raw([ZERO, TAU, ONE], [ZERO, T2, ONE])
-    assert inferred == g
+    payload = {"xs": [{"a": "0"}, {"b": "1"}, {"a": "1"}],
+               "ys": [{"a": "0"}, {"a": "1", "b": "-1"}, {"a": "1"}],
+               "ks": [1, -1]}
+    assert PLMap.from_json(payload) == g == CONNECT
 
 
 def test_validate_identity_and_merge():
@@ -51,7 +53,10 @@ def test_validate_rejects():
     with pytest.raises(NotIncreasing):
         PLMap((ONE, ZERO), (ZERO, ONE), (0,))
     with pytest.raises(NotTauPower):
-        PLMap.from_raw([zt(0), zt(1)], [zt(0), zt(2)])
+        PLMap((zt(0), zt(1)), (zt(0), zt(2)), (0,))
+    with pytest.raises(NotTauPower):
+        PLMap.from_json({"xs": [{"a": "0"}, {"a": "1"}],
+                         "ys": [{"a": "0"}, {"a": "2"}], "ks": [1]})
 
 
 def test_eval():

@@ -106,7 +106,7 @@ def iterated_tau_pow(k: int) -> ZTau:
 def test_tau_pow_matches_the_iterated_powers():
     for k in range(-300, 301):
         assert tau_pow(k) == iterated_tau_pow(k)
-    # the largest exponent PLMap.from_raw admits for a piece whose run and
+    # the largest exponent a table payload admits for a piece whose run and
     # rise have 4,000-digit coefficients: |k| <= 3 * bits(h) // 2 + 1
     c = 10 ** 4000 - 1
     h = (3 * c) * (3 * c)  # heights |a| + 2|b| of run and rise c + c*tau
