@@ -10,12 +10,14 @@ every platform.
 from __future__ import annotations
 
 from itertools import chain
+from operator import methodcaller
 
 from .circle import CircleMap
 from .errors import (
     BadTuple,
     BudgetExceeded,
     CertificateError,
+    ExprError,
     IdentityInput,
     NoRoomInTarget,
     PowerBudgetExceeded,
@@ -212,13 +214,85 @@ def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
                  (j + 1, j))
 
 
+# -- certificate payloads -------------------------------------------------------
+#
+# A payload class has a JSON kind and FIELDS, name -> (write, read), where
+# read takes the field's JSON value and name.  A field left out takes the
+# constructor's default, and expr._load makes a read's fault a SchemaError.
+
+class _Payload:
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{name: write(getattr(self, name))
+                                      for name, (write, _) in self.FIELDS.items()}}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(**{name: read(obj[name], name)
+                      for name, (_, read) in cls.FIELDS.items() if name in obj})
+
+
+def _as_is(value):
+    return value
+
+
+def _text(value: object, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise SchemaError(f"{name} must be a string, not {type(value).__name__}")
+
+
+def _list(read, count: int | None = None):
+    """The read of a JSON list, item by item; of count items if given."""
+    def read_list(value: object, name: str) -> tuple:
+        if not isinstance(value, list) or count not in (None, len(value)):
+            of = f" of {({2: 'two', 3: 'three'})[count]}" if count else ""
+            raise SchemaError(f"{name} must be a list{of}, not {value!r:.40}")
+        return tuple(read(v, name) for v in value)
+    return read_list
+
+
+def _element(cls) -> tuple:
+    """The codec of a field of one element of cls."""
+    return methodcaller("to_json"), lambda value, name: cls.from_json(value)
+
+
+def _elements(cls) -> tuple:
+    return (lambda pieces: {k: p.to_json() for k, p in pieces.items()},
+            lambda value, name: {k: cls.from_json(v) for k, v in value.items()})
+
+
+_TEXT = _as_is, _text
+_POINT = ztau_literal, lambda value, name: parse_ztau(_text(value, name))
+_POINTS = (lambda points: [ztau_literal(z) for z in points]), _list(_POINT[1])
+_ARC = _POINTS[0], _list(_POINT[1], 2)
+
+
+def _evaluate(expr: str, env: dict, memo: Memo | None):
+    """expr evaluated in env through memo; CertificateError if it does not."""
+    from .expr import evaluate_str
+
+    try:
+        return evaluate_str(expr, env, memo)
+    except ExprError as exc:
+        raise CertificateError(f"expression {expr!r:.40} does not evaluate: "
+                               f"{exc}") from exc
+
+
 # -- tuple transitivity -------------------------------------------------------
 
-class TransitivityCertificate(Record):
+class TransitivityCertificate(_Payload, Record):
     """An element mapping sources to targets, re-checkable by evaluation;
     pieces is a fresh dict when not given."""
 
     __slots__ = ("element", "sources", "targets", "compact", "expr", "pieces")
+    kind = "connect-cert"
+    FIELDS = {"element": _element(PLMap), "sources": _POINTS, "targets": _POINTS,
+              "compact": (_as_is, json_bool),
+              "expr": (_as_is, lambda value, name: value if value is None
+                       else _text(value, name)),
+              "pieces": _elements(PLMap)}
 
     def __init__(self, element: PLMap, sources: tuple[ZTau, ...],
                  targets: tuple[ZTau, ...], compact: bool = False,
@@ -242,44 +316,9 @@ class TransitivityCertificate(Record):
                 raise CertificateError(f"element does not map {s} to {t}")
         if self.compact and not is_ftau_compact(self.element):
             raise CertificateError("support closure is not inside (0, 1)")
-        if self.expr is not None:
-            from .expr import evaluate_str
-
-            if evaluate_str(self.expr, self.pieces, memo) != self.element:
-                raise CertificateError("expression does not rebuild the element")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "connect-cert",
-            "sources": [ztau_literal(s) for s in self.sources],
-            "targets": [ztau_literal(t) for t in self.targets],
-            "compact": self.compact,
-            "element": self.element.to_json(),
-            "expr": self.expr,
-            "pieces": {name: p.to_json() for name, p in self.pieces.items()},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> TransitivityCertificate:
-        try:
-            return cls(
-                element=PLMap.from_json(obj["element"]),
-                sources=tuple(parse_ztau(s) for s in obj["sources"]),
-                targets=tuple(parse_ztau(t) for t in obj["targets"]),
-                compact=json_bool(obj.get("compact", False), "compact"),
-                expr=_text(obj.get("expr"), "expr", optional=True),
-                pieces={k: PLMap.from_json(v)
-                        for k, v in obj.get("pieces", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad transitivity certificate: {exc}") from exc
-
-
-def _text(value: object, what: str, optional: bool = False) -> str | None:
-    """A certificate's expression field: a string, or null where optional."""
-    if isinstance(value, str) or (optional and value is None):
-        return value
-    raise SchemaError(f"{what} must be a string, not {type(value).__name__}")
+        if self.expr is not None and (_evaluate(self.expr, self.pieces, memo)
+                                      != self.element):
+            raise CertificateError("expression does not rebuild the element")
 
 
 def _check_tuples(xs, ys) -> tuple[tuple[ZTau, ...], tuple[ZTau, ...]]:
@@ -315,31 +354,28 @@ def connect_tuple(xs, ys) -> TransitivityCertificate:
 def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     """Single commutator [l, f] in F_tau' carrying xs to ys.
 
-    f is a compactly supported element doing the transport, built from a
-    padded connect_tuple g and a copy h of g's boundary behaviour; l
-    pushes the support interval strictly above it, so l^-1 f^-1 l fixes
-    every source point and the commutator acts like f there.  The element
-    is the certificate's own expression comm(l, f), evaluated through a
-    memo that this call makes and hands to the certificate's verify, so
-    the check makes none of its products again.
+    f, the connect_tuple of the tuples padded by a below and b above, does
+    the transport and is the identity on [0, a] and [b, 1]: the padding
+    gaps are matched by one piece of slope 1.  l pushes [a, b] strictly
+    above itself, so l^-1 f^-1 l fixes every source point and the
+    commutator acts like f there.  The element is the certificate's own
+    expression comm(l, f), evaluated through a memo that this call makes
+    and hands to the certificate's verify, so the check makes none of its
+    products again.
     """
-    from .expr import evaluate_str
-
     xs, ys = _check_tuples(xs, ys)
     lo_lim = min(xs[0], ys[0]) if xs else TAU
     hi_lim = max(xs[-1], ys[-1]) if xs else TAU
     a = tau_pow(first_power_below(lo_lim))
     b = ONE - tau_pow(first_power_below(ONE - hi_lim))
-    g = connect_tuple((a,) + xs + (b,), (a,) + ys + (b,)).element
-    h = concat([g.restrict(ZERO, a), PLMap.identity(a, b), g.restrict(b, ONE)])
-    f = g * h.inverse()
+    f = connect_tuple((a,) + xs + (b,), (a,) + ys + (b,)).element
     i1, i2 = points_between(b, ONE, 2)
     l = connect_tuple((a, b), (i1, i2)).element
     memo = Memo()
     pieces = {"l": l, "f": f}
     expr = "comm(l, f)"
     cert = TransitivityCertificate(
-        element=evaluate_str(expr, pieces, memo),
+        element=_evaluate(expr, pieces, memo),
         sources=xs,
         targets=ys,
         compact=True,
@@ -404,11 +440,15 @@ FACTOR_U_EXPR = "g * f^-1 * comm(h2, h1)^-1"
 FACTOR_V_EXPR = "comm(h2, h1) * f"
 
 
-class FactorCertificate(Record):
+class FactorCertificate(_Payload, Record):
     """g = u * v with u fixing a neighbourhood of x and v built from pieces
     fixing a neighbourhood of y (v = comm(h2, h1) * f)."""
 
     __slots__ = ("g", "x", "y", "arc", "u", "v", "pieces", "u_expr", "v_expr")
+    kind = "factor-cert"
+    FIELDS = {"g": _element(CircleMap), "x": _POINT, "y": _POINT, "arc": _ARC,
+              "u": _element(CircleMap), "v": _element(CircleMap),
+              "pieces": _elements(CircleMap), "u_expr": _TEXT, "v_expr": _TEXT}
 
     def __init__(self, g: CircleMap, x: ZTau, y: ZTau, arc: tuple[ZTau, ZTau],
                  u: CircleMap, v: CircleMap, pieces: dict[str, CircleMap],
@@ -427,13 +467,13 @@ class FactorCertificate(Record):
         """Re-check by evaluation: u_expr, v_expr and comm(h2, h1) are
         evaluated through one memo, the one the construction built u and v
         with, or a fresh one."""
-        from .expr import evaluate_str
-
+        if not {"f", "h1", "h2"} <= self.pieces.keys():
+            raise CertificateError("pieces must include f, h1 and h2")
         memo = Memo() if memo is None else memo
         env = {"g": self.g, **self.pieces}
-        if evaluate_str(self.u_expr, env, memo) != self.u:
+        if _evaluate(self.u_expr, env, memo) != self.u:
             raise CertificateError("u expression does not rebuild u")
-        if evaluate_str(self.v_expr, env, memo) != self.v:
+        if _evaluate(self.v_expr, env, memo) != self.v:
             raise CertificateError("v expression does not rebuild v")
         if self.u * self.v != self.g:
             raise CertificateError("u * v differs from the factored element")
@@ -444,38 +484,6 @@ class FactorCertificate(Record):
             if not piece.fixes_neighborhood_of(self.y):
                 raise CertificateError(
                     f"piece {name} does not fix a neighbourhood of y")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "factor-cert",
-            "x": ztau_literal(self.x),
-            "y": ztau_literal(self.y),
-            "arc": [ztau_literal(self.arc[0]), ztau_literal(self.arc[1])],
-            "g": self.g.to_json(),
-            "u": self.u.to_json(),
-            "v": self.v.to_json(),
-            "u_expr": self.u_expr,
-            "v_expr": self.v_expr,
-            "pieces": {k: p.to_json() for k, p in self.pieces.items()},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> FactorCertificate:
-        try:
-            return cls(
-                g=CircleMap.from_json(obj["g"]),
-                x=parse_ztau(obj["x"]),
-                y=parse_ztau(obj["y"]),
-                arc=(parse_ztau(obj["arc"][0]), parse_ztau(obj["arc"][1])),
-                u=CircleMap.from_json(obj["u"]),
-                v=CircleMap.from_json(obj["v"]),
-                pieces={k: CircleMap.from_json(v)
-                        for k, v in obj["pieces"].items()},
-                u_expr=_text(obj["u_expr"], "u_expr"),
-                v_expr=_text(obj["v_expr"], "v_expr"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad factor certificate: {exc}") from exc
 
 
 def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
@@ -511,8 +519,6 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     call makes, that already holds g*f^-1 and that is handed to the
     certificate's verify: each distinct product is made once in the call.
     """
-    from .expr import evaluate_str
-
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
     x = next((c for c in chain(circle_points(), _piece_points(g)) if g.eval(c) != c),
@@ -546,8 +552,8 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     pieces = {"f": f, "h1": h1, "h2": h2}
     env = {"g": g, **pieces}
     cert = FactorCertificate(g=g, x=x, y=y, arc=arc,
-                             u=evaluate_str(FACTOR_U_EXPR, env, memo),
-                             v=evaluate_str(FACTOR_V_EXPR, env, memo),
+                             u=_evaluate(FACTOR_U_EXPR, env, memo),
+                             v=_evaluate(FACTOR_V_EXPR, env, memo),
                              pieces=pieces)
     cert.verify(memo)
     return cert
@@ -559,11 +565,14 @@ def factor_local(g: CircleMap) -> FactorCertificate:
 COMMUTATOR_EXPR = "g^-1 * conj(g, h)"
 
 
-class CommutatorCertificate(Record):
+class CommutatorCertificate(_Payload, Record):
     """k = [g, h] with supp(h) inside an arc displaced off itself by g, so
     k is a product of two conjugates of g^(+-1) and fixes x nearby."""
 
     __slots__ = ("result", "g", "h", "x", "arc", "expr")
+    kind = "commutator-cert"
+    FIELDS = {"result": _element(CircleMap), "g": _element(CircleMap),
+              "h": _element(CircleMap), "x": _POINT, "arc": _ARC, "expr": _TEXT}
 
     def __init__(self, result: CircleMap, g: CircleMap, h: CircleMap, x: ZTau,
                  arc: tuple[ZTau, ZTau], expr: str = COMMUTATOR_EXPR) -> None:
@@ -577,9 +586,7 @@ class CommutatorCertificate(Record):
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by evaluation; expr is evaluated through memo, the one
         its construction built the result with, or a fresh one."""
-        from .expr import evaluate_str
-
-        if evaluate_str(self.expr, {"g": self.g, "h": self.h}, memo) != self.result:
+        if _evaluate(self.expr, {"g": self.g, "h": self.h}, memo) != self.result:
             raise CertificateError("expression does not rebuild the element")
         if self.result.is_identity():
             raise CertificateError("commutator collapsed to the identity")
@@ -588,31 +595,6 @@ class CommutatorCertificate(Record):
         if not self.result.fixes_neighborhood_of(self.x):
             raise CertificateError("result does not fix a neighbourhood of x")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "commutator-cert",
-            "x": ztau_literal(self.x),
-            "arc": [ztau_literal(self.arc[0]), ztau_literal(self.arc[1])],
-            "result": self.result.to_json(),
-            "g": self.g.to_json(),
-            "h": self.h.to_json(),
-            "expr": self.expr,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> CommutatorCertificate:
-        try:
-            return cls(
-                result=CircleMap.from_json(obj["result"]),
-                g=CircleMap.from_json(obj["g"]),
-                h=CircleMap.from_json(obj["h"]),
-                x=parse_ztau(obj["x"]),
-                arc=(parse_ztau(obj["arc"][0]), parse_ztau(obj["arc"][1])),
-                expr=_text(obj["expr"], "expr"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad commutator certificate: {exc}") from exc
-
 
 def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertificate:
     """k = [g, h] fixing a neighbourhood of x, h supported in an arc I with
@@ -620,8 +602,6 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
     own expression g^-1 * conj(g, h), evaluated through a memo that this
     call makes and hands to the certificate's verify, so the check makes
     none of its products again."""
-    from .expr import evaluate_str
-
     if g.is_identity():
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
@@ -650,7 +630,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
     inner = conjugate(h0, t)
     h = _embed_in_chart(concat([PLMap.identity(ZERO, a2), inner]), hi)
     memo = Memo()
-    k = evaluate_str(COMMUTATOR_EXPR, {"g": g, "h": h}, memo)
+    k = _evaluate(COMMUTATOR_EXPR, {"g": g, "h": h}, memo)
     cert = CommutatorCertificate(result=k, g=g, h=h, x=x, arc=arc)
     cert.verify(memo)
     return cert
@@ -665,11 +645,18 @@ def standard_push_map() -> CircleMap:
         PLMap((ZERO, t2, ONE), (ZERO, TAU, ONE), (-1, 1)))
 
 
-class DefectWitness(Record):
+class DefectWitness(_Payload, Record):
     """Pair (g, h) with exact rotation numbers witnessing a lower bound for
     the defect of rot."""
 
     __slots__ = ("g", "h", "delta", "rots", "n")
+    kind = "defect-witness"
+    FIELDS = {"g": _element(LiftMap), "h": _element(LiftMap),
+              "delta": (qtau_literal, lambda value, name: parse_qtau(_text(value, name))),
+              "rots": ((lambda rots: [r.to_json() for r in rots]),
+                       _list(lambda value, name: rot_result_from_json(value), 3)),
+              "n": (_as_is, lambda value, name: value if value is None
+                    else json_int(value, "defect n"))}
 
     def __init__(self, g: LiftMap, h: LiftMap, delta: QTau,
                  rots: tuple[RotResult, RotResult, RotResult],
@@ -693,31 +680,6 @@ class DefectWitness(Record):
                 raise CertificateError(f"stored rot of {name} fails re-checking")
         if d.exact != self.delta:
             raise CertificateError("recomputed defect delta disagrees")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "defect-witness",
-            "n": self.n,
-            "delta": qtau_literal(self.delta),
-            "g": self.g.to_json(),
-            "h": self.h.to_json(),
-            "rots": [r.to_json() for r in self.rots],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> DefectWitness:
-        try:
-            if not isinstance(obj["rots"], list) or len(obj["rots"]) != 3:
-                raise SchemaError("defect witness rots must be a list of three")
-            return cls(
-                g=LiftMap.from_json(obj["g"]),
-                h=LiftMap.from_json(obj["h"]),
-                delta=parse_qtau(obj["delta"]),
-                rots=tuple(rot_result_from_json(r) for r in obj["rots"]),
-                n=None if obj.get("n") is None else json_int(obj["n"], "defect n"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad defect witness: {exc}") from exc
 
 
 def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN) -> DefectWitness:

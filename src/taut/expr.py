@@ -174,6 +174,18 @@ class _Scanner:
         self.pos = end
         return obj
 
+    def read_payload(self, read):
+        """read(value) of the JSON value at the cursor; a SchemaError in it is
+        reported at the column where the value starts."""
+        self.skip_ws()
+        start = self.pos
+        obj = self.read_json()
+        try:
+            return read(obj)
+        except SchemaError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from exc
+
     def check_nesting(self, end: int) -> None:
         try:
             _check_json_nesting(self.text[self.pos:end])
@@ -306,27 +318,29 @@ def _read_atom(sc: _Scanner) -> Element:
             inner = _to_circle(inner)
         return LiftMap(inner.table).translate(n)
     if word == "map":
-        obj = sc.read_json()
-        is_circle = isinstance(obj, dict) and (
-            "base" in obj or obj.get("kind") == "circle")
-        try:
-            return (CircleMap.from_json(obj) if is_circle
-                    else PLMap.from_json(obj))
-        except SchemaError as exc:
-            raise sc.error(str(exc)) from exc
+        return sc.read_payload(_map_payload)
     if word == "treepair":
-        obj = sc.read_json()
-        if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
-            raise sc.error("treepair payload needs 'p' and 'q'")
-        pe = leaf_exponents(obj["p"])
-        qe = leaf_exponents(obj["q"])
-        shift = json_int(obj.get("shift", 0), "treepair shift")
-        return CircleMap.from_tree_pair(pe, qe, shift)
+        return sc.read_payload(_tree_pair_payload)
     if word in _KEYWORDS:
         raise sc.error(f"{word!r} cannot be used as a name here")
     if word not in sc.env:
         raise ExprTypeError(f"unbound name {word!r}")
     return sc.env[word]
+
+
+def _map_payload(obj: object) -> PLMap | CircleMap:
+    if isinstance(obj, dict) and ("base" in obj or obj.get("kind") == "circle"):
+        return CircleMap.from_json(obj)
+    return PLMap.from_json(obj)
+
+
+def _tree_pair_payload(obj: object) -> CircleMap:
+    if not isinstance(obj, dict) or not {"p", "q"} <= set(obj):
+        raise SchemaError("treepair payload needs 'p' and 'q'")
+    pe = leaf_exponents(obj["p"])
+    qe = leaf_exponents(obj["q"])
+    shift = json_int(obj.get("shift", 0), "treepair shift")
+    return CircleMap.from_tree_pair(pe, qe, shift)
 
 
 def _promote_pair(a: Element, b: Element) -> tuple[Element, Element]:
@@ -456,8 +470,8 @@ def _load(text: str):
     load, check = _KINDS[kind]
     try:
         value = load(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"bad {kind} payload: {exc!r}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"bad {kind} payload: {exc}") from exc
     return obj, value, check
 
 

@@ -503,9 +503,9 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
     g = random_element(seed, 4, "T_tau")
     made = counting_products(monkeypatch)
     cert = factor_local(g)
-    # the derived connect: f, then comm(l, f) for the answer and its check
-    # alike; then g*f^-1, comm(h2, h1), u, v and the check's u*v
-    assert made == Counter(products=11, inverses=7)
+    # the derived connect: comm(l, f) for the answer and its check alike;
+    # then g*f^-1, comm(h2, h1), u, v and the check's u*v
+    assert made == Counter(products=10, inverses=6)
     path = tmp_path / "factor.json"
     path.write_text(serialize(cert), encoding="utf-8")
     # a check of the stored certificate makes every product itself, each
@@ -516,7 +516,7 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
         assert made == Counter(products=7, inverses=4)
     made.clear()
     connect_tuple_derived((T3, T2), (T2, TAU))
-    assert made == Counter(products=4, inverses=3)
+    assert made == Counter(products=3, inverses=2)
 
 
 def test_a_shared_memo_keeps_the_order_of_operands():

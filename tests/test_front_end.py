@@ -609,7 +609,7 @@ READ_ERRORS = [
     ("map [1, 2", "ExprSyntaxError",
      "bad inline JSON: Expecting ',' delimiter (line 1, column 5)"),
     ("treepair [1]", "ExprSyntaxError",
-     "treepair payload needs 'p' and 'q' (line 1, column 13)"),
+     "treepair payload needs 'p' and 'q' (line 1, column 10)"),
     ("(rot(t)", "ExprSyntaxError", "expected ')' (line 1, column 8)"),
     ("rot (t) * ", "ExprSyntaxError", "expected a name (line 1, column 11)"),
     ("  ", "ExprSyntaxError", "expected a name (line 1, column 3)"),
@@ -618,7 +618,7 @@ READ_ERRORS = [
     ("trans(t) ^ x", "ExprSyntaxError", "expected an integer (line 1, column 12)"),
     ("let x = rot(t) x", "ExprSyntaxError", "expected ';' (line 1, column 16)"),
     ('map{"xs": 1}', "ExprSyntaxError", "bad piecewise map payload: 'int' object "
-     "is not iterable (line 1, column 13)"),
+     "is not iterable (line 1, column 4)"),
     ("rot(t)*lift", "ExprSyntaxError", "expected '(' (line 1, column 12)"),
     ("conj (rot(t), map [)", "ExprSyntaxError",
      "bad inline JSON: Expecting value (line 1, column 19)"),
