@@ -18,8 +18,6 @@ from .construct import (
     defect_witness_search,
     factor_local,
     match_intervals,
-    proximal_shrink,
-    proximal_shrink_circle,
     random_element,
 )
 from .errors import TautError, ValidationError

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 domain or validation error, 2 work budget
 exhausted before an answer was certified, 3 usage error.
+
+A plain command line (exact option strings, their values, positionals
+and at most one --) is read straight off its command's option table;
+help, abbreviations, --opt=value and every usage error go through
+argparse, with its messages unchanged.
 """
 
 from __future__ import annotations
@@ -39,9 +44,81 @@ def _positive(text: str) -> int:
     return n
 
 
+_Table = tuple[dict[str, argparse.Action], list[argparse.Action], dict]
+
+
+def _table(parser: _Parser) -> _Table:
+    """The direct reader's table of one subcommand, from its parser's own
+    actions: each option string that stores one value or a constant (so
+    not -h), the positionals in order, each one plain value, and every
+    default."""
+    options, positionals, defaults = {}, [], {}
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            positionals.append(action)
+        elif (isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+              and action.nargs in (None, 0)):
+            options.update(dict.fromkeys(action.option_strings, action))
+    return options, positionals, defaults
+
+
+def _value(action: argparse.Action, text: str):
+    """text read as argparse reads a value of action; an error where
+    argparse would refuse it."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _read(command: str, argv: list[str], table: _Table):
+    """argv read as the command's parser reads it, or None where the
+    reader does not take it exactly and argparse must: an option string
+    that is not in the table, a value that starts with "-" or that its
+    type or choices refuse, a "--" that ends the line or comes twice, or
+    a missing or extra positional."""
+    options, positionals, defaults = table
+    values = dict(defaults, command=command)
+    free = []
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token == "--":
+                # argparse leaves a "--" that ends the line over unless a
+                # positional comes just before it, so the reader declines
+                # one that ends the line, and a second "--"
+                rest = list(tokens)
+                if not rest or "--" in rest:
+                    return None
+                free += rest
+            elif token[:1] != "-" or token == "-":
+                free.append(token)
+            else:
+                action = options.get(token)
+                if action is None:
+                    return None
+                if action.nargs == 0:
+                    values[action.dest] = action.const
+                    continue
+                text = next(tokens, "-")  # a missing value reads as "-"
+                if text[:1] == "-":
+                    return None
+                values[action.dest] = _value(action, text)
+        if len(free) != len(positionals):
+            return None
+        for action, text in zip(positionals, free):
+            values[action.dest] = _value(action, text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
 @cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser, and the parser of each subcommand by name."""
+def _build_parser() -> tuple[_Parser, dict[str, tuple[_Parser, _Table]]]:
+    """The top-level parser, and the parser of each subcommand with its
+    direct reader's table, by name."""
     # every subcommand takes --json; the others only where they are read
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", action="store_true", dest="as_json",
@@ -97,21 +174,23 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sp.add_argument("--size", type=int, default=4)
     sp.add_argument("--flavor", choices=["F_tau", "T_tau", "Lift"],
                     default="T_tau")
-    return p, commands
+    return p, {name: (sp, _table(sp)) for name, sp in commands.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     top, commands = _build_parser()
-    # A known command is read by its own parser, which the top level would
-    # hand it to; anything else (no argument, -h, an option first, an
+    # A plain line of a known command is read off the command's table; any
+    # other line of a known command by its own parser, which the top level
+    # would hand it to; anything else (no argument, -h, an option first, an
     # unknown command) by the top level, which writes those messages.
-    sub = commands.get(argv[0]) if argv else None
+    sub, table = commands.get(argv[0], (None, None)) if argv else (None, None)
+    args = None if sub is None else _read(argv[0], argv[1:], table)
     try:
         if sub is None:
             args = top.parse_args(argv)
-        else:
+        elif args is None:
             args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -307,8 +307,13 @@ class TransitivityCertificate(_Payload, Record):
 
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by evaluation; expr is evaluated through memo, the one
-        its construction built the element with, or a fresh one."""
-        _check_tuples(self.sources, self.targets)
+        its construction built the element with, or a fresh one.  Stored
+        tuples that are not valid are a fault of the certificate, not of a
+        request, so their BadTuple is re-raised as a CertificateError."""
+        try:
+            _check_tuples(self.sources, self.targets)
+        except BadTuple as exc:
+            raise CertificateError(str(exc)) from None
         if not is_ftau(self.element):
             raise CertificateError("element does not fix 0 and 1 on [0, 1]")
         for s, t in zip(self.sources, self.targets):
@@ -384,53 +389,6 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     )
     cert.verify(memo)
     return cert
-
-
-# -- proximality ---------------------------------------------------------------
-
-def proximal_shrink(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau]) -> PLMap:
-    """F_tau element carrying the closed interval j into the open interval i."""
-    j_lo, j_hi = j
-    i_lo, i_hi = i
-    if (j_hi - j_lo).sign() < 0:
-        raise BadTuple("degenerate source interval")
-    if (i_lo - j_lo).sign() < 0 and (j_hi - i_hi).sign() < 0:
-        return PLMap.identity()
-    t1, t2 = points_between(i_lo, i_hi, 2)
-    if j_lo == j_hi:
-        f = connect_tuple((j_lo,), (t1,)).element
-    else:
-        f = connect_tuple((j_lo, j_hi), (t1, t2)).element
-    for s in (j_lo, j_hi):
-        img = f.eval(s)
-        if (img - i_lo).sign() <= 0 or (i_hi - img).sign() <= 0:
-            raise CertificateError("shrink target check failed")
-    return f
-
-
-def proximal_shrink_circle(j: tuple[ZTau, ZTau], i: tuple[ZTau, ZTau]) -> CircleMap:
-    """T_tau element carrying the closed arc j into the open arc i.
-
-    Works in the chart at a ring point away from both arcs; such a point
-    is found along the preference order (the arcs cannot cover the whole
-    circle when the target has points to spare).
-    """
-    z = None
-    for cand in circle_points():
-        if not arc_contains(*j, cand) and not arc_contains(*i, cand):
-            z = cand
-            break
-    if z is None:
-        raise NoRoomInTarget("no free ring point outside both arcs")
-    jc = (_chart(z, j[0]), _chart(z, j[1]))
-    ic = (_chart(z, i[0]), _chart(z, i[1]))
-    f = proximal_shrink(jc, ic)
-    out = _embed_in_chart(f, z)
-    for s in j:
-        img = out.eval(s)
-        if not arc_contains(*i, img):
-            raise CertificateError("arc shrink target check failed")
-    return out
 
 
 # -- local factorization --------------------------------------------------------

@@ -271,7 +271,31 @@ def test_check_connect_cert_with_an_extra_point_is_rejected(tmp_path, capsys,
     path = tmp_path / "extra-point.json"
     path.write_text(json.dumps(tampered))
     rc2, _, err2 = run(capsys, "check", str(path))
-    assert rc2 == 1 and "BadTuple" in err2 and "equal length" in err2
+    assert rc2 == 1 and "CertificateError" in err2 and "equal length" in err2
+
+
+@pytest.mark.parametrize("field", ["sources", "targets"])
+@pytest.mark.parametrize("points, message", [
+    (["0+1*t", "1+0*t"], "not strictly inside (0, 1)"),
+    (["0+1*t", "1-1*t"], "strictly increasing"),
+])
+def test_check_connect_cert_with_a_bad_stored_tuple_is_rejected(
+        tmp_path, capsys, field, points, message):
+    # a stored tuple is the certificate's fault, not the request's: the
+    # same refusal as connect's, as a CertificateError
+    rc, out, _ = run(capsys, "connect", "--json", "--", "1-t,t", "2*t-1,t")
+    assert rc == 0
+    tampered = dict(json.loads(out), **{field: points})
+    path = tmp_path / "bad-tuple.json"
+    path.write_text(json.dumps(tampered))
+    rc2, _, err2 = run(capsys, "check", str(path))
+    assert rc2 == 1 and "CertificateError" in err2 and message in err2
+    assert "BadTuple" not in err2
+
+
+def test_connect_still_refuses_a_bad_request_as_bad_tuple(capsys):
+    rc, _, err = run(capsys, "connect", "--", "t,1-t", "t,1-t")
+    assert rc == 1 and "BadTuple" in err and "strictly increasing" in err
 
 
 def _assign(target, source):

@@ -28,8 +28,6 @@ from taut.construct import (
     match_intervals,
     points_between,
     preference_points,
-    proximal_shrink,
-    proximal_shrink_circle,
     random_element,
 )
 from taut.errors import BadTuple, CertificateError, IdentityInput, NoRoomInTarget
@@ -255,25 +253,6 @@ def test_connect_tuple_derived_seeded():
         cert = connect_tuple_derived(xs, ys)
         cert.verify()
         assert is_ftau_compact(cert.element)
-
-
-def test_proximal_shrink_interval():
-    f = proximal_shrink((T2, TAU), (ZERO, T3))
-    for s in (T2, TAU):
-        img = f.eval(s)
-        assert img.sign() > 0 and (T3 - img).sign() > 0
-    assert proximal_shrink((T2, T2 + tau_pow(5)), (T3, TAU)).is_identity()
-
-
-def test_proximal_shrink_circle():
-    f = proximal_shrink_circle((zt(1, -1), zt(0, 1)), (zt(0, 1), zt(1, 0) - tau_pow(4)))
-    for s in (zt(1, -1), zt(0, 1)):
-        img = f.eval(s)
-        assert arc_contains(zt(0, 1), zt(1) - tau_pow(4), img)
-    # arc through 0: shrink [1-t^2, t^3] into (t^2, t)
-    g = proximal_shrink_circle((ONE - T2, T3), (T2, TAU))
-    for s in (ONE - T2, T3):
-        assert arc_contains(T2, TAU, g.eval(s))
 
 
 def test_arc_helpers():

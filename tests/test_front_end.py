@@ -11,6 +11,7 @@ exponents only, so it matches them on every other payload, and those
 three forms are tested on their own.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -76,6 +77,13 @@ ARGVS = [
     ["defect", "--n", "x"], ["defect", "--n", "2"],
     ["random", "--flavor", "Q"], ["random", "--size", "3", "--seed", "5"],
     ["check", "comm(rot(t), rot(1-t))"], ["check", "--json", "nosuch(1)"],
+    ["scl", "--max-den=5", "trans(1)"], ["scl", "--max-den"],
+    ["scl", "--json", "--json", "--", "trans(1)"],
+    ["rot", "--max-den", "5", "--max-den", "7", "trans(t)"],
+    ["defect", "--seed", "-3", "--json"], ["random", "--flavor", "Lift", "--json"],
+    ["check", "--", "--", "x"], ["eval", "-"], ["eval", ""],
+    ["connect", "t", "--", "1-t"], ["scl", "trans(1)", "--json", "--"],
+    ["scl", "trans(1)", "--"], ["connect", "1-t", "t", "--json", "--"],
     *[[name, "-h"] for name in ("eval", "rot", "scl", "check", "connect",
                                 "factor", "defect", "random")],
 ]
@@ -90,6 +98,92 @@ def test_main_reads_sys_argv_by_default(monkeypatch):
     argv = ["scl", "--json", "--", "trans(1)"]
     monkeypatch.setattr(sys, "argv", ["taut"] + argv)
     assert _outcome(lambda _: cli.main(), []) == _outcome(cli.main, argv)
+
+
+def _parse_args_refused(*args, **kwargs):
+    raise AssertionError("argparse read a plain command line")
+
+
+def test_benchmark_command_lines_are_read_directly(tmp_path, monkeypatch):
+    answer = tmp_path / "answer.json"
+    code, out, _ = _outcome(cli.main, ["scl", "--json", "--", "trans(t)"])
+    answer.write_text(out)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", _parse_args_refused)
+    for argv in (["scl", "--json", "--", "trans(1-t)"],
+                 ["check", "--json", "--", str(answer)],
+                 ["connect", "--json", "--", "1-t", "t"],
+                 ["connect", "--json", "--derived", "--", "1-t", "t"],
+                 ["factor", "--json", "--", "rot(t)"],
+                 ["defect", "--json", "--n", "2"],
+                 ["defect", "--json", "--search", "--samples", "2", "--seed", "1"]):
+        code, out, err = _outcome(cli.main, argv)
+        assert (code, err) == (0, ""), argv
+        assert "error" not in json.loads(out), argv
+
+
+COMMANDS = sorted(cli._build_parser()[1])
+VALUES = ["1", "7", "12", "0", "-3", "x", "", "Lift", "F_tau", "T_tau", "Q", "-"]
+POSITIONALS = ["trans(1)", "1-t", "t", "-", "", "-x", "-27+45*t", "--json", "a=b"]
+
+
+def _command_lines(name):
+    """Command lines of one subcommand: its option strings with a value,
+    valid, refused or repeated, or alone; -h and --help, proper prefixes
+    and --opt=value forms; about as many positionals as it takes; all in
+    any order, and zero to two "--" anywhere."""
+    actions = cli._build_parser()[1][name][0]._actions
+    takes = sum(not action.option_strings for action in actions)
+    valued = [s for a in actions if a.option_strings and a.nargs is None
+              for s in a.option_strings]
+    flags = [s for a in actions if a.nargs == 0 and "-h" not in a.option_strings
+             for s in a.option_strings]
+    strings = [s for a in actions for s in a.option_strings]
+    value = st.sampled_from(VALUES)
+    prefix = st.sampled_from([s for s in strings if len(s) > 3]).flatmap(
+        lambda s: st.integers(3, len(s) - 1).map(lambda k: s[:k]))
+    odd = st.one_of(st.tuples(prefix), st.tuples(prefix, value),
+                    st.tuples(st.sampled_from(strings)),  # -h among them
+                    st.tuples(st.sampled_from(strings), value).map(
+                        lambda pair: ("=".join(pair),)))
+    options = st.lists(st.one_of(
+        st.tuples(st.sampled_from(valued), value) if valued else st.nothing(),
+        st.tuples(st.sampled_from(flags)), odd), max_size=3)
+    positionals = st.sampled_from([takes] * 3 + [takes + 1, abs(takes - 1)]).flatmap(
+        lambda k: st.lists(st.sampled_from(POSITIONALS).map(lambda p: (p,)),
+                           min_size=k, max_size=k))
+    words = st.tuples(options, positionals).flatmap(
+        lambda op: st.permutations(op[0] + op[1])).map(
+        lambda chunks: [w for chunk in chunks for w in chunk])
+    return st.tuples(words, st.lists(st.integers(0, 8), max_size=2)).map(_with_dashes)
+
+
+def _with_dashes(words_places):
+    """The words with a "--" put in at each place, or at the end."""
+    words, places = words_places
+    for place in sorted(places, reverse=True):
+        words.insert(min(place, len(words)), "--")
+    return words
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_direct_reader_declines_or_matches_argparse(name, data):
+    argv = data.draw(_command_lines(name))
+    sub, table = cli._build_parser()[1][name]
+    read = cli._read(name, argv, table)
+    if read is not None:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            expected = sub.parse_args(argv, argparse.Namespace(command=name))
+        assert vars(read) == vars(expected)
+
+
+def test_direct_reader_takes_plain_lines():
+    for argv in (["scl", "--json", "--", "trans(1)"], ["rot", "trans(t)", "--max-den", "3"],
+                 ["connect", "--derived", "t", "--", "1-t"], ["eval", "--", "-"],
+                 ["random", "--seed", "5", "--flavor", "Lift"], ["defect"]):
+        sub, table = cli._build_parser()[1][argv[0]]
+        assert cli._read(argv[0], argv[1:], table) is not None, argv
 
 
 # -- tree pairs -----------------------------------------------------------------

@@ -75,9 +75,9 @@ def test_each_field_reads_back_or_is_a_schema_or_certificate_error(cls, field, t
         if (cls, field, value) in ACCEPTED:
             assert kind == "ok"
         elif field in ("sources", "targets") and value == []:
-            # tuples of unequal length are refused as the construction
-            # refuses them
-            assert kind == "BadTuple" and "equal length" in message
+            # tuples of unequal length are refused with the construction's
+            # message, as a fault of the certificate
+            assert kind == "CertificateError" and "equal length" in message
         else:
             assert kind in ("SchemaError", "CertificateError"), (value, kind, message)
 
