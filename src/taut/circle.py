@@ -40,8 +40,8 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .plmap import (MAX_PIECES, PLMap, _fixed_pieces, _json_table, _piece_index,
-                    _sweep, _table_json, is_ftau)
+from .plmap import (MAX_PIECES, PLMap, _TABLE_FIELDS, _fixed_pieces, _json_table,
+                    _piece_index, _sweep, _table_json, is_ftau)
 from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, tau_pow
 
 _UNIT = (ZERO, ONE)
@@ -93,7 +93,7 @@ class CircleMap:
         return _from_circle_json(cls, obj)
 
     def to_json(self) -> dict:
-        return _circle_json(self.table)
+        return _circle_json(self.table, 0)  # the table is in its period
 
     # -- queries --------------------------------------------------------
 
@@ -163,6 +163,9 @@ def _check_lift_table(table: PLMap) -> None:
         raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
 
 
+_CIRCLE_FIELDS = _TABLE_FIELDS | {"base"}
+
+
 def _from_circle_json(cls, obj: object, n: int = 0):
     """cls, CircleMap or LiftMap, of a circle map payload's table moved by
     the integer that makes floor(table(0)) = n: one table read, and
@@ -170,7 +173,7 @@ def _from_circle_json(cls, obj: object, n: int = 0):
     compared with it."""
     if not isinstance(obj, dict):
         raise SchemaError("circle map payload must be an object")
-    xs, ys, ks = _json_table({k: v for k, v in obj.items() if k != "base"})
+    xs, ys, ks = _json_table(obj, _CIRCLE_FIELDS)
     if ys and (j := n - ys[0].floor()):
         ys = [ZTau(y.a + j, y.b) for y in ys]
     g = cls(PLMap(xs, ys, ks))
@@ -190,13 +193,12 @@ def _into_period(ys):
     return [ZTau(y.a - j, y.b) for y in ys] if j else ys
 
 
-def _circle_json(table: PLMap) -> dict:
-    """The JSON of the circle map that the lift with this table lifts: the
-    table moved into its period, as CircleMap(table).to_json() writes it
-    but with no table built."""
-    ys = _into_period(table.ys)
-    out = _table_json(table.xs, ys, table.ks)
-    out["base"] = ys[0].to_json()
+def _circle_json(table: PLMap, n: int) -> dict:
+    """The JSON of the circle map that the lift with this table lifts,
+    where n = floor(table(0)): the table moved down by n into its period,
+    as CircleMap(table).to_json() writes it but with no table built."""
+    out = _table_json(table.xs, table.ys, table.ks, n)
+    out["base"] = dict(out["ys"][0])
     return out
 
 

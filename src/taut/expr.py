@@ -379,8 +379,10 @@ SCHEMA_VERSION = 1
 _ELEMENT_KINDS = {PLMap: "plmap", CircleMap: "circle", LiftMap: "lift"}
 
 
-def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# to_json builds each payload afresh as a tree, so no cycle can occur:
+# a per-call encoder and its cycle check would be pure cost.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  check_circular=False).encode
 
 
 def serialize(obj) -> str:

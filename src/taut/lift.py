@@ -155,7 +155,8 @@ class LiftMap(Record):
                 f"pieces={self.num_pieces}), n={n})")
 
     def to_json(self) -> dict:
-        return {"base": _circle_json(self.table), "n": self.n}
+        n = self.table.ys[0].floor()
+        return {"base": _circle_json(self.table, n), "n": n}
 
     @classmethod
     def from_json(cls, obj: object) -> LiftMap:

@@ -342,26 +342,56 @@ def _restricted(fx, fy, fk, lo: ZTau, hi: ZTau) -> tuple:
             fk[i:j + 1])
 
 
-def _table_json(xs, ys, ks) -> dict:
-    return {
-        "xs": [x.to_json() for x in xs],
-        "ys": [y.to_json() for y in ys],
-        "ks": list(ks),
-    }
+def _table_json(xs, ys, ks, shift: int = 0) -> dict:
+    """The payload of the table with breakpoints xs, images ys moved down
+    by the integer shift, and slope exponents ks.  Each point is written
+    in one pass, as ZTau.to_json writes it; past the interpreter's digit
+    limit, ZTau.to_json raises the error that names the point."""
+    try:
+        return {"xs": [{"a": str(x.a), "b": str(x.b)} for x in xs],
+                "ys": [{"a": str(y.a - shift), "b": str(y.b)} for y in ys],
+                "ks": list(ks)}
+    except ValueError:
+        for z in [*xs, *(ZTau(y.a - shift, y.b) for y in ys)]:
+            z.to_json()
+        raise
 
 
-def _json_table(obj: object) -> tuple[list, list, list]:
+def _json_points(values: object) -> list:
+    """The ring elements of a list of point payloads.  A list whose every
+    item is exactly the written form, {"a": s, "b": s} with each s a string
+    that str(int(s)) writes back, is read in one pass; any other goes item
+    by item through ZTau.from_json, the one reader of a point and its
+    errors."""
+    try:
+        zs = [ZTau(a, b) for v in values
+              if type(v) is dict and len(v) == 2
+              and type(sa := v["a"]) is str and type(sb := v["b"]) is str
+              and str(a := int(sa)) == sa and str(b := int(sb)) == sb]
+        if len(zs) == len(values):
+            return zs
+    except (KeyError, TypeError, ValueError):
+        pass
+    return [ZTau.from_json(v) for v in values]
+
+
+_TABLE_FIELDS = frozenset({"xs", "ys", "ks", "kind", "schema"})
+
+
+def _json_table(obj: object, fields: frozenset = _TABLE_FIELDS
+                ) -> tuple[list, list, list]:
     """The lists xs, ys and ks of a table payload, for PLMap.__init__ to
-    validate: breakpoints read as ring elements and stated slope exponents
-    as JSON integers, each bounded by the height of its piece."""
+    validate: breakpoints read as ring elements by _json_points and stated
+    slope exponents as JSON integers, each bounded by the height of its
+    piece.  fields are the payload's allowed keys."""
     if not isinstance(obj, dict):
         raise SchemaError("piecewise map payload must be an object")
-    unknown = obj.keys() - {"xs", "ys", "ks", "kind", "schema"}
+    unknown = obj.keys() - fields
     if unknown:
         raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
     try:
-        xs = [ZTau.from_json(v) for v in obj["xs"]]
-        ys = [ZTau.from_json(v) for v in obj["ys"]]
+        xs = _json_points(obj["xs"])
+        ys = _json_points(obj["ys"])
         ks = obj["ks"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad piecewise map payload: {exc}") from exc

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import floor, gcd, inf, isqrt, log, log10
 
-from .errors import NonPositive, NotInRing, SchemaError
+from .errors import NonPositive, SchemaError
 
 # 2*tau = sqrt(5) - 1, and 5 is not a perfect square, which keeps the
 # exact sign and floor comparisons below strict.
@@ -188,9 +188,6 @@ class ZTau:
     def floor(self) -> int:
         return _floor(self.a, self.b)
 
-    def ceil(self) -> int:
-        return -((-self).floor())
-
     def __abs__(self) -> ZTau:
         return -self if self.sign() < 0 else self
 
@@ -338,17 +335,6 @@ class QTau:
 
     def floor(self) -> int:
         return _floor(self.num.a, self.num.b, self.den)
-
-    def ceil(self) -> int:
-        return -((-self).floor())
-
-    def is_ring_element(self) -> bool:
-        return self.den == 1
-
-    def as_ztau(self) -> ZTau:
-        if self.den != 1:
-            raise NotInRing(f"{self} is not in Z[tau]")
-        return self.num
 
     def __float__(self) -> float:
         return _float(self.num.a, self.num.b, self.den)
@@ -507,8 +493,18 @@ def _read_exactly(text: str, start: int, stop: int) -> ZTau:
     return z
 
 
+# the forms that ztau_literal and qtau_literal write, read with one match
+_LITERAL = re.compile(r"(-?[0-9]+)([+-][0-9]+)\*t")
+_QLITERAL = re.compile(r"\((-?[0-9]+)([+-][0-9]+)\*t\)/([0-9]+)")
+
+
 def parse_ztau(text: str) -> ZTau:
     """Parse a text that is one ring literal 'a+b*t' (see read_ztau)."""
+    if isinstance(text, str) and (m := _LITERAL.fullmatch(text)):
+        try:
+            return ZTau(int(m[1]), int(m[2]))
+        except ValueError:  # past the interpreter's digit limit
+            pass
     return _read_exactly(text, 0, len(text))
 
 
@@ -519,7 +515,15 @@ _QUOTIENT = re.compile(r"\s*\((.*)\)\s*/\s*([+-]?\d+)\s*"
 
 def parse_qtau(text: str) -> QTau:
     """Parse '(a+b*t)/d', 'a+b*t/d', 'a+b*t' or a plain rational 'p/q',
-    with blanks between tokens as in read_ztau."""
+    with blanks between tokens as in read_ztau.  The form '(a+b*t)/d' that
+    qtau_literal writes is read with one match; any other text, and one
+    whose integers pass the interpreter's digit limit, goes through the
+    general reader and its errors."""
+    if m := _QLITERAL.fullmatch(text):
+        try:
+            return QTau(ZTau(int(m[1]), int(m[2])), int(m[3]))
+        except ValueError:  # past the interpreter's digit limit
+            pass
     m = _QUOTIENT.fullmatch(text)
     num = 1 if m[1] is not None else 3
     z = _read_exactly(text, m.start(num), m.end(num))

@@ -39,7 +39,7 @@ def reference_window(pl: PLMap, lo: ZTau, hi: ZTau) -> PLMap:
     t0 = pl.xs[0]
     pts = {lo, hi}
     for x in pl.xs[:-1]:
-        for n in range((lo - x).ceil(), (hi - x).floor() + 1):
+        for n in range(-(x - lo).floor(), (hi - x).floor() + 1):
             pts.add(x + n)
     xs = sorted(pts)
     ys = [pl.eval(x - (x - t0).floor()) + (x - t0).floor() for x in xs]

@@ -186,6 +186,19 @@ def test_direct_reader_takes_plain_lines():
         assert cli._read(argv[0], argv[1:], table) is not None, argv
 
 
+# --flavor is the one option with choices, which the draws above seldom refuse
+@pytest.mark.parametrize("flavor", ["Q", "lift", "F_TAU", "", "F_tau", "T_tau", "Lift"])
+def test_direct_reader_reads_a_flavor_only_where_its_choices_do(flavor):
+    sub, table = cli._build_parser()[1]["random"]
+    argv = ["--flavor", flavor, "--json"]
+    read = cli._read("random", argv, table)
+    if flavor in ("F_tau", "T_tau", "Lift"):
+        expected = sub.parse_args(argv, argparse.Namespace(command="random"))
+        assert vars(read) == vars(expected)
+    else:
+        assert read is None
+
+
 # -- tree pairs -----------------------------------------------------------------
 
 def _recursive_tree(obj):

@@ -157,7 +157,7 @@ def reference_enclosure(f: LiftMap, iterations: int) -> RotEnclosure:
     table = power(f, iterations).table
     disps = [y - x for x, y in zip(table.xs, table.ys)]
     return RotEnclosure(Fraction((min(disps) * 2).floor(), 2 * iterations),
-                        Fraction((max(disps) * 2).ceil(), 2 * iterations),
+                        Fraction(-(-max(disps) * 2).floor(), 2 * iterations),
                         iterations)
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import decimal_value, zt
-from taut.errors import NonPositive, NotInRing
+from taut.errors import NonPositive
 from taut.ring import (
     INV_TAU,
     LN_TAU,
@@ -340,12 +340,6 @@ def test_comparisons_and_fraction_interop():
     assert QTau(TAU) > Fraction(1, 2)
     assert QTau(TAU) < Fraction(2, 3)
     assert QTau(zt(1), 2) == Fraction(1, 2)
-
-
-def test_as_ztau_guard():
-    with pytest.raises(NotInRing):
-        QTau(1, 2).as_ztau()
-    assert QTau(zt(4, 2), 2).as_ztau() == zt(2, 1)
 
 
 def fraction_value(x: QTau, digits: int) -> Fraction:
