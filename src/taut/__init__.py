@@ -28,7 +28,6 @@ from .lift import (
     RotRational,
     RotTranslation,
     SclResult,
-    defect_delta,
     rot,
     rot_enclosure,
     scl,

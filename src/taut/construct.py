@@ -1,7 +1,7 @@
 """Constructive realizations of the dynamical toolbox, with checkable certificates.
 
 Everything here either returns an element together with the data needed
-to re-check it by pure evaluation, or raises.  Choices (interval
+to re-check it by direct products, or raises.  Choices (interval
 subdivision points, padding powers, target points) follow a fixed
 preference order, so identical inputs produce identical certificates on
 every platform.
@@ -17,7 +17,6 @@ from .errors import (
     BadTuple,
     BudgetExceeded,
     CertificateError,
-    ExprError,
     IdentityInput,
     NoRoomInTarget,
     PowerBudgetExceeded,
@@ -26,10 +25,10 @@ from .errors import (
 )
 from .lift import (
     DEFAULT_MAX_DEN,
-    DefectDelta,
     LiftMap,
     RotResult,
     exact_defect_delta,
+    rot_defect,
     rot_result_from_json,
     verify_rot,
 )
@@ -142,10 +141,32 @@ def arcs_disjoint(a: tuple[ZTau, ZTau], b: tuple[ZTau, ZTau]) -> bool:
                 or arc_contains(*b, a[0]) or arc_contains(*b, a[1]))
 
 
+def _inside(lo: ZTau, hi: ZTau, x: ZTau) -> bool:
+    """x strictly inside the counterclockwise arc from lo to hi (mod 1)."""
+    d = _reduce(x - lo)
+    return d.sign() > 0 and (_reduce(hi - lo) - d).sign() > 0
+
+
+def factor_arc_fits(g: CircleMap, arc: tuple[ZTau, ZTau], x: ZTau, y: ZTau) -> bool:
+    """The arc of a factor certificate: x lies inside it and off its image
+    under g, and y off both."""
+    image = g.eval(arc[0]), g.eval(arc[1])
+    return not (arc_contains(*arc, y) or arc_contains(*image, x)
+                or arc_contains(*image, y)) and _inside(*arc, x)
+
+
+def commutator_arc_fits(g: CircleMap, arc: tuple[ZTau, ZTau], x: ZTau) -> bool:
+    """The arc of a commutator certificate: it and its image under g are
+    disjoint, and x lies off both."""
+    image = g.eval(arc[0]), g.eval(arc[1])
+    return arcs_disjoint(arc, image) and not (arc_contains(*arc, x)
+                                              or arc_contains(*image, x))
+
+
 def _arc_around(g: CircleMap, center: ZTau, first: int, fits, what: str):
-    """The widest arc (lo, hi) = center -+ tau**m for which fits(lo, hi,
-    (g(lo), g(hi))) holds, trying m = first, ..., 63 and then, for a far
-    smaller displacement, m = s, ..., s + 63 with s = max(64, j + 3), where
+    """The widest arc (lo, hi) = center -+ tau**m for which fits((lo, hi))
+    holds, trying m = first, ..., 63 and then, for a far smaller
+    displacement, m = s, ..., s + 63 with s = max(64, j + 3), where
     tau**(j+1) < min(d, 1 - d) <= tau**j and d = g(center) - center mod 1
     (nonzero, as center is a moved point); SearchBudgetExceeded if none."""
     def radii():
@@ -157,7 +178,7 @@ def _arc_around(g: CircleMap, center: ZTau, first: int, fits, what: str):
     for m in radii():
         r = tau_pow(m)
         lo, hi = _reduce(center - r), _reduce(center + r)
-        if fits(lo, hi, (g.eval(lo), g.eval(hi))):
+        if fits((lo, hi)):
             return lo, hi
     raise SearchBudgetExceeded(what)
 
@@ -219,6 +240,10 @@ def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
 # A payload class has a JSON kind and FIELDS, name -> (write, read), where
 # read takes the field's JSON value and name.  A field left out takes the
 # constructor's default, and expr._load makes a read's fault a SchemaError.
+# A field that is not a slot is a claim, the expression over its fields
+# that the certificate states: written from the certificate, never
+# evaluated (verify makes its products), and a CertificateError if stated
+# otherwise.
 
 class _Payload:
     __slots__ = ()
@@ -229,8 +254,14 @@ class _Payload:
 
     @classmethod
     def from_json(cls, obj: dict):
-        return cls(**{name: read(obj[name], name)
-                      for name, (_, read) in cls.FIELDS.items() if name in obj})
+        stated = {name: read(obj[name], name)
+                  for name, (_, read) in cls.FIELDS.items() if name in obj}
+        made = cls(**{name: v for name, v in stated.items() if name in cls.__slots__})
+        for name, value in stated.items():
+            if name not in cls.__slots__ and value != getattr(made, name):
+                raise CertificateError(f"{cls.kind} states {name} {value!r:.40}, "
+                                       f"not its claim {getattr(made, name)!r}")
+        return made
 
 
 def _as_is(value):
@@ -269,24 +300,14 @@ _POINTS = (lambda points: [ztau_literal(z) for z in points]), _list(_POINT[1])
 _ARC = _POINTS[0], _list(_POINT[1], 2)
 
 
-def _evaluate(expr: str, env: dict, memo: Memo | None):
-    """expr evaluated in env through memo; CertificateError if it does not."""
-    from .expr import evaluate_str
-
-    try:
-        return evaluate_str(expr, env, memo)
-    except ExprError as exc:
-        raise CertificateError(f"expression {expr!r:.40} does not evaluate: "
-                               f"{exc}") from exc
-
-
 # -- tuple transitivity -------------------------------------------------------
 
 class TransitivityCertificate(_Payload, Record):
     """An element mapping sources to targets, re-checkable by evaluation;
-    pieces is a fresh dict when not given."""
+    pieces is a fresh dict when not given.  A compact certificate claims
+    the element is comm(l, f) of its two pieces, l and f."""
 
-    __slots__ = ("element", "sources", "targets", "compact", "expr", "pieces")
+    __slots__ = ("element", "sources", "targets", "compact", "pieces")
     kind = "connect-cert"
     FIELDS = {"element": _element(PLMap), "sources": _POINTS, "targets": _POINTS,
               "compact": (_as_is, json_bool),
@@ -296,17 +317,19 @@ class TransitivityCertificate(_Payload, Record):
 
     def __init__(self, element: PLMap, sources: tuple[ZTau, ...],
                  targets: tuple[ZTau, ...], compact: bool = False,
-                 expr: str | None = None,
                  pieces: dict[str, PLMap] | None = None) -> None:
         _set(self, "element", element)
         _set(self, "sources", sources)
         _set(self, "targets", targets)
         _set(self, "compact", compact)
-        _set(self, "expr", expr)
         _set(self, "pieces", {} if pieces is None else pieces)
 
+    @property
+    def expr(self) -> str | None:
+        return "comm(l, f)" if self.compact else None
+
     def verify(self, memo: Memo | None = None) -> None:
-        """Re-check by evaluation; expr is evaluated through memo, the one
+        """Re-check by evaluation; comm(l, f) is made through memo, the one
         its construction built the element with, or a fresh one.  Stored
         tuples that are not valid are a fault of the certificate, not of a
         request, so their BadTuple is re-raised as a CertificateError."""
@@ -321,9 +344,11 @@ class TransitivityCertificate(_Payload, Record):
                 raise CertificateError(f"element does not map {s} to {t}")
         if self.compact and not is_ftau_compact(self.element):
             raise CertificateError("support closure is not inside (0, 1)")
-        if self.expr is not None and (_evaluate(self.expr, self.pieces, memo)
-                                      != self.element):
-            raise CertificateError("expression does not rebuild the element")
+        if self.pieces.keys() != ({"l", "f"} if self.compact else set()):
+            raise CertificateError("pieces must be l and f if compact, and none if not")
+        if self.compact and commutator(self.pieces["l"], self.pieces["f"],
+                                       memo) != self.element:
+            raise CertificateError("element differs from comm(l, f)")
 
 
 def _check_tuples(xs, ys) -> tuple[tuple[ZTau, ...], tuple[ZTau, ...]]:
@@ -363,10 +388,9 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     the transport and is the identity on [0, a] and [b, 1]: the padding
     gaps are matched by one piece of slope 1.  l pushes [a, b] strictly
     above itself, so l^-1 f^-1 l fixes every source point and the
-    commutator acts like f there.  The element is the certificate's own
-    expression comm(l, f), evaluated through a memo that this call makes
-    and hands to the certificate's verify, so the check makes none of its
-    products again.
+    commutator acts like f there.  The element is comm(l, f), made
+    through a memo that this call makes and hands to the certificate's
+    verify, so the check makes none of its products again.
     """
     xs, ys = _check_tuples(xs, ys)
     lo_lim = min(xs[0], ys[0]) if xs else TAU
@@ -377,40 +401,41 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     i1, i2 = points_between(b, ONE, 2)
     l = connect_tuple((a, b), (i1, i2)).element
     memo = Memo()
-    pieces = {"l": l, "f": f}
-    expr = "comm(l, f)"
-    cert = TransitivityCertificate(
-        element=_evaluate(expr, pieces, memo),
-        sources=xs,
-        targets=ys,
-        compact=True,
-        expr=expr,
-        pieces=pieces,
-    )
+    cert = TransitivityCertificate(commutator(l, f, memo), xs, ys, compact=True,
+                                   pieces={"l": l, "f": f})
     cert.verify(memo)
     return cert
 
 
 # -- local factorization --------------------------------------------------------
 
-# the expressions of u and v that factor_local builds them by
+# the claims of a factor certificate: the formulas of u and v
 FACTOR_U_EXPR = "g * f^-1 * comm(h2, h1)^-1"
 FACTOR_V_EXPR = "comm(h2, h1) * f"
+
+
+def _factor_products(g: CircleMap, pieces: dict[str, CircleMap], memo: Memo) -> tuple:
+    """u = (g * f^-1) * comm(h2, h1)^-1, v = comm(h2, h1) * f and comm(h2,
+    h1) itself, made through memo."""
+    f = pieces["f"]
+    c = commutator(pieces["h2"], pieces["h1"], memo)
+    return memo.mul(memo.mul(g, memo.inverse(f)), memo.inverse(c)), memo.mul(c, f), c
 
 
 class FactorCertificate(_Payload, Record):
     """g = u * v with u fixing a neighbourhood of x and v built from pieces
     fixing a neighbourhood of y (v = comm(h2, h1) * f)."""
 
-    __slots__ = ("g", "x", "y", "arc", "u", "v", "pieces", "u_expr", "v_expr")
+    __slots__ = ("g", "x", "y", "arc", "u", "v", "pieces")
     kind = "factor-cert"
     FIELDS = {"g": _element(CircleMap), "x": _POINT, "y": _POINT, "arc": _ARC,
               "u": _element(CircleMap), "v": _element(CircleMap),
               "pieces": _elements(CircleMap), "u_expr": _TEXT, "v_expr": _TEXT}
+    u_expr = FACTOR_U_EXPR
+    v_expr = FACTOR_V_EXPR
 
     def __init__(self, g: CircleMap, x: ZTau, y: ZTau, arc: tuple[ZTau, ZTau],
-                 u: CircleMap, v: CircleMap, pieces: dict[str, CircleMap],
-                 u_expr: str = FACTOR_U_EXPR, v_expr: str = FACTOR_V_EXPR) -> None:
+                 u: CircleMap, v: CircleMap, pieces: dict[str, CircleMap]) -> None:
         _set(self, "g", g)
         _set(self, "x", x)
         _set(self, "y", y)
@@ -418,30 +443,29 @@ class FactorCertificate(_Payload, Record):
         _set(self, "u", u)
         _set(self, "v", v)
         _set(self, "pieces", pieces)
-        _set(self, "u_expr", u_expr)
-        _set(self, "v_expr", v_expr)
 
     def verify(self, memo: Memo | None = None) -> None:
-        """Re-check by evaluation: u_expr, v_expr and comm(h2, h1) are
-        evaluated through one memo, the one the construction built u and v
-        with, or a fresh one."""
+        """Re-check by products: u, v and comm(h2, h1) are made from g and
+        the pieces through one memo, the one the construction made them
+        with, or a fresh one; the arc is checked last."""
         if not {"f", "h1", "h2"} <= self.pieces.keys():
             raise CertificateError("pieces must include f, h1 and h2")
-        memo = Memo() if memo is None else memo
-        env = {"g": self.g, **self.pieces}
-        if _evaluate(self.u_expr, env, memo) != self.u:
-            raise CertificateError("u expression does not rebuild u")
-        if _evaluate(self.v_expr, env, memo) != self.v:
-            raise CertificateError("v expression does not rebuild v")
+        u, v, h3 = _factor_products(self.g, self.pieces, Memo() if memo is None else memo)
+        if u != self.u:
+            raise CertificateError(f"u differs from {FACTOR_U_EXPR}")
+        if v != self.v:
+            raise CertificateError(f"v differs from {FACTOR_V_EXPR}")
         if self.u * self.v != self.g:
             raise CertificateError("u * v differs from the factored element")
         if not self.u.fixes_neighborhood_of(self.x):
             raise CertificateError("u does not fix a neighbourhood of x")
-        h3 = commutator(self.pieces["h2"], self.pieces["h1"], memo)
         for name, piece in list(self.pieces.items()) + [("comm(h2,h1)", h3)]:
             if not piece.fixes_neighborhood_of(self.y):
                 raise CertificateError(
                     f"piece {name} does not fix a neighbourhood of y")
+        if not factor_arc_fits(self.g, self.arc, self.x, self.y):
+            raise CertificateError("arc does not hold x inside it and off its "
+                                   "image, and y off both")
 
 
 def _chart_restriction_fixed_arc(u: CircleMap, lo: ZTau, hi: ZTau,
@@ -473,8 +497,8 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     an arc I around x until I, I*g and {x, y} are suitably separated,
     transport I*g back with an element f fixing y, cancel the remaining
     inner part of g*f^-1 on I by the commutator [h2, h1].  u and v are
-    the certificate's own expressions, evaluated through a memo that this
-    call makes, that already holds g*f^-1 and that is handed to the
+    made by the certificate's formulas through a memo that this call
+    makes, that already holds g*f^-1 and that is handed to the
     certificate's verify: each distinct product is made once in the call.
     """
     if g.is_identity():
@@ -486,9 +510,8 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     xg = g.eval(x)
     # of the 4,096 points, y has to avoid only x and g(x)
     y = next(c for c in circle_points() if c != x and c != xg)
-    arc = lo, hi = _arc_around(g, x, 3, lambda lo, hi, ig: not (
-        arc_contains(lo, hi, y) or arc_contains(*ig, x) or arc_contains(*ig, y)),
-        "no separating arc found")
+    arc = lo, hi = _arc_around(g, x, 3, lambda arc: factor_arc_fits(g, arc, x, y),
+                               "no separating arc found")
     a1 = _chart(y, lo)
     b1 = _chart(y, hi)
     f_chart = connect_tuple_derived(
@@ -508,18 +531,15 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     h2_chart = connect_tuple((eps, a1, b1, top), (eps, t1, t2, top)).element
     h2 = _embed_in_chart(h2_chart, y)
     pieces = {"f": f, "h1": h1, "h2": h2}
-    env = {"g": g, **pieces}
-    cert = FactorCertificate(g=g, x=x, y=y, arc=arc,
-                             u=_evaluate(FACTOR_U_EXPR, env, memo),
-                             v=_evaluate(FACTOR_V_EXPR, env, memo),
-                             pieces=pieces)
+    u, v, _ = _factor_products(g, pieces, memo)
+    cert = FactorCertificate(g=g, x=x, y=y, arc=arc, u=u, v=v, pieces=pieces)
     cert.verify(memo)
     return cert
 
 
 # -- the two-conjugates commutator -----------------------------------------------
 
-# the expression of the commutator that commutator_trick builds it by
+# the claim of a commutator certificate: the formula of its result
 COMMUTATOR_EXPR = "g^-1 * conj(g, h)"
 
 
@@ -527,39 +547,42 @@ class CommutatorCertificate(_Payload, Record):
     """k = [g, h] with supp(h) inside an arc displaced off itself by g, so
     k is a product of two conjugates of g^(+-1) and fixes x nearby."""
 
-    __slots__ = ("result", "g", "h", "x", "arc", "expr")
+    __slots__ = ("result", "g", "h", "x", "arc")
     kind = "commutator-cert"
     FIELDS = {"result": _element(CircleMap), "g": _element(CircleMap),
               "h": _element(CircleMap), "x": _POINT, "arc": _ARC, "expr": _TEXT}
+    expr = COMMUTATOR_EXPR
 
     def __init__(self, result: CircleMap, g: CircleMap, h: CircleMap, x: ZTau,
-                 arc: tuple[ZTau, ZTau], expr: str = COMMUTATOR_EXPR) -> None:
+                 arc: tuple[ZTau, ZTau]) -> None:
         _set(self, "result", result)
         _set(self, "g", g)
         _set(self, "h", h)
         _set(self, "x", x)
         _set(self, "arc", arc)
-        _set(self, "expr", expr)
 
     def verify(self, memo: Memo | None = None) -> None:
-        """Re-check by evaluation; expr is evaluated through memo, the one
-        its construction built the result with, or a fresh one."""
-        if _evaluate(self.expr, {"g": self.g, "h": self.h}, memo) != self.result:
-            raise CertificateError("expression does not rebuild the element")
+        """Re-check by products: [g, h] is made through memo, the one its
+        construction made the result with, or a fresh one; the arc is
+        checked last."""
+        if commutator(self.g, self.h, memo) != self.result:
+            raise CertificateError(f"result differs from {COMMUTATOR_EXPR}")
         if self.result.is_identity():
             raise CertificateError("commutator collapsed to the identity")
         if self.h.is_identity():
             raise CertificateError("inner element is the identity")
         if not self.result.fixes_neighborhood_of(self.x):
             raise CertificateError("result does not fix a neighbourhood of x")
+        if not commutator_arc_fits(self.g, self.arc, self.x):
+            raise CertificateError("arc is not displaced off itself by g, or x "
+                                   "is not off both")
 
 
 def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertificate:
     """k = [g, h] fixing a neighbourhood of x, h supported in an arc I with
-    I*g disjoint from I and x outside I and I*g.  k is the certificate's
-    own expression g^-1 * conj(g, h), evaluated through a memo that this
-    call makes and hands to the certificate's verify, so the check makes
-    none of its products again."""
+    I*g disjoint from I and x outside I and I*g.  k is made through a memo
+    that this call makes and hands to the certificate's verify, so the
+    check makes none of its products again."""
     if g.is_identity():
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
@@ -571,8 +594,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
             break
     if w is None:
         raise SearchBudgetExceeded("no usable moved point found")
-    arc = lo, hi = _arc_around(g, w, 2, lambda lo, hi, ig: arcs_disjoint((lo, hi), ig)
-                               and not (arc_contains(lo, hi, x) or arc_contains(*ig, x)),
+    arc = lo, hi = _arc_around(g, w, 2, lambda arc: commutator_arc_fits(g, arc, x),
                                "no displaced arc found")
     h0 = None
     for tries in range(64):
@@ -588,8 +610,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
     inner = conjugate(h0, t)
     h = _embed_in_chart(concat([PLMap.identity(ZERO, a2), inner]), hi)
     memo = Memo()
-    k = _evaluate(COMMUTATOR_EXPR, {"g": g, "h": h}, memo)
-    cert = CommutatorCertificate(result=k, g=g, h=h, x=x, arc=arc)
+    cert = CommutatorCertificate(result=commutator(g, h, memo), g=g, h=h, x=x, arc=arc)
     cert.verify(memo)
     return cert
 
@@ -629,14 +650,13 @@ class DefectWitness(_Payload, Record):
         """Replay the stored rots of g, h and g*h through verify_rot, each q
         within max_den, and recompute delta from them; an enclosure is
         rejected before any replay, so no other budget applies."""
-        d = DefectDelta.of(self.rots)
-        if not d.is_exact:
+        if any(r.kind == "enclosure" for r in self.rots):
             raise CertificateError("a defect witness rot is an enclosure, not exact")
         for name, f, r in zip(("g", "h", "g*h"), (self.g, self.h, self.g * self.h),
                               self.rots):
             if not verify_rot(f, r, max_den=max_den):
                 raise CertificateError(f"stored rot of {name} fails re-checking")
-        if d.exact != self.delta:
+        if rot_defect(self.rots) != self.delta:
             raise CertificateError("recomputed defect delta disagrees")
 
 
@@ -655,7 +675,7 @@ def defect_witness(n: int, *, max_den: int = DEFAULT_MAX_DEN) -> DefectWitness:
     d = exact_defect_delta(g, h, max_den=max_den)
     if d is None:
         raise BudgetExceeded("product rotation number not certified in budget")
-    return DefectWitness(g=g, h=h, delta=d.exact, rots=d.rots, n=n)
+    return DefectWitness(g=g, h=h, delta=d[0], rots=d[1], n=n)
 
 
 def defect_witness_search(samples: int, seed: int, *, size: int = 4,
@@ -671,8 +691,8 @@ def defect_witness_search(samples: int, seed: int, *, size: int = 4,
         d = exact_defect_delta(g, h, max_den=max_den)
         if d is None:
             continue
-        if best is None or d.exact > best.delta:
-            best = DefectWitness(g=g, h=h, delta=d.exact, rots=d.rots)
+        if best is None or d[0] > best.delta:
+            best = DefectWitness(g=g, h=h, delta=d[0], rots=d[1])
     if best is None:
         raise BudgetExceeded("no pair could be certified exactly")
     return best

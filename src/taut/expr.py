@@ -99,13 +99,12 @@ Element = PLMap | CircleMap | LiftMap
 
 
 class _Scanner:
-    def __init__(self, text: str, env: dict[str, Element] | None,
-                 memo: Memo | None) -> None:
+    def __init__(self, text: str, env: dict[str, Element] | None) -> None:
         self.text = text
         self.pos = 0
         self.depth = 0
         self.env = dict(env or {})
-        self.memo = Memo() if memo is None else memo
+        self.memo = Memo()
 
     def error(self, message: str) -> ExprSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -207,14 +206,13 @@ class _Scanner:
         raise self.error("expected a ring literal")
 
 
-def evaluate_str(text: str, env: dict[str, Element] | None = None,
-                 memo: Memo | None = None) -> Element:
+def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
     """The element that an expression denotes; names are looked up in env,
     which the expression's let bindings do not change.  Products, inverses
-    (^-1), commutators and conjugates are made through memo, a fresh one
-    unless the caller hands on its own: a product already in it, of the
-    same operand objects in the same order, is not made again."""
-    sc = _Scanner(text, env, memo)
+    (^-1), commutators and conjugates are made through one memo of the
+    call: a product already in it, of the same operand objects in the same
+    order, is not made again."""
+    sc = _Scanner(text, env)
     while sc.take_word("let"):
         name = sc.read_name()
         if name in _KEYWORDS:

@@ -614,40 +614,19 @@ def _abs_interval(lo, hi):
 
 # -- the defect of rot -------------------------------------------------------
 
-class DefectDelta(Record):
-    """|rot(f) + rot(g) - rot(fg)|; None unless all three rots are exact."""
-
-    __slots__ = ("exact", "rots")
-
-    def __init__(self, exact: QTau | None,
-                 rots: tuple[RotResult, RotResult, RotResult]) -> None:
-        _set(self, "exact", exact)
-        _set(self, "rots", rots)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    @classmethod
-    def of(cls, rots: tuple[RotResult, RotResult, RotResult]) -> DefectDelta:
-        if any(r.kind == "enclosure" for r in rots):
-            return cls(None, rots)
-        f, g, fg = (_as_qtau(r.value) for r in rots)
-        return cls(abs(f + g - fg), rots)
+def rot_defect(rots: tuple[RotResult, RotResult, RotResult]) -> QTau:
+    """|rot(f) + rot(g) - rot(fg)| of the exact rots of f, g and fg."""
+    f, g, fg = (_as_qtau(r.value) for r in rots)
+    return abs(f + g - fg)
 
 
-def defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,
-                 max_iter: int = DEFAULT_MAX_ITER) -> DefectDelta:
-    opts = {"max_den": max_den, "max_iter": max_iter}
-    return DefectDelta.of((rot(f, **opts), rot(g, **opts), rot(f * g, **opts)))
-
-
-def exact_defect_delta(f: LiftMap, g: LiftMap, *,
-                       max_den: int = DEFAULT_MAX_DEN) -> DefectDelta | None:
-    """defect_delta(f, g) if all three rots are exact within max_den, else
-    None: it stops at the first rot that is not, with no enclosure built
-    and neither the later rots nor, before rot(fg), f*g made."""
+def exact_defect_delta(f: LiftMap, g: LiftMap, *, max_den: int = DEFAULT_MAX_DEN
+                       ) -> tuple[QTau, tuple[RotResult, RotResult, RotResult]] | None:
+    """The rot_defect of f and g and their three rots, if all three are
+    exact within max_den, else None: it stops at the first rot that is
+    not, with no enclosure built and neither the later rots nor, before
+    rot(fg), f*g made."""
     rf = _exact_rot(_Descent(f), max_den)
     rg = rf and _exact_rot(_Descent(g), max_den)
     rfg = rg and _exact_rot(_Descent(f * g), max_den)
-    return rfg and DefectDelta.of((rf, rg, rfg))
+    return rfg and (rot_defect((rf, rg, rfg)), (rf, rg, rfg))

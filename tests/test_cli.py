@@ -305,13 +305,32 @@ def _assign(target, source):
 
 
 def _swap_u_and_v(payload):
-    for a, b in (("u", "v"), ("u_expr", "v_expr")):
-        payload[a], payload[b] = payload[b], payload[a]
+    payload["u"], payload["v"] = payload["v"], payload["u"]
 
 
 def _collapse(payload):
-    payload["expr"] = "g^-1 * g"
+    # h = g commutes with g, so [g, h] is the identity
+    payload["h"] = payload["g"]
     payload["result"] = CircleMap.identity().to_json()
+
+
+def _compact_claim(payload):
+    # a plain connect restated as comm(l, f) of two identities: its element
+    # is not compactly supported, which is checked before the product
+    identity = PLMap.identity().to_json()
+    payload.update(compact=True, expr="comm(l, f)", pieces={"l": identity, "f": identity})
+
+
+def _plain_with_a_piece(payload):
+    payload["pieces"] = {"l": PLMap.identity().to_json()}
+
+
+def _result_to_h(payload):
+    payload.update(expr="h", result=payload["h"])
+
+
+def _expr_over_one_piece(payload):
+    payload.update(expr="a", pieces={"a": payload["element"]})
 
 
 def _x_to_arc_start(payload):
@@ -352,26 +371,40 @@ def _certificate(capsys, kind):
 
 
 # one case per check of FactorCertificate, CommutatorCertificate,
-# TransitivityCertificate and DefectWitness
+# TransitivityCertificate and DefectWitness, and per stated claim: a
+# certificate states one fixed claim, and a payload that states another
+# is refused on reading
 @pytest.mark.parametrize("kind, tamper, message", [
-    ("factor", _assign("u", "v"), "u expression does not rebuild u"),
-    ("factor", _assign("v", "u"), "v expression does not rebuild v"),
-    ("factor", _swap_u_and_v, "u * v differs from the factored element"),
+    ("factor", _assign("u", "v"), "u differs from g * f^-1 * comm(h2, h1)^-1"),
+    ("factor", _assign("v", "u"), "v differs from comm(h2, h1) * f"),
+    ("factor", _swap_u_and_v, "u differs from g * f^-1 * comm(h2, h1)^-1"),
     ("factor", _assign("x", "y"), "u does not fix a neighbourhood of x"),
     ("factor", _assign("y", "x"), "piece f does not fix a neighbourhood of y"),
-    ("commutator", _assign("result", "g"), "expression does not rebuild the element"),
+    ("commutator", _assign("result", "g"), "result differs from g^-1 * conj(g, h)"),
     ("commutator", _x_to_arc_start, "result does not fix a neighbourhood of x"),
     ("commutator", _collapse, "commutator collapsed to the identity"),
-    ("derived", _element_to_piece_f, "expression does not rebuild the element"),
-    ("connect", _set("compact", True), "support closure is not inside (0, 1)"),
+    ("derived", _element_to_piece_f, "element differs from comm(l, f)"),
+    ("derived", _set("pieces", {}), "pieces must be l and f if compact"),
+    ("connect", _compact_claim, "support closure is not inside (0, 1)"),
+    ("connect", _plain_with_a_piece, "and none if not"),
     ("connect", _outside_ftau, "element does not fix 0 and 1"),
     ("defect", _third_rot_to_one_seventh, "stored rot of g*h fails re-checking"),
     ("defect", _first_rot_to_enclosure, "rot is an enclosure, not exact"),
     ("defect", _set("delta", "(1+0*t)/7"), "recomputed defect delta disagrees"),
+    ("factor", _set("arc", ["5+0*t", "5+0*t"]), "arc does not hold x inside it"),
+    ("commutator", _set("arc", ["5+0*t", "5+0*t"]), "arc is not displaced off itself"),
+    ("commutator", _result_to_h, "commutator-cert states expr 'h', not its claim"),
+    ("derived", _set("expr", None), "connect-cert states expr None, not its claim"),
+    ("derived", _expr_over_one_piece, "connect-cert states expr 'a', not its claim"),
+    ("connect", _set("expr", "comm(l, f)"), "not its claim None"),
+    ("factor", _set("u_expr", "g"), "factor-cert states u_expr 'g', not its claim"),
 ], ids=["factor-u", "factor-v", "factor-swapped", "factor-x", "factor-y",
         "commutator-result", "commutator-x", "commutator-collapsed",
-        "derived-element", "connect-compact", "connect-outside-ftau",
-        "defect-third-rot", "defect-enclosure-rot", "defect-delta"])
+        "derived-element", "derived-no-pieces", "connect-compact", "connect-piece",
+        "connect-outside-ftau",
+        "defect-third-rot", "defect-enclosure-rot", "defect-delta",
+        "factor-arc", "commutator-arc", "commutator-expr-h", "derived-expr-null",
+        "derived-expr-a", "connect-expr", "factor-u-expr"])
 def test_check_tampered_certificate(tmp_path, capsys, kind, tamper, message):
     payload = _certificate(capsys, kind)
     path = tmp_path / "cert.json"

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -488,7 +489,7 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
     path = tmp_path / "factor.json"
     path.write_text(serialize(cert), encoding="utf-8")
     # a check of the stored certificate makes every product itself, each
-    # time: u_expr whole, v_expr's last product and u*v
+    # time: g*f^-1, comm(h2, h1), u, v and u*v
     for _ in range(2):
         made.clear()
         check_file(path)
@@ -502,48 +503,111 @@ def test_a_shared_memo_keeps_the_order_of_operands():
     a = random_element(3, 4, "T_tau")
     b = random_element(11, 5, "T_tau")
     assert a * b != b * a
-    env = {"a": a, "b": b}
     memo = Memo()
-    ab = evaluate_str("a * b", env, memo)
-    assert evaluate_str("b * a", env, memo) == b * a != ab
-    assert evaluate_str("a * b", env, memo) is ab
-    comm_ab = evaluate_str("comm(a, b)", env, memo)
-    assert comm_ab == commutator(a, b)
-    assert evaluate_str("comm(b, a)", env, memo) == commutator(b, a) != comm_ab
-    assert evaluate_str("conj(a, b)", env, memo) == conjugate(a, b) \
-        != evaluate_str("conj(b, a)", env, memo)
+    ab = memo.mul(a, b)
+    assert memo.mul(b, a) == b * a != ab
+    assert memo.mul(a, b) is ab
+    comm_ab = commutator(a, b, memo)
+    assert comm_ab == commutator(a, b) and commutator(a, b, memo) is comm_ab
+    assert commutator(b, a, memo) == commutator(b, a) != comm_ab
+    assert conjugate(a, b, memo) == conjugate(a, b) != conjugate(b, a, memo)
 
 
 def test_a_memo_holds_tables_of_at_most_its_bound_in_pieces(monkeypatch):
     monkeypatch.setattr(plmap, "MEMO_PIECES", 40)
     h = LiftMap(random_element(283, 6, "Lift").table)
     memo = Memo()
-    chain = evaluate_str(" * ".join(["h"] * 12), {"h": h}, memo)
-    assert chain == power(h, 12)
+
+    def chain():
+        # h * h * ... * h, twelve factors, folded from the left
+        out = h
+        for _ in range(11):
+            out = memo.mul(out, h)
+        return out
+
+    first = chain()
+    assert first == power(h, 12)
     assert 0 < memo._pieces <= 40
     # what it did not keep is made again, and comes out the same
-    assert evaluate_str(" * ".join(["h"] * 12), {"h": h}, memo) == chain
+    assert chain() == first
 
 
 def test_an_altered_factor_expression_still_fails(tmp_path):
     cert = factor_local(random_element(5, 4, "T_tau"))
-    env = {"g": cert.g, **cert.pieces}
+    g, f = cert.g, cert.pieces["f"]
+    c = commutator(cert.pieces["h2"], cert.pieces["h1"])
     # with seed 5 comm(h2, h1) is no identity, and it does not commute with f
-    for field, text in (("u_expr", "g * f^-1"),
-                        ("u_expr", "g * f * comm(h2, h1)^-1"),
-                        ("v_expr", "f * comm(h2, h1)"),
-                        ("v_expr", "comm(h2, h1) * f^-1")):
-        exprs = {"u_expr": cert.u_expr, "v_expr": cert.v_expr, field: text}
-        bad = FactorCertificate(cert.g, cert.x, cert.y, cert.arc, cert.u, cert.v,
-                                cert.pieces, **exprs)
+    for field, text, value in (("u", "g * f^-1", g * f.inverse()),
+                               ("u", "g * f * comm(h2, h1)^-1", g * f * c.inverse()),
+                               ("v", "f * comm(h2, h1)", f * c),
+                               ("v", "comm(h2, h1) * f^-1", c * f.inverse())):
+        bad = FactorCertificate(cert.g, cert.x, cert.y, cert.arc,
+                                **{"u": cert.u, "v": cert.v, field: value},
+                                pieces=cert.pieces)
         # a fresh memo, and one that already holds the true u and v
         full = Memo()
-        for expr in (cert.u_expr, cert.v_expr):
-            evaluate_str(expr, env, full)
+        cert.verify(full)
         for memo in (None, full):
-            with pytest.raises(CertificateError, match="does not rebuild"):
+            with pytest.raises(CertificateError, match=f"{field} differs from"):
                 bad.verify(memo)
+        # stated as the claim, the altered formula is refused on reading
+        payload = json.loads(serialize(cert))
+        payload[f"{field}_expr"] = text
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["check", str(path)]) == 1
         path = tmp_path / "bad.json"
         path.write_text(serialize(bad), encoding="utf-8")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(["check", str(path)]) == 1
+
+
+# -- the direct products against the stated claims, evaluated as text -----------
+
+def _seeded_certificates(make, count=40):
+    """count certificates of make(seed) over seeds 0, 1, ...; a seed whose
+    element is the identity is passed over."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        try:
+            out.append(make(seed))
+        except IdentityInput:
+            pass
+        seed += 1
+    return out
+
+
+def _derived(seed):
+    n = 1 + seed % 3
+    return connect_tuple_derived(seeded_points(seed, n), seeded_points(seed + 4242, n))
+
+
+def _factored(seed):
+    return factor_local(random_element(seed, 2 + seed % 5, "T_tau"))
+
+
+def _commutator(seed):
+    x = next(islice(circle_points(), seed % 7, None))
+    return commutator_trick(random_element(seed, 2 + seed % 4, "T_tau"), x, seed=seed)
+
+
+def test_direct_products_equal_the_claims_evaluated_as_text():
+    # the oracle: each claim as its stored text was once evaluated, through
+    # the expression language, over the certificate's own fields
+    for cert in _seeded_certificates(_derived):
+        payload = json.loads(serialize(cert))
+        assert payload["expr"] == "comm(l, f)" and cert.pieces.keys() == {"l", "f"}
+        assert cert.element == evaluate_str(payload["expr"], cert.pieces)
+    for cert in _seeded_certificates(_factored):
+        payload = json.loads(serialize(cert))
+        env = {"g": cert.g, **cert.pieces}
+        assert payload["u_expr"] == "g * f^-1 * comm(h2, h1)^-1"
+        assert payload["v_expr"] == "comm(h2, h1) * f"
+        assert cert.u == evaluate_str(payload["u_expr"], env)
+        assert cert.v == evaluate_str(payload["v_expr"], env)
+    for cert in _seeded_certificates(_commutator):
+        payload = json.loads(serialize(cert))
+        assert payload["expr"] == "g^-1 * conj(g, h)"
+        assert cert.result == evaluate_str(payload["expr"], {"g": cert.g, "h": cert.h})
