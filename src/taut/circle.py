@@ -1,27 +1,30 @@
 """Circle maps of the golden ratio Thompson group T_tau as canonical lifts.
 
-An element is stored as the one-period table of its lift: a PLMap on
-[0, 1] with image [v, v+1], where the base value v = table(0) lies in
-Z[tau] with 0 <= v < 1.  Storing v in the ring is exactly the constraint
-that separates T_tau from arbitrary PL circle maps with tau-power slopes
-(every rotation satisfies the breakpoint and slope conditions, but only
-ring rotations preserve Z[tau]/Z).
+A circle map and a lift of one to the line are both a Periodic: the
+table of the lift on [0, 1], a PLMap with table(1) = table(0) + 1.  A
+CircleMap keeps its base value v = table(0) in its period, 0 <= v < 1
+(IN_PERIOD), and a lift.LiftMap lets it be any element of Z[tau].
+Storing v in the ring is exactly the constraint that separates T_tau
+from arbitrary PL circle maps with tau-power slopes (every rotation
+satisfies the breakpoint and slope conditions, but only ring rotations
+preserve Z[tau]/Z).
 
+Periodic holds the table check, identity, product and inverse of both.
 A product is the one sweep of plmap._sweep, which reads the other
 factor's table in place as its periodic extension, from the piece that
-holds this map's first image, and moves the images once, by the integer
-that puts the first into [0, 1); an inverse is the same sweep of the
-identity against the swapped table.  No shifted copy of a table is made.
-_eval_lift is the one evaluation kernel of a lift
+holds this map's first image, and for a CircleMap moves the images
+once, by the integer that puts the first into [0, 1); an inverse is the
+same sweep of the identity against the swapped table.  No shifted copy
+of a table is made.  _eval_lift is the one evaluation kernel of a lift
 (LiftMap.eval, CircleMap.eval and the rotation orbit walk): it holds
 x = num/den as integer coefficients through any number of steps, each
 an exact floor, a piece bisection and that piece's line, and builds one
 ring element at the end.
 
 A point is fixed on the circle where the table moves it by 0 or by one
-turn, so the fixed neighbourhoods are read by plmap's one fixed-piece
-scan, _fixed_pieces, with gaps (0, 1); the wrap at 0 = 1 is a fixed
-first piece together with a fixed last one.
+turn, so the fixed neighbourhoods and fixed arcs are read by plmap's one
+fixed-piece scan, _fixed_pieces, with gaps (0, 1); a fixed last piece
+and a fixed first one are one fixed arc across 0 = 1.
 
 A tree pair is built from its trees' leaf exponents: a leaf of depth
 exponent e has length tau**e, so its partition of [0, 1] is the running
@@ -42,24 +45,59 @@ from .errors import (
 )
 from .plmap import (MAX_PIECES, PLMap, _TABLE_FIELDS, _fixed_pieces, _json_table,
                     _piece_index, _sweep, _table_json, is_ftau)
+from .record import Record, _set
 from .ring import ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, tau_pow
 
 _UNIT = (ZERO, ONE)
 
 
-class CircleMap:
+class Periodic(Record):
+    """The map of the line fixed by its table on [0, 1], table(1) =
+    table(0) + 1, read as its periodic extension.  With IN_PERIOD the
+    table is moved by the integer that puts table(0) into [0, 1).  A
+    product or an inverse is of its operands' class; a product of two
+    classes is a TypeError."""
+
     __slots__ = ("table",)
+    IN_PERIOD = False
 
     def __init__(self, table: PLMap) -> None:
-        _check_lift_table(table)
-        ys = _into_period(table.ys)
-        self.table = table if ys is table.ys else PLMap(table.xs, ys, table.ks)
-
-    # -- constructors ---------------------------------------------------
+        if table.xs[0] != ZERO or table.xs[-1] != ONE:
+            raise ValidationError("lift table must live on [0, 1]")
+        y0, y1 = table.ys[0], table.ys[-1]
+        if y1.a - y0.a != 1 or y1.b != y0.b:
+            raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
+        if self.IN_PERIOD and (j := y0.floor()):
+            table = PLMap(table.xs, [ZTau(y.a - j, y.b) for y in table.ys], table.ks)
+        _set(self, "table", table)
 
     @classmethod
-    def identity(cls) -> CircleMap:
+    def identity(cls):
         return cls(PLMap.identity())
+
+    @property
+    def num_pieces(self) -> int:
+        return self.table.num_pieces
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        t, o = self.table, other.table
+        return self.__class__(_sweep(t.xs, t.ys, t.ks, o.xs, o.ys, o.ks,
+                                     into_period=self.IN_PERIOD))
+
+    def inverse(self):
+        t = self.table
+        return self.__class__(_sweep(_UNIT, _UNIT, (0,), t.ys, t.xs,
+                                     tuple([-k for k in t.ks]),
+                                     into_period=self.IN_PERIOD))
+
+
+class CircleMap(Periodic):
+    __slots__ = ()
+    IN_PERIOD = True
+
+    # -- constructors ---------------------------------------------------
 
     @classmethod
     def rotation(cls, alpha: ZTau | int) -> CircleMap:
@@ -101,10 +139,6 @@ class CircleMap:
     def v(self) -> ZTau:
         return self.table.ys[0]
 
-    @property
-    def num_pieces(self) -> int:
-        return self.table.num_pieces
-
     def is_rotation(self) -> bool:
         return self.table.ks == (0,)
 
@@ -114,14 +148,6 @@ class CircleMap:
     def __repr__(self) -> str:
         return f"CircleMap(v={self.v}, pieces={self.num_pieces})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CircleMap):
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash(("circle", self.table))
-
     # -- evaluation -------------------------------------------------------
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
@@ -129,38 +155,31 @@ class CircleMap:
         y = _eval_lift(self.table, x)
         return y - y.floor()
 
-    # -- group operations -------------------------------------------------
-
-    def __mul__(self, other: CircleMap) -> CircleMap:
-        if not isinstance(other, CircleMap):
-            return NotImplemented
-        t, o = self.table, other.table
-        return CircleMap(_sweep(t.xs, t.ys, t.ks, o.xs, o.ys, o.ks,
-                                into_period=True))
-
-    def inverse(self) -> CircleMap:
-        return CircleMap(_inverse_table(self.table, into_period=True))
-
     # -- fixed sets ---------------------------------------------------------
 
     def fixes_neighborhood_of(self, x: ZTau) -> bool:
-        """Whether x lies inside a fixed interval: one of the table's
-        pieces that moves by 0 or by one turn, or, at 0 = 1, a first
-        piece and a last one that both are fixed."""
-        x = x - x.floor()
+        """Whether x lies inside a fixed arc; 0 is read as 1, where a
+        fixed last piece and a fixed first one join."""
+        x = x - x.floor() or ONE
+        return any(_cmp(x, lo) > 0 and _cmp(hi, x) > 0 for lo, hi in self._fixed_arcs())
+
+    def fixes_arc(self, start: ZTau, length: ZTau) -> bool:
+        """Whether every point of the closed arc from start of this length,
+        at most one turn, is fixed: the arc lies in one fixed arc."""
+        start = start - start.floor()
+        end = start + length
+        return any(_cmp(start, lo) >= 0 and _cmp(hi, end) >= 0
+                   for lo, hi in self._fixed_arcs())
+
+    def _fixed_arcs(self) -> list[tuple[ZTau, ZTau]]:
+        """The maximal fixed arcs (lo, hi): the table's pieces that move by
+        0 or by one turn, where a fixed last piece (lo, 1) and a fixed
+        first one (0, hi) are one arc across 0 = 1, (lo, 1 + hi), in the
+        last one's place."""
         segs = _fixed_pieces(self.table, (0, 1))
-        if not x:
-            return bool(segs) and segs[0][0] == ZERO and segs[-1][1] == ONE
-        return any(_cmp(x, lo) > 0 and _cmp(hi, x) > 0 for lo, hi in segs)
-
-
-def _check_lift_table(table: PLMap) -> None:
-    """A lift's table lives on [0, 1] and has degree one."""
-    if table.xs[0] != ZERO or table.xs[-1] != ONE:
-        raise ValidationError("lift table must live on [0, 1]")
-    y0, y1 = table.ys[0], table.ys[-1]
-    if y1.a - y0.a != 1 or y1.b != y0.b:
-        raise DegreeNotOne("lift must satisfy g(1) = g(0) + 1")
+        if segs and segs[0][0] == ZERO and segs[-1][1] == ONE:
+            segs[-1] = segs[-1][0], segs[0][1] + 1
+        return segs
 
 
 _CIRCLE_FIELDS = _TABLE_FIELDS | {"base"}
@@ -184,13 +203,6 @@ def _from_circle_json(cls, obj: object, n: int = 0):
         if ZTau(y0.a - n, y0.b) != sv - sv.floor():
             raise SchemaError("stated base value disagrees with the table")
     return g
-
-
-def _into_period(ys):
-    """ys moved by the integer that puts ys[0] into [0, 1), on their .a
-    coefficient; ys itself if that integer is 0."""
-    j = ys[0].floor()
-    return [ZTau(y.a - j, y.b) for y in ys] if j else ys
 
 
 def _circle_json(table: PLMap, n: int) -> dict:
@@ -226,14 +238,6 @@ def _eval_lift(table: PLMap, x: ZTau | QTau, steps: int = 1) -> ZTau | QTau:
         b = y0.b * den + t.a * db + t.b * (da - db)
     y = ZTau(a, b)
     return y if num is x else QTau(y, den)
-
-
-def _inverse_table(table: PLMap, into_period: bool = False) -> PLMap:
-    """The table on [0, 1] of the inverse of the lift with this table: the
-    identity swept against the swapped table, read as its periodic
-    extension."""
-    return _sweep(_UNIT, _UNIT, (0,), table.ys, table.xs,
-                  tuple([-k for k in table.ks]), into_period=into_period)
 
 
 # -- tau-subdivision trees -------------------------------------------------

@@ -447,7 +447,9 @@ class FactorCertificate(_Payload, Record):
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by products: u, v and comm(h2, h1) are made from g and
         the pieces through one memo, the one the construction made them
-        with, or a fresh one; the arc is checked last."""
+        with, or a fresh one; the arc is checked last.  u * v is not made:
+        once u and v equal their formulas, u * v = g * f^-1 * c^-1 * c * f
+        = g with c = comm(h2, h1), so that product could never differ."""
         if not {"f", "h1", "h2"} <= self.pieces.keys():
             raise CertificateError("pieces must include f, h1 and h2")
         u, v, h3 = _factor_products(self.g, self.pieces, Memo() if memo is None else memo)
@@ -455,8 +457,6 @@ class FactorCertificate(_Payload, Record):
             raise CertificateError(f"u differs from {FACTOR_U_EXPR}")
         if v != self.v:
             raise CertificateError(f"v differs from {FACTOR_V_EXPR}")
-        if self.u * self.v != self.g:
-            raise CertificateError("u * v differs from the factored element")
         if not self.u.fixes_neighborhood_of(self.x):
             raise CertificateError("u does not fix a neighbourhood of x")
         for name, piece in list(self.pieces.items()) + [("comm(h2,h1)", h3)]:
@@ -564,7 +564,9 @@ class CommutatorCertificate(_Payload, Record):
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by products: [g, h] is made through memo, the one its
         construction made the result with, or a fresh one; the arc is
-        checked last."""
+        checked last, and h must fix every point of the closed arc off it,
+        from hi to lo, of length 1 - ((hi - lo) mod 1): the whole circle
+        off a one-point arc."""
         if commutator(self.g, self.h, memo) != self.result:
             raise CertificateError(f"result differs from {COMMUTATOR_EXPR}")
         if self.result.is_identity():
@@ -576,6 +578,9 @@ class CommutatorCertificate(_Payload, Record):
         if not commutator_arc_fits(self.g, self.arc, self.x):
             raise CertificateError("arc is not displaced off itself by g, or x "
                                    "is not off both")
+        lo, hi = self.arc
+        if not self.h.fixes_arc(hi, ONE - _reduce(hi - lo)):
+            raise CertificateError("h moves points outside its arc")
 
 
 def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertificate:

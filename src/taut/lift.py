@@ -2,14 +2,13 @@
 
 A LiftMap is a homeomorphism of the line commuting with x -> x + 1, fixed
 by its table on [0, 1]: table(1) = table(0) + 1, and table(0) may be any
-element of Z[tau].  A product is one sweep of this table against the
-other's, read in place as its periodic extension (plmap._sweep), and an
-inverse is the same sweep of the identity against the swapped table.  The
-circle map it lifts and its integer translation part n = floor(table(0))
-are read off the table, so the central integer translations are exactly
-the lifts whose table is x -> x + n; its JSON writes the base as its own
-table moved down by n, with no circle table built.  Rotation numbers are
-certified:
+element of Z[tau]: the circle.Periodic that keeps table(0) where it is
+(CircleMap moves it into [0, 1)), whose table check, identity, product
+and inverse, one sweep each, are Periodic's.  The circle map it lifts
+and its integer translation part n = floor(table(0)) are read off the
+table, so the central integer translations are exactly the lifts whose
+table is x -> x + n; its JSON writes the base as its own table moved
+down by n, with no circle table built.  Rotation numbers are certified:
 
 * lifts of ring rotations are translations, with exact value in Z[tau];
 * rational values p/q are proved by an exact fixed point of the q-th
@@ -48,16 +47,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .circle import (
-    CircleMap,
-    _check_lift_table,
-    _circle_json,
-    _eval_lift,
-    _from_circle_json,
-    _inverse_table,
-)
+from .circle import CircleMap, Periodic, _circle_json, _eval_lift, _from_circle_json
 from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
-from .plmap import PLMap, _capped_mul, _sweep
+from .plmap import PLMap, _capped_mul
 from .record import Record, _set
 from .ring import (
     ONE,
@@ -88,19 +80,11 @@ DEFAULT_MAX_DEN = 1_000
 SQUARE_COST = 2
 
 
-class LiftMap(Record):
+class LiftMap(Periodic):
     """The lift fixed by its table on [0, 1]: table(1) = table(0) + 1, and
     table(0) may be any ring element."""
 
-    __slots__ = ("table",)
-
-    def __init__(self, table: PLMap) -> None:
-        _check_lift_table(table)
-        _set(self, "table", table)
-
-    @classmethod
-    def identity(cls) -> LiftMap:
-        return cls(PLMap.identity())
+    __slots__ = ()
 
     @classmethod
     def translation(cls, alpha: ZTau | int) -> LiftMap:
@@ -131,19 +115,6 @@ class LiftMap(Record):
         if not self.is_translation():
             raise ValueError("not a translation")
         return self.table.ys[0]
-
-    @property
-    def num_pieces(self) -> int:
-        return self.table.num_pieces
-
-    def __mul__(self, other: LiftMap) -> LiftMap:
-        if not isinstance(other, LiftMap):
-            return NotImplemented
-        t, o = self.table, other.table
-        return LiftMap(_sweep(t.xs, t.ys, t.ks, o.xs, o.ys, o.ks))
-
-    def inverse(self) -> LiftMap:
-        return LiftMap(_inverse_table(self.table))
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
         """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""

@@ -158,6 +158,18 @@ def test_fixed_segments_and_neighborhoods():
     assert not CircleMap.rotation(TAU).fixes_neighborhood_of(ZERO)
 
 
+def test_fixed_arcs():
+    from taut.construct import connect_tuple_derived
+    cf = CircleMap.from_interval_map(connect_tuple_derived((T2,), (T3,)).element)
+    eps = tau_pow(40)
+    # across 0 = 1: a fixed last piece joined to a fixed first one
+    assert cf.fixes_arc(-eps, eps + eps) and cf.fixes_arc(ONE - eps, eps + eps)
+    assert cf.fixes_arc(ZERO, eps) and cf.fixes_arc(-eps, eps)
+    assert not cf.fixes_arc(ZERO, ONE) and not cf.fixes_arc(T2, eps)
+    assert CircleMap.identity().fixes_arc(TAU, ONE)
+    assert not CircleMap.rotation(TAU).fixes_arc(ZERO, eps)
+
+
 def test_subdivision_tree_json_reads_into_leaf_exponents():
     assert leaf_exponents(["s+", ["s+", "leaf", "leaf"], "leaf"]) == CARET3
     assert leaf_exponents("leaf") == [0]

@@ -14,6 +14,7 @@ from conftest import zt
 from taut.circle import CircleMap
 from taut.cli import main
 from taut.construct import (
+    CommutatorCertificate,
     FactorCertificate,
     SplitMix64,
     arc_contains,
@@ -32,7 +33,7 @@ from taut.construct import (
     random_element,
 )
 from taut.errors import BadTuple, CertificateError, IdentityInput, NoRoomInTarget
-from taut.expr import evaluate_str, serialize
+from taut.expr import check_payload, evaluate_str, serialize
 from taut.lift import LiftMap, rot
 from taut import plmap
 from taut.plmap import (Memo, PLMap, commutator, concat, conjugate, is_ftau,
@@ -344,6 +345,23 @@ def test_commutator_trick_seeded():
         count += 1
 
 
+def test_a_commutator_arc_holds_the_support_of_h():
+    # a one-point arc off x and off its image passes the displacement test,
+    # but says h fixes the whole circle
+    cert = json.loads(serialize(commutator_trick(CircleMap.rotation(TAU), T2)))
+    cert["arc"] = ["5+0*t", "5+0*t"]
+    with pytest.raises(CertificateError, match="h moves points outside its arc"):
+        check_payload(json.dumps(cert), {})
+    # every arc commutator_trick writes holds supp(h), and either end of it
+    # alone does not
+    for cert in _seeded_certificates(_commutator):
+        cert.verify()
+        for end in cert.arc:
+            point = CommutatorCertificate(cert.result, cert.g, cert.h, cert.x, (end, end))
+            with pytest.raises(CertificateError, match="h moves points outside"):
+                point.verify()
+
+
 def test_defect_witness_family():
     w1 = defect_witness(1)
     assert w1.delta.sign() > 0 and (QTau(ONE) - w1.delta).sign() >= 0
@@ -484,16 +502,16 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
     made = counting_products(monkeypatch)
     cert = factor_local(g)
     # the derived connect: comm(l, f) for the answer and its check alike;
-    # then g*f^-1, comm(h2, h1), u, v and the check's u*v
-    assert made == Counter(products=10, inverses=6)
+    # then g*f^-1, comm(h2, h1), u and v
+    assert made == Counter(products=9, inverses=6)
     path = tmp_path / "factor.json"
     path.write_text(serialize(cert), encoding="utf-8")
     # a check of the stored certificate makes every product itself, each
-    # time: g*f^-1, comm(h2, h1), u, v and u*v
+    # time: g*f^-1, comm(h2, h1), u and v
     for _ in range(2):
         made.clear()
         check_file(path)
-        assert made == Counter(products=7, inverses=4)
+        assert made == Counter(products=6, inverses=4)
     made.clear()
     connect_tuple_derived((T3, T2), (T2, TAU))
     assert made == Counter(products=3, inverses=2)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taut.circle import CircleMap, _eval_lift, _inverse_table, leaf_exponents
+from taut.circle import CircleMap, _eval_lift, leaf_exponents
 from taut.construct import random_element
 from taut.errors import OutOfDomain
 from taut.expr import evaluate_str
@@ -683,6 +683,6 @@ def test_interval_sweep_matches_the_copied_route(f, g):
 @given(lift_tables(), circle_tables(), shifts)
 def test_inverse_sweep_matches_the_copied_route(f, c, m):
     for t in (f, moved(f, m)):
-        assert whole(_inverse_table(t)) == whole(copied_lift_inverse(t))
-    assert whole(_inverse_table(c, into_period=True)) \
+        assert whole(LiftMap(t).inverse().table) == whole(copied_lift_inverse(t))
+    assert whole(CircleMap(c).inverse().table) \
         == whole(copied_lift_inverse(c, into_period=True))

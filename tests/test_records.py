@@ -60,6 +60,7 @@ _C = CircleMap.rotation(TAU)
 # class, its required fields in order, its defaults, and another value
 # of its first field
 RECORDS = [
+    (CircleMap, {"table": PLMap.identity()}, {}, _C.table),
     (LiftMap, {"table": PLMap.identity()}, {}, _T.table),
     (RotRational, {"value": Fraction(1, 3), "root": QTau(ZERO)}, {}, Fraction(2, 3)),
     (RotTranslation, {"value": TAU}, {}, ONE),
@@ -89,9 +90,18 @@ def _hashable(fields) -> bool:
     return not any(isinstance(v, dict) for v in fields.values())
 
 
-def test_nine_records():
-    assert len({r[0] for r in RECORDS}) == 9
-    assert {r[0] for r in RECORDS} == set(Record.__subclasses__())
+def _built_records(cls=Record) -> set:
+    """The Record classes that no other extends, at any depth: a base
+    such as circle.Periodic counts through its subclasses."""
+    subclasses = cls.__subclasses__()
+    if not subclasses:
+        return {cls}
+    return set().union(*map(_built_records, subclasses))
+
+
+def test_ten_records():
+    assert len({r[0] for r in RECORDS}) == 10
+    assert {r[0] for r in RECORDS} == _built_records()
 
 
 @pytest.mark.parametrize("cls, required, defaults, other", RECORDS, ids=_ids(RECORDS))
@@ -147,6 +157,22 @@ def test_lift_map_keeps_its_table_check():
         LiftMap(PLMap.identity(ZERO, TAU))
     with pytest.raises(ValidationError):
         LiftMap(PLMap((ZERO, ONE), (ZERO, ONE + ONE), (-1,)))
+
+
+def test_periodic_products_keep_their_class():
+    rng = SplitMix64(5)
+    for _ in range(12):
+        c, d = (random_element(rng.next64(), 4, "T_tau") for _ in range(2))
+        f, g = (random_element(rng.next64(), 4, "Lift") for _ in range(2))
+        for a, b in ((c, f), (f, c)):
+            with pytest.raises(TypeError):
+                a * b
+        for h in (c * d, c.inverse(), _C * _C):
+            assert type(h) is CircleMap and h.table.ys[0].floor() == 0
+        for h in (f * g, f.inverse()):
+            assert type(h) is LiftMap
+    assert (_C * _C).table.ys[0] == TAU + TAU - 1
+    assert (_T * _T).table.ys[0] == TAU + TAU
 
 
 def test_record_reprs():
