@@ -26,7 +26,6 @@ from .errors import (
 from .lift import (
     DEFAULT_MAX_DEN,
     LiftMap,
-    RotResult,
     exact_defect_delta,
     rot_defect,
     rot_result_from_json,
@@ -34,9 +33,9 @@ from .lift import (
 )
 from .plmap import (MAX_PIECES, MAX_POWER, Memo, PLMap, _sweep, concat, conjugate,
                     commutator, is_ftau, is_ftau_compact, power)
-from .record import Record, _set
-from .ring import (INV_TAU, ONE, QTau, ZERO, TAU, ZTau, json_bool, json_int, tau_exponent,
-                   tau_pow)
+from .record import Record
+from .ring import (INV_TAU, ONE, ZERO, TAU, ZTau, json_bool, json_fields, json_int,
+                   tau_exponent, tau_pow)
 from .ring import parse_qtau, parse_ztau, qtau_literal, ztau_literal
 
 
@@ -237,28 +236,38 @@ def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
 
 # -- certificate payloads -------------------------------------------------------
 #
-# A payload class has a JSON kind and FIELDS, name -> (write, read), where
-# read takes the field's JSON value and name.  A field left out takes the
-# constructor's default, and expr._load makes a read's fault a SchemaError.
-# A field that is not a slot is a claim, the expression over its fields
-# that the certificate states: written from the certificate, never
-# evaluated (verify makes its products), and a CertificateError if stated
-# otherwise.
+# A payload class is a Record with a JSON kind and FIELDS, name -> (write,
+# read), where read takes the field's JSON value and name; its slots are
+# tuple(FIELDS).  CLAIMS, with the same codecs, are the expressions over
+# its fields that the certificate states: written from the certificate,
+# never evaluated (verify makes its products), and a CertificateError if
+# stated otherwise.  DEFAULTS holds the JSON value of each field that may
+# be left out, read through its codec, so each default is a fresh value.
+# A key outside FIELDS, CLAIMS, kind and schema is a SchemaError, and
+# expr._load makes a read's fault or a missing field a SchemaError.
 
-class _Payload:
+class _Payload(Record):
     __slots__ = ()
+    CLAIMS: dict = {}
+    DEFAULTS: dict = {}
+
+    def _default(self, name: str):
+        if name in self.DEFAULTS:
+            return self.FIELDS[name][1](self.DEFAULTS[name], name)
+        return super()._default(name)
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, **{name: write(getattr(self, name))
-                                      for name, (write, _) in self.FIELDS.items()}}
+        codecs = chain(self.FIELDS.items(), self.CLAIMS.items())
+        return {"kind": self.kind,
+                **{name: write(getattr(self, name)) for name, (write, _) in codecs}}
 
     @classmethod
     def from_json(cls, obj: dict):
-        stated = {name: read(obj[name], name)
-                  for name, (_, read) in cls.FIELDS.items() if name in obj}
-        made = cls(**{name: v for name, v in stated.items() if name in cls.__slots__})
-        for name, value in stated.items():
-            if name not in cls.__slots__ and value != getattr(made, name):
+        json_fields(obj, {*cls.FIELDS, *cls.CLAIMS, "kind", "schema"}, cls.kind)
+        made = cls(**{name: read(obj[name], name)
+                      for name, (_, read) in cls.FIELDS.items() if name in obj})
+        for name, (_, read) in cls.CLAIMS.items():
+            if name in obj and (value := read(obj[name], name)) != getattr(made, name):
                 raise CertificateError(f"{cls.kind} states {name} {value!r:.40}, "
                                        f"not its claim {getattr(made, name)!r}")
         return made
@@ -302,27 +311,18 @@ _ARC = _POINTS[0], _list(_POINT[1], 2)
 
 # -- tuple transitivity -------------------------------------------------------
 
-class TransitivityCertificate(_Payload, Record):
+class TransitivityCertificate(_Payload):
     """An element mapping sources to targets, re-checkable by evaluation;
     pieces is a fresh dict when not given.  A compact certificate claims
     the element is comm(l, f) of its two pieces, l and f."""
 
-    __slots__ = ("element", "sources", "targets", "compact", "pieces")
     kind = "connect-cert"
     FIELDS = {"element": _element(PLMap), "sources": _POINTS, "targets": _POINTS,
-              "compact": (_as_is, json_bool),
-              "expr": (_as_is, lambda value, name: value if value is None
-                       else _text(value, name)),
-              "pieces": _elements(PLMap)}
-
-    def __init__(self, element: PLMap, sources: tuple[ZTau, ...],
-                 targets: tuple[ZTau, ...], compact: bool = False,
-                 pieces: dict[str, PLMap] | None = None) -> None:
-        _set(self, "element", element)
-        _set(self, "sources", sources)
-        _set(self, "targets", targets)
-        _set(self, "compact", compact)
-        _set(self, "pieces", {} if pieces is None else pieces)
+              "compact": (_as_is, json_bool), "pieces": _elements(PLMap)}
+    CLAIMS = {"expr": (_as_is, lambda value, name: value if value is None
+                       else _text(value, name))}
+    DEFAULTS = {"compact": False, "pieces": {}}
+    __slots__ = tuple(FIELDS)
 
     @property
     def expr(self) -> str | None:
@@ -422,27 +422,18 @@ def _factor_products(g: CircleMap, pieces: dict[str, CircleMap], memo: Memo) -> 
     return memo.mul(memo.mul(g, memo.inverse(f)), memo.inverse(c)), memo.mul(c, f), c
 
 
-class FactorCertificate(_Payload, Record):
+class FactorCertificate(_Payload):
     """g = u * v with u fixing a neighbourhood of x and v built from pieces
     fixing a neighbourhood of y (v = comm(h2, h1) * f)."""
 
-    __slots__ = ("g", "x", "y", "arc", "u", "v", "pieces")
     kind = "factor-cert"
     FIELDS = {"g": _element(CircleMap), "x": _POINT, "y": _POINT, "arc": _ARC,
               "u": _element(CircleMap), "v": _element(CircleMap),
-              "pieces": _elements(CircleMap), "u_expr": _TEXT, "v_expr": _TEXT}
+              "pieces": _elements(CircleMap)}
+    CLAIMS = {"u_expr": _TEXT, "v_expr": _TEXT}
+    __slots__ = tuple(FIELDS)
     u_expr = FACTOR_U_EXPR
     v_expr = FACTOR_V_EXPR
-
-    def __init__(self, g: CircleMap, x: ZTau, y: ZTau, arc: tuple[ZTau, ZTau],
-                 u: CircleMap, v: CircleMap, pieces: dict[str, CircleMap]) -> None:
-        _set(self, "g", g)
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "arc", arc)
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "pieces", pieces)
 
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by products: u, v and comm(h2, h1) are made from g and
@@ -450,8 +441,8 @@ class FactorCertificate(_Payload, Record):
         with, or a fresh one; the arc is checked last.  u * v is not made:
         once u and v equal their formulas, u * v = g * f^-1 * c^-1 * c * f
         = g with c = comm(h2, h1), so that product could never differ."""
-        if not {"f", "h1", "h2"} <= self.pieces.keys():
-            raise CertificateError("pieces must include f, h1 and h2")
+        if self.pieces.keys() != {"f", "h1", "h2"}:
+            raise CertificateError("pieces must be f, h1 and h2")
         u, v, h3 = _factor_products(self.g, self.pieces, Memo() if memo is None else memo)
         if u != self.u:
             raise CertificateError(f"u differs from {FACTOR_U_EXPR}")
@@ -543,23 +534,16 @@ def factor_local(g: CircleMap) -> FactorCertificate:
 COMMUTATOR_EXPR = "g^-1 * conj(g, h)"
 
 
-class CommutatorCertificate(_Payload, Record):
+class CommutatorCertificate(_Payload):
     """k = [g, h] with supp(h) inside an arc displaced off itself by g, so
     k is a product of two conjugates of g^(+-1) and fixes x nearby."""
 
-    __slots__ = ("result", "g", "h", "x", "arc")
     kind = "commutator-cert"
     FIELDS = {"result": _element(CircleMap), "g": _element(CircleMap),
-              "h": _element(CircleMap), "x": _POINT, "arc": _ARC, "expr": _TEXT}
+              "h": _element(CircleMap), "x": _POINT, "arc": _ARC}
+    CLAIMS = {"expr": _TEXT}
+    __slots__ = tuple(FIELDS)
     expr = COMMUTATOR_EXPR
-
-    def __init__(self, result: CircleMap, g: CircleMap, h: CircleMap, x: ZTau,
-                 arc: tuple[ZTau, ZTau]) -> None:
-        _set(self, "result", result)
-        _set(self, "g", g)
-        _set(self, "h", h)
-        _set(self, "x", x)
-        _set(self, "arc", arc)
 
     def verify(self, memo: Memo | None = None) -> None:
         """Re-check by products: [g, h] is made through memo, the one its
@@ -629,11 +613,10 @@ def standard_push_map() -> CircleMap:
         PLMap((ZERO, t2, ONE), (ZERO, TAU, ONE), (-1, 1)))
 
 
-class DefectWitness(_Payload, Record):
+class DefectWitness(_Payload):
     """Pair (g, h) with exact rotation numbers witnessing a lower bound for
     the defect of rot."""
 
-    __slots__ = ("g", "h", "delta", "rots", "n")
     kind = "defect-witness"
     FIELDS = {"g": _element(LiftMap), "h": _element(LiftMap),
               "delta": (qtau_literal, lambda value, name: parse_qtau(_text(value, name))),
@@ -641,15 +624,8 @@ class DefectWitness(_Payload, Record):
                        _list(lambda value, name: rot_result_from_json(value), 3)),
               "n": (_as_is, lambda value, name: value if value is None
                     else json_int(value, "defect n"))}
-
-    def __init__(self, g: LiftMap, h: LiftMap, delta: QTau,
-                 rots: tuple[RotResult, RotResult, RotResult],
-                 n: int | None = None) -> None:
-        _set(self, "g", g)
-        _set(self, "h", h)
-        _set(self, "delta", delta)
-        _set(self, "rots", rots)
-        _set(self, "n", n)
+    DEFAULTS = {"n": None}
+    __slots__ = tuple(FIELDS)
 
     def verify(self, *, max_den: int = DEFAULT_MAX_DEN) -> None:
         """Replay the stored rots of g, h and g*h through verify_rot, each q

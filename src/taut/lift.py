@@ -50,7 +50,7 @@ from fractions import Fraction
 from .circle import CircleMap, Periodic, _circle_json, _eval_lift, _from_circle_json
 from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
 from .plmap import PLMap, _capped_mul
-from .record import Record, _set
+from .record import Record
 from .ring import (
     ONE,
     QTau,
@@ -59,6 +59,7 @@ from .ring import (
     _as_qtau,
     _sign,
     json_bool,
+    json_fields,
     json_int,
     qtau_literal,
     ztau_literal,
@@ -133,6 +134,7 @@ class LiftMap(Periodic):
     def from_json(cls, obj: object) -> LiftMap:
         if not isinstance(obj, dict) or "base" not in obj:
             raise SchemaError("lift payload must carry a base table")
+        json_fields(obj, {"kind", "schema", "base", "n"}, "lift")
         # one table, the base's moved up by n; n is refused, if at all,
         # after the table's own faults
         n = obj.get("n", 0)
@@ -149,10 +151,6 @@ class RotRational(Record):
     __slots__ = ("value", "root")
     kind = "rational"
 
-    def __init__(self, value: Fraction, root: QTau) -> None:
-        _set(self, "value", value)
-        _set(self, "root", root)
-
     @property
     def p(self) -> int:
         return self.value.numerator
@@ -160,9 +158,6 @@ class RotRational(Record):
     @property
     def q(self) -> int:
         return self.value.denominator
-
-    def approx(self) -> float:
-        return float(self.value)
 
     def to_json(self, element: LiftMap | None = None) -> dict:
         cert = {"power": self.q, "shift": self.p,
@@ -179,12 +174,6 @@ class RotTranslation(Record):
     __slots__ = ("value",)
     kind = "ztau"
 
-    def __init__(self, value: ZTau) -> None:
-        _set(self, "value", value)
-
-    def approx(self) -> float:
-        return float(self.value)
-
     def to_json(self, element: LiftMap | None = None) -> dict:
         cert: dict = {"translation": True}
         if element is not None:
@@ -199,14 +188,6 @@ class RotEnclosure(Record):
     __slots__ = ("lo", "hi", "iterations")
     kind = "enclosure"
 
-    def __init__(self, lo: Fraction, hi: Fraction, iterations: int) -> None:
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "iterations", iterations)
-
-    def approx(self) -> float:
-        return float(self.lo + self.hi) / 2
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -219,6 +200,12 @@ class RotEnclosure(Record):
 
 
 RotResult = RotRational | RotTranslation | RotEnclosure
+
+# kind -> the keys of its payload but kind, schema and certificate, and
+# the keys of its certificate
+_ROT_FIELDS = {"rational": ({"value"}, {"power", "shift", "root", "element"}),
+               "ztau": ({"value"}, {"translation", "element"}),
+               "enclosure": ({"lo", "hi", "iterations"}, {"element"})}
 
 
 _FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -243,8 +230,12 @@ def rot_result_from_json(obj: object) -> RotResult:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("rotation payload must carry a kind")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _ROT_FIELDS:
+        raise SchemaError(f"unknown rotation result kind {kind!r:.40}")
+    fields, cert_fields = _ROT_FIELDS[kind]
+    json_fields(obj, {*fields, "kind", "schema", "certificate"}, f"{kind} rot")
+    cert = json_fields(obj.get("certificate", {}), cert_fields, f"{kind} rot certificate")
     if kind == "rational":
-        cert = obj.get("certificate", {})
         res = RotRational(_json_fraction(obj["value"], "rot value"),
                           parse_qtau(cert["root"]))
         stated = (json_int(cert.get("power"), "rational power"),
@@ -255,15 +246,12 @@ def rot_result_from_json(obj: object) -> RotResult:
                                    "its value")
         return res
     if kind == "ztau":
-        if not json_bool(obj.get("certificate", {}).get("translation"),
-                         "certificate translation"):
+        if not json_bool(cert.get("translation"), "certificate translation"):
             raise SchemaError("certificate translation must be true")
         return RotTranslation(parse_ztau(obj["value"]))
-    if kind == "enclosure":
-        return RotEnclosure(_json_fraction(obj["lo"], "enclosure lo"),
-                            _json_fraction(obj["hi"], "enclosure hi"),
-                            json_int(obj["iterations"], "iterations"))
-    raise SchemaError(f"unknown rotation result kind {kind!r:.40}")
+    return RotEnclosure(_json_fraction(obj["lo"], "enclosure lo"),
+                        _json_fraction(obj["hi"], "enclosure hi"),
+                        json_int(obj["iterations"], "iterations"))
 
 
 # -- the rotation number ----------------------------------------------------
@@ -511,9 +499,6 @@ class SclResult(Record):
 
     __slots__ = ("rot",)
 
-    def __init__(self, rot: RotResult) -> None:
-        _set(self, "rot", rot)
-
     @property
     def kind(self) -> str:
         return "ztau-half" if isinstance(self.rot, RotTranslation) else self.rot.kind
@@ -559,7 +544,10 @@ def scl_result_from_json(obj: object) -> SclResult:
     payload's own stated fields must be the ones derived from it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("scl payload must carry a kind")
-    res = SclResult(rot_result_from_json(obj.get("certificate", {}).get("rot", {})))
+    json_fields(obj, {"kind", "schema", "certificate", "value", "lo", "hi", "iterations"},
+                "scl")
+    cert = json_fields(obj.get("certificate", {}), {"rot"}, "scl certificate")
+    res = SclResult(rot_result_from_json(cert.get("rot", {})))
     stated = {k: v for k, v in obj.items() if k not in ("certificate", "schema")}
     derived = res.to_json()
     del derived["certificate"]

@@ -38,7 +38,7 @@ from .errors import (
     SlopeMismatch,
 )
 from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign, _through,
-                   json_int, tau_exponent, tau_pow)
+                   json_fields, json_int, tau_exponent, tau_pow)
 
 
 def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
@@ -384,11 +384,7 @@ def _json_table(obj: object, fields: frozenset = _TABLE_FIELDS
     validate: breakpoints read as ring elements by _json_points and stated
     slope exponents as JSON integers, each bounded by the height of its
     piece.  fields are the payload's allowed keys."""
-    if not isinstance(obj, dict):
-        raise SchemaError("piecewise map payload must be an object")
-    unknown = obj.keys() - fields
-    if unknown:
-        raise SchemaError(f"unknown map payload fields {sorted(unknown)}")
+    json_fields(obj, fields, "map")
     try:
         xs = _json_points(obj["xs"])
         ys = _json_points(obj["ys"])

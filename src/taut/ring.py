@@ -535,6 +535,17 @@ def parse_qtau(text: str) -> QTau:
     return QTau(z, den)
 
 
+def json_fields(obj: object, allowed, what: str) -> dict:
+    """obj, a JSON object none of whose keys lies outside allowed: the one
+    unknown-key rule of every payload, a SchemaError that names the keys."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} payload must be an object")
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise SchemaError(f"unknown {what} payload fields {sorted(unknown)}")
+    return obj
+
+
 def json_int(value: object, what: str) -> int:
     """An integer field of a JSON payload; bool, float and str are refused."""
     if isinstance(value, int) and not isinstance(value, bool):

@@ -273,6 +273,20 @@ def test_factor_local_rotation():
         assert p.fixes_neighborhood_of(cert.y)
 
 
+def test_a_factor_certificate_has_exactly_its_three_pieces():
+    payload = json.loads(serialize(factor_local(CircleMap.rotation(TAU))))
+    pieces = payload["pieces"]
+    identity = CircleMap.identity().to_json()
+    for bad in ({**pieces, "z": identity},
+                {k: v for k, v in pieces.items() if k != "h1"}):
+        with pytest.raises(CertificateError, match="pieces must be f, h1 and h2"):
+            check_payload(json.dumps(dict(payload, pieces=bad)), {})
+    payload = json.loads(serialize(connect_tuple_derived((TAU,), (T2,))))
+    payload["pieces"]["z"] = PLMap.identity().to_json()
+    with pytest.raises(CertificateError, match="pieces must be l and f"):
+        check_payload(json.dumps(payload), {})
+
+
 def _moving_no_circle_point() -> CircleMap:
     """random_element(7, 4, "F_tau") conjugated into (tau**30, tau**29) and
     padded with identities: it moves none of the 4,096 circle points."""

@@ -1,7 +1,6 @@
 """Each field of a certificate payload is written and read by one codec, and
 a field that does not read ends in SchemaError or CertificateError."""
 
-import inspect
 import json
 from functools import cache
 
@@ -44,10 +43,9 @@ def check_outcome(tmp_path, capsys, payload) -> tuple[str, str]:
 
 
 def _required(cls, field: str) -> bool:
-    """A constructor parameter without a default; a claim, such as expr, is
-    no parameter: it is written from the certificate, so it may be left out."""
-    param = inspect.signature(cls).parameters.get(field)
-    return param is not None and param.default is inspect.Parameter.empty
+    """A stored field without a default; a claim, such as expr, is no
+    stored field: it is written from the certificate, so it may be left out."""
+    return field in cls.FIELDS and field not in cls.DEFAULTS
 
 
 # (field, value) pairs that read and re-check: a defect witness states its
@@ -56,7 +54,8 @@ def _required(cls, field: str) -> bool:
 ACCEPTED = [(DefectWitness, "n", None), (DefectWitness, "n", 7)]
 
 
-@pytest.mark.parametrize("cls, field", [(cls, field) for cls in MAKERS for field in cls.FIELDS],
+@pytest.mark.parametrize("cls, field", [(cls, field) for cls in MAKERS
+                                        for field in (*cls.FIELDS, *cls.CLAIMS)],
                          ids=lambda p: getattr(p, "__name__", p))
 def test_each_field_reads_back_or_is_a_schema_or_certificate_error(cls, field, tmp_path,
                                                                    capsys):
@@ -84,8 +83,21 @@ def test_each_field_reads_back_or_is_a_schema_or_certificate_error(cls, field, t
             assert kind in ("SchemaError", "CertificateError"), (value, kind, message)
 
 
-LIFT = ('lift(treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
-        '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 1}, 0)')
+@pytest.mark.parametrize("cls", MAKERS, ids=lambda c: c.__name__)
+def test_a_certificate_names_each_field_once_and_refuses_an_unknown_key(
+        cls, tmp_path, capsys):
+    assert cls.__slots__ == tuple(cls.FIELDS)
+    assert not cls.FIELDS.keys() & cls.CLAIMS.keys()
+    assert cls.DEFAULTS.keys() <= cls.FIELDS.keys()
+    payload = json.loads(serialize(made(cls)))
+    kind, message = check_outcome(tmp_path, capsys, dict(payload, bogus=1))
+    assert kind == "SchemaError" and "'bogus'" in message
+
+
+TREE = ('treepair {"p": ["s+", ["s-", "leaf", "leaf"], "leaf"], '
+        '"q": ["s+", "leaf", ["s+", "leaf", "leaf"]], "shift": 1}')
+LIFT = f"lift({TREE}, 0)"                      # rot 1/3
+ENCLOSED = f"lift(conj(rot(t), {TREE}), 0)"    # rot tau
 
 
 def _answer(capsys, *argv):
@@ -132,3 +144,31 @@ def test_a_fault_inside_an_inline_payload_is_reported_where_it_starts(text, mess
     with pytest.raises(ExprSyntaxError) as info:
         evaluate_str(text)
     assert str(info.value) == f"{message} (line 1, column {column})"
+
+
+@pytest.mark.parametrize("command, text, place", [
+    ("eval", LIFT, lambda p: p),
+    ("rot", LIFT, lambda p: p),
+    ("rot", LIFT, lambda p: p["certificate"]),
+    ("rot", LIFT, lambda p: p["certificate"]["element"]),
+    ("rot", "trans(t)", lambda p: p),
+    ("rot", "trans(t)", lambda p: p["certificate"]),
+    ("rot", ENCLOSED, lambda p: p),
+    ("rot", ENCLOSED, lambda p: p["certificate"]),
+    ("scl", LIFT, lambda p: p),
+    ("scl", LIFT, lambda p: p["certificate"]),
+    ("scl", LIFT, lambda p: p["certificate"]["rot"]),
+    ("scl", LIFT, lambda p: p["certificate"]["rot"]["certificate"]),
+    ("scl", "trans(t)", lambda p: p["certificate"]["rot"]),
+], ids=["lift", "rational", "rational-certificate", "embedded-lift", "ztau",
+        "ztau-certificate", "enclosure", "enclosure-certificate", "scl",
+        "scl-certificate", "scl-rot", "scl-rot-certificate", "ztau-half-rot"])
+def test_a_lift_or_result_with_an_unknown_key_is_a_schema_error(command, text, place,
+                                                                tmp_path, capsys):
+    payload = _answer(capsys, command, "--json", text)
+    if command == "eval":
+        assert payload["kind"] == "lift"
+    assert check_outcome(tmp_path, capsys, payload) == ("ok", "")
+    place(payload)["extra"] = 3
+    kind, message = check_outcome(tmp_path, capsys, payload)
+    assert kind == "SchemaError" and "'extra'" in message, message

@@ -152,6 +152,24 @@ def test_record_defaults_are_not_shared():
     assert a.pieces == {} and a.pieces is not b.pieces
 
 
+def test_record_constructor_refuses_a_wrong_call():
+    lo, hi = Fraction(0), Fraction(1, 3)
+    for call, message in [
+        (lambda: RotEnclosure(lo, hi), "RotEnclosure missing field 'iterations'"),
+        (lambda: RotEnclosure(lo, hi, 3, 4), "RotEnclosure has 3 fields, not 4"),
+        (lambda: RotEnclosure(lo, hi, 3, width=hi), "RotEnclosure has no field 'width'"),
+        (lambda: RotEnclosure(lo, lo=hi, hi=hi, iterations=3),
+         "RotEnclosure field 'lo' given twice"),
+        (lambda: TransitivityCertificate(PLMap.identity(), targets=()),
+         "TransitivityCertificate missing field 'sources'"),
+        (lambda: CommutatorCertificate(_C, _C, _C, ZERO, (ZERO, TAU), expr="h"),
+         "CommutatorCertificate has no field 'expr'"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_lift_map_keeps_its_table_check():
     with pytest.raises(ValidationError):
         LiftMap(PLMap.identity(ZERO, TAU))
