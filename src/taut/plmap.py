@@ -2,18 +2,22 @@
 
 A PLMap is an increasing PL bijection between two intervals with Z[tau]
 endpoints, stored as breakpoints xs, their images ys and per-piece slope
-exponents ks (piece i has slope tau**ks[i]).  Construction always checks
-every piece, in one loop on the integer coefficients of its run and rise,
-and merges colinear pieces, so equality of normalized tables is equality
-of maps.  Every product, of interval, circle or lift maps, is one sweep
-(_sweep) that builds only its own table: a lift or circle product reads
-the other factor's table in place as its periodic extension, keeping a
-piece index and an integer shift, and an interval product is the same
-sweep that never leaves the other table.  A sweep writes a breakpoint
-only where the slope exponent changes, so its table reaches the
-per-piece check with nothing to merge; the merge is for the other
-constructors (tables read from JSON, restrictions, concatenations).
-So no table has two neighbouring pieces of equal exponent, and one scan,
+exponents ks (piece i has slope tau**ks[i]).  Each piece of a table is
+checked as the table is built, on the integer coefficients of its run
+and rise: the run is positive and the rise is tau**k times the run.
+PLMap.__init__ checks the tables of every constructor but the sweep
+(tables read from JSON, tree pairs, restrictions, concatenations,
+inverses) and merges colinear pieces, so equality of normalized tables
+is equality of maps.  Every product, of interval, circle or lift maps, is
+one sweep (_sweep) that builds only its own table: a lift or circle
+product reads the other factor's table in place as its periodic
+extension, keeping a piece index and an integer shift, and an interval
+product is the same sweep that never leaves the other table.  The sweep
+checks each piece as it writes it, with the arithmetic of
+PLMap.__init__, and writes a breakpoint only where the slope exponent
+changes, so its table needs no merge and no second pass; a table that
+fails goes to PLMap.__init__, which raises its error.  So no table has
+two neighbouring pieces of equal exponent, and one scan,
 _fixed_pieces, reads every maximal fixed interval off single pieces: the
 support of an interval map and the fixed neighbourhoods of a circle map
 are built on it.  Sweeps, cuts and evaluation work on the (a, b) integer
@@ -27,6 +31,8 @@ once.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import (
     DomainMismatch,
     NotInRing,
@@ -37,8 +43,8 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign, _through,
-                   json_fields, json_int, tau_exponent, tau_pow)
+from .ring import (ONE, QTau, TAU_POW_CACHE, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign,
+                   _through, json_fields, json_int, tau_exponent, tau_pow)
 
 
 def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
@@ -241,10 +247,28 @@ def _fixed_pieces(g: PLMap, gaps: tuple[int, ...]) -> list[tuple[ZTau, ZTau]]:
     y - x an integer in gaps, in order: (0,) for an interval map, (0, 1)
     for a circle map's table, whose images start in [0, 1).  Each is a
     maximal fixed interval, as no table has two neighbouring pieces of
-    equal exponent: PLMap.__init__ merges them and _sweep writes none."""
+    equal exponent: PLMap.__init__ merges them in each table it checks,
+    and _sweep, which checks its own pieces as it writes them, writes
+    none, as it writes a breakpoint only where the exponent changes."""
     xs, ys = g.xs, g.ys
     return [(xs[i], xs[i + 1]) for i, k in enumerate(g.ks)
             if not k and ys[i].b == xs[i].b and ys[i].a - xs[i].a in gaps]
+
+
+@lru_cache(maxsize=TAU_POW_CACHE)
+def _tau_pair(k: int) -> tuple[int, int]:
+    """The coefficients (a, b) of tau**k, for the sweep's integer kernel."""
+    t = tau_pow(k)
+    return t.a, t.b
+
+
+def _swept(xs, ys, ks) -> PLMap:
+    """The PLMap of the lists that _sweep wrote, each piece and point of
+    which it has checked: the sweep's one build point, which checks and
+    merges nothing again."""
+    out = object.__new__(PLMap)
+    out.xs, out.ys, out.ks = tuple(xs), tuple(ys), tuple(ks)
+    return out
 
 
 def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
@@ -263,11 +287,16 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
     The nearer of f's next image and G's next breakpoint ends each piece,
     a tie ends both.  Every such end is compared, but a breakpoint is
     written only where the slope exponent of the next piece differs, and
-    at the end: the table comes out with no colinear neighbours, so
-    PLMap.__init__ has nothing to merge.  Comparisons and each point
-    written work on the (a, b) coefficients, so every output breakpoint
-    is one ZTau, and a breakpoint of g whose image moves by nothing is
-    used as it is.
+    at the end: the table comes out with no colinear neighbours, so there
+    is nothing to merge.  Comparisons and each point written work on the
+    (a, b) coefficients, so every output breakpoint is one ZTau, and a
+    breakpoint of g whose image moves by nothing is used as it is.
+
+    Each piece is checked as it is written, with the arithmetic of
+    PLMap.__init__: its run is positive and its rise is tau**k times its
+    run.  With every piece good and every point written a ZTau, _swept
+    builds the table without a second pass; otherwise PLMap.__init__
+    gets the written lists and raises its own error for them.
     """
     u, g0 = fy[0], gx[0]
     if u.a == g0.a and u.b == g0.b:
@@ -278,15 +307,18 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
     # G's images on the current period, plus the offset, are g's images
     # moved by sa + sb*tau
     sa, sb = n + offset.a, offset.b
-    x, y, t = gx[j], gy[j], tau_pow(gk[j])
+    x, y = gx[j], gy[j]
+    ta, tb = _tau_pair(gk[j])
     da, db = u.a - n - x.a, u.b - x.b
-    ya = y.a + sa + t.a * da + t.b * db
-    yb = y.b + sb + t.a * db + t.b * (da - db)
+    ya = y.a + sa + ta * da + tb * db
+    yb = y.b + sb + ta * db + tb * (da - db)
     if into_period:
         m = _floor(ya, yb)
         sa -= m
         ya -= m
-    xs, ys, ks = [fx[0]], [ZTau(ya, yb)], []
+    x0, y0 = fx[0], ZTau(ya, yb)
+    xs, ys, ks = [x0], [y0], []
+    ok = True
     i, last, end = 0, len(gk), len(fk)
     k = fk[0] + gk[j]
     while True:
@@ -303,26 +335,47 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
                 continue
         ks.append(k)
         if c <= 0:
-            xs.append(fx[i1])
+            x1 = fx[i1]
         else:
             # the point that f's piece i maps to G's breakpoint q + n: the
             # line of slope tau**-fk[i] through (fy[i], fx[i]) at q + n
-            x, y, t = fy[i], fx[i], tau_pow(-fk[i])
+            x, y = fy[i], fx[i]
+            ta, tb = _tau_pair(-fk[i])
             da, db = q.a + n - x.a, q.b - x.b
-            xs.append(ZTau(y.a + t.a * da + t.b * db,
-                           y.b + t.a * db + t.b * (da - db)))
+            x1 = ZTau(y.a + ta * da + tb * db, y.b + ta * db + tb * (da - db))
         if c >= 0:
-            y = gy[j1]
-            ys.append(ZTau(y.a + sa, y.b + sb) if sa or sb else y)
+            y1 = gy[j1]
+            if sa or sb:
+                y1 = ZTau(y1.a + sa, y1.b + sb)
         else:
             # f's image p, on G's piece j
-            x, y, t = gx[j], gy[j], tau_pow(gk[j])
+            x, y = gx[j], gy[j]
+            ta, tb = _tau_pair(gk[j])
             da, db = p.a - n - x.a, p.b - x.b
-            ys.append(ZTau(y.a + sa + t.a * da + t.b * db,
-                           y.b + sb + t.a * db + t.b * (da - db)))
+            y1 = ZTau(y.a + sa + ta * da + tb * db,
+                      y.b + sb + ta * db + tb * (da - db))
+        xs.append(x1)
+        ys.append(y1)
+        # a point without integer coefficients fails the check, and then
+        # PLMap.__init__ names it, as it names every point that is no ZTau
+        try:
+            pa, pb = x1.a - x0.a, x1.b - x0.b
+            qa, qb = y1.a - y0.a, y1.b - y0.b
+            ta, tb = _tau_pair(k)
+            if ((pa < 0 or pb < 0 or not (pa or pb)) and _sign(pa, pb) <= 0
+                    or qa != ta * pa + tb * pb or qb != ta * pb + tb * (pa - pb)):
+                ok = False
+        except (AttributeError, TypeError):
+            ok = False
         if i1 == end:
             break
-        i, j, k = i1, j1, k1
+        i, j, k, x0, y0 = i1, j1, k1, x1, y1
+    if ok:
+        for v in xs + ys:
+            if not isinstance(v, ZTau):
+                break
+        else:
+            return _swept(xs, ys, ks)
     return PLMap(xs, ys, ks)
 
 

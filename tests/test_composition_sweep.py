@@ -5,22 +5,27 @@ The reference product collects self's breakpoints and the preimages of
 other's, sorts them and evaluates both maps at each; the reference window
 unrolls a periodic table onto [lo, hi] one integer shift at a time; the
 reference sweep writes the end of every piece it compares and leaves
-PLMap to merge colinear neighbours.  All three are kept here only as
-oracles.  Every comparison is of whole tables
+PLMap to check every piece and merge colinear neighbours.  All three are
+kept here only as oracles.  Every comparison is of whole tables
 (breakpoints, images and slope exponents), of lifts as well as of circle
 maps, so the integer part that a circle product drops is compared too.
+The sweep checks each piece as it writes it; the tests below also feed it
+raw tables with one bad piece or point, which must fail as PLMap fails.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taut import plmap
 from taut.circle import CircleMap
 from taut.construct import _chart_restriction_fixed_arc, _embed_in_chart, random_element
-from taut.errors import NotFtau
+from taut.errors import NotFtau, NotIncreasing, NotInRing, NotTauPower, SlopeMismatch, TautError
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _piece_index, _sweep, concat, conjugate, power
-from taut.ring import ONE, TAU, ZERO, ZTau, _floor, _sign, tau_pow
+from taut.plmap import PLMap, _piece_index, _sweep, _tau_pair, concat, conjugate, power
+from taut.ring import ONE, TAU, TAU_POW_CACHE, ZERO, ZTau, _floor, _sign, tau_pow
 
 
 def reference_mul(f: PLMap, g: PLMap) -> PLMap:
@@ -109,21 +114,34 @@ def reference_sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
     return PLMap(xs, ys, ks)
 
 
-def sweep_as_written(*args, **kwargs) -> tuple[PLMap, tuple]:
-    """_sweep's table and the slope exponents it handed PLMap.__init__,
-    before any merge."""
-    written = []
-    init = PLMap.__init__
+def spy_builds(mp: pytest.MonkeyPatch) -> tuple[list, list]:
+    """The slope exponents of each table built while mp is active: those
+    that _sweep hands its one build point, _swept, and those that
+    PLMap.__init__ checks."""
+    swept, checked = [], []
+    build, init = plmap._swept, PLMap.__init__
 
-    def spy(self, xs, ys, ks):
-        written.append(tuple(ks))
+    def spy_swept(xs, ys, ks):
+        swept.append(tuple(ks))
+        return build(xs, ys, ks)
+
+    def spy_init(self, xs, ys, ks):
+        checked.append(tuple(ks))
         init(self, xs, ys, ks)
 
+    mp.setattr(plmap, "_swept", spy_swept)
+    mp.setattr(PLMap, "__init__", spy_init)
+    return swept, checked
+
+
+def sweep_as_written(*args, **kwargs) -> tuple[PLMap, tuple]:
+    """_sweep's table and the slope exponents it handed _swept, which is
+    its only build: PLMap.__init__ is not called."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PLMap, "__init__", spy)
+        swept, checked = spy_builds(mp)
         out = _sweep(*args, **kwargs)
-    assert len(written) == 1
-    return out, written[0]
+    assert len(swept) == 1 and not checked
+    return out, swept[0]
 
 
 def unroll(pl: PLMap, a: ZTau, span: ZTau = ONE) -> PLMap:
@@ -273,30 +291,27 @@ def test_each_product_builds_one_table(monkeypatch):
         PLMap.identity(hi, ONE)]))
     embedded = {c: reference_embed_in_chart(f, c)
                 for c in (ZERO, TAU, f.xs[1], ONE - tau_pow(5))}
-    built = []
-    init = PLMap.__init__
+    # each product, inverse and chart is one sweep, built by _swept alone
+    swept, checked = spy_builds(monkeypatch)
 
-    def counting_init(self, xs, ys, ks):
-        built.append(xs)
-        init(self, xs, ys, ks)
+    def one_table():
+        built = len(swept), len(checked)
+        swept.clear()
+        checked.clear()
+        return built == (1, 0)
 
-    monkeypatch.setattr(PLMap, "__init__", counting_init)
     for (a, b), want in zip(pairs, expected):
-        built.clear()
         assert a * b == want
-        assert len(built) == 1, (a, b)
+        assert one_table(), (a, b)
     for a, want in zip(inverses, expected_inverses):
-        built.clear()
         assert a.inverse() == want
-        assert len(built) == 1, a
-    built.clear()
+        assert one_table(), a
     chart = _chart_restriction_fixed_arc(bump, lo, hi, ONE - tau_pow(3))
-    assert len(built) == 1
+    assert one_table()
     assert chart.ks == f.ks
     for center in embedded:
-        built.clear()
         assert _embed_in_chart(f, center) == embedded[center]
-        assert len(built) == 1, center
+        assert one_table(), center
 
 
 def lifts():
@@ -323,9 +338,11 @@ def sweeps_of_lifts(a: LiftMap, b: LiftMap) -> list:
 def assert_sweep_matches_the_reference(args, kwargs):
     out, written = sweep_as_written(*args, **kwargs)
     assert table(out) == table(reference_sweep(*args, **kwargs))
-    # every breakpoint written is a change of slope exponent: nothing to merge
+    # every breakpoint written is a change of slope exponent: nothing to
+    # merge, and the full check accepts the table as it is
     assert written == out.ks
     assert all(k0 != k1 for k0, k1 in zip(written, written[1:]))
+    assert PLMap(out.xs, out.ys, out.ks) == out
 
 
 @settings(max_examples=150, deadline=None)
@@ -356,3 +373,52 @@ def test_sweep_of_interval_maps_and_charts_matches_the_reference_sweep(f, g, cen
         args = ((ZERO, ONE), (-c, ONE - c), (0,), t.xs, t.ys, t.ks, c)
         assert_sweep_matches_the_reference(args, {"into_period": True})
         assert_sweep_matches_the_reference(args, {})
+
+
+# Raw tables f, each with one bad piece or point, swept against the
+# identity of [0, 1]: every image of f lies on its one piece, and f has no
+# two neighbouring pieces of equal exponent, so the sweep writes f's own
+# lists.  Built past the constructor, as no PLMap holds them.
+T2, T3 = tau_pow(2), tau_pow(3)
+BAD_TABLES = {
+    "slope off tau**k": ((ZERO, TAU, ONE), (ZERO, T2, ONE), (1, -2), SlopeMismatch),
+    "slope no tau power": ((ZERO, TAU, ONE), (ZERO, ZTau(-1, 3), ONE), (1, -1),
+                           NotTauPower),
+    "run not increasing": ((ZERO, TAU, T2, ONE), (ZERO, T3, T2, ONE), (2, 0, 1),
+                           NotIncreasing),
+    "rise not increasing": ((ZERO, T2, TAU, ONE), (ZERO, TAU, T2, ONE), (-1, 0, -1),
+                            NotIncreasing),
+    "point with no coefficients": ((ZERO, TAU, 1), (ZERO, T2, ONE), (1, -1), NotInRing),
+    "point with coefficients": ((ZERO, SimpleNamespace(a=0, b=1), ONE), (ZERO, T2, ONE),
+                                (1, -1), NotInRing),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TABLES)
+def test_the_sweep_checks_each_piece_and_point_it_writes(case):
+    fx, fy, fk, error = BAD_TABLES[case]
+    with pytest.raises(TautError) as want:
+        PLMap(fx, fy, fk)
+    assert type(want.value) is error
+    with pytest.raises(TautError) as got:
+        _sweep(fx, fy, fk, (ZERO, ONE), (ZERO, ONE), (0,))
+    assert (type(got.value), str(got.value)) == (error, str(want.value))
+
+
+def test_the_sweep_checks_the_images_it_passes_through():
+    # G's last image is used as it is, so the sweep writes it unread
+    with pytest.raises(NotInRing, match="breakpoint 1 is not in Z"):
+        _sweep((ZERO, TAU, ONE), (ZERO, T2, ONE), (1, -1), (ZERO, ONE), (ZERO, 1), (0,))
+
+
+def test_the_tau_pair_cache_is_bounded():
+    assert _tau_pair.cache_info().maxsize == TAU_POW_CACHE
+    for k in range(-TAU_POW_CACHE, TAU_POW_CACHE):
+        _tau_pair(k)
+    assert _tau_pair.cache_info().currsize == TAU_POW_CACHE
+
+
+@given(st.integers(min_value=-3000, max_value=3000))
+def test_the_tau_pair_is_the_power(k):
+    t = tau_pow(k)
+    assert _tau_pair(k) == (t.a, t.b)
