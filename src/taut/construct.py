@@ -31,7 +31,7 @@ from .lift import (
     rot_result_from_json,
     verify_rot,
 )
-from .plmap import (MAX_PIECES, MAX_POWER, Memo, PLMap, _sweep, concat, conjugate,
+from .plmap import (MAX_PIECES, MAX_POWER, PLMap, _sweep, concat, conjugate,
                     commutator, is_ftau, is_ftau_compact, power)
 from .record import Record
 from .ring import (INV_TAU, ONE, ZERO, TAU, ZTau, json_bool, json_fields, json_int,
@@ -328,9 +328,11 @@ class TransitivityCertificate(_Payload):
     def expr(self) -> str | None:
         return "comm(l, f)" if self.compact else None
 
-    def verify(self, memo: Memo | None = None) -> None:
-        """Re-check by evaluation; comm(l, f) is made through memo, the one
-        its construction built the element with, or a fresh one.  Stored
+    def verify(self, made: PLMap | None = None) -> None:
+        """Re-check by evaluation.  A compact certificate's element must
+        equal comm(l, f): made is that product if the caller has it (the
+        construction passes the one it built the element with), else it is
+        made here from the stored pieces, as taut check does.  Stored
         tuples that are not valid are a fault of the certificate, not of a
         request, so their BadTuple is re-raised as a CertificateError."""
         try:
@@ -346,8 +348,8 @@ class TransitivityCertificate(_Payload):
             raise CertificateError("support closure is not inside (0, 1)")
         if self.pieces.keys() != ({"l", "f"} if self.compact else set()):
             raise CertificateError("pieces must be l and f if compact, and none if not")
-        if self.compact and commutator(self.pieces["l"], self.pieces["f"],
-                                       memo) != self.element:
+        if self.compact and (commutator(self.pieces["l"], self.pieces["f"])
+                             if made is None else made) != self.element:
             raise CertificateError("element differs from comm(l, f)")
 
 
@@ -388,9 +390,9 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     the transport and is the identity on [0, a] and [b, 1]: the padding
     gaps are matched by one piece of slope 1.  l pushes [a, b] strictly
     above itself, so l^-1 f^-1 l fixes every source point and the
-    commutator acts like f there.  The element is comm(l, f), made
-    through a memo that this call makes and hands to the certificate's
-    verify, so the check makes none of its products again.
+    commutator acts like f there.  The element is comm(l, f), which this
+    call hands to the certificate's verify, so the check makes none of its
+    products again; taut check makes comm(l, f) from the stored pieces.
     """
     xs, ys = _check_tuples(xs, ys)
     lo_lim = min(xs[0], ys[0]) if xs else TAU
@@ -400,10 +402,10 @@ def connect_tuple_derived(xs, ys) -> TransitivityCertificate:
     f = connect_tuple((a,) + xs + (b,), (a,) + ys + (b,)).element
     i1, i2 = points_between(b, ONE, 2)
     l = connect_tuple((a, b), (i1, i2)).element
-    memo = Memo()
-    cert = TransitivityCertificate(commutator(l, f, memo), xs, ys, compact=True,
+    element = commutator(l, f)
+    cert = TransitivityCertificate(element, xs, ys, compact=True,
                                    pieces={"l": l, "f": f})
-    cert.verify(memo)
+    cert.verify(element)
     return cert
 
 
@@ -414,12 +416,10 @@ FACTOR_U_EXPR = "g * f^-1 * comm(h2, h1)^-1"
 FACTOR_V_EXPR = "comm(h2, h1) * f"
 
 
-def _factor_products(g: CircleMap, pieces: dict[str, CircleMap], memo: Memo) -> tuple:
-    """u = (g * f^-1) * comm(h2, h1)^-1, v = comm(h2, h1) * f and comm(h2,
-    h1) itself, made through memo."""
-    f = pieces["f"]
-    c = commutator(pieces["h2"], pieces["h1"], memo)
-    return memo.mul(memo.mul(g, memo.inverse(f)), memo.inverse(c)), memo.mul(c, f), c
+def _factor_products(w: CircleMap, c: CircleMap, f: CircleMap) -> tuple:
+    """(u, v) of a factor certificate from w = g * f^-1 and c = comm(h2,
+    h1): u = w * c^-1 and v = c * f."""
+    return w * c.inverse(), c * f
 
 
 class FactorCertificate(_Payload):
@@ -435,15 +435,20 @@ class FactorCertificate(_Payload):
     u_expr = FACTOR_U_EXPR
     v_expr = FACTOR_V_EXPR
 
-    def verify(self, memo: Memo | None = None) -> None:
-        """Re-check by products: u, v and comm(h2, h1) are made from g and
-        the pieces through one memo, the one the construction made them
-        with, or a fresh one; the arc is checked last.  u * v is not made:
+    def verify(self, made: tuple | None = None) -> None:
+        """Re-check by products: made is (u, v, comm(h2, h1)) if the caller
+        has them (the construction passes the ones it built), else they are
+        made here from g and the pieces, as taut check does; the arc is
+        checked last.  u * v is not made:
         once u and v equal their formulas, u * v = g * f^-1 * c^-1 * c * f
         = g with c = comm(h2, h1), so that product could never differ."""
         if self.pieces.keys() != {"f", "h1", "h2"}:
             raise CertificateError("pieces must be f, h1 and h2")
-        u, v, h3 = _factor_products(self.g, self.pieces, Memo() if memo is None else memo)
+        if made is None:
+            f = self.pieces["f"]
+            c = commutator(self.pieces["h2"], self.pieces["h1"])
+            made = *_factor_products(self.g * f.inverse(), c, f), c
+        u, v, h3 = made
         if u != self.u:
             raise CertificateError(f"u differs from {FACTOR_U_EXPR}")
         if v != self.v:
@@ -488,9 +493,10 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     an arc I around x until I, I*g and {x, y} are suitably separated,
     transport I*g back with an element f fixing y, cancel the remaining
     inner part of g*f^-1 on I by the commutator [h2, h1].  u and v are
-    made by the certificate's formulas through a memo that this call
-    makes, that already holds g*f^-1 and that is handed to the
-    certificate's verify: each distinct product is made once in the call.
+    made by the certificate's formulas from the g*f^-1 this call already
+    made, and u, v and comm(h2, h1) are handed to the certificate's
+    verify: each distinct product is made once in the call.  taut check
+    makes all of them from g and the stored pieces.
     """
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
@@ -508,8 +514,7 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     f_chart = connect_tuple_derived(
         (a1, b1), (_chart(y, g.eval(lo)), _chart(y, g.eval(hi))))
     f = _embed_in_chart(f_chart.element, y)
-    memo = Memo()
-    w = memo.mul(g, memo.inverse(f))
+    w = g * f.inverse()
     if w.eval(lo) != lo or w.eval(hi) != hi:
         raise CertificateError("transport does not fix the arc endpoints")
     inner = _chart_restriction_fixed_arc(w, lo, hi, y)
@@ -522,9 +527,10 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     h2_chart = connect_tuple((eps, a1, b1, top), (eps, t1, t2, top)).element
     h2 = _embed_in_chart(h2_chart, y)
     pieces = {"f": f, "h1": h1, "h2": h2}
-    u, v, _ = _factor_products(g, pieces, memo)
+    c = commutator(h2, h1)
+    u, v = _factor_products(w, c, f)
     cert = FactorCertificate(g=g, x=x, y=y, arc=arc, u=u, v=v, pieces=pieces)
-    cert.verify(memo)
+    cert.verify((u, v, c))
     return cert
 
 
@@ -545,13 +551,14 @@ class CommutatorCertificate(_Payload):
     __slots__ = tuple(FIELDS)
     expr = COMMUTATOR_EXPR
 
-    def verify(self, memo: Memo | None = None) -> None:
-        """Re-check by products: [g, h] is made through memo, the one its
-        construction made the result with, or a fresh one; the arc is
-        checked last, and h must fix every point of the closed arc off it,
-        from hi to lo, of length 1 - ((hi - lo) mod 1): the whole circle
-        off a one-point arc."""
-        if commutator(self.g, self.h, memo) != self.result:
+    def verify(self, made: CircleMap | None = None) -> None:
+        """Re-check by products: made is [g, h] if the caller has it (the
+        construction passes the one it built the result with), else it is
+        made here from g and h, as taut check does.  The arc is checked
+        last, and h must fix every point of the closed arc off it, from hi
+        to lo, of length 1 - ((hi - lo) mod 1): the whole circle off a
+        one-point arc."""
+        if (commutator(self.g, self.h) if made is None else made) != self.result:
             raise CertificateError(f"result differs from {COMMUTATOR_EXPR}")
         if self.result.is_identity():
             raise CertificateError("commutator collapsed to the identity")
@@ -569,9 +576,9 @@ class CommutatorCertificate(_Payload):
 
 def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertificate:
     """k = [g, h] fixing a neighbourhood of x, h supported in an arc I with
-    I*g disjoint from I and x outside I and I*g.  k is made through a memo
-    that this call makes and hands to the certificate's verify, so the
-    check makes none of its products again."""
+    I*g disjoint from I and x outside I and I*g.  This call hands k to the
+    certificate's verify, so the check makes none of its products again;
+    taut check makes [g, h] from the stored g and h."""
     if g.is_identity():
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
@@ -598,9 +605,9 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
     t = match_intervals(ZERO, ONE, a2, ONE)
     inner = conjugate(h0, t)
     h = _embed_in_chart(concat([PLMap.identity(ZERO, a2), inner]), hi)
-    memo = Memo()
-    cert = CommutatorCertificate(result=commutator(g, h, memo), g=g, h=h, x=x, arc=arc)
-    cert.verify(memo)
+    k = commutator(g, h)
+    cert = CommutatorCertificate(result=k, g=g, h=h, x=x, arc=arc)
+    cert.verify(k)
     return cert
 
 

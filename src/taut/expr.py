@@ -43,7 +43,7 @@ from .lift import (
     scl_result_from_json,
     verify_rot,
 )
-from .plmap import MAX_POWER, Memo, PLMap, commutator, conjugate, is_ftau, power
+from .plmap import MAX_POWER, PLMap, commutator, conjugate, is_ftau, power
 from .ring import RingLiteralError, ZTau, json_int, read_ztau
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
@@ -104,7 +104,6 @@ class _Scanner:
         self.pos = 0
         self.depth = 0
         self.env = dict(env or {})
-        self.memo = Memo()
 
     def error(self, message: str) -> ExprSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -208,10 +207,12 @@ class _Scanner:
 
 def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
     """The element that an expression denotes; names are looked up in env,
-    which the expression's let bindings do not change.  Products, inverses
-    (^-1), commutators and conjugates are made through one memo of the
-    call: a product already in it, of the same operand objects in the same
-    order, is not made again."""
+    which the expression's let bindings do not change.  Each product,
+    power (e^-1 included, one inverse), commutator and conjugate is made
+    where it is read, and none is kept: a word written twice is made
+    twice.  A certificate's claims are not read through here: its
+    construction hands its check the products it made, and taut check
+    makes them from the stored parts."""
     sc = _Scanner(text, env)
     while sc.take_word("let"):
         name = sc.read_name()
@@ -246,7 +247,8 @@ def _read_expr(sc: _Scanner) -> Element:
                 f"product chain of work {work} exceeds the bound "
                 f"{MAX_POWER_WORK} on the summed sizes of its factors in an "
                 "expression")
-        out = sc.memo.mul(*_promote_pair(out, term))
+        a, b = _promote_pair(out, term)
+        out = a * b
     sc.depth -= 1
     return out
 
@@ -264,7 +266,7 @@ def _read_term(sc: _Scanner) -> Element:
             raise PowerBudgetExceeded(
                 f"power ^{k} of an element of size {size} exceeds the bound "
                 f"{MAX_POWER_WORK} on |k| * size in an expression")
-        out = sc.memo.inverse(out) if k == -1 else power(out, k)
+        out = power(out, k)
     return out
 
 
@@ -305,7 +307,7 @@ def _read_atom(sc: _Scanner) -> Element:
                 f"{word} of work {work} exceeds the bound {MAX_POWER_WORK} "
                 "on the summed sizes of its operands in an expression")
         make = commutator if word == "comm" else conjugate
-        return make(*_promote_pair(a, b), sc.memo)
+        return make(*_promote_pair(a, b))
     if word == "lift":
         sc.take("(")
         inner = _read_expr(sc)

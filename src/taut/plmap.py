@@ -25,8 +25,9 @@ coefficients of the breakpoints: comparisons take ring._sign of
 coefficient differences, and each point found on a piece is formed from
 coefficients, so every output breakpoint is exactly one ZTau with no
 intermediate ring objects.
-A Memo lets one call make each distinct product and inverse of its words
-once.
+The group words (power, commutator, conjugate) are plain products, and
+no product is kept for later: a construction hands its certificate
+check the products it already made.
 """
 
 from __future__ import annotations
@@ -516,57 +517,14 @@ def _capped_mul(a, b):
     return out
 
 
-# The most pieces that the results held by one Memo may have in all.  A
-# construction and its own check hold a few hundred; past the bound a
-# product is still made, but not kept, so a long product from outside
-# does not hold every table on its way.
-MEMO_PIECES = 10_000
+def commutator(a, b):
+    """[a, b] = a^-1 b^-1 a b (right-action convention)."""
+    return a.inverse() * b.inverse() * a * b
 
 
-class Memo:
-    """The products and inverses made within one call, each made once.
-
-    An entry is keyed on its operation and the ids of its operands, in
-    order, and holds the operands, so no id is reused while the memo
-    lives.  A memo belongs to one call, which hands it on to the calls
-    that build and re-check the same words, and is dropped when it
-    returns: nothing is kept between calls.
-    """
-
-    __slots__ = ("_made", "_pieces")
-
-    def __init__(self) -> None:
-        self._made: dict = {}
-        self._pieces = 0
-
-    def mul(self, a, b):
-        key = ("*", id(a), id(b))
-        made = self._made.get(key)
-        return made[-1] if made else self._keep(key, (a, b, a * b))
-
-    def inverse(self, a):
-        key = ("^-1", id(a))
-        made = self._made.get(key)
-        return made[-1] if made else self._keep(key, (a, a.inverse()))
-
-    def _keep(self, key, made: tuple):
-        pieces = self._pieces + made[-1].num_pieces
-        if pieces <= MEMO_PIECES:
-            self._made[key], self._pieces = made, pieces
-        return made[-1]
-
-
-def commutator(a, b, memo: Memo | None = None):
-    """[a, b] = a^-1 b^-1 a b (right-action convention), its products and
-    inverses made through memo if one is given."""
-    m = Memo() if memo is None else memo
-    return m.mul(m.mul(m.mul(m.inverse(a), m.inverse(b)), a), b)
-
-
-def conjugate(a, b, memo: Memo | None = None):
-    """a conjugated by b: b^-1 a b, made through memo if one is given."""
-    m = Memo() if memo is None else memo
-    return m.mul(m.mul(m.inverse(b), a), b)
+def conjugate(a, b):
+    """a conjugated by b: b^-1 a b."""
+    return b.inverse() * a * b
 
 
 # -- membership flavours -------------------------------------------------

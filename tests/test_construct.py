@@ -16,6 +16,7 @@ from taut.cli import main
 from taut.construct import (
     CommutatorCertificate,
     FactorCertificate,
+    TransitivityCertificate,
     SplitMix64,
     arc_contains,
     arcs_disjoint,
@@ -35,9 +36,8 @@ from taut.construct import (
 from taut.errors import BadTuple, CertificateError, IdentityInput, NoRoomInTarget
 from taut.expr import check_payload, evaluate_str, serialize
 from taut.lift import LiftMap, rot
-from taut import plmap
-from taut.plmap import (Memo, PLMap, commutator, concat, conjugate, is_ftau,
-                        is_ftau_compact, power)
+from taut.plmap import (PLMap, commutator, concat, conjugate, is_ftau, is_ftau_compact,
+                        power)
 from taut.ring import ONE, QTau, TAU, ZERO, ZTau, is_tau_power, tau_pow
 
 T2 = tau_pow(2)
@@ -484,7 +484,7 @@ def test_points_between():
     assert (hi - prev).sign() > 0
 
 
-# -- work counts and the per-call memo ------------------------------------------
+# -- work counts, and the products a construction hands its check ---------------
 
 def counting_products(monkeypatch) -> Counter:
     """Count every product and inverse of interval, circle and lift maps."""
@@ -529,39 +529,21 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
     made.clear()
     connect_tuple_derived((T3, T2), (T2, TAU))
     assert made == Counter(products=3, inverses=2)
-
-
-def test_a_shared_memo_keeps_the_order_of_operands():
-    a = random_element(3, 4, "T_tau")
-    b = random_element(11, 5, "T_tau")
-    assert a * b != b * a
-    memo = Memo()
-    ab = memo.mul(a, b)
-    assert memo.mul(b, a) == b * a != ab
-    assert memo.mul(a, b) is ab
-    comm_ab = commutator(a, b, memo)
-    assert comm_ab == commutator(a, b) and commutator(a, b, memo) is comm_ab
-    assert commutator(b, a, memo) == commutator(b, a) != comm_ab
-    assert conjugate(a, b, memo) == conjugate(a, b) != conjugate(b, a, memo)
-
-
-def test_a_memo_holds_tables_of_at_most_its_bound_in_pieces(monkeypatch):
-    monkeypatch.setattr(plmap, "MEMO_PIECES", 40)
-    h = LiftMap(random_element(283, 6, "Lift").table)
-    memo = Memo()
-
-    def chain():
-        # h * h * ... * h, twelve factors, folded from the left
-        out = h
-        for _ in range(11):
-            out = memo.mul(out, h)
-        return out
-
-    first = chain()
-    assert first == power(h, 12)
-    assert 0 < memo._pieces <= 40
-    # what it did not keep is made again, and comes out the same
-    assert chain() == first
+    # the commutator trick: conj(h0, t), then [g, h] for the answer and its
+    # check alike; a check of the stored certificate makes [g, h] itself
+    for elem, x in ((CircleMap.rotation(TAU), ZERO), (random_element(3, 4, "T_tau"), T2)):
+        made.clear()
+        cert = commutator_trick(elem, x)
+        assert made == Counter(products=5, inverses=3)
+        path = tmp_path / "commutator.json"
+        path.write_text(serialize(cert), encoding="utf-8")
+        made.clear()
+        check_file(path)
+        assert made == Counter(products=3, inverses=2)
+    # e^-1 in an expression is one inverse and no product
+    made.clear()
+    evaluate_str("X^-1", {"X": g})
+    assert made == Counter(inverses=1)
 
 
 def test_an_altered_factor_expression_still_fails(tmp_path):
@@ -576,12 +558,11 @@ def test_an_altered_factor_expression_still_fails(tmp_path):
         bad = FactorCertificate(cert.g, cert.x, cert.y, cert.arc,
                                 **{"u": cert.u, "v": cert.v, field: value},
                                 pieces=cert.pieces)
-        # a fresh memo, and one that already holds the true u and v
-        full = Memo()
-        cert.verify(full)
-        for memo in (None, full):
+        # made from the stored parts, and passed in as the true u, v and
+        # comm(h2, h1), as the construction passes them
+        for made in (None, (cert.u, cert.v, c)):
             with pytest.raises(CertificateError, match=f"{field} differs from"):
-                bad.verify(memo)
+                bad.verify(made)
         # stated as the claim, the altered formula is refused on reading
         payload = json.loads(serialize(cert))
         payload[f"{field}_expr"] = text
@@ -589,6 +570,30 @@ def test_an_altered_factor_expression_still_fails(tmp_path):
         path.write_text(json.dumps(payload), encoding="utf-8")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(["check", str(path)]) == 1
+        path = tmp_path / "bad.json"
+        path.write_text(serialize(bad), encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["check", str(path)]) == 1
+
+
+def test_an_altered_element_or_result_still_fails_with_the_true_product(tmp_path):
+    # a compact connect certificate whose element is moved inside (tau**30,
+    # tau**29), below every point it carries: it still maps its sources to
+    # its targets and is compact, so only comm(l, f) tells it apart
+    cert = connect_tuple_derived((T3, T2), (T2, TAU))
+    l, f = cert.pieces["l"], cert.pieces["f"]
+    element = cert.element * _moving_no_circle_point().table
+    bad_connect = TransitivityCertificate(element, cert.sources, cert.targets, compact=True,
+                                          pieces=cert.pieces)
+    # a commutator certificate whose result is moved by g
+    comm = commutator_trick(random_element(3, 4, "T_tau"), T2)
+    bad_comm = CommutatorCertificate(result=comm.result * comm.g, g=comm.g, h=comm.h,
+                                     x=comm.x, arc=comm.arc)
+    for bad, true, text in ((bad_connect, commutator(l, f), "element differs from comm"),
+                            (bad_comm, commutator(comm.g, comm.h), "result differs from")):
+        for made in (None, true):
+            with pytest.raises(CertificateError, match=text):
+                bad.verify(made)
         path = tmp_path / "bad.json"
         path.write_text(serialize(bad), encoding="utf-8")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
