@@ -529,8 +529,12 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
     made.clear()
     connect_tuple_derived((T3, T2), (T2, TAU))
     assert made == Counter(products=3, inverses=2)
-    # the commutator trick: conj(h0, t), then [g, h] for the answer and its
-    # check alike; a check of the stored certificate makes [g, h] itself
+
+
+def test_the_commutator_trick_hands_its_check_the_commutator_it_made(tmp_path, monkeypatch):
+    made = counting_products(monkeypatch)
+    # conj(h0, t), then [g, h] for the answer and its check alike; a check
+    # of the stored certificate makes [g, h] itself
     for elem, x in ((CircleMap.rotation(TAU), ZERO), (random_element(3, 4, "T_tau"), T2)):
         made.clear()
         cert = commutator_trick(elem, x)
@@ -540,10 +544,23 @@ def test_each_distinct_product_is_made_once_per_call(seed, tmp_path, monkeypatch
         made.clear()
         check_file(path)
         assert made == Counter(products=3, inverses=2)
-    # e^-1 in an expression is one inverse and no product
-    made.clear()
-    evaluate_str("X^-1", {"X": g})
+
+
+def test_an_inverse_in_an_expression_is_one_inverse_and_no_product(monkeypatch):
+    g = random_element(3, 4, "T_tau")
+    g_inverse = g.inverse()
+    made = counting_products(monkeypatch)
+    assert evaluate_str("X^-1", {"X": g}) == g_inverse
     assert made == Counter(inverses=1)
+
+
+def test_commutator_and_conjugate_keep_the_order_of_operands():
+    # [a, b] = a^-1 b^-1 a b and a conjugated by b is b^-1 a b
+    a = random_element(3, 4, "T_tau")
+    b = random_element(11, 5, "T_tau")
+    assert a * b != b * a
+    assert commutator(a, b) == a.inverse() * b.inverse() * a * b != commutator(b, a)
+    assert conjugate(a, b) == b.inverse() * a * b != conjugate(b, a)
 
 
 def test_an_altered_factor_expression_still_fails(tmp_path):
