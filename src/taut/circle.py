@@ -152,21 +152,20 @@ class CircleMap(Periodic):
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
         """self(x) on R/Z, in [0, 1): a ZTau at a ZTau, else a QTau."""
-        y = _eval_lift(self.table, x)
-        return y - y.floor()
+        return _reduce(_eval_lift(self.table, x))
 
     # -- fixed sets ---------------------------------------------------------
 
     def fixes_neighborhood_of(self, x: ZTau) -> bool:
         """Whether x lies inside a fixed arc; 0 is read as 1, where a
         fixed last piece and a fixed first one join."""
-        x = x - x.floor() or ONE
+        x = _reduce(x) or ONE
         return any(_cmp(x, lo) > 0 and _cmp(hi, x) > 0 for lo, hi in self._fixed_arcs())
 
     def fixes_arc(self, start: ZTau, length: ZTau) -> bool:
         """Whether every point of the closed arc from start of this length,
         at most one turn, is fixed: the arc lies in one fixed arc."""
-        start = start - start.floor()
+        start = _reduce(start)
         end = start + length
         return any(_cmp(start, lo) >= 0 and _cmp(hi, end) >= 0
                    for lo, hi in self._fixed_arcs())
@@ -180,6 +179,11 @@ class CircleMap(Periodic):
         if segs and segs[0][0] == ZERO and segs[-1][1] == ONE:
             segs[-1] = segs[-1][0], segs[0][1] + 1
         return segs
+
+
+def _reduce(x: ZTau | QTau) -> ZTau | QTau:
+    """x mod 1: the point of [0, 1) that x is on the circle."""
+    return x - x.floor()
 
 
 _CIRCLE_FIELDS = _TABLE_FIELDS | {"base"}

@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 domain or validation error, 2 work budget
 exhausted before an answer was certified, 3 usage error.
 
-A plain command line (exact option strings, their values, positionals
-and at most one --) is read straight off its command's option table;
-help, abbreviations, --opt=value and every usage error go through
-argparse, with its messages unchanged.
+A lone -- that ends the line separates nothing and is dropped.  A plain
+command line (exact option strings, their values, positionals and at
+most one --) is read straight off its command's option table; help,
+abbreviations, --opt=value and every usage error go through argparse,
+with its messages unchanged.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ def _build_parser() -> tuple[_Parser, dict[str, tuple[_Parser, _Table]]]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if argv[-1:] == ["--"] and argv.count("--") == 1:
+        argv = argv[:-1]
     top, commands = _build_parser()
     # A plain line of a known command is read off the command's table; any
     # other line of a known command by its own parser, which the top level

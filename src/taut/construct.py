@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import methodcaller
 
-from .circle import CircleMap
+from .circle import CircleMap, _reduce
 from .errors import (
     BadTuple,
     BudgetExceeded,
@@ -107,6 +107,18 @@ def _piece_points(g: CircleMap):
         yield x0 + tau_pow(2) * d
 
 
+def _moved_point(g: CircleMap, avoid: ZTau | None, what: str) -> ZTau:
+    """The first of the circle points, then of g's piece points, that g
+    moves, where neither the point nor its image is avoid: the point that
+    factor_local and commutator_trick build their arc around.
+    SearchBudgetExceeded(what) if there is none."""
+    for c in chain(circle_points(), _piece_points(g)):
+        img = g.eval(c)
+        if img != c and c != avoid and img != avoid:
+            return c
+    raise SearchBudgetExceeded(what)
+
+
 def points_between(lo: ZTau, hi: ZTau, count: int) -> list[ZTau]:
     """count increasing ring points strictly inside (lo, hi)."""
     if (hi - lo).sign() <= 0:
@@ -123,10 +135,6 @@ def first_power_below(limit: ZTau) -> int:
 
 
 # -- circle arcs --------------------------------------------------------------
-
-def _reduce(x: ZTau) -> ZTau:
-    return x - x.floor()
-
 
 def arc_contains(lo: ZTau, hi: ZTau, x: ZTau) -> bool:
     """Closed counterclockwise arc from lo to hi (mod 1) containing x."""
@@ -500,10 +508,7 @@ def factor_local(g: CircleMap) -> FactorCertificate:
     """
     if g.is_identity():
         raise IdentityInput("cannot factor the identity")
-    x = next((c for c in chain(circle_points(), _piece_points(g)) if g.eval(c) != c),
-             None)
-    if x is None:
-        raise SearchBudgetExceeded("no moved ring point found")
+    x = _moved_point(g, None, "no moved ring point found")
     xg = g.eval(x)
     # of the 4,096 points, y has to avoid only x and g(x)
     y = next(c for c in circle_points() if c != x and c != xg)
@@ -582,14 +587,7 @@ def commutator_trick(g: CircleMap, x: ZTau, seed: int = 0) -> CommutatorCertific
     if g.is_identity():
         raise IdentityInput("need a nontrivial element")
     x = _reduce(x)
-    w = None
-    for cand in chain(circle_points(), _piece_points(g)):
-        img = g.eval(cand)
-        if img != cand and cand != x and img != x:
-            w = cand
-            break
-    if w is None:
-        raise SearchBudgetExceeded("no usable moved point found")
+    w = _moved_point(g, x, "no usable moved point found")
     arc = lo, hi = _arc_around(g, w, 2, lambda arc: commutator_arc_fits(g, arc, x),
                                "no displaced arc found")
     h0 = None

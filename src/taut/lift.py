@@ -122,9 +122,7 @@ class LiftMap(Periodic):
         return _eval_lift(self.table, x)
 
     def __repr__(self) -> str:
-        y0, n = self.table.ys[0], self.n
-        return (f"LiftMap(CircleMap(v={ZTau(y0.a - n, y0.b)}, "
-                f"pieces={self.num_pieces}), n={n})")
+        return f"LiftMap({self.base!r}, n={self.n})"
 
     def to_json(self) -> dict:
         n = self.table.ys[0].floor()

@@ -2,9 +2,12 @@
 
 A PLMap is an increasing PL bijection between two intervals with Z[tau]
 endpoints, stored as breakpoints xs, their images ys and per-piece slope
-exponents ks (piece i has slope tau**ks[i]).  Each piece of a table is
-checked as the table is built, on the integer coefficients of its run
-and rise: the run is positive and the rise is tau**k times the run.
+exponents ks (piece i has slope tau**ks[i]).  It is a record.Record:
+the three fields are set once, so a table is immutable, and equality,
+hash, copy and pickle (rebuilt through PLMap.__init__) come from the
+base.  Each piece of a table is checked as the table is built, on the
+integer coefficients of its run and rise: the run is positive and the
+rise is tau**k times the run.
 PLMap.__init__ checks the tables of every constructor but the sweep
 (tables read from JSON, tree pairs, restrictions, concatenations,
 inverses) and merges colinear pieces, so equality of normalized tables
@@ -24,15 +27,14 @@ are built on it.  Sweeps, cuts and evaluation work on the (a, b) integer
 coefficients of the breakpoints: comparisons take ring._sign of
 coefficient differences, and each point found on a piece is formed from
 coefficients, so every output breakpoint is exactly one ZTau with no
-intermediate ring objects.
+intermediate ring objects; every tau**k comes from the one cache of
+ring.tau_pow.
 The group words (power, commutator, conjugate) are plain products, and
 no product is kept for later: a construction hands its certificate
 check the products it already made.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import (
     DomainMismatch,
@@ -44,8 +46,9 @@ from .errors import (
     SchemaError,
     SlopeMismatch,
 )
-from .ring import (ONE, QTau, TAU_POW_CACHE, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign,
-                   _through, json_fields, json_int, tau_exponent, tau_pow)
+from .record import Record, _set
+from .ring import (ONE, QTau, ZERO, ZTau, _as_ratio, _cmp, _floor, _sign, _through,
+                   json_fields, json_int, tau_exponent, tau_pow)
 
 
 def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
@@ -62,7 +65,7 @@ def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
     return lo
 
 
-class PLMap:
+class PLMap(Record):
     __slots__ = ("xs", "ys", "ks")
 
     def __init__(self, xs, ys, ks) -> None:
@@ -108,7 +111,9 @@ class PLMap:
             xs = tuple([xs[i] for i in keep])
             ys = tuple([ys[i] for i in keep])
             ks = tuple([ks[i] for i in keep[:-1]])
-        self.xs, self.ys, self.ks = xs, ys, ks
+        _set(self, "xs", xs)
+        _set(self, "ys", ys)
+        _set(self, "ks", ks)
 
     # -- construction -------------------------------------------------
 
@@ -139,31 +144,20 @@ class PLMap:
         return (f"PLMap([{', '.join(map(str, self.xs))}] -> "
                 f"[{', '.join(map(str, self.ys))}], ks={list(self.ks)})")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PLMap):
-            return NotImplemented
-        return (self.xs, self.ys, self.ks) == (other.xs, other.ys, other.ks)
-
-    def __hash__(self) -> int:
-        return hash((self.xs, self.ys, self.ks))
-
     # -- evaluation ---------------------------------------------------
 
     def eval(self, x: ZTau | QTau) -> ZTau | QTau:
         """self(x): a ZTau at a ZTau, else a QTau (x is read as one)."""
         num, den = _as_ratio(x)
-        y = self._scaled_image(num, den)
-        return y if num is x else QTau(y, den)
-
-    def _scaled_image(self, num: ZTau, den: int) -> ZTau:
-        """den * self(num/den), formed on the integer coefficients."""
         xs = self.xs
         lo, hi = xs[0], xs[-1]
         if (_sign(num.a - lo.a * den, num.b - lo.b * den) < 0
                 or _sign(num.a - hi.a * den, num.b - hi.b * den) > 0):
             raise OutOfDomain(f"{QTau(num, den)} outside [{lo}, {hi}]")
+        # den * self(num/den), formed on the integer coefficients
         j = _piece_index(xs, num.a, num.b, den)
-        return _through(xs[j], self.ys[j], self.ks[j], num, den)
+        y = _through(xs[j], self.ys[j], self.ks[j], num, den)
+        return y if num is x else QTau(y, den)
 
     # -- group structure ----------------------------------------------
 
@@ -256,19 +250,14 @@ def _fixed_pieces(g: PLMap, gaps: tuple[int, ...]) -> list[tuple[ZTau, ZTau]]:
             if not k and ys[i].b == xs[i].b and ys[i].a - xs[i].a in gaps]
 
 
-@lru_cache(maxsize=TAU_POW_CACHE)
-def _tau_pair(k: int) -> tuple[int, int]:
-    """The coefficients (a, b) of tau**k, for the sweep's integer kernel."""
-    t = tau_pow(k)
-    return t.a, t.b
-
-
 def _swept(xs, ys, ks) -> PLMap:
     """The PLMap of the lists that _sweep wrote, each piece and point of
     which it has checked: the sweep's one build point, which checks and
     merges nothing again."""
     out = object.__new__(PLMap)
-    out.xs, out.ys, out.ks = tuple(xs), tuple(ys), tuple(ks)
+    _set(out, "xs", tuple(xs))
+    _set(out, "ys", tuple(ys))
+    _set(out, "ks", tuple(ks))
     return out
 
 
@@ -295,9 +284,10 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
 
     Each piece is checked as it is written, with the arithmetic of
     PLMap.__init__: its run is positive and its rise is tau**k times its
-    run.  With every piece good and every point written a ZTau, _swept
-    builds the table without a second pass; otherwise PLMap.__init__
-    gets the written lists and raises its own error for them.
+    run, each tau**k read from tau_pow's one cache as its a and b.  With
+    every piece good and every point written a ZTau, _swept builds the
+    table without a second pass; otherwise PLMap.__init__ gets the
+    written lists and raises its own error for them.
     """
     u, g0 = fy[0], gx[0]
     if u.a == g0.a and u.b == g0.b:
@@ -309,10 +299,10 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
     # moved by sa + sb*tau
     sa, sb = n + offset.a, offset.b
     x, y = gx[j], gy[j]
-    ta, tb = _tau_pair(gk[j])
+    t = tau_pow(gk[j])
     da, db = u.a - n - x.a, u.b - x.b
-    ya = y.a + sa + ta * da + tb * db
-    yb = y.b + sb + ta * db + tb * (da - db)
+    ya = y.a + sa + t.a * da + t.b * db
+    yb = y.b + sb + t.a * db + t.b * (da - db)
     if into_period:
         m = _floor(ya, yb)
         sa -= m
@@ -341,9 +331,9 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
             # the point that f's piece i maps to G's breakpoint q + n: the
             # line of slope tau**-fk[i] through (fy[i], fx[i]) at q + n
             x, y = fy[i], fx[i]
-            ta, tb = _tau_pair(-fk[i])
+            t = tau_pow(-fk[i])
             da, db = q.a + n - x.a, q.b - x.b
-            x1 = ZTau(y.a + ta * da + tb * db, y.b + ta * db + tb * (da - db))
+            x1 = ZTau(y.a + t.a * da + t.b * db, y.b + t.a * db + t.b * (da - db))
         if c >= 0:
             y1 = gy[j1]
             if sa or sb:
@@ -351,10 +341,10 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
         else:
             # f's image p, on G's piece j
             x, y = gx[j], gy[j]
-            ta, tb = _tau_pair(gk[j])
+            t = tau_pow(gk[j])
             da, db = p.a - n - x.a, p.b - x.b
-            y1 = ZTau(y.a + sa + ta * da + tb * db,
-                      y.b + sb + ta * db + tb * (da - db))
+            y1 = ZTau(y.a + sa + t.a * da + t.b * db,
+                      y.b + sb + t.a * db + t.b * (da - db))
         xs.append(x1)
         ys.append(y1)
         # a point without integer coefficients fails the check, and then
@@ -362,9 +352,9 @@ def _sweep(fx, fy, fk, gx, gy, gk, offset: ZTau = ZERO,
         try:
             pa, pb = x1.a - x0.a, x1.b - x0.b
             qa, qb = y1.a - y0.a, y1.b - y0.b
-            ta, tb = _tau_pair(k)
+            t = tau_pow(k)
             if ((pa < 0 or pb < 0 or not (pa or pb)) and _sign(pa, pb) <= 0
-                    or qa != ta * pa + tb * pb or qb != ta * pb + tb * (pa - pb)):
+                    or qa != t.a * pa + t.b * pb or qb != t.a * pb + t.b * (pa - pb)):
                 ok = False
         except (AttributeError, TypeError):
             ok = False
@@ -384,12 +374,11 @@ def _restricted(fx, fy, fk, lo: ZTau, hi: ZTau) -> tuple:
     """The raw table of f restricted to [lo, hi], from f's raw table."""
     if _cmp(lo, fx[0]) < 0 or _cmp(hi, fx[-1]) > 0 or _cmp(hi, lo) <= 0:
         raise OutOfDomain(f"[{lo}, {hi}] is not inside the domain")
-    i = 0  # lo lies on piece i and hi on piece j, found in one walk
-    while _cmp(fx[i + 1], lo) <= 0:
-        i += 1
-    j = i
-    while _cmp(fx[j + 1], hi) < 0:
-        j += 1
+    # lo lies on piece i, and hi on piece j, the last that starts below hi
+    i = _piece_index(fx, lo.a, lo.b)
+    j = _piece_index(fx, hi.a, hi.b)
+    if fx[j] == hi:
+        j -= 1
     return ([lo, *fx[i + 1:j + 1], hi],
             [_through(fx[i], fy[i], fk[i], lo), *fy[i + 1:j + 1],
              _through(fx[j], fy[j], fk[j], hi)],

@@ -12,6 +12,9 @@ with AttributeError, so a record is shared as freely as a ring element.
 A subclass whose __slots__ is empty adds no field and keeps its base's,
 with the base's equality, hash, repr, copy and pickle (CircleMap and
 LiftMap on circle.Periodic, whose own constructor checks the table).
+The records are plmap.PLMap, the tables of every map, with its own
+checked constructor and repr; circle.Periodic; the rot and scl results
+of lift; and the certificates of construct.
 Every method is written out once here, so importing a record class
 compiles no generated code.
 """

@@ -24,7 +24,7 @@ from taut.circle import CircleMap
 from taut.construct import _chart_restriction_fixed_arc, _embed_in_chart, random_element
 from taut.errors import NotFtau, NotIncreasing, NotInRing, NotTauPower, SlopeMismatch, TautError
 from taut.lift import LiftMap
-from taut.plmap import PLMap, _piece_index, _sweep, _tau_pair, concat, conjugate, power
+from taut.plmap import PLMap, _piece_index, _sweep, concat, conjugate, power
 from taut.ring import ONE, TAU, TAU_POW_CACHE, ZERO, ZTau, _floor, _sign, tau_pow
 
 
@@ -411,14 +411,10 @@ def test_the_sweep_checks_the_images_it_passes_through():
         _sweep((ZERO, TAU, ONE), (ZERO, T2, ONE), (1, -1), (ZERO, ONE), (ZERO, 1), (0,))
 
 
-def test_the_tau_pair_cache_is_bounded():
-    assert _tau_pair.cache_info().maxsize == TAU_POW_CACHE
+def test_the_sweep_reads_tau_powers_from_the_one_bounded_cache():
+    assert not hasattr(plmap, "_tau_pair")
+    assert plmap.tau_pow is tau_pow
+    assert tau_pow.cache_info().maxsize == TAU_POW_CACHE
     for k in range(-TAU_POW_CACHE, TAU_POW_CACHE):
-        _tau_pair(k)
-    assert _tau_pair.cache_info().currsize == TAU_POW_CACHE
-
-
-@given(st.integers(min_value=-3000, max_value=3000))
-def test_the_tau_pair_is_the_power(k):
-    t = tau_pow(k)
-    assert _tau_pair(k) == (t.a, t.b)
+        tau_pow(k)
+    assert tau_pow.cache_info().currsize == TAU_POW_CACHE

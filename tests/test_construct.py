@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +18,8 @@ from taut.construct import (
     FactorCertificate,
     TransitivityCertificate,
     SplitMix64,
+    _moved_point,
+    _piece_points,
     arc_contains,
     arcs_disjoint,
     circle_points,
@@ -33,7 +35,8 @@ from taut.construct import (
     preference_points,
     random_element,
 )
-from taut.errors import BadTuple, CertificateError, IdentityInput, NoRoomInTarget
+from taut.errors import (BadTuple, CertificateError, IdentityInput, NoRoomInTarget,
+                         SearchBudgetExceeded)
 from taut.expr import check_payload, evaluate_str, serialize
 from taut.lift import LiftMap, rot
 from taut.plmap import (PLMap, commutator, concat, conjugate, is_ftau, is_ftau_compact,
@@ -310,6 +313,56 @@ def test_a_moved_point_is_read_off_the_table(tmp_path):
     path = tmp_path / "comm.json"
     path.write_text(serialize(comm))
     check_file(path)
+
+
+def _factor_search(g):
+    """factor_local's moved-point search as it was."""
+    x = next((c for c in chain(circle_points(), _piece_points(g)) if g.eval(c) != c),
+             None)
+    if x is None:
+        raise SearchBudgetExceeded("no moved ring point found")
+    return x
+
+
+def _commutator_search(g, x):
+    """commutator_trick's moved-point search as it was."""
+    w = None
+    for cand in chain(circle_points(), _piece_points(g)):
+        img = g.eval(cand)
+        if img != cand and cand != x and img != x:
+            w = cand
+            break
+    if w is None:
+        raise SearchBudgetExceeded("no usable moved point found")
+    return w
+
+
+def _point_or_message(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_moved_point_matches_the_two_searches_it_replaced():
+    maps = [random_element(k, s, "T_tau") for k in range(12) for s in (1, 2, 3)]
+    maps += [CircleMap.rotation(a) for a in (ZERO, TAU, tau_pow(2), tau_pow(9), 1 - TAU)]
+    maps.append(_moving_no_circle_point())
+    moved = 0
+    for g in maps:
+        first = _point_or_message(_factor_search, g)
+        assert _point_or_message(_moved_point, g, None, "no moved ring point found") == first
+        # avoid on the orbit: the first moved point and its image; and off
+        # it: a point g fixes, or one g may or may not move
+        avoids = [TAU, ZERO, tau_pow(5)]
+        if isinstance(first, ZTau):
+            moved += 1
+            avoids += [first, g.eval(first)]
+            avoids += [c for c in islice(circle_points(), 64) if g.eval(c) == c][:1]
+        for avoid in avoids:
+            assert (_point_or_message(_moved_point, g, avoid, "no usable moved point found")
+                    == _point_or_message(_commutator_search, g, avoid))
+    assert 0 < moved < len(maps)
 
 
 def test_factor_local_torsion():

@@ -37,7 +37,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # -- command lines ------------------------------------------------------------
 
 def _top_level_main(argv):
-    """main as it read every command line: through the top-level parser."""
+    """main as it read every command line: through the top-level parser,
+    once a lone "--" that ends the line is dropped."""
+    if argv[-1:] == ["--"] and argv.count("--") == 1:
+        argv = argv[:-1]
     try:
         args = cli._build_parser()[0].parse_args(argv)
     except cli._UsageError as exc:
@@ -84,6 +87,7 @@ ARGVS = [
     ["check", "--", "--", "x"], ["eval", "-"], ["eval", ""],
     ["connect", "t", "--", "1-t"], ["scl", "trans(1)", "--json", "--"],
     ["scl", "trans(1)", "--"], ["connect", "1-t", "t", "--json", "--"],
+    ["scl", "--", "--"], ["scl", "--json", "--", "trans(1)", "--"],
     *[[name, "-h"] for name in ("eval", "rot", "scl", "check", "connect",
                                 "factor", "defect", "random")],
 ]
@@ -92,6 +96,22 @@ ARGVS = [
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_main_matches_the_top_level_route(argv):
     assert _outcome(cli.main, argv) == _outcome(_top_level_main, argv)
+
+
+@pytest.mark.parametrize("argv", [["scl", "trans(1)", "--json"],
+                                  ["connect", "1-t", "t", "--json"],
+                                  ["scl", "trans(1)"]], ids=" ".join)
+def test_a_lone_trailing_dash_dash_is_dropped(argv):
+    code, out, err = _outcome(cli.main, argv + ["--"])
+    assert (code, out, err) == _outcome(cli.main, argv)
+    assert code == 0 and out and not err
+
+
+def test_a_second_dash_dash_is_left_to_argparse():
+    code, out, err = _outcome(cli.main, ["scl", "--", "--"])
+    assert code == 1 and "ExprSyntaxError" in err  # "--" read as the expression
+    code, out, err = _outcome(cli.main, ["scl", "--json", "--", "trans(1)", "--"])
+    assert code == 3 and "unrecognized arguments: --" in err
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch):

@@ -587,6 +587,60 @@ def test_restricted_matches_the_ring_formula(pl, data):
     assert _restricted(*raw, *pl.domain()) == reference_restricted(*raw, *pl.domain())
 
 
+def walked_restricted(fx, fy, fk, lo, hi) -> tuple:
+    """The restriction as it found its pieces: one linear walk from the
+    first piece to lo's, then on to hi's."""
+    if _cmp(lo, fx[0]) < 0 or _cmp(hi, fx[-1]) > 0 or _cmp(hi, lo) <= 0:
+        raise OutOfDomain(f"[{lo}, {hi}] is not inside the domain")
+    i = 0
+    while _cmp(fx[i + 1], lo) <= 0:
+        i += 1
+    j = i
+    while _cmp(fx[j + 1], hi) < 0:
+        j += 1
+    return ([lo, *fx[i + 1:j + 1], hi],
+            [_through(fx[i], fy[i], fk[i], lo), *fy[i + 1:j + 1],
+             _through(fx[j], fy[j], fk[j], hi)],
+            fk[i:j + 1])
+
+
+@st.composite
+def cut_points(draw, pl: PLMap):
+    """A ring point of pl's domain: either end, an inner breakpoint, or a
+    point inside a piece."""
+    i = draw(st.integers(min_value=0, max_value=pl.num_pieces - 1))
+    lo, hi = pl.xs[i], pl.xs[i + 1]
+    kind = draw(st.sampled_from(["end", "breakpoint", "inside"]))
+    if kind == "end":
+        return draw(st.sampled_from([pl.xs[0], pl.xs[-1]]))
+    if kind == "breakpoint":
+        return pl.xs[draw(st.integers(min_value=1, max_value=max(1, pl.num_pieces - 1)))]
+    return lo + tau_pow(draw(st.integers(min_value=1, max_value=6))) * (hi - lo)
+
+
+def _restriction_or_error(restricted, raw, lo, hi):
+    try:
+        return restricted(*raw, lo, hi)
+    except OutOfDomain as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_restricted_matches_the_linear_walk(pl, data):
+    raw = (pl.xs, pl.ys, pl.ks)
+    for _ in range(4):
+        lo = data.draw(cut_points(pl))
+        hi = data.draw(cut_points(pl))
+        # hi <= lo, a degenerate or reversed interval, must fail alike
+        assert _restriction_or_error(_restricted, raw, lo, hi) \
+            == _restriction_or_error(walked_restricted, raw, lo, hi)
+    for lo, hi in (pl.domain(), (pl.xs[0], pl.xs[1]), (pl.xs[-2], pl.xs[-1]),
+                   (pl.xs[0] - tau_pow(9), pl.xs[-1])):
+        assert _restriction_or_error(_restricted, raw, lo, hi) \
+            == _restriction_or_error(walked_restricted, raw, lo, hi)
+
+
 def test_piece_index_matches_the_ring_formula():
     pl = hyperbolic_power(16).table
     for x in [*pl.xs, *(x + tau_pow(40) for x in pl.xs[:-1])]:

@@ -60,6 +60,7 @@ _C = CircleMap.rotation(TAU)
 # class, its required fields in order, its defaults, and another value
 # of its first field
 RECORDS = [
+    (PLMap, {"xs": (ZERO, ONE), "ys": (ZERO, ONE), "ks": (0,)}, {}, (ONE, ZTau(2))),
     (CircleMap, {"table": PLMap.identity()}, {}, _C.table),
     (LiftMap, {"table": PLMap.identity()}, {}, _T.table),
     (RotRational, {"value": Fraction(1, 3), "root": QTau(ZERO)}, {}, Fraction(2, 3)),
@@ -99,8 +100,8 @@ def _built_records(cls=Record) -> set:
     return set().union(*map(_built_records, subclasses))
 
 
-def test_ten_records():
-    assert len({r[0] for r in RECORDS}) == 10
+def test_eleven_records():
+    assert len({r[0] for r in RECORDS}) == 11
     assert {r[0] for r in RECORDS} == _built_records()
 
 
@@ -144,6 +145,17 @@ def test_record_copy_and_pickle(cls, required, defaults, other):
     a = cls(**required)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is cls and b == a
+
+
+def test_plmap_copies_go_through_its_checked_constructor(monkeypatch):
+    a = random_element(4, 4, "F_tau") * random_element(9, 4, "F_tau")  # a swept table
+    built = []
+    init = PLMap.__init__
+    monkeypatch.setattr(PLMap, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is PLMap and b == a and hash(b) == hash(a)
+    assert built == [(a.xs, a.ys, a.ks)] * 3
 
 
 def test_record_defaults_are_not_shared():
