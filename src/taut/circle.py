@@ -95,6 +95,7 @@ class Periodic(Record):
 
 class CircleMap(Periodic):
     __slots__ = ()
+    kind = "circle"
     IN_PERIOD = True
 
     # -- constructors ---------------------------------------------------
@@ -196,7 +197,7 @@ def _from_circle_json(cls, obj: object, n: int = 0):
     compared with it."""
     if not isinstance(obj, dict):
         raise SchemaError("circle map payload must be an object")
-    xs, ys, ks = _json_table(obj, _CIRCLE_FIELDS)
+    xs, ys, ks = _json_table(obj, _CIRCLE_FIELDS, CircleMap.kind)
     if ys and (j := n - ys[0].floor()):
         ys = [ZTau(y.a + j, y.b) for y in ys]
     g = cls(PLMap(xs, ys, ks))
@@ -287,5 +288,5 @@ def leaf_exponents(tree: object) -> list[int]:
             todo.append((node[2], e + second))
             todo.append((node[1], e + first))
         else:
-            raise SchemaError(f"bad subdivision tree payload: {node!r}")
+            raise SchemaError(f"bad subdivision tree payload: {node!r:.40}")
     return out

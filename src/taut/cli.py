@@ -39,7 +39,7 @@ def _positive(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r:.40}") from None
     if n < 1:
         raise argparse.ArgumentTypeError("budgets must be positive")
     return n
@@ -325,11 +325,11 @@ def _run_check(args) -> int:
                 text = fh.read()
         except OSError as exc:  # a directory, or a file this user cannot read
             raise TautError(f"cannot read {args.target}: {exc.strerror}") from None
-        msg = expr.check_payload(text, _budget_kwargs(args))
+        label = expr.check_payload(text, _budget_kwargs(args))
     else:
-        msg = expr.check_expression(args.target)
-    print(expr.canonical_json(msg) if args.as_json
-          else f"ok: {msg['checked']} validated")
+        label = expr.check_expression(args.target)
+    print(expr.canonical_json({"checked": label, "ok": True}) if args.as_json
+          else f"ok: {label} validated")
     return 0
 
 

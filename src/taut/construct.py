@@ -251,8 +251,8 @@ def match_intervals(a: ZTau, b: ZTau, c: ZTau, d: ZTau) -> PLMap:
 # never evaluated (verify makes its products), and a CertificateError if
 # stated otherwise.  DEFAULTS holds the JSON value of each field that may
 # be left out, read through its codec, so each default is a fresh value.
-# A key outside FIELDS, CLAIMS, kind and schema is a SchemaError, and
-# expr._load makes a read's fault or a missing field a SchemaError.
+# A key outside FIELDS, CLAIMS and the envelope of ring.json_fields is a
+# SchemaError, and expr._load makes a read's fault or a missing field one.
 
 class _Payload(Record):
     __slots__ = ()
@@ -271,7 +271,7 @@ class _Payload(Record):
 
     @classmethod
     def from_json(cls, obj: dict):
-        json_fields(obj, {*cls.FIELDS, *cls.CLAIMS, "kind", "schema"}, cls.kind)
+        json_fields(obj, {*cls.FIELDS, *cls.CLAIMS}, cls.kind, cls.kind)
         made = cls(**{name: read(obj[name], name)
                       for name, (_, read) in cls.FIELDS.items() if name in obj})
         for name, (_, read) in cls.CLAIMS.items():

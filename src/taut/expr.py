@@ -34,17 +34,10 @@ from .errors import (
     ExprTypeError,
     PowerBudgetExceeded,
     SchemaError,
-    TautError,
 )
-from .lift import (
-    LiftMap,
-    SclResult,
-    rot_result_from_json,
-    scl_result_from_json,
-    verify_rot,
-)
+from .lift import RESULT_KINDS, LiftMap, check_result, result_from_json
 from .plmap import MAX_POWER, PLMap, commutator, conjugate, is_ftau, power
-from .ring import RingLiteralError, ZTau, json_int, read_ztau
+from .ring import SCHEMA_VERSION, RingLiteralError, ZTau, json_int, read_ztau
 
 _KEYWORDS = {"let", "rot", "trans", "comm", "conj", "lift", "map",
              "treepair", "t"}
@@ -217,7 +210,7 @@ def evaluate_str(text: str, env: dict[str, Element] | None = None) -> Element:
     while sc.take_word("let"):
         name = sc.read_name()
         if name in _KEYWORDS:
-            raise sc.error(f"{name!r} is reserved")
+            raise sc.error(f"{name!r:.40} is reserved")
         sc.take("=")
         value = _read_expr(sc)
         sc.take(";")
@@ -322,9 +315,9 @@ def _read_atom(sc: _Scanner) -> Element:
     if word == "treepair":
         return sc.read_payload(_tree_pair_payload)
     if word in _KEYWORDS:
-        raise sc.error(f"{word!r} cannot be used as a name here")
+        raise sc.error(f"{word!r:.40} cannot be used as a name here")
     if word not in sc.env:
-        raise ExprTypeError(f"unbound name {word!r}")
+        raise ExprTypeError(f"unbound name {word!r:.40}")
     return sc.env[word]
 
 
@@ -374,11 +367,6 @@ def to_expression(element: Element) -> str:
 
 # -- canonical serialization --------------------------------------------------------
 
-SCHEMA_VERSION = 1
-
-_ELEMENT_KINDS = {PLMap: "plmap", CircleMap: "circle", LiftMap: "lift"}
-
-
 # to_json builds each payload afresh as a tree, so no cycle can occur:
 # a per-call encoder and its cycle check would be pure cost.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
@@ -388,10 +376,7 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 def serialize(obj) -> str:
     """Canonical JSON for elements, results and certificates."""
     payload = obj.to_json()
-    if "kind" not in payload:
-        if type(obj) not in _ELEMENT_KINDS:
-            raise SchemaError(f"cannot serialize {type(obj).__name__}")
-        payload["kind"] = _ELEMENT_KINDS[type(obj)]
+    payload["kind"] = obj.kind
     payload["schema"] = SCHEMA_VERSION
     return canonical_json(payload)
 
@@ -399,57 +384,30 @@ def serialize(obj) -> str:
 # -- the payload kinds: loading and re-checking ----------------------------------
 #
 # A checker re-validates a loaded payload, given the payload and the work
-# budgets, and returns the message that `taut check` prints.
+# budgets, and returns the label that `taut check` prints.
 
-def _check_element(element, obj: dict, budgets: dict) -> dict:
-    return {"checked": type(element).__name__.lower(), "ok": True}
+def _check_element(element, obj: dict, budgets: dict) -> str:
+    return type(element).__name__.lower()
 
 
-def _check_certificate(cert, obj: dict, budgets: dict) -> dict:
+def _check_certificate(cert, obj: dict, budgets: dict) -> str:
     cert.verify()
-    return {"checked": obj["kind"], "ok": True}
+    return cert.kind
 
 
-def _check_witness(wit, obj: dict, budgets: dict) -> dict:
+def _check_witness(wit, obj: dict, budgets: dict) -> str:
     wit.verify(max_den=budgets["max_den"])
-    return {"checked": obj["kind"], "ok": True}
-
-
-def _load_result(obj: dict):
-    """A rot result, or an scl result: one that wraps its rot result."""
-    if obj["kind"] == "ztau-half" or "rot" in obj.get("certificate", {}):
-        return scl_result_from_json(obj)
-    return rot_result_from_json(obj)
-
-
-def _check_result(res, obj: dict, budgets: dict) -> dict:
-    """Re-check a rot or scl result against the element embedded in it;
-    an scl result is re-checked through the rot result it derives from."""
-    is_scl = isinstance(res, SclResult)
-    label = "scl-result" if is_scl else "rot-result"
-    rot_obj = obj["certificate"]["rot"] if is_scl else obj
-    embedded = rot_obj.get("certificate", {})
-    if not isinstance(embedded, dict) or "element" not in embedded:
-        raise SchemaError(f"{label} has no embedded element to re-check")
-    f = LiftMap.from_json(embedded["element"])
-    if not verify_rot(f, res.rot if is_scl else res, **budgets):
-        raise TautError(f"stored {label} fails re-checking")
-    return {"checked": label, "ok": True}
+    return wit.kind
 
 
 # payload kind -> (loader, checker)
 _KINDS = {
-    "plmap": (PLMap.from_json, _check_element),
-    "circle": (CircleMap.from_json, _check_element),
-    "lift": (LiftMap.from_json, _check_element),
-    **dict.fromkeys(("rational", "ztau", "ztau-half", "enclosure"),
-                    (_load_result, _check_result)),
-    "connect-cert": (construct.TransitivityCertificate.from_json,
-                     _check_certificate),
-    "factor-cert": (construct.FactorCertificate.from_json, _check_certificate),
-    "commutator-cert": (construct.CommutatorCertificate.from_json,
-                        _check_certificate),
-    "defect-witness": (construct.DefectWitness.from_json, _check_witness),
+    **{cls.kind: (cls.from_json, _check_element) for cls in (PLMap, CircleMap, LiftMap)},
+    **dict.fromkeys(RESULT_KINDS, (result_from_json, check_result)),
+    **{cls.kind: (cls.from_json, _check_certificate)
+       for cls in (construct.TransitivityCertificate, construct.FactorCertificate,
+                   construct.CommutatorCertificate)},
+    construct.DefectWitness.kind: (construct.DefectWitness.from_json, _check_witness),
 }
 
 
@@ -465,10 +423,6 @@ def _load(text: str):
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown payload kind {kind!r:.40}")
-    # rot --json writes no schema; a payload that states one states this one
-    if "schema" in obj and json_int(obj["schema"], "schema") != SCHEMA_VERSION:
-        raise SchemaError(f"unknown schema {obj['schema']!r:.40}, expected "
-                          f"{SCHEMA_VERSION}")
     load, check = _KINDS[kind]
     try:
         value = load(obj)
@@ -482,13 +436,14 @@ def deserialize(text: str):
     return _load(text)[1]
 
 
-def check_payload(text: str, budgets: dict) -> dict:
+def check_payload(text: str, budgets: dict) -> str:
     """Load and re-check a serialized payload within the work budgets
-    (max_den, max_iter); returns the `taut check` message."""
+    (max_den, max_iter); returns the label that `taut check` prints."""
     obj, value, check = _load(text)
     return check(value, obj, budgets)
 
 
-def check_expression(text: str) -> dict:
-    """Evaluate an element expression; returns the `taut check` message."""
+def check_expression(text: str) -> str:
+    """Evaluate an element expression; returns the label that `taut check`
+    prints."""
     return _check_element(evaluate_str(text), {}, {})

@@ -48,7 +48,8 @@ import re
 from fractions import Fraction
 
 from .circle import CircleMap, Periodic, _circle_json, _eval_lift, _from_circle_json
-from .errors import BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError
+from .errors import (BudgetExceeded, CertificateError, PowerBudgetExceeded, SchemaError,
+                     TautError)
 from .plmap import PLMap, _capped_mul
 from .record import Record
 from .ring import (
@@ -86,6 +87,7 @@ class LiftMap(Periodic):
     table(0) may be any ring element."""
 
     __slots__ = ()
+    kind = "lift"
 
     @classmethod
     def translation(cls, alpha: ZTau | int) -> LiftMap:
@@ -132,7 +134,7 @@ class LiftMap(Periodic):
     def from_json(cls, obj: object) -> LiftMap:
         if not isinstance(obj, dict) or "base" not in obj:
             raise SchemaError("lift payload must carry a base table")
-        json_fields(obj, {"kind", "schema", "base", "n"}, "lift")
+        json_fields(obj, {"base", "n"}, "lift", cls.kind)
         # one table, the base's moved up by n; n is refused, if at all,
         # after the table's own faults
         n = obj.get("n", 0)
@@ -199,11 +201,14 @@ class RotEnclosure(Record):
 
 RotResult = RotRational | RotTranslation | RotEnclosure
 
-# kind -> the keys of its payload but kind, schema and certificate, and
-# the keys of its certificate
-_ROT_FIELDS = {"rational": ({"value"}, {"power", "shift", "root", "element"}),
-               "ztau": ({"value"}, {"translation", "element"}),
-               "enclosure": ({"lo", "hi", "iterations"}, {"element"})}
+# kind -> the keys of its payload but its envelope and certificate, and
+# the keys of its certificate but the element that a stored result embeds
+_ROT_FIELDS = {"rational": ({"value"}, {"power", "shift", "root"}),
+               "ztau": ({"value"}, {"translation"}),
+               "enclosure": ({"lo", "hi", "iterations"}, set())}
+
+# the kinds of a stored result: a rot result's, and an scl result's
+RESULT_KINDS = (*_ROT_FIELDS, "ztau-half")
 
 
 _FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -224,15 +229,20 @@ def _json_fraction(value: object, what: str) -> Fraction:
         raise SchemaError(f"bad {what} {value!r:.40}: {exc}") from exc
 
 
-def rot_result_from_json(obj: object) -> RotResult:
+def rot_result_from_json(obj: object, stored: bool = False) -> RotResult:
+    """The rot result of a payload; only a stored one, at the top of a rot
+    or scl payload, may embed its element (a defect witness's rots are of
+    the witness's own elements)."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("rotation payload must carry a kind")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _ROT_FIELDS:
         raise SchemaError(f"unknown rotation result kind {kind!r:.40}")
     fields, cert_fields = _ROT_FIELDS[kind]
-    json_fields(obj, {*fields, "kind", "schema", "certificate"}, f"{kind} rot")
-    cert = json_fields(obj.get("certificate", {}), cert_fields, f"{kind} rot certificate")
+    json_fields(obj, {*fields, "certificate"}, f"{kind} rot", kind)
+    cert = json_fields(obj.get("certificate", {}),
+                       {*cert_fields, "element"} if stored else cert_fields,
+                       f"{kind} rot certificate")
     if kind == "rational":
         res = RotRational(_json_fraction(obj["value"], "rot value"),
                           parse_qtau(cert["root"]))
@@ -537,15 +547,13 @@ class SclResult(Record):
                 "certificate": {"rot": self.rot.to_json(element)}}
 
 
-def scl_result_from_json(obj: object) -> SclResult:
+def scl_result_from_json(obj: dict) -> SclResult:
     """The scl result derived from the payload's rot certificate; the
     payload's own stated fields must be the ones derived from it."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError("scl payload must carry a kind")
-    json_fields(obj, {"kind", "schema", "certificate", "value", "lo", "hi", "iterations"},
-                "scl")
+    json_fields(obj, {"certificate", "value", "lo", "hi", "iterations"}, "scl",
+                obj["kind"])
     cert = json_fields(obj.get("certificate", {}), {"rot"}, "scl certificate")
-    res = SclResult(rot_result_from_json(cert.get("rot", {})))
+    res = SclResult(rot_result_from_json(cert.get("rot", {}), stored=True))
     stated = {k: v for k, v in obj.items() if k not in ("certificate", "schema")}
     derived = res.to_json()
     del derived["certificate"]
@@ -553,6 +561,28 @@ def scl_result_from_json(obj: object) -> SclResult:
         raise CertificateError("stored scl-result fails re-checking: its "
                                "stated fields are not |rot|/2 of its certificate")
     return res
+
+
+def result_from_json(obj: dict) -> RotResult | SclResult:
+    """A stored result: a rot result, or an scl result, which wraps one."""
+    if obj["kind"] == "ztau-half" or "rot" in obj.get("certificate", {}):
+        return scl_result_from_json(obj)
+    return rot_result_from_json(obj, stored=True)
+
+
+def check_result(res: RotResult | SclResult, obj: dict, budgets: dict) -> str:
+    """Re-check a stored result read from obj against the element its rot
+    embeds, within verify_rot's budgets; returns its label."""
+    is_scl = isinstance(res, SclResult)
+    label = "scl-result" if is_scl else "rot-result"
+    rot_obj = obj["certificate"]["rot"] if is_scl else obj
+    embedded = rot_obj.get("certificate", {})
+    if "element" not in embedded:
+        raise SchemaError(f"{label} has no embedded element to re-check")
+    f = LiftMap.from_json(embedded["element"])
+    if not verify_rot(f, res.rot if is_scl else res, **budgets):
+        raise TautError(f"stored {label} fails re-checking")
+    return label
 
 
 def scl(f: LiftMap, *, max_den: int = DEFAULT_MAX_DEN,

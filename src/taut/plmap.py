@@ -67,6 +67,7 @@ def _piece_index(xs, xa: int, xb: int, den: int = 1) -> int:
 
 class PLMap(Record):
     __slots__ = ("xs", "ys", "ks")
+    kind = "plmap"
 
     def __init__(self, xs, ys, ks) -> None:
         xs = tuple(xs)
@@ -123,7 +124,7 @@ class PLMap(Record):
 
     @classmethod
     def from_json(cls, obj: object) -> PLMap:
-        return cls(*_json_table(obj))
+        return cls(*_json_table(obj, _TABLE_FIELDS, cls.kind))
 
     def to_json(self) -> dict:
         return _table_json(self.xs, self.ys, self.ks)
@@ -418,16 +419,15 @@ def _json_points(values: object) -> list:
     return [ZTau.from_json(v) for v in values]
 
 
-_TABLE_FIELDS = frozenset({"xs", "ys", "ks", "kind", "schema"})
+_TABLE_FIELDS = frozenset({"xs", "ys", "ks"})
 
 
-def _json_table(obj: object, fields: frozenset = _TABLE_FIELDS
-                ) -> tuple[list, list, list]:
+def _json_table(obj: object, fields: frozenset, kind: str) -> tuple[list, list, list]:
     """The lists xs, ys and ks of a table payload, for PLMap.__init__ to
     validate: breakpoints read as ring elements by _json_points and stated
     slope exponents as JSON integers, each bounded by the height of its
-    piece.  fields are the payload's allowed keys."""
-    json_fields(obj, fields, "map")
+    piece.  fields are the payload's keys but its envelope, read as kind."""
+    json_fields(obj, fields, "map", kind)
     try:
         xs = _json_points(obj["xs"])
         ys = _json_points(obj["ys"])

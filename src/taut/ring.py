@@ -203,7 +203,7 @@ class ZTau:
     @classmethod
     def from_json(cls, obj: object) -> ZTau:
         if not isinstance(obj, dict) or not obj.keys() <= {"a", "b"}:
-            raise SchemaError(f"bad ring element payload: {obj!r}")
+            raise SchemaError(f"bad ring element payload: {obj!r:.40}")
         return cls(json_coeff(obj.get("a", "0"), "ring coefficient"),
                    json_coeff(obj.get("b", "0"), "ring coefficient"))
 
@@ -535,12 +535,26 @@ def parse_qtau(text: str) -> QTau:
     return QTau(z, den)
 
 
-def json_fields(obj: object, allowed, what: str) -> dict:
+SCHEMA_VERSION = 1
+
+
+def json_fields(obj: object, allowed, what: str, kind: str | None = None) -> dict:
     """obj, a JSON object none of whose keys lies outside allowed: the one
-    unknown-key rule of every payload, a SchemaError that names the keys."""
+    unknown-key rule of every payload, a SchemaError that names the keys.
+    A payload read as a kind, wherever it stands, may also state its
+    envelope, "kind" (this kind) and "schema" (SCHEMA_VERSION), checked
+    first; with kind None, as in a certificate's sub-object, neither."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} payload must be an object")
     unknown = obj.keys() - allowed
+    if unknown and kind is not None:
+        if "kind" in unknown and obj["kind"] != kind:
+            raise SchemaError(f"{what} payload states kind {obj['kind']!r:.40}, "
+                              f"not {kind!r}")
+        if "schema" in unknown and json_int(obj["schema"], "schema") != SCHEMA_VERSION:
+            raise SchemaError(f"unknown schema {obj['schema']!r:.40}, expected "
+                              f"{SCHEMA_VERSION}")
+        unknown -= {"kind", "schema"}
     if unknown:
         raise SchemaError(f"unknown {what} payload fields {sorted(unknown)}")
     return obj

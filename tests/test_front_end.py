@@ -229,7 +229,7 @@ def _recursive_tree(obj):
         return None
     if isinstance(obj, list) and len(obj) == 3 and obj[0] in ("s+", "s-"):
         return (_recursive_tree(obj[1]), _recursive_tree(obj[2]), obj[0] == "s+")
-    raise SchemaError(f"bad subdivision tree payload: {obj!r}")
+    raise SchemaError(f"bad subdivision tree payload: {obj!r:.40}")
 
 
 def _recursive_exponents(tree, e=0):
@@ -368,7 +368,7 @@ def test_a_malformed_tree_keeps_its_message(payload, bad):
 
 def _old_ztau(obj):
     if not isinstance(obj, dict) or set(obj) - {"a", "b"}:
-        raise SchemaError(f"bad ring element payload: {obj!r}")
+        raise SchemaError(f"bad ring element payload: {obj!r:.40}")
     return ZTau(json_coeff(obj.get("a", "0"), "ring coefficient"),
                 json_coeff(obj.get("b", "0"), "ring coefficient"))
 

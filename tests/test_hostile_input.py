@@ -102,6 +102,22 @@ def test_unknown_kinds_are_not_echoed_whole(tmp_path, capsys):
         assert len(out.encode()) < 300
 
 
+BIG_POINT = [[0] * 50] * 40
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("eval", "--", "x" * 100_000), 1),
+    (("eval", "--", "map " + json.dumps({"xs": [BIG_POINT, {"a": "1"}],
+                                         "ys": [{"a": "0"}, {"a": "1"}], "ks": [0]})), 1),
+    (("eval", "--", "treepair " + json.dumps({"p": [["s+"] * 2000], "q": "leaf"})), 1),
+    (("scl", "--max-den", "9" * 5001, "--", "trans(1)"), 3),
+], ids=["name", "point", "tree", "budget"])
+def test_outside_input_is_echoed_in_at_most_40_characters(capsys, argv, code):
+    rc, out, err = run(capsys, *argv)
+    assert rc == code and out == "" and err.count("\n") == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
 def test_v_keyed_map_literal_is_rejected(capsys):
     table = ('"xs": [{"a": "0"}, {"a": "1"}], "ys": [{"a": "0"}, {"a": "1"}],'
              ' "ks": [0]')

@@ -1,6 +1,7 @@
 """Each field of a certificate payload is written and read by one codec, and
 a field that does not read ends in SchemaError or CertificateError."""
 
+import copy
 import json
 from functools import cache
 
@@ -172,3 +173,74 @@ def test_a_lift_or_result_with_an_unknown_key_is_a_schema_error(command, text, p
     place(payload)["extra"] = 3
     kind, message = check_outcome(tmp_path, capsys, payload)
     assert kind == "SchemaError" and "'extra'" in message, message
+
+
+# Every place where one payload stands inside another: (where it comes
+# from, the keys that lead to it, the kind it is read as).  A rot's kind
+# (None here) selects its own fields, so no other kind contradicts it.
+NESTED = {
+    "connect-element": (TransitivityCertificate, ("element",), "plmap"),
+    "connect-piece-l": (TransitivityCertificate, ("pieces", "l"), "plmap"),
+    "connect-piece-f": (TransitivityCertificate, ("pieces", "f"), "plmap"),
+    **{f"factor-{name}": (FactorCertificate, (name,), "circle") for name in "guv"},
+    **{f"factor-piece-{name}": (FactorCertificate, ("pieces", name), "circle")
+       for name in ("f", "h1", "h2")},
+    **{f"commutator-{name}": (CommutatorCertificate, (name,), "circle")
+       for name in ("result", "g", "h")},
+    "defect-g": (DefectWitness, ("g",), "lift"),
+    "defect-h": (DefectWitness, ("h",), "lift"),
+    "defect-g-base": (DefectWitness, ("g", "base"), "circle"),
+    **{f"defect-rot-{i}": (DefectWitness, ("rots", i), None) for i in range(3)},
+    "rot-element": ("rot", ("certificate", "element"), "lift"),
+    "scl-rot": ("scl", ("certificate", "rot"), None),
+    "scl-rot-element": ("scl", ("certificate", "rot", "certificate", "element"), "lift"),
+    "inline-map": ("map", (), "circle"),
+}
+OTHER_KIND = {"plmap": "circle", "circle": "lift", "lift": "circle"}
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+@pytest.mark.parametrize("source, path, kind", NESTED.values(), ids=NESTED)
+def test_a_nested_payload_states_its_own_envelope_or_none(source, path, kind,
+                                                          tmp_path, capsys):
+    if source in ("rot", "scl"):
+        base = _answer(capsys, source, "--json", LIFT)
+    elif source == "map":
+        base = made(FactorCertificate).g.to_json()
+    else:
+        base = json.loads(serialize(made(source)))
+
+    def outcome(**envelope) -> tuple[str, str]:
+        payload = copy.deepcopy(base)
+        _at(payload, path).update(envelope)
+        if source != "map":
+            return check_outcome(tmp_path, capsys, payload)
+        try:  # an inline payload's fault is reported where the payload starts
+            evaluate_str(f"map {json.dumps(payload)}")
+        except ExprSyntaxError as exc:
+            return type(exc.__cause__).__name__, str(exc.__cause__)
+        return "ok", ""
+
+    nested = _at(base, path)
+    own = kind or nested["kind"]
+    assert outcome() == ("ok", "")
+    # the envelope that taut eval --json writes
+    assert outcome(kind=own, schema=1) == ("ok", "")
+    for schema in (2, 0, "1", 1.0, None, [1, 2], {"x": [1]}):
+        kind_of, message = outcome(schema=schema)
+        assert kind_of == "SchemaError" and "schema" in message, (schema, message)
+    if kind is not None:
+        for other in (OTHER_KIND[kind], "nonsense", 12):
+            kind_of, message = outcome(kind=other)
+            assert kind_of == "SchemaError" and message.endswith(
+                f"payload states kind {other!r}, not {kind!r}"), message
+    if source is DefectWitness and path[0] == "rots":
+        # the witness's g, h and g*h are its rots' elements
+        cert = dict(nested["certificate"], element=base["g"])
+        kind_of, message = outcome(certificate=cert)
+        assert kind_of == "SchemaError" and "'element'" in message, message
